@@ -22,12 +22,16 @@ from .codes import BinaryCode, facet_code, is_self_dual, min_distance
 from .complexes import (
     AcyclicityReport,
     CarrierComplex,
+    FaceComplex,
     Gf2ChainComplex,
+    QuotientComplex,
     betti_mod2,
     chain_complex,
+    cw_failures,
     face_subcomplex,
     is_face_acyclic,
     reduced_betti,
+    require_cw_poset,
     validate_carriers,
 )
 from .errors import InputError, PreconditionError
@@ -42,7 +46,6 @@ from .gkm import (
 from .instance import Instance, load_instance, parse_instance, save_instance, serialize_instance
 from .model import (
     FormalityVerdict,
-    QuotientComplex,
     build_quotient,
     facial_components,
     fixed_locus,
@@ -69,6 +72,7 @@ __all__ = [
     "CountsCheck",
     "CutResult",
     "FHVector",
+    "FaceComplex",
     "FacePoset",
     "FormalityVerdict",
     "Gf2ChainComplex",
@@ -90,6 +94,7 @@ __all__ = [
     "check_face_ring_relations",
     "coloring_classes",
     "cut_face",
+    "cw_failures",
     "dual_code",
     "equivariant_hilbert",
     "face_restriction",
@@ -112,6 +117,7 @@ __all__ = [
     "order_complex",
     "parse_instance",
     "reduced_betti",
+    "require_cw_poset",
     "satisfies_gkm",
     "save_instance",
     "serialize_instance",

@@ -14,13 +14,13 @@ import sys
 from .blowup import cut_face
 from .charfunc import m_involution_check
 from .codes import facet_code, is_self_dual, min_distance
-from .complexes import is_face_acyclic
+from .complexes import is_face_acyclic, require_cw_poset
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
 from .gkm import axial_function, equivariant_hilbert, face_ring_hilbert
 from .instance import Instance, load_instance, save_instance
 from .model import fixed_locus, formality_verdict
-from .poset import fh_vectors, gorenstein_quick_checks, order_complex, validate
+from .poset import fh_vectors, gorenstein_quick_checks, validate
 
 Fragment = tuple[list[str], int]
 
@@ -110,8 +110,11 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
 def frag_code(inst: Instance) -> Fragment:
     _need_lambda(inst)
     p = inst.poset
-    c = inst.triangulation if inst.triangulation is not None else order_complex(p)
-    acyclic = is_face_acyclic(c).verdict
+    if inst.triangulation is not None:
+        acyclic = is_face_acyclic(inst.triangulation).verdict
+    else:  # mode A: true by construction, as in formality_verdict
+        require_cw_poset(p)
+        acyclic = True
     inv = m_involution_check(p, inst.lam, acyclic)
     if inv.exists:
         lines = [f"m_involution=true g={inv.g}"]

@@ -1,17 +1,24 @@
-"""Triangulations labelled by carrier faces, and mod-2 homology.
+"""Regular cell complexes over Q, their quotient chain complexes, and
+mod-2 homology.
 
-A carrier complex is a finite simplicial complex together with a map
-sending each simplex to the face of Q whose relative interior contains
-the simplex's interior.  Instances either supply one (a genuine
-triangulation of Q) or the engine substitutes the coned order complex,
-in which case verdicts are properties of that surrogate model.
+A cell complex over Q lists its cells by dimension, names for each cell
+the face of Q whose relative interior contains the cell's interior (its
+carrier), and gives each cell's boundary cells, every incidence being 1
+mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
+(instances may supply one, a genuine triangulation of Q), and the face
+complex, whose cells are the faces of Q themselves.  QuotientComplex
+builds the mod-2 chain complex of either, with or without the isotropy
+gluing of a characteristic function.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 
-from .gf2 import Matrix, compose_is_zero
+from .charfunc import CharFunction, isotropy
+from .errors import InputError, PreconditionError
+from .gf2 import Matrix, Vec, compose_is_zero
 from .poset import FacePoset
 
 Simplex = tuple[int, ...]
@@ -51,8 +58,46 @@ class CarrierComplex:
     def carrier(self, sx: Simplex) -> str:
         return self.simplices[sx]
 
+    def boundary(self, sx: Simplex) -> list[Simplex]:
+        return _facets(sx)
+
     def __repr__(self) -> str:
         return f"CarrierComplex(points={self.n_points}, simplices={len(self.simplices)})"
+
+
+class FaceComplex:
+    """Faces of Q as the cells of a regular cell complex.
+
+    Each face is a cell of its own dimension, carried by itself, with
+    the faces it covers as its boundary.  The boolean upper intervals
+    that `poset.validate` checks give every length-two interval exactly
+    two middle elements, so these incidence-1 boundaries square to zero.
+    The homology is that of Q's cell structure once every face's
+    boundary is a mod-2 homology sphere (see `cw_failures`).  `faces`
+    restricts the complex to a down-closed subset of the faces.
+    """
+
+    def __init__(self, poset: FacePoset, faces: Iterable[str] | None = None):
+        self.poset = poset
+        self.faces = frozenset(poset.codims if faces is None else faces)
+
+    def by_dim(self) -> list[list[str]]:
+        p = self.poset
+        out: list[list[str]] = [
+            [] for _ in range(max((p.dim_face(f) + 1 for f in self.faces), default=0))
+        ]
+        for f in sorted(self.faces):
+            out[p.dim_face(f)].append(f)
+        return out
+
+    def carrier(self, f: str) -> str:
+        return f
+
+    def boundary(self, f: str) -> list[str]:
+        return self.poset.children(f)
+
+    def __repr__(self) -> str:
+        return f"FaceComplex(faces={len(self.faces)})"
 
 
 @dataclass(frozen=True)
@@ -67,26 +112,90 @@ def _facets(sx: Simplex) -> list[Simplex]:
     return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
 
-def chain_complex(c: CarrierComplex) -> Gf2ChainComplex:
-    """Mod-2 simplicial chain complex, cells in canonical sorted order."""
-    levels = c.by_dim()
-    if not levels:
-        return Gf2ChainComplex((), ())
-    index = [{sx: i for i, sx in enumerate(level)} for level in levels]
-    dims = tuple(len(level) for level in levels)
-    boundaries: list[Matrix] = [Matrix.zero(dims[0], 0)]
-    for d in range(1, len(levels)):
-        rows = []
-        for sx in levels[d]:
-            bits = 0
-            for tau in _facets(sx):
-                try:
-                    bits ^= 1 << index[d - 1][tau]
-                except KeyError:
-                    raise ValueError(f"complex not closed: {sx} misses facet {tau}")
-            rows.append(bits)
-        boundaries.append(Matrix.from_rows(rows, dims[d - 1]))
-    return Gf2ChainComplex(dims, tuple(boundaries))
+class QuotientComplex:
+    """Mod-2 chain complex of (base x GF(2)^n) / isotropy.
+
+    `base` is a CarrierComplex or a FaceComplex.  With a characteristic
+    function, (x, g) ~ (x, g') whenever g - g' lies in the isotropy
+    subgroup of the carrier of x: a cell with carrier f becomes one cell
+    per coset of G_f, written (cell, canonical coset representative).
+    The boundary drops the coset into the cosets of the smaller carriers'
+    groups, and coincident images cancel mod 2.  Without one every cell
+    has the single coset 0, which is the cellular chain complex of base.
+    """
+
+    def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction | None = None):
+        self.base = base
+        self.lam = lam
+        self.n = lam.n if lam is not None else 0
+        p = base.poset
+        levels = base.by_dim()
+        carriers: dict[Hashable, str] = {
+            cell: base.carrier(cell) for level in levels for cell in level
+        }
+        self.groups = (
+            None if lam is None else {f: isotropy(p, lam, f) for f in set(carriers.values())}
+        )
+
+        self.cells: list[list[tuple[Hashable, int]]] = []
+        index: list[dict[tuple[Hashable, int], int]] = []
+        for level in levels:
+            if self.groups is None:
+                cells = [(cell, 0) for cell in level]
+            else:
+                cells = [
+                    (cell, rep.bits)
+                    for cell in level
+                    for rep in self.groups[carriers[cell]].cosets()
+                ]
+            cells.sort()
+            self.cells.append(cells)
+            index.append({cell: i for i, cell in enumerate(cells)})
+
+        groups, leq = self.groups, p.leq
+        drop: dict[tuple[str, int], int] = {}  # (face f, rep of g) -> rep of g + G_f
+        boundaries: list[Matrix] = []
+        if self.cells:
+            boundaries.append(Matrix.zero(len(self.cells[0]), 0))
+        for d in range(1, len(self.cells)):
+            below = index[d - 1]
+            rows = []
+            for cell, rep in self.cells[d]:
+                carrier = carriers[cell]
+                bits = 0
+                for face in base.boundary(cell):
+                    fcar = carriers.get(face)
+                    if fcar is None:
+                        raise InputError(f"complex not closed: {cell} misses facet {face}")
+                    if fcar != carrier and not leq(fcar, carrier):
+                        raise InputError(
+                            f"carrier of {face} ({fcar}) not inside carrier of {cell} ({carrier})"
+                        )
+                    frep = 0
+                    if groups is not None:
+                        frep = drop.get((fcar, rep))
+                        if frep is None:
+                            frep = groups[fcar].coset_rep(Vec(rep, self.n)).bits
+                            drop[(fcar, rep)] = frep
+                    bits ^= 1 << below[(face, frep)]
+                rows.append(bits)
+            boundaries.append(Matrix.from_rows(rows, len(self.cells[d - 1])))
+        self.chain = Gf2ChainComplex(
+            tuple(len(c) for c in self.cells), tuple(boundaries)
+        )
+
+    def betti(self) -> tuple[int, ...]:
+        """Unreduced mod-2 Betti numbers, padded to length n+1."""
+        b = betti_mod2(self.chain)  # also asserts boundary^2 = 0
+        return tuple(b) + (0,) * (self.n + 1 - len(b))
+
+    def cell_count(self) -> int:
+        return sum(len(c) for c in self.cells)
+
+
+def chain_complex(c: CarrierComplex | FaceComplex) -> Gf2ChainComplex:
+    """Mod-2 cellular chain complex, cells in canonical sorted order."""
+    return QuotientComplex(c).chain
 
 
 def betti_mod2(cc: Gf2ChainComplex) -> tuple[int, ...]:
@@ -234,3 +343,38 @@ def validate_carriers(c: CarrierComplex, require_face_dims: bool = True) -> Carr
                     f"face {f}: wall {sx} lies in {got} top simplices, wanted {want}"
                 )
     return rep
+
+
+def cw_failures(p: FacePoset) -> list[str]:
+    """Faces whose boundary is not a mod-2 homology sphere, by dimension.
+
+    A face f of dimension d >= 1 passes when the faces strictly below it
+    have the reduced mod-2 Betti numbers of S^(d-1) (two points for
+    d = 1).  When every face passes, p is a CW poset over GF(2) in the
+    sense of Bjorner ("Posets, regular CW complexes and Bruhat order",
+    1984): each face is a mod-2 homology cell, and the face complex
+    computes the homology of Q's cell structure.
+    """
+    failing = []
+    for f in sorted(p.codims, key=lambda g: (p.dim_face(g), g)):
+        d = p.dim_face(f)
+        if d == 0:
+            continue
+        b = reduced_betti(chain_complex(FaceComplex(p, p.below(f) - {f})))
+        if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
+            failing.append(f)
+    return failing
+
+
+def require_cw_poset(p: FacePoset) -> None:
+    """The precondition of mode A: raise PreconditionError naming the
+    first faces that `cw_failures` finds."""
+    failing = cw_failures(p)
+    if failing:
+        named = ", ".join(failing[:5])
+        if len(failing) > 5:
+            named += f" and {len(failing) - 5} more"
+        raise PreconditionError(
+            "mode A needs a CW poset, where the boundary of every face is a mod-2 "
+            f"homology sphere; it fails at {named}; supply a triangulation to use mode B"
+        )

@@ -7,6 +7,7 @@ builders stay the single source of truth.
 from __future__ import annotations
 
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 from .blowup import cut_face
@@ -171,6 +172,26 @@ def cut_cube_edge() -> Instance:
     c = cube()
     cut = cut_face(c.poset, c.lam, "EX0Y0")
     return Instance("cut_cube_edge", cut.poset, cut.lam, None)
+
+
+def ncube(n: int) -> Instance:
+    """The n-cube with coordinate labels: the model is the real torus T^n.
+
+    Faces are words over {0, 1, *}: position i is 0 or 1 on the facet
+    x_i = 0 or x_i = 1, and * where coordinate i is free.  Both facets of
+    axis i carry the label e_i.
+    """
+    words = ["".join(w) for w in product("01*", repeat=n)]
+    codims = {w: n - w.count("*") for w in words}
+    covers = {
+        (w[:i] + b + w[i + 1 :], w)
+        for w in words
+        for i, ch in enumerate(w)
+        if ch == "*"
+        for b in "01"
+    }
+    labels = {w: Vec.unit(n, w.index(w.strip("*"))) for w in words if codims[w] == 1}
+    return Instance(f"cube{n}", FacePoset(n, codims, covers), CharFunction(n, labels), None)
 
 
 BUNDLED = ("triangle", "square_torus", "square_klein", "cube", "annulus")

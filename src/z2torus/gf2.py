@@ -179,15 +179,6 @@ class Matrix:
             basis.append(v)
         return Matrix(tuple(basis), self.ncols)
 
-    def transpose(self) -> "Matrix":
-        cols = []
-        for j in range(self.ncols):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
-        return Matrix(tuple(cols), len(self.rows))
-
     def apply(self, v: int) -> int:
         """Row-vector times matrix: XOR of the rows selected by bits of v."""
         acc = 0

@@ -23,6 +23,11 @@ from .poset import FacePoset, validate
 TOP_KEYS = {"name", "dim", "faces", "inclusions", "lambda", "triangulation"}
 
 
+def _is_int(x: object) -> bool:
+    """A JSON integer; bool is an int subclass in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class Instance:
     name: str
@@ -48,15 +53,20 @@ def parse_instance(data: object) -> Instance:
     n = data["dim"]
     if not isinstance(name, str):
         errors.append("name must be a string")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         errors.append("dim must be a non-negative integer")
+    for key in ("faces", "inclusions"):
+        if not isinstance(data[key], list):
+            errors.append(f"{key} must be a list")
+    if errors:
+        raise InputError(errors)
     codims: dict[str, int] = {}
     for entry in data["faces"]:
         if not isinstance(entry, dict) or set(entry) != {"id", "codim"}:
             errors.append(f"face entry {entry!r} must be {{id, codim}}")
             continue
         fid, k = entry["id"], entry["codim"]
-        if not isinstance(fid, str) or not isinstance(k, int):
+        if not isinstance(fid, str) or not _is_int(k):
             errors.append(f"face entry {entry!r} has wrong types")
             continue
         if fid in codims:
@@ -95,7 +105,7 @@ def parse_instance(data: object) -> Instance:
         values: dict[str, Vec] = {}
         for fid, bits in sorted(raw.items()):
             if not isinstance(bits, list) or len(bits) != n or any(
-                b not in (0, 1) for b in bits
+                not _is_int(b) or b not in (0, 1) for b in bits
             ):
                 errors.append(f"lambda[{fid!r}] must be a list of {n} bits")
                 continue
@@ -113,7 +123,8 @@ def parse_instance(data: object) -> Instance:
         if (
             not isinstance(raw, dict)
             or set(raw) != {"points", "simplices"}
-            or not isinstance(raw.get("points"), int)
+            or not _is_int(raw["points"])
+            or not isinstance(raw["simplices"], list)
         ):
             raise InputError("triangulation must be {points, simplices}")
         simplices: dict[tuple[int, ...], str] = {}
@@ -125,7 +136,7 @@ def parse_instance(data: object) -> Instance:
             if (
                 not isinstance(verts, list)
                 or not verts
-                or any(not isinstance(v, int) for v in verts)
+                or any(not _is_int(v) for v in verts)
                 or sorted(set(verts)) != verts
             ):
                 errors.append(f"simplex verts {verts!r} must be a sorted list of distinct ints")
@@ -136,7 +147,7 @@ def parse_instance(data: object) -> Instance:
             key = tuple(verts)
             if key in simplices:
                 errors.append(f"simplex {verts!r} listed twice")
-            if carrier not in codims:
+            if not isinstance(carrier, str) or carrier not in codims:
                 errors.append(f"simplex {verts!r} carried by unknown face {carrier!r}")
                 continue
             simplices[key] = carrier
@@ -182,4 +193,7 @@ def serialize_instance(inst: Instance) -> dict:
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(serialize_instance(inst), indent=1) + "\n")
+    try:
+        Path(path).write_text(json.dumps(serialize_instance(inst), indent=1) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")

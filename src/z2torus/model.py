@@ -1,89 +1,35 @@
 """The canonical quotient model and the formality verdicts.
 
-Given a carrier complex over Q and a characteristic function, the model
+Given a cell complex over Q and a characteristic function, the model
 is Q x GF(2)^n with (q, g) ~ (q, g') whenever g - g' lies in the
-isotropy subgroup of the carrier of q.  Cells are (simplex, coset)
-pairs; the boundary drops into smaller quotients, and coincident images
-cancel mod 2.  Its mod-2 homology is the ground truth the closed-form
-criteria are compared against.
+isotropy subgroup of the carrier of q (complexes.QuotientComplex).  In
+mode B the cells are the simplices of the given triangulation.  In
+mode A they are the faces of Q themselves, one cell per (face, coset of
+its isotropy group): the small-cover cell structure of Davis and
+Januszkiewicz ("Convex polytopes, Coxeter orbifolds and torus actions",
+1991), valid once the face poset passes the CW gate.  Its mod-2
+homology is the ground truth the closed-form criteria are compared
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charfunc import CharFunction, Subgroup, isotropy
+from .charfunc import CharFunction, isotropy
 from .complexes import (
     CarrierComplex,
-    Gf2ChainComplex,
-    Simplex,
-    _facets,
-    betti_mod2,
+    FaceComplex,
+    QuotientComplex,
     is_face_acyclic,
+    require_cw_poset,
 )
 from .errors import InputError
-from .gf2 import Matrix, Vec
-from .poset import FacePoset, fh_vectors, order_complex
+from .gf2 import Vec, bit_indices
+from .poset import FacePoset, fh_vectors
 
 
-class QuotientComplex:
-    """GF(2) chain complex of the canonical model."""
-
-    def __init__(self, complex_: CarrierComplex, lam: CharFunction):
-        self.base = complex_
-        self.lam = lam
-        self.n = lam.n
-        p = complex_.poset
-        groups: dict[str, Subgroup] = {}
-        for f in p.faces():
-            groups[f] = isotropy(p, lam, f)
-        self.groups = groups
-
-        levels = complex_.by_dim()
-        self.cells: list[list[tuple[Simplex, int]]] = []
-        index: list[dict[tuple[Simplex, int], int]] = []
-        for level in levels:
-            cells = []
-            for sx in level:
-                G = groups[complex_.carrier(sx)]
-                for rep in G.cosets():
-                    cells.append((sx, rep.bits))
-            cells.sort()
-            self.cells.append(cells)
-            index.append({cell: i for i, cell in enumerate(cells)})
-
-        boundaries: list[Matrix] = []
-        if self.cells:
-            boundaries.append(Matrix.zero(len(self.cells[0]), 0))
-        for d in range(1, len(self.cells)):
-            rows = []
-            for sx, rep in self.cells[d]:
-                carrier = complex_.carrier(sx)
-                bits = 0
-                for tau in _facets(sx):
-                    tcar = complex_.carrier(tau)
-                    if not p.leq(tcar, carrier):
-                        raise InputError(
-                            f"carrier of {tau} ({tcar}) not inside carrier of {sx} ({carrier})"
-                        )
-                    trep = groups[tcar].coset_rep(Vec(rep, self.n)).bits
-                    bits ^= 1 << index[d - 1][(tau, trep)]
-                rows.append(bits)
-            boundaries.append(Matrix.from_rows(rows, len(self.cells[d - 1])))
-        self.chain = Gf2ChainComplex(
-            tuple(len(c) for c in self.cells), tuple(boundaries)
-        )
-
-    def betti(self) -> tuple[int, ...]:
-        """Unreduced mod-2 Betti numbers, padded to length n+1."""
-        b = betti_mod2(self.chain)  # also asserts boundary^2 = 0
-        return tuple(b) + (0,) * (self.n + 1 - len(b))
-
-    def cell_count(self) -> int:
-        return sum(len(c) for c in self.cells)
-
-
-def build_quotient(c: CarrierComplex, lam: CharFunction) -> QuotientComplex:
+def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> QuotientComplex:
     return QuotientComplex(c, lam)
 
 
@@ -116,40 +62,27 @@ def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
 def facial_components(q: QuotientComplex, f: str) -> int:
     """Connected components of the preimage of the face f in the model."""
     p = q.base.poset
-    keep: list[tuple[int, int]] = []  # (dim, cell index)
-    ids: dict[tuple[int, tuple[Simplex, int]], int] = {}
-    for d, cells in enumerate(q.cells):
-        for i, (sx, rep) in enumerate(cells):
-            if p.leq(q.base.carrier(sx), f):
-                ids[(d, (sx, rep))] = len(keep)
-                keep.append((d, i))
-    if not keep:
-        return 0
-    parent = list(range(len(keep)))
+    inside = [[p.leq(q.base.carrier(cell), f) for cell, _ in cells] for cells in q.cells]
+    parent = {(d, i): (d, i) for d, flags in enumerate(inside) for i, ok in enumerate(flags) if ok}
 
-    def find(x: int) -> int:
+    def find(x: tuple[int, int]) -> tuple[int, int]:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for d, cells in enumerate(q.cells):
-        if d == 0:
-            continue
-        for sx, rep in cells:
-            me = ids.get((d, (sx, rep)))
-            if me is None:
-                continue
-            for tau in _facets(sx):
-                trep = q.groups[q.base.carrier(tau)].coset_rep(Vec(rep, q.n)).bits
-                other = ids[(d - 1, (tau, trep))]
-                parent[find(me)] = find(other)
-    return len({find(i) for i in range(len(keep))})
+    # the boundary cells of a cell inside f are inside f too
+    for d in range(1, len(q.cells)):
+        for i, row in enumerate(q.chain.boundaries[d].rows):
+            if inside[d][i]:
+                for j in bit_indices(row):
+                    parent[find((d, i))] = find((d - 1, j))
+    return len({find(x) for x in parent})
 
 
 @dataclass(frozen=True)
 class FormalityVerdict:
-    mode: str  # "B" (triangulation) or "A" (order-complex surrogate)
+    mode: str  # "B" (triangulation) or "A" (face-coset model of a CW poset)
     betti: tuple[int, ...]
     sum_betti: int
     n_vertices: int
@@ -168,19 +101,26 @@ def formality_verdict(
 
     hsiang: total mod-2 Betti number of the model equals the number of
     fixed points (the lower bound is attained).
-    criterion: every face subcomplex is mod-2 acyclic.  In mode A this
-    is evaluated on the order-complex surrogate, where it holds by
-    construction; the mode label travels with the verdict.
+    criterion: every face subcomplex is mod-2 acyclic.  Mode A first
+    checks that p is a CW poset (PreconditionError otherwise); the
+    criterion then holds by construction, as every face of the
+    order-complex surrogate is a cone, and is not computed.  The mode
+    label travels with the verdict.
     h_identity: Betti vector equals the h-vector.
     """
-    mode = "B" if triangulation is not None else "A"
-    c = triangulation if triangulation is not None else order_complex(p)
-    q = build_quotient(c, lam)
+    if triangulation is None:
+        mode = "A"
+        require_cw_poset(p)
+        q = build_quotient(FaceComplex(p), lam)
+        criterion, witnesses = True, ()
+    else:
+        mode = "B"
+        q = build_quotient(triangulation, lam)
+        acyc = is_face_acyclic(triangulation)
+        criterion, witnesses = acyc.verdict, tuple(acyc.witnesses())
     betti = q.betti()
     nverts = len(p.vertices())
     hsiang = sum(betti) == nverts
-    acyc = is_face_acyclic(c)
-    criterion = acyc.verdict
     h = fh_vectors(p).h
     h_identity = tuple(betti) == tuple(h)
     agree = (hsiang == criterion) and ((not hsiang) or h_identity)
@@ -194,5 +134,5 @@ def formality_verdict(
         h,
         h_identity,
         agree,
-        tuple(acyc.witnesses()),
+        witnesses,
     )

@@ -3,7 +3,7 @@
 A poset is a set of faces, each with a codimension in 0..n, plus cover
 relations (child, parent) meaning child is a proper subface of parent
 with codimension exactly one higher.  Everything else (containment,
-facet sets, skeleta, dual cell structure) is derived from that.
+facet sets, skeleta, the order complex) is derived from that.
 
 Faces are canonically ordered by (codim, id) throughout, so every
 derived object is reproducible bit for bit.
@@ -91,6 +91,10 @@ class FacePoset:
         """All faces contained in f, including f itself."""
         return self._below[f]
 
+    def children(self, f: str) -> list[str]:
+        """The faces f covers: its faces of one dimension less."""
+        return self._children[f]
+
     def leq(self, f: str, g: str) -> bool:
         """True iff face f is contained in face g."""
         return g in self._above[f]
@@ -165,35 +169,6 @@ class Skeleton:
 class GorensteinChecks:
     pseudo_manifold: bool
     euler_ok: bool
-
-
-class DualComplex:
-    """The dual simplicial cell complex: a k-cell per codim-(k+1) face."""
-
-    def __init__(self, poset: FacePoset):
-        self.poset = poset
-        self.cells: list[list[str]] = [
-            poset.faces_of_codim(k + 1) for k in range(poset.n)
-        ]
-
-    def dim_cell(self, f: str) -> int:
-        return self.poset.codims[f] - 1
-
-    def faces_of_cell(self, f: str) -> list[str]:
-        """Proper faces of the cell dual to f (reversed inclusion)."""
-        return sorted(
-            (g for g in self.poset.above(f) if 0 < self.poset.codims[g] < self.poset.codims[f]),
-            key=self.poset.face_key,
-        )
-
-    def cofaces_of_cell(self, f: str) -> list[str]:
-        return sorted(
-            (g for g in self.poset.below(f) if self.poset.codims[g] > self.poset.codims[f]),
-            key=self.poset.face_key,
-        )
-
-    def cell_counts(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
 
 
 def validate(p: FacePoset) -> PosetReport:
@@ -332,10 +307,6 @@ def one_skeleton(p: FacePoset) -> Skeleton:
     return Skeleton(verts, edges, degenerate, n_valent, connected)
 
 
-def dual_complex(p: FacePoset) -> DualComplex:
-    return DualComplex(p)
-
-
 def gorenstein_quick_checks(p: FacePoset) -> GorensteinChecks:
     """Cheap necessary conditions for the dual complex to be a homology
     sphere: pseudo-manifold property and the Euler-characteristic identity
@@ -357,7 +328,8 @@ def order_complex(p: FacePoset) -> "CarrierComplex":
     Vertices are the proper faces of Q (canonical order) plus an apex.
     A chain f_k < ... < f_0 spans a simplex carried by f_0; adjoining the
     apex yields a simplex carried by Q.  For posets whose dual complex is
-    a sphere this is a genuine triangulation of Q.
+    a sphere this is a genuine triangulation of Q.  The tests build the
+    quotient model on it as an oracle for the face-coset model of mode A.
     """
     from .complexes import CarrierComplex
 

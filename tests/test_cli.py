@@ -245,6 +245,68 @@ class TestParseErrors:
         assert rc == 1 and "p23" in err
 
 
+class TestMalformedInput:
+    """Malformed input exits 1 with error lines, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("faces", 5, "faces must be a list"),
+            ("inclusions", {"F1": "Q"}, "inclusions must be a list"),
+            ("lambda", [[1, 0]], "lambda must be an object"),
+            ("dim", True, "dim must be a non-negative integer"),
+        ],
+    )
+    def test_wrong_top_level_types(self, capsys, tmp_path, key, value, message):
+        data = json.loads(corpus.bundled_path("triangle").read_text())
+        data[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "report", str(bad))
+        assert rc == 1 and out == "" and f"error: {message}" in err
+
+    def test_bool_codim_and_bits_rejected(self, capsys, tmp_path):
+        for edit, message in (
+            (lambda d: d["faces"][0].update(codim=False), "has wrong types"),
+            (lambda d: d["lambda"].update(F1=[True, False]), "must be a list of 2 bits"),
+        ):
+            data = json.loads(corpus.bundled_path("triangle").read_text())
+            edit(data)
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps(data))
+            rc, _, err = run(capsys, "validate", str(bad))
+            assert rc == 1 and message in err
+
+    def test_unhashable_carrier(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["triangulation"]["simplices"][0]["carrier"] = ["Q"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc, _, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and "unknown face" in err
+
+    def test_blowup_into_a_missing_directory(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.json"
+        rc, out, err = run(
+            capsys, "blowup", bundled("triangle"), "--face", "p12", "--out", str(out_file)
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: cannot write {out_file}")
+
+
+class TestModeAGate:
+    def test_annulus_without_triangulation_is_refused(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("annulus").read_text())
+        del data["triangulation"]
+        f = tmp_path / "annulus_a.json"
+        f.write_text(json.dumps(data))
+        for cmd in ("report", "betti", "formality", "code"):
+            rc, out, err = run(capsys, cmd, str(f))
+            assert rc == 2 and out == "", cmd
+            assert err.startswith("error: mode A needs a CW poset"), cmd
+            assert "F1, F2, Q" in err and "triangulation" in err, cmd
+
+
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         inst = corpus.cut_triangle()

@@ -91,11 +91,6 @@ class TestNullspaceAndDual:
 
 
 class TestOps:
-    def test_transpose_involution(self):
-        m = Matrix.from_rows([0b011, 0b110], 3)
-        assert m.transpose().transpose() == m
-        assert m.transpose().rows == (0b01, 0b11, 0b10)
-
     def test_apply_selects_rows(self):
         m = Matrix.from_rows([0b01, 0b10, 0b11], 2)
         assert m.apply(0b101) == 0b01 ^ 0b11

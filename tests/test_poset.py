@@ -8,7 +8,6 @@ from z2torus import corpus
 from z2torus.complexes import betti_mod2, chain_complex, validate_carriers
 from z2torus.poset import (
     FacePoset,
-    dual_complex,
     fh_vectors,
     gorenstein_quick_checks,
     one_skeleton,
@@ -173,20 +172,6 @@ class TestSkeleton:
 
 
 class TestDualAndGorenstein:
-    def test_dual_cell_counts(self):
-        assert dual_complex(ALL_POSETS["triangle"]).cell_counts() == (3, 3)
-        assert dual_complex(ALL_POSETS["cube"]).cell_counts() == (6, 12, 8)
-
-    def test_dual_incidences(self):
-        d = dual_complex(ALL_POSETS["cube"])
-        assert d.dim_cell("V000") == 2
-        assert set(d.faces_of_cell("V000")) == {
-            "X0", "Y0", "Z0", "EX0Y0", "EX0Z0", "EY0Z0"
-        }
-        assert d.cofaces_of_cell("X0") == sorted(
-            f for f in ALL_POSETS["cube"].below("X0") if f != "X0"
-        )
-
     def test_gorenstein_quick(self):
         for name in ("triangle", "square_torus", "cube"):
             g = gorenstein_quick_checks(ALL_POSETS[name])
