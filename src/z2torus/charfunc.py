@@ -41,9 +41,6 @@ class Subgroup:
     def rank(self) -> int:
         return len(self._pivots)
 
-    def basis(self) -> list[Vec]:
-        return [Vec(r, self.n) for r in self._rows]
-
     def contains(self, v: Vec) -> bool:
         return reduce_by(self._rows, self._pivots, v.bits) == 0
 
@@ -204,15 +201,22 @@ class MInvolution:
     reasons: tuple[str, ...] = ()
 
 
+def _label_image(p: FacePoset, lam: CharFunction) -> tuple[list[int], int]:
+    """The distinct facet labels, as sorted bits, and the rank of their span;
+    they form a basis of GF(2)^n iff len(image) == rank == n."""
+    image = sorted({v.bits for v in lam.values.values()})
+    return image, Matrix.from_rows(image, max(p.n, 1)).rank()
+
+
 def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> MInvolution:
     """A free involution on the model exists iff the label image is a
     basis of GF(2)^n and Q is face-acyclic; then g is the sum of it."""
-    image = sorted({v.bits for v in lam.values.values()})
+    image, rank = _label_image(p, lam)
     reasons = []
-    if len(image) != p.n or Matrix.from_rows(image, max(p.n, 1)).rank() != p.n:
+    if not len(image) == rank == p.n:
         reasons.append(
             f"label image has {len(image)} distinct values of rank "
-            f"{Matrix.from_rows(image, max(p.n, 1)).rank()}, not a basis of GF(2)^{p.n}"
+            f"{rank}, not a basis of GF(2)^{p.n}"
         )
     if not face_acyclic:
         reasons.append("instance is not face-acyclic")
@@ -234,6 +238,6 @@ def coloring_classes(p: FacePoset, lam: CharFunction) -> ColoringClasses:
     by_label: dict[str, list[str]] = {}
     for F in p.facets():
         by_label.setdefault(str(lam.vec(F)), []).append(F)
-    image = sorted({v.bits for v in lam.values.values()})
-    is_basis = len(image) == p.n and Matrix.from_rows(image, max(p.n, 1)).rank() == p.n
-    return ColoringClasses({k: tuple(sorted(v)) for k, v in sorted(by_label.items())}, is_basis)
+    image, rank = _label_image(p, lam)
+    classes = {k: tuple(sorted(v)) for k, v in sorted(by_label.items())}
+    return ColoringClasses(classes, len(image) == rank == p.n)

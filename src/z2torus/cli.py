@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .blowup import cut_face
 from .charfunc import m_involution_check
@@ -174,6 +175,19 @@ def frag_report(inst: Instance) -> Fragment:
     return lines, rc
 
 
+COMMANDS: dict[str, Callable[[Instance, argparse.Namespace], Fragment]] = {
+    "validate": lambda inst, args: frag_validate(inst),
+    "hvector": lambda inst, args: frag_hvector(inst),
+    "betti": lambda inst, args: frag_betti(inst),
+    "formality": lambda inst, args: frag_formality(inst),
+    "gkm": lambda inst, args: frag_gkm(inst, args.max_deg),
+    "blowup": lambda inst, args: frag_blowup(inst, args.face, args.out),
+    "fixed-locus": lambda inst, args: frag_fixed_locus(inst, args.g),
+    "code": lambda inst, args: frag_code(inst),
+    "report": lambda inst, args: frag_report(inst),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="z2torus",
@@ -207,24 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         inst = load_instance(args.instance)
-        if args.cmd == "validate":
-            lines, rc = frag_validate(inst)
-        elif args.cmd == "hvector":
-            lines, rc = frag_hvector(inst)
-        elif args.cmd == "betti":
-            lines, rc = frag_betti(inst)
-        elif args.cmd == "formality":
-            lines, rc = frag_formality(inst)
-        elif args.cmd == "gkm":
-            lines, rc = frag_gkm(inst, args.max_deg)
-        elif args.cmd == "blowup":
-            lines, rc = frag_blowup(inst, args.face, args.out)
-        elif args.cmd == "fixed-locus":
-            lines, rc = frag_fixed_locus(inst, args.g)
-        elif args.cmd == "code":
-            lines, rc = frag_code(inst)
-        else:
-            lines, rc = frag_report(inst)
+        lines, rc = COMMANDS[args.cmd](inst, args)
     except InputError as exc:
         for msg in exc.messages:
             print(f"error: {msg}", file=sys.stderr)

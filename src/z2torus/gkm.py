@@ -2,9 +2,11 @@
 
 Classes are tuples of polynomials in GF(2)[r_1..r_n], one per vertex,
 with the difference across each edge divisible by the edge's axial
-linear form.  Divisibility is encoded linearly: substitute the pivot
-variable of alpha(e) by the sum of its remaining variables and require
-the two endpoint polynomials to agree.
+linear form alpha.  A polynomial is divisible by alpha iff it vanishes
+when the pivot of alpha (its lowest variable) is replaced by the sum s
+of alpha's other variables.  Over GF(2), Frobenius gives
+s^e = prod over the bits 2^b of e of (sum of x_j^(2^b) over x_j in s),
+so a monomial's image is a closed-form set of distinct monomials.
 
 A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
 Monomials are ordered graded-lexicographically, largest first, fixed
@@ -49,12 +51,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
             acc.symmetric_difference_update({m})
     return frozenset(acc)
 
-def poly_pow(p: Poly, e: int, n: int) -> Poly:
-    out = poly_one(n)
-    for _ in range(e):
-        out = poly_mul(out, p)
-    return out
-
 
 def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     """Degree-k monomials in n variables, graded-lex, largest first."""
@@ -69,34 +65,27 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(mons, reverse=True)
 
 
-def edge_substitution(alpha: Vec):
-    """Map encoding divisibility by alpha: pivot variable goes to the sum
-    of the other variables in alpha's support; a polynomial is divisible
-    by alpha iff it maps to zero."""
-    sup = alpha.support()
+def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
+    """Image of the monomial m when alpha's pivot goes to the sum of its
+    other variables: one monomial per way of handing each set bit of the
+    pivot's exponent to one of those variables.  The images are distinct,
+    so nothing cancels; none exist when alpha is a single variable."""
     pivot = lowest_bit(alpha.bits)
-    rest = [j for j in sup if j != pivot]
-    n = alpha.n
-    images = [poly_var(n, j) for j in range(n)]
-    images[pivot] = frozenset(
-        tuple(1 if l == j else 0 for l in range(n)) for j in rest
-    )
-
-    def apply(p: Poly) -> Poly:
-        out: set[tuple[int, ...]] = set()
-        for m in p:
-            term = poly_one(n)
-            for j, e in enumerate(m):
-                if e:
-                    term = poly_mul(term, poly_pow(images[j], e, n))
-            out.symmetric_difference_update(term)
-        return frozenset(out)
-
-    return apply
+    rest = [j for j in alpha.support() if j != pivot]
+    image = [m[:pivot] + (0,) + m[pivot + 1:]]
+    e = m[pivot]
+    while e:
+        bit = e & -e
+        e ^= bit
+        image = [t[:j] + (t[j] + bit,) + t[j + 1:] for t in image for j in rest]
+    return image
 
 
 def divisible_by(p: Poly, alpha: Vec) -> bool:
-    return not edge_substitution(alpha)(p)
+    image: set[tuple[int, ...]] = set()
+    for m in p:
+        image.symmetric_difference_update(substitute(m, alpha))
+    return not image
 
 
 def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly]) -> bool:
@@ -119,11 +108,9 @@ def equivariant_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
         rows: list[int] = []
         for e in sorted(g.edges):
             v, w = g.edges[e]
-            sub = edge_substitution(g.axial[e])
             per_target: dict[tuple[int, ...], int] = {}
             for mi, m in enumerate(mons):
-                img = sub(frozenset({m}))
-                for t in img:
+                for t in substitute(m, g.axial[e]):
                     bits = per_target.get(t, 0)
                     bits ^= 1 << (vindex[v] * M + mi)
                     bits ^= 1 << (vindex[w] * M + mi)

@@ -21,6 +21,7 @@ from .gf2 import Vec
 from .poset import FacePoset, validate
 
 TOP_KEYS = {"name", "dim", "faces", "inclusions", "lambda", "triangulation"}
+MAX_DIM = 64  # poset.fh_vectors is super-quadratic in dim
 
 
 def _is_int(x: object) -> bool:
@@ -55,6 +56,8 @@ def parse_instance(data: object) -> Instance:
         errors.append("name must be a string")
     if not _is_int(n) or n < 0:
         errors.append("dim must be a non-negative integer")
+    elif n > MAX_DIM:
+        errors.append(f"dim {n} exceeds the maximum {MAX_DIM}")
     for key in ("faces", "inclusions"):
         if not isinstance(data[key], list):
             errors.append(f"{key} must be a list")
@@ -127,6 +130,12 @@ def parse_instance(data: object) -> Instance:
             or not isinstance(raw["simplices"], list)
         ):
             raise InputError("triangulation must be {points, simplices}")
+        if raw["points"] > len(raw["simplices"]):
+            # every point is its own 0-simplex (validate_carriers checks closure)
+            raise InputError(
+                f"triangulation points={raw['points']} exceeds the number of "
+                f"listed simplices ({len(raw['simplices'])})"
+            )
         simplices: dict[tuple[int, ...], str] = {}
         for entry in raw["simplices"]:
             if not isinstance(entry, dict) or set(entry) != {"verts", "carrier"}:

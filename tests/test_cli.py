@@ -1,12 +1,13 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
 import json
+import time
 
 import pytest
 
 from z2torus import corpus
 from z2torus.cli import main
-from z2torus.instance import load_instance, save_instance, serialize_instance
+from z2torus.instance import MAX_DIM, load_instance, save_instance, serialize_instance
 
 
 def run(capsys, *argv):
@@ -284,6 +285,28 @@ class TestMalformedInput:
         bad.write_text(json.dumps(data))
         rc, _, err = run(capsys, "validate", str(bad))
         assert rc == 1 and "unknown face" in err
+
+    def test_huge_dim_is_refused_at_once(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"name": "x", "dim": 1000000,
+                                   "faces": [{"id": "Q", "codim": 0}], "inclusions": []}))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "report", str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err == f"error: dim 1000000 exceeds the maximum {MAX_DIM}\n"
+
+    def test_more_points_than_simplices_is_refused_at_once(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["triangulation"]["points"] = 3000000
+        data["triangulation"]["simplices"] = data["triangulation"]["simplices"][:1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err == "error: triangulation points=3000000 exceeds the number of listed simplices (1)\n"
 
     def test_blowup_into_a_missing_directory(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "x.json"

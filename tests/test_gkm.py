@@ -1,12 +1,16 @@
 """Graded dimensions, Thom restrictions, and the interface relations."""
 
+from math import comb
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.charfunc import axial_function
 from z2torus.errors import PreconditionError
-from z2torus.gf2 import Vec
+from z2torus.gf2 import Vec, lowest_bit
 from z2torus.gkm import (
     check_face_ring_relations,
     divisible_by,
@@ -20,6 +24,7 @@ from z2torus.gkm import (
     poly_var,
     poly_zero,
     satisfies_gkm,
+    substitute,
     thom_restriction,
 )
 from z2torus.model import formality_verdict
@@ -51,12 +56,72 @@ class TestPolynomials:
         assert divisible_by(poly_zero(), alpha)
 
 
+@st.composite
+def form_and_poly(draw, max_n=4, max_deg=6):
+    """A nonzero linear form alpha and a polynomial of degree <= max_deg,
+    half the time a multiple alpha*q so that both verdicts occur."""
+    n = draw(st.integers(1, max_n))
+    alpha = Vec(draw(st.integers(1, (1 << n) - 1)), n)
+    exps = st.tuples(*[st.integers(0, max_deg) for _ in range(n)])
+    if draw(st.booleans()):
+        mons = exps.filter(lambda m: sum(m) < max_deg)
+        q = draw(st.frozensets(mons, min_size=1, max_size=6))
+        return alpha, poly_mul(poly_linear(alpha), q)
+    mons = exps.filter(lambda m: sum(m) <= max_deg)
+    return alpha, draw(st.frozensets(mons, min_size=1, max_size=6))
+
+
+def sympy_divides(p, alpha):
+    xs = sympy.symbols(f"x0:{alpha.n}")
+    P = sum((sympy.prod(x**e for x, e in zip(xs, m)) for m in p), sympy.Integer(0))
+    A = sum(xs[j] for j in alpha.support())
+    return sympy.Poly(P, *xs, modulus=2).div(sympy.Poly(A, *xs, modulus=2))[1].is_zero
+
+
+def substitute_by_expansion(m, alpha):
+    """Reference: multiply out (sum of alpha's other variables)^e with poly_mul."""
+    pivot = lowest_bit(alpha.bits)
+    rest = poly_add(poly_linear(alpha), poly_var(alpha.n, pivot))
+    out = frozenset({m[:pivot] + (0,) + m[pivot + 1 :]})
+    for _ in range(m[pivot]):
+        out = poly_mul(out, rest)
+    return out
+
+
+class TestSubstitution:
+    @settings(deadline=None, max_examples=150)
+    @given(form_and_poly())
+    def test_divisibility_matches_sympy(self, case):
+        alpha, p = case
+        assert divisible_by(p, alpha) == sympy_divides(p, alpha)
+
+    @settings(deadline=None, max_examples=300)
+    @given(form_and_poly(max_n=5, max_deg=9))
+    def test_closed_form_matches_the_expansion(self, case):
+        alpha, p = case
+        for m in p:
+            image = substitute(m, alpha)
+            assert len(image) == len(set(image))
+            assert frozenset(image) == substitute_by_expansion(m, alpha)
+
+    def test_single_variable_kills_its_pivot(self):
+        alpha = Vec.unit(3, 1)
+        assert substitute((2, 1, 0), alpha) == []
+        assert substitute((2, 0, 5), alpha) == [(2, 0, 5)]
+
+
 class TestEquivariantHilbert:
     def test_triangle_oracle(self):
         assert equivariant_hilbert(graph_of(corpus.triangle()), 3) == (1, 3, 6, 9)
 
     def test_square_torus_oracle(self):
         assert equivariant_hilbert(graph_of(corpus.square_torus()), 2) == (1, 4, 8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_real_torus_matches_binomial_face_ring(self, n):
+        h = tuple(comb(n, i) for i in range(n + 1))
+        eq = equivariant_hilbert(graph_of(corpus.ncube(n)), 2 * n)
+        assert eq == face_ring_hilbert(h, 2 * n)
 
     def test_degree_zero_is_one_for_connected_graphs(self):
         for name in ("triangle", "square_torus", "cube", "segment", "bigon"):
