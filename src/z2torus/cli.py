@@ -91,6 +91,8 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
     p = inst.poset
     if max_deg is None:
         max_deg = 2 * p.n
+    if max_deg < 0:
+        raise InputError(f"--max-deg must be at least 0, got {max_deg}")
     try:
         graph = axial_function(p, inst.lam)
     except PreconditionError as exc:

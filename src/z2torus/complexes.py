@@ -217,12 +217,8 @@ def reduced_betti(cc: Gf2ChainComplex) -> tuple[int, ...]:
     return (b[0] - 1,) + b[1:]
 
 
-def face_subcomplex(c: CarrierComplex, f: str, regrade: bool = False) -> CarrierComplex:
-    """Subcomplex of simplices carried inside the face f.
-
-    With regrade=True the result lives over the face poset of f itself,
-    so it is a mode-B triangulation of the restricted instance.
-    """
+def face_subcomplex(c: CarrierComplex, f: str) -> CarrierComplex:
+    """Subcomplex of simplices carried inside the face f."""
     keep = {sx: cf for sx, cf in c.simplices.items() if c.poset.leq(cf, f)}
     used = sorted({v for sx in keep for v in sx})
     renum = {v: i for i, v in enumerate(used)}
@@ -230,8 +226,7 @@ def face_subcomplex(c: CarrierComplex, f: str, regrade: bool = False) -> Carrier
     labels = None
     if c.vertex_labels is not None:
         labels = [c.vertex_labels[v] for v in used]
-    poset = c.poset.restrict(f) if regrade else c.poset
-    return CarrierComplex(poset, len(used), simplices, vertex_labels=labels)
+    return CarrierComplex(c.poset, len(used), simplices, vertex_labels=labels)
 
 
 @dataclass

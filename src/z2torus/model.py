@@ -26,7 +26,7 @@ from .complexes import (
 )
 from .errors import InputError
 from .gf2 import Vec, bit_indices
-from .poset import FacePoset, fh_vectors
+from .poset import FacePoset, count_components, fh_vectors
 
 
 def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> QuotientComplex:
@@ -63,21 +63,16 @@ def facial_components(q: QuotientComplex, f: str) -> int:
     """Connected components of the preimage of the face f in the model."""
     p = q.base.poset
     inside = [[p.leq(q.base.carrier(cell), f) for cell, _ in cells] for cells in q.cells]
-    parent = {(d, i): (d, i) for d, flags in enumerate(inside) for i, ok in enumerate(flags) if ok}
-
-    def find(x: tuple[int, int]) -> tuple[int, int]:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    cells = [(d, i) for d, flags in enumerate(inside) for i, ok in enumerate(flags) if ok]
     # the boundary cells of a cell inside f are inside f too
-    for d in range(1, len(q.cells)):
-        for i, row in enumerate(q.chain.boundaries[d].rows):
-            if inside[d][i]:
-                for j in bit_indices(row):
-                    parent[find((d, i))] = find((d - 1, j))
-    return len({find(x) for x in parent})
+    pairs = (
+        ((d, i), (d - 1, j))
+        for d in range(1, len(q.cells))
+        for i, row in enumerate(q.chain.boundaries[d].rows)
+        if inside[d][i]
+        for j in bit_indices(row)
+    )
+    return count_components(cells, pairs)
 
 
 @dataclass(frozen=True)

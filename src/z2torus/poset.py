@@ -11,6 +11,7 @@ derived object is reproducible bit for bit.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from math import comb
 from typing import TYPE_CHECKING
@@ -171,6 +172,23 @@ class GorensteinChecks:
     euler_ok: bool
 
 
+def count_components(
+    nodes: Iterable[Hashable], pairs: Iterable[tuple[Hashable, Hashable]]
+) -> int:
+    """Number of connected components of the graph on nodes joined by pairs."""
+    parent = {x: x for x in nodes}
+
+    def find(x: Hashable) -> Hashable:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in parent})
+
+
 def validate(p: FacePoset) -> PosetReport:
     """Check top element, grading, boolean upper intervals, niceness,
     presence of vertices, and connectivity of every face's 1-skeleton."""
@@ -229,27 +247,11 @@ def validate(p: FacePoset) -> PosetReport:
         if not (p.below(f) & verts):
             rep.has_vertex.append(f"face {f} contains no vertex")
 
-    edge_codim = p.n - 1
+    edges = one_skeleton(p).edges
     for f in p.faces():
-        fverts = sorted(p.below(f) & verts)
-        if not fverts:
-            continue
-        parent = {v: v for v in fverts}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        if edge_codim >= 0:
-            for e in p.faces_of_codim(edge_codim):
-                if e not in p.below(f):
-                    continue
-                evs = sorted(p.below(e) & verts)
-                if len(evs) == 2:
-                    parent[find(evs[0])] = find(evs[1])
-        if len({find(v) for v in fverts}) != 1:
+        below = p.below(f)
+        fverts = below & verts
+        if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
             rep.skeleton_connected.append(f"1-skeleton of face {f} is disconnected")
     return rep
 
@@ -286,24 +288,15 @@ def one_skeleton(p: FacePoset) -> Skeleton:
             else:
                 degenerate[e] = evs
     degree = {v: 0 for v in verts}
-    parent = {v: v for v in verts}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in edges.values():
         degree[a] += 1
         degree[b] += 1
-        parent[find(a)] = find(b)
     n_valent = (
         bool(verts)
         and not degenerate
         and all(d == p.n for d in degree.values())
     )
-    connected = bool(verts) and len({find(v) for v in verts}) == 1
+    connected = count_components(verts, edges.values()) == 1
     return Skeleton(verts, edges, degenerate, n_valent, connected)
 
 
@@ -311,13 +304,7 @@ def gorenstein_quick_checks(p: FacePoset) -> GorensteinChecks:
     """Cheap necessary conditions for the dual complex to be a homology
     sphere: pseudo-manifold property and the Euler-characteristic identity
     (equivalent to h_n = 1)."""
-    pseudo = True
-    if p.n >= 2:
-        vset = set(p.vertices())
-        for e in p.faces_of_codim(p.n - 1):
-            if len(p.below(e) & vset) != 2:
-                pseudo = False
-                break
+    pseudo = p.n < 2 or not one_skeleton(p).degenerate_edges
     euler_ok = fh_vectors(p).h[p.n] == 1
     return GorensteinChecks(pseudo, euler_ok)
 

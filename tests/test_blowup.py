@@ -1,6 +1,10 @@
 """Corner cuts: the new poset, the new labels, and the counting laws."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.blowup import acyclicity_preservation, blowup_counts_check, cut_face
@@ -209,3 +213,85 @@ class TestAcyclicityPreservation:
         assert len(again.poset.vertices()) == 5
         check = blowup_counts_check(cut.poset, cut.lam, "p13", again)
         assert check.vertices_ok and check.betti_ok
+
+
+def containment_oracle(p, f):
+    """Containment in the poset cut at f, by brute force over all pairs:
+    {face id: ids of the faces containing it, itself included}.  Entries
+    are old ids or (g, S) for g inside f and S a nonempty subset of the
+    facets through f."""
+    T = tuple(p.facets_containing(f))
+    below_f = p.below(f)
+    old = [g for g in p.faces() if g not in below_f]
+    facet_sets = {h: frozenset(p.facets_containing(h)) for h in old}
+
+    def leq(a, b) -> bool:
+        """Containment in the cut poset; entries are old ids or (g, S)."""
+        if isinstance(a, str) and isinstance(b, str):
+            return p.leq(a, b)
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return p.leq(a[0], b[0]) and set(a[1]) <= set(b[1])
+        if isinstance(a, tuple) and isinstance(b, str):
+            return p.leq(a[0], b) and not (facet_sets[b] & set(a[1]))
+        return False  # old face never sits inside a new one
+
+    entries: list[tuple[str, object]] = [(g, g) for g in old]
+    for g in sorted(below_f, key=p.face_key):
+        for size in range(1, len(T) + 1):
+            entries += [(f"{g}|{','.join(S)}", (g, S)) for S in combinations(T, size)]
+    return {ida: {idb for idb, b in entries if leq(a, b)} | {ida} for ida, a in entries}
+
+
+def assert_cut_matches_oracle(p, lam, f):
+    cut = cut_face(p, lam, f)
+    want = containment_oracle(p, f)
+    assert set(cut.poset.codims) == set(want)
+    for g, above in want.items():
+        assert set(cut.poset.above(g)) == above, (f, g)
+    return cut
+
+
+SWEEP = dict(corpus.BUILDERS)
+SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (2, 3, 4)})
+
+
+class TestCoversAgainstBruteForce:
+    """cut_face lists the covers from three rules; the order they generate
+    must be the brute-force containment of the cut poset."""
+
+    @pytest.mark.parametrize("name", list(SWEEP))
+    def test_every_cut_of_the_sweep(self, name):
+        inst = SWEEP[name]()
+        p, lam = inst.poset, inst.lam
+        ok = validate(p).ok
+        for f in p.faces():
+            if p.codim(f) >= 2:
+                cut = assert_cut_matches_oracle(p, lam, f)
+                assert validate(cut.poset).ok == ok, f
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        build = data.draw(st.sampled_from([corpus.triangle, corpus.square_torus, corpus.cube]))
+        inst = build()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            cut = assert_cut_matches_oracle(p, lam, data.draw(st.sampled_from(cuttable)))
+            assert validate(cut.poset).ok
+            p, lam = cut.poset, cut.lam
+
+    @pytest.mark.parametrize(
+        "drop, add, hits",
+        [
+            ({("F1", "Q"), ("F2", "Q")}, {}, 0),  # nothing above p12 on no facets
+            (set(), {"Q2": ("F1", "Q2")}, 2),  # two top faces above p12
+        ],
+    )
+    def test_one_old_face_above_each_new_face(self, drop, add, hits):
+        inst = corpus.triangle()
+        p = inst.poset
+        codims = dict(p.codims) | {g: 0 for g in add}
+        covers = (set(p.covers) - drop) | set(add.values())
+        with pytest.raises(InputError, match=f"p12 has {hits} faces above it on the facets \\[\\]"):
+            cut_face(FacePoset(p.n, codims, covers), inst.lam, "p12")

@@ -82,6 +82,11 @@ class TestNumericFragments:
         assert rc == 0
         assert "equivariant_dims=(1, 3, 6, 9) face_ring_dims=(1, 3, 6, 9)" in out
 
+    def test_gkm_negative_max_deg(self, capsys):
+        rc, out, err = run(capsys, "gkm", bundled("cube"), "--max-deg", "-3")
+        assert rc == 1 and out == ""
+        assert err == "error: --max-deg must be at least 0, got -3\n"
+
     def test_gkm_annulus_skipped(self, capsys):
         rc, out, _ = run(capsys, "gkm", bundled("annulus"))
         assert rc == 2 and out.startswith("gkm: skipped")

@@ -114,12 +114,6 @@ class TestFaceSubcomplex:
         assert set(sub.simplices) == {(0,), (1,), (0, 1)}
         assert betti_mod2(chain_complex(sub)) == (1, 0)
 
-    def test_regrade(self):
-        tri = corpus.square_torus().triangulation
-        sub = face_subcomplex(tri, "B", regrade=True)
-        assert sub.poset.n == 1
-        assert validate_carriers(sub, require_face_dims=True).ok
-
     def test_annulus_facet_is_a_circle(self):
         tri = corpus.annulus().triangulation
         sub = face_subcomplex(tri, "F1")
