@@ -182,8 +182,8 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
             axial[e] = Vec(1, 1)
     g = GkmGraph(p.n, sk.vertices, dict(sk.edges), axial)
     for v in g.vertices:
-        at_v = [g.axial[e] for e in g.edges_at(v)]
-        if Matrix.from_vecs(at_v).rank() != p.n:
+        at_v = [g.axial[e].bits for e in g.edges_at(v)]
+        if Matrix.from_rows(at_v, p.n).rank() != p.n:
             raise InputError(f"axial labels at vertex {v} do not form a basis")
     for e, (v, w) in sorted(g.edges.items()):
         line = Subgroup(p.n, [g.axial[e]])

@@ -56,7 +56,7 @@ def frag_validate(inst: Instance) -> Fragment:
         tri = inst.triangulation
         lines.append(f"mode: B points={tri.n_points} simplices={len(tri.simplices)} carriers=ok")
     else:
-        lines.append("mode: A (order-complex surrogate)")
+        lines.append("mode: A (face-coset cell model)")
     return lines, (0 if rep.ok else 1)
 
 

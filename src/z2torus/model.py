@@ -97,10 +97,10 @@ def formality_verdict(
     hsiang: total mod-2 Betti number of the model equals the number of
     fixed points (the lower bound is attained).
     criterion: every face subcomplex is mod-2 acyclic.  Mode A first
-    checks that p is a CW poset (PreconditionError otherwise); the
-    criterion then holds by construction, as every face of the
-    order-complex surrogate is a cone, and is not computed.  The mode
-    label travels with the verdict.
+    checks that p is a CW poset (PreconditionError otherwise); that gate
+    makes every face a mod-2 homology cell, so the criterion holds by
+    construction and is not computed.  The mode label travels with the
+    verdict.
     h_identity: Betti vector equals the h-vector.
     """
     if triangulation is None:

@@ -1,9 +1,16 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
+import copy
+import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.cli import main
@@ -34,7 +41,7 @@ class TestValidate:
         rc, out, _ = run(capsys, "validate", bundled("triangle"))
         assert rc == 0
         assert "name=triangle dim=2 faces=7 facets=3 vertices=3" in out
-        assert "mode: A (order-complex surrogate)" in out
+        assert "mode: A (face-coset cell model)" in out
 
     def test_annulus_findings(self, capsys):
         rc, out, _ = run(capsys, "validate", bundled("annulus"))
@@ -320,6 +327,86 @@ class TestMalformedInput:
         )
         assert rc == 1 and out == ""
         assert err.startswith(f"error: cannot write {out_file}")
+
+
+    def test_zero_dimensional_instance(self, capsys, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"name": "x", "dim": 0, "faces": [{"id": "Q", "codim": 0}],
+                                     "inclusions": [], "lambda": {}}))
+        rc, out, err = run(capsys, "gkm", str(point))
+        assert rc == 0 and err == ""
+        assert out == "equivariant_dims=(1,) face_ring_dims=(1,) max_deg=0 match=true\n"
+        rc, out, err = run(capsys, "report", str(point))
+        assert rc == 2 and err == ""  # the zero code has no minimum distance
+        assert "(min distance skipped: zero code has no minimum distance)" in out
+
+
+def mutate(data, draw):
+    """One edit of a serialised instance: a face (with the inclusions and
+    the lambda entry naming it), an inclusion, a lambda entry or a simplex
+    dropped, a codim, a lambda entry or a carrier changed, or dim set to 0."""
+    d = copy.deepcopy(data)
+    kinds = ["drop face", "drop inclusion", "codim", "dim 0"]
+    if d.get("lambda"):
+        kinds += ["change lambda", "drop lambda"]
+    if "triangulation" in d:
+        kinds += ["drop simplex", "carrier"]
+    kind = draw(st.sampled_from(kinds))
+
+    def pick(seq):
+        return draw(st.integers(min_value=0, max_value=len(seq) - 1))
+
+    if kind == "drop face" and d["faces"]:
+        face = d["faces"].pop(pick(d["faces"]))["id"]
+        d["inclusions"] = [pair for pair in d["inclusions"] if face not in pair]
+        d.get("lambda", {}).pop(face, None)
+    elif kind == "drop inclusion" and d["inclusions"]:
+        del d["inclusions"][pick(d["inclusions"])]
+    elif kind == "codim" and d["faces"]:
+        d["faces"][pick(d["faces"])]["codim"] = draw(st.integers(-1, d["dim"] + 1))
+    elif kind == "dim 0":
+        d["dim"] = 0
+    elif kind == "change lambda":
+        facet = draw(st.sampled_from(sorted(d["lambda"])))
+        d["lambda"][facet] = draw(st.lists(st.integers(0, 1), min_size=d["dim"], max_size=d["dim"]))
+    elif kind == "drop lambda":
+        del d["lambda"][draw(st.sampled_from(sorted(d["lambda"])))]
+    elif kind == "drop simplex":
+        del d["triangulation"]["simplices"][pick(d["triangulation"]["simplices"])]
+    elif kind == "carrier":
+        simplex = d["triangulation"]["simplices"][pick(d["triangulation"]["simplices"])]
+        simplex["carrier"] = draw(st.sampled_from([f["id"] for f in data["faces"]]))
+    return d
+
+
+SERIALISED = {name: serialize_instance(build()) for name, build in corpus.BUILDERS.items()}
+SERIALISED.update({f"ncube({n})": serialize_instance(corpus.ncube(n)) for n in (0, 1, 2)})
+
+
+class TestFuzz:
+    """Edited instances never crash the CLI: it exits 0, 1 or 2, and on 1
+    every line it prints on standard error is an `error:` line."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_edited_instances(self, data):
+        d = SERIALISED[data.draw(st.sampled_from(sorted(SERIALISED)))]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            d = mutate(d, data.draw)
+        cmd = data.draw(st.sampled_from(["validate", "hvector", "report", "blowup"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.json"
+            path.write_text(json.dumps(d))
+            argv = [cmd, str(path)]
+            if cmd == "blowup":
+                face = data.draw(st.sampled_from([f["id"] for f in d["faces"]] or ["Q"]))
+                argv += ["--face", face, "--out", str(Path(tmp) / "cut.json")]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 1:
+            assert all(line.startswith("error:") for line in err.getvalue().splitlines())
 
 
 class TestModeAGate:

@@ -1,10 +1,15 @@
 """Face poset validation, counting vectors, skeleta, and the coned
 order complex."""
 
+from math import comb
+
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
+from z2torus.blowup import cut_face
 from z2torus.complexes import betti_mod2, chain_complex, validate_carriers
 from z2torus.poset import (
     FacePoset,
@@ -115,6 +120,160 @@ class TestValidate:
         rep = validate(FacePoset(2, codims, covers))
         assert rep.sound
         assert rep.skeleton_connected
+
+
+def interval_oracle(p):
+    """Niceness and simpliciality by brute force, as validate checked them
+    before it counted: (nice, simplicial) witness lists.  Each face's upper
+    interval is checked level by level against C(k, j), for distinct facet
+    sets, and over all pairs for order agreeing with facet-set inclusion."""
+    nice, simplicial = [], []
+    for f in p.faces():
+        k = p.codims[f]
+        S = p.facets_containing(f)
+        if len(S) != k:
+            nice.append(f"face {f} has codim {k} but lies in {len(S)} facets {S}")
+
+    for f in p.faces():
+        k = p.codims[f]
+        interval = sorted(p.above(f), key=p.face_key)
+        facet_sets = {g: frozenset(p.facets_containing(g)) for g in interval}
+        for j in range(k + 1):
+            level = [g for g in interval if p.codims[g] == j]
+            if len(level) != comb(k, j):
+                simplicial.append(
+                    f"face {f}: {len(level)} faces of codim {j} above it, wanted C({k},{j})={comb(k, j)}"
+                )
+        seen: dict[frozenset[str], str] = {}
+        for g in interval:
+            fs = facet_sets[g]
+            if fs in seen:
+                simplicial.append(
+                    f"face {f}: faces {seen[fs]} and {g} above it lie in the same facets"
+                )
+            seen[fs] = g
+        for g1 in interval:
+            for g2 in interval:
+                if (facet_sets[g1] <= facet_sets[g2]) != p.leq(g2, g1):
+                    simplicial.append(
+                        f"face {f}: interval order disagrees with facet sets at ({g1}, {g2})"
+                    )
+    return nice, simplicial
+
+
+def assert_validate_matches_oracle(p):
+    """validate agrees with the oracle on structural, nice, sound, ok and
+    whether simplicial is empty; returns whether simpliciality alone fails."""
+    rep = validate(p)
+    if rep.structural:  # validate stops before the interval checks
+        assert not (rep.nice or rep.simplicial)
+        return False
+    nice, simplicial = interval_oracle(p)
+    assert rep.nice == nice
+    assert bool(rep.simplicial) == bool(simplicial), (rep.simplicial, simplicial)
+    sound = not (nice or simplicial)
+    assert rep.sound == sound
+    assert rep.ok == (sound and not (rep.has_vertex or rep.skeleton_connected))
+    return bool(simplicial) and not nice
+
+
+ORACLE_SWEEP = dict(corpus.BUILDERS)
+ORACLE_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
+
+
+def edits(p):
+    """Every edit one step away from p: a cover dropped, a cover added
+    between adjacent codims, or a face deleted with its covers."""
+    found = [("drop", cover) for cover in sorted(p.covers)]
+    for c in p.faces():
+        parents = p.faces_of_codim(p.codims[c] - 1)
+        found += [("add", (c, q)) for q in parents if (c, q) not in p.covers]
+    return found + [("delete", f) for f in p.faces()]
+
+
+def apply_edit(p, edit):
+    kind, x = edit
+    if kind == "drop":
+        return FacePoset(p.n, p.codims, set(p.covers) - {x})
+    if kind == "add":
+        return FacePoset(p.n, p.codims, set(p.covers) | {x})
+    codims = {g: k for g, k in p.codims.items() if g != x}
+    return FacePoset(p.n, codims, {(c, q) for c, q in p.covers if x not in (c, q)})
+
+
+class TestValidateAgainstOracle:
+    """validate counts each upper interval; the brute-force checks it
+    replaced must reach the same verdicts."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SWEEP))
+    def test_instance_and_its_cuts(self, name):
+        inst = ORACLE_SWEEP[name]()
+        p, lam = inst.poset, inst.lam
+        assert_validate_matches_oracle(p)
+        for f in p.faces():
+            if p.codim(f) >= 2:
+                assert_validate_matches_oracle(cut_face(p, lam, f).poset)
+
+    @pytest.mark.parametrize("name", ["triangle", "square_torus", "bigon", "cube"])
+    def test_every_single_edit(self, name):
+        p = corpus.BUILDERS[name]().poset
+        alone = sum(assert_validate_matches_oracle(apply_edit(p, e)) for e in edits(p))
+        if name == "cube":
+            # e.g. a vertex losing one of its three edges stays in three
+            # facets, but has seven faces above it
+            assert alone > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        build = data.draw(st.sampled_from([corpus.triangle, corpus.square_torus, corpus.cube]))
+        inst = build()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam = cut.poset, cut.lam
+            assert_validate_matches_oracle(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_edits(self, data):
+        name = data.draw(st.sampled_from(sorted(ORACLE_SWEEP)))
+        inst = ORACLE_SWEEP[name]()
+        p = inst.poset
+        cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+        if cuttable and data.draw(st.booleans()):
+            p = cut_face(p, inst.lam, data.draw(st.sampled_from(cuttable))).poset
+        assert_validate_matches_oracle(apply_edit(p, data.draw(st.sampled_from(edits(p)))))
+
+    def test_distinct_facet_sets_are_needed(self):
+        # v has 2^3 faces above it, but g1 and g2 lie in the same two
+        # facets: only the distinctness part of the count sees it
+        codims = {"Q": 0, "a": 1, "b": 1, "c": 1, "g1": 2, "g2": 2, "g3": 2, "v": 3}
+        covers = {("a", "Q"), ("b", "Q"), ("c", "Q")}
+        covers |= {("g1", "a"), ("g1", "b"), ("g2", "a"), ("g2", "b")}
+        covers |= {("g3", "a"), ("g3", "c")}
+        covers |= {("v", "g1"), ("v", "g2"), ("v", "g3")}
+        p = FacePoset(3, codims, covers)
+        assert len(p.above("v")) == 8
+        assert assert_validate_matches_oracle(p)
+        assert validate(p).simplicial == [
+            "face v: 8 faces above it with 7 distinct facet sets, wanted 2^3=8"
+        ]
+
+    def test_extra_facet_is_caught_by_the_count(self):
+        # v (codim 3) lies in four facets under two edges, with 2^3 faces
+        # above it on distinct facet sets: not nice, and not boolean either
+        codims = {"Q": 0, "a": 1, "b": 1, "c": 1, "d": 1, "g1": 2, "g2": 2, "v": 3}
+        covers = {(F, "Q") for F in "abcd"}
+        covers |= {("g1", "a"), ("g1", "b"), ("g2", "c"), ("g2", "d")}
+        covers |= {("v", "g1"), ("v", "g2")}
+        p = FacePoset(3, codims, covers)
+        assert len(p.above("v")) == 8
+        assert_validate_matches_oracle(p)
+        assert validate(p).simplicial == [
+            "face v: 8 faces above it with 8 distinct facet sets, wanted 2^4=16"
+        ]
 
 
 class TestFHVectors:

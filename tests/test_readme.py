@@ -1,9 +1,10 @@
-"""The `$ z2torus ...` examples in README.md, run on the bundled instances.
+"""The examples in README.md: `$ z2torus ...` sessions and `python` blocks.
 
 Each fenced block holding a `$ z2torus` line is one session: its commands
 run in order in a fresh directory holding the bundled JSON files, and
 each command's standard output must equal the lines printed under it in
-the README, byte for byte.
+the README, byte for byte.  Each fenced `python` block runs as it stands,
+so its `assert` lines are checked.
 """
 
 import re
@@ -46,3 +47,16 @@ def test_readme_example(steps, tmp_path, monkeypatch, capsys):
     for command, expected in steps:
         main(shlex.split(command)[1:])
         assert capsys.readouterr().out == expected, command
+
+
+def python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(python_blocks()) == 1
+
+
+@pytest.mark.parametrize("code", python_blocks())
+def test_readme_python_block(code):
+    exec(compile(code, str(README), "exec"), {})
