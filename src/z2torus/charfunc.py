@@ -146,9 +146,18 @@ class GkmGraph:
     vertices: tuple[str, ...]
     edges: dict[str, tuple[str, str]]
     axial: dict[str, Vec]
+    _incidence: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
-    def edges_at(self, v: str) -> list[str]:
-        return sorted(e for e, (a, b) in self.edges.items() if v in (a, b))
+    def __post_init__(self) -> None:
+        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in sorted(self.edges):
+            for x in dict.fromkeys(self.edges[e]):
+                inc.setdefault(x, []).append(e)
+        self._incidence = {v: tuple(es) for v, es in inc.items()}
+
+    def edges_at(self, v: str) -> tuple[str, ...]:
+        """The edges at v, sorted; looked up in an incidence built once."""
+        return self._incidence.get(v, ())
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
@@ -209,11 +218,15 @@ def _label_image(p: FacePoset, lam: CharFunction) -> tuple[list[int], int]:
 
 
 def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> MInvolution:
-    """A free involution on the model exists iff the label image is a
-    basis of GF(2)^n and Q is face-acyclic; then g is the sum of it."""
+    """A free involution on the model exists iff n >= 1, the label image
+    is a basis of GF(2)^n and Q is face-acyclic; then g is the sum of it.
+    At n = 0 the group is trivial and its one element, the identity, is
+    no involution."""
     image, rank = _label_image(p, lam)
     reasons = []
-    if not len(image) == rank == p.n:
+    if p.n == 0:
+        reasons.append("dimension 0: the only element of GF(2)^0 is the identity, no involution")
+    elif not len(image) == rank == p.n:
         reasons.append(
             f"label image has {len(image)} distinct values of rank "
             f"{rank}, not a basis of GF(2)^{p.n}"

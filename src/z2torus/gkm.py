@@ -8,6 +8,19 @@ of alpha's other variables.  Over GF(2), Frobenius gives
 s^e = prod over the bits 2^b of e of (sum of x_j^(2^b) over x_j in s),
 so a monomial's image is a closed-form set of distinct monomials.
 
+The graded dimensions of this module come from a flow-up basis when
+one is found.  `flow_up_degrees` orders the vertices greedily from the
+graph alone: a vertex v is placed once the up-face C_v (the component
+through v of the edges whose form lies in the span of v's up-edge
+forms) holds no placed vertex.  It is accepted only when its down-edge
+forms are pairwise distinct and the class tau_v (the product of the
+forms leaving C_v at each vertex of C_v, zero elsewhere) passes every
+edge condition.  Then the module is free on the tau_v, and
+dims[k] = sum over v of C(k - d_v + n - 1, n - 1), d_v being the number
+of v's down-edges: no matrix is built.  When no vertex can be placed,
+`eliminated_hilbert` ranks one GF(2) matrix per degree instead; it is
+also the test oracle for the closed form.
+
 A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
 Monomials are ordered graded-lexicographically, largest first, fixed
 once and for all.
@@ -15,11 +28,12 @@ once and for all.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
 
-from .charfunc import CharFunction, GkmGraph, axial_function
+from .charfunc import CharFunction, GkmGraph, Subgroup, axial_function
 from .errors import InputError
 from .gf2 import Matrix, Vec, lowest_bit
 from .poset import FacePoset
@@ -65,13 +79,13 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(mons, reverse=True)
 
 
-def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
-    """Image of the monomial m when alpha's pivot goes to the sum of its
-    other variables: one monomial per way of handing each set bit of the
-    pivot's exponent to one of those variables.  The images are distinct,
-    so nothing cancels; none exist when alpha is a single variable."""
+def _pivot_rest(alpha: Vec) -> tuple[int, list[int]]:
+    """alpha's pivot (its lowest variable) and its other variables."""
     pivot = lowest_bit(alpha.bits)
-    rest = [j for j in alpha.support() if j != pivot]
+    return pivot, [j for j in alpha.support() if j != pivot]
+
+
+def _image(m: tuple[int, ...], pivot: int, rest: list[int]) -> list[tuple[int, ...]]:
     image = [m[:pivot] + (0,) + m[pivot + 1:]]
     e = m[pivot]
     while e:
@@ -81,10 +95,19 @@ def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
     return image
 
 
+def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
+    """Image of the monomial m when alpha's pivot goes to the sum of its
+    other variables: one monomial per way of handing each set bit of the
+    pivot's exponent to one of those variables.  The images are distinct,
+    so nothing cancels; none exist when alpha is a single variable."""
+    return _image(m, *_pivot_rest(alpha))
+
+
 def divisible_by(p: Poly, alpha: Vec) -> bool:
+    pivot, rest = _pivot_rest(alpha)
     image: set[tuple[int, ...]] = set()
     for m in p:
-        image.symmetric_difference_update(substitute(m, alpha))
+        image.symmetric_difference_update(_image(m, pivot, rest))
     return not image
 
 
@@ -96,8 +119,89 @@ def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly]) -> bool:
     return True
 
 
+def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int | None:
+    """The number d_v of v's down-edges (those to placed vertices) if v may
+    come next, else None.  Checked: v's up-face C_v holds no placed
+    vertex; the down-edge forms are nonzero and pairwise distinct; tau_v
+    meets every edge condition."""
+    down: list[Vec] = []
+    up: list[Vec] = []
+    for e in g.edges_at(v):
+        a, b = g.edges[e]
+        (down if (b if a == v else a) in placed else up).append(g.axial[e])
+    if len(set(down)) < len(down) or not all(alpha.bits for alpha in down):
+        return None
+    span = Subgroup(g.n, up)
+    face, face_edges, stack = {v}, set(), [v]
+    while stack:
+        for e in g.edges_at(stack.pop()):
+            if not span.contains(g.axial[e]):
+                continue
+            face_edges.add(e)
+            for u in g.edges[e]:
+                if u in placed:
+                    return None
+                if u not in face:
+                    face.add(u)
+                    stack.append(u)
+    tau: dict[str, Poly] = {}
+    for w in face:
+        tau[w] = poly_one(g.n)
+        for e in g.edges_at(w):
+            if e not in face_edges:
+                tau[w] = poly_mul(tau[w], poly_linear(g.axial[e]))
+    zero = poly_zero()
+    for e in {e for w in face for e in g.edges_at(w)}:
+        a, b = g.edges[e]
+        if not divisible_by(tau.get(a, zero) ^ tau.get(b, zero), g.axial[e]):
+            return None
+    return len(down)
+
+
+def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
+    """Down-degree d_v of every vertex, in a certified flow-up order, or
+    None when at some step no remaining vertex can be placed.
+
+    Why the tau_v then give a basis of the GKM module M over
+    R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition was
+    checked), vanishes at the vertices placed before v (C_v holds none of
+    them) and equals Pi_v, the product of v's down-edge forms, at v.  The
+    edge conditions are homogeneous, so the degree-d_v part of tau_v lies
+    in M too and still equals Pi_v at v; take that part (on a GKM graph
+    it is all of tau_v).  Independence: in a vanishing combination, the
+    first v with a nonzero coefficient c_v reads c_v * Pi_v = 0 at v, and
+    Pi_v != 0.  Spanning: let f in M be homogeneous and vanish at every
+    vertex before v.  Each down-edge of v leads to such a vertex, so its
+    form divides f(v); the down-edge forms are distinct nonzero linear
+    forms, hence pairwise coprime, so Pi_v divides f(v), and
+    f - (f(v) / Pi_v) tau_v vanishes up to v included.  So M is free
+    with one generator in degree d_v per vertex."""
+    placed: dict[str, int] = {}
+    remaining = list(g.vertices)
+    while remaining:
+        for v in remaining:
+            d = _certified_down_degree(g, v, placed)
+            if d is not None:
+                break
+        else:
+            return None
+        remaining.remove(v)
+        placed[v] = d
+    return placed
+
+
 def equivariant_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
-    """dims[k] = dimension of the degree-k part of the GKM sheaf space."""
+    """dims[k] = dimension of the degree-k part of the GKM sheaf space:
+    read off a certified flow-up basis, else found by elimination."""
+    degrees = flow_up_degrees(g)
+    if degrees is None:
+        return eliminated_hilbert(g, max_deg)
+    return _free_dims(g.n, Counter(degrees.values()), max_deg)
+
+
+def eliminated_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
+    """The same dims by ranking, in each degree, the edge conditions on
+    vertex tuples of monomials: the fallback and the oracle."""
     n = g.n
     V = len(g.vertices)
     vindex = {v: i for i, v in enumerate(g.vertices)}
@@ -105,12 +209,17 @@ def equivariant_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
     for k in range(max_deg + 1):
         mons = monomials(n, k)
         M = len(mons)
+        images: dict[Vec, list[list[tuple[int, ...]]]] = {}  # per form, per monomial
         rows: list[int] = []
         for e in sorted(g.edges):
             v, w = g.edges[e]
+            alpha = g.axial[e]
+            if alpha not in images:
+                pivot, rest = _pivot_rest(alpha)
+                images[alpha] = [_image(m, pivot, rest) for m in mons]
             per_target: dict[tuple[int, ...], int] = {}
-            for mi, m in enumerate(mons):
-                for t in substitute(m, g.axial[e]):
+            for mi, image in enumerate(images[alpha]):
+                for t in image:
                     bits = per_target.get(t, 0)
                     bits ^= 1 << (vindex[v] * M + mi)
                     bits ^= 1 << (vindex[w] * M + mi)
@@ -121,19 +230,20 @@ def equivariant_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
     return tuple(dims)
 
 
+def _free_dims(n: int, gens: dict[int, int], max_deg: int) -> tuple[int, ...]:
+    """Graded dimensions of the free GF(2)[r_1..r_n]-module with gens[i]
+    generators in degree i."""
+    def count(k: int) -> int:  # degree-k monomials in n variables
+        if k < 0:
+            return 0
+        return comb(k + n - 1, n - 1) if n else int(k == 0)
+
+    return tuple(sum(c * count(k - i) for i, c in gens.items()) for k in range(max_deg + 1))
+
+
 def face_ring_hilbert(h: tuple[int, ...], max_deg: int) -> tuple[int, ...]:
     """Graded dimensions of a ring with Hilbert series sum(h_i t^i)/(1-t)^n."""
-    n = len(h) - 1
-    dims = []
-    for k in range(max_deg + 1):
-        if n == 0:
-            dims.append(h[0] if k == 0 else 0)
-            continue
-        total = 0
-        for i in range(0, min(k, n) + 1):
-            total += h[i] * comb(k - i + n - 1, n - 1)
-        dims.append(total)
-    return tuple(dims)
+    return _free_dims(len(h) - 1, dict(enumerate(h)), max_deg)
 
 
 def thom_restriction(

@@ -340,6 +340,18 @@ class TestMalformedInput:
         assert rc == 2 and err == ""  # the zero code has no minimum distance
         assert "(min distance skipped: zero code has no minimum distance)" in out
 
+    def test_zero_dimensional_code_has_no_involution(self, capsys, tmp_path):
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"name": "x", "dim": 0, "faces": [{"id": "Q", "codim": 0}],
+                                     "inclusions": [], "lambda": {}}))
+        rc, out, err = run(capsys, "code", str(point))
+        assert rc == 2 and err == ""
+        assert out.splitlines() == [
+            "m_involution=false (dimension 0: the only element of GF(2)^0 is the identity, "
+            "no involution)",
+            "[1,0,?] self_dual=false (min distance skipped: zero code has no minimum distance)",
+        ]
+
 
 def mutate(data, draw):
     """One edit of a serialised instance: a face (with the inclusions and

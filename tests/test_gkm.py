@@ -1,5 +1,6 @@
 """Graded dimensions, Thom restrictions, and the interface relations."""
 
+from collections import Counter
 from math import comb
 
 import pytest
@@ -8,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2torus import corpus
-from z2torus.charfunc import axial_function
+from z2torus.blowup import cut_face
+from z2torus.charfunc import GkmGraph, axial_function
 from z2torus.errors import PreconditionError
 from z2torus.gf2 import Vec, lowest_bit
 from z2torus.gkm import (
     check_face_ring_relations,
     divisible_by,
+    eliminated_hilbert,
     equivariant_hilbert,
     face_ring_hilbert,
+    flow_up_degrees,
     monomials,
     poly_add,
     poly_linear,
@@ -72,10 +76,13 @@ def form_and_poly(draw, max_n=4, max_deg=6):
 
 
 def sympy_divides(p, alpha):
+    """Remainder of P on division by A; {A} is a Groebner basis of (A).
+    (`Poly.div` over GF(2) raises PolynomialDivisionFailed on some inputs,
+    e.g. x0^3 by x0 + x1 + x2 in four variables, so it is not used.)"""
     xs = sympy.symbols(f"x0:{alpha.n}")
     P = sum((sympy.prod(x**e for x, e in zip(xs, m)) for m in p), sympy.Integer(0))
     A = sum(xs[j] for j in alpha.support())
-    return sympy.Poly(P, *xs, modulus=2).div(sympy.Poly(A, *xs, modulus=2))[1].is_zero
+    return sympy.reduced(P, [A], *xs, modulus=2)[1] == 0
 
 
 def substitute_by_expansion(m, alpha):
@@ -110,6 +117,15 @@ class TestSubstitution:
         assert substitute((2, 0, 5), alpha) == [(2, 0, 5)]
 
 
+def torus_series(n, max_deg):
+    """Coefficients of ((1 + t) / (1 - t))^n, by repeated convolution."""
+    base = [1] + [2] * max_deg
+    out = [1] + [0] * max_deg
+    for _ in range(n):
+        out = [sum(out[i] * base[k - i] for i in range(k + 1)) for k in range(max_deg + 1)]
+    return tuple(out)
+
+
 class TestEquivariantHilbert:
     def test_triangle_oracle(self):
         assert equivariant_hilbert(graph_of(corpus.triangle()), 3) == (1, 3, 6, 9)
@@ -117,15 +133,118 @@ class TestEquivariantHilbert:
     def test_square_torus_oracle(self):
         assert equivariant_hilbert(graph_of(corpus.square_torus()), 2) == (1, 4, 8)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_real_torus_matches_binomial_face_ring(self, n):
         h = tuple(comb(n, i) for i in range(n + 1))
-        eq = equivariant_hilbert(graph_of(corpus.ncube(n)), 2 * n)
-        assert eq == face_ring_hilbert(h, 2 * n)
+        g = graph_of(corpus.ncube(n))
+        # elimination would need gigabytes from n = 6 on: fail fast instead
+        assert flow_up_degrees(g) is not None
+        eq = equivariant_hilbert(g, 2 * n)
+        assert eq == face_ring_hilbert(h, 2 * n) == torus_series(n, 2 * n)
 
     def test_degree_zero_is_one_for_connected_graphs(self):
         for name in ("triangle", "square_torus", "cube", "segment", "bigon"):
             assert equivariant_hilbert(graph_of(corpus.BUILDERS[name]()), 0) == (1,)
+
+
+def has_graph(inst) -> bool:
+    try:
+        graph_of(inst)
+    except PreconditionError:
+        return False
+    return True
+
+
+FLOW_SWEEP = {name: b for name, b in corpus.BUILDERS.items() if has_graph(b())}
+FLOW_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
+
+
+def assert_matches_elimination(g, max_deg):
+    assert flow_up_degrees(g) is not None
+    assert equivariant_hilbert(g, max_deg) == eliminated_hilbert(g, max_deg)
+
+
+def kalai_h(g):
+    """#{v : d_v = i} for i = 0..n, read off the certified order."""
+    count = Counter(flow_up_degrees(g).values())
+    return tuple(count[i] for i in range(g.n + 1))
+
+
+class TestFlowUp:
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_dims_match_elimination(self, name):
+        g = graph_of(FLOW_SWEEP[name]())
+        assert_matches_elimination(g, 2 * g.n)
+
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_down_degrees_count_the_h_vector(self, name):
+        inst = FLOW_SWEEP[name]()
+        assert kalai_h(graph_of(inst)) == fh_vectors(inst.poset).h
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_cut_chains(self, data):
+        build = data.draw(st.sampled_from(
+            [corpus.triangle, corpus.square_torus, corpus.cube, lambda: corpus.ncube(4)]
+        ))
+        inst = build()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam = cut.poset, cut.lam
+        g = axial_function(p, lam)
+        assert_matches_elimination(g, min(2 * p.n, 6))
+        assert kalai_h(g) == fh_vectors(p).h
+
+    def test_repeated_form_falls_back_to_elimination(self):
+        """Two vertices joined by two edges with one form: b's down-edge
+        forms coincide, so no order is certified.  The module is
+        {(f, g) : x0 | f - g}, of dimension (k + 1) + k in degree k; a
+        certificate that skipped the distinctness check would give 2k."""
+        x0 = Vec.from_string("10")
+        g = GkmGraph(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
+        assert flow_up_degrees(g) is None
+        want = tuple(2 * k + 1 for k in range(7))
+        assert eliminated_hilbert(g, 6) == want
+        assert equivariant_hilbert(g, 6) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_labelled_graph_matches_elimination(self, data):
+        """The certificate is sound on any multigraph with nonzero forms,
+        GKM or not: whichever path runs, the dims are elimination's."""
+        n = data.draw(st.integers(1, 3))
+        V = data.draw(st.integers(1, 5))
+        ends = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)).filter(
+            lambda ab: ab[0] != ab[1]
+        )
+        pairs = data.draw(st.lists(ends, max_size=8))
+        forms = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=len(pairs),
+                                   max_size=len(pairs)))
+        edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
+        axial = {f"e{i}": Vec(bits, n) for i, bits in enumerate(forms)}
+        g = GkmGraph(n, tuple(f"v{i}" for i in range(V)), edges, axial)
+        assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4)
+
+    def test_failed_edge_condition_falls_back(self):
+        """v0 is placed with tau = 1, and v2 with tau = x1 at v2.  v1 and v3
+        span each other's up-face, joined by e3 of form x0 + x1, where tau
+        is x0 at v1 and x1 + x2 at v3: not congruent mod x0 + x1, so
+        neither is placed.  Without that edge check the order v0, v1, v2,
+        v3 would claim dims (1, 5, 13, ...)."""
+        forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
+        edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
+        g = GkmGraph(3, ("v0", "v1", "v2", "v3"), edges,
+                     {e: Vec.from_string(f) for e, f in forms.items()})
+        assert flow_up_degrees(g) is None
+        assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4) == (1, 4, 12, 24, 40)
+
+    def test_edges_at_is_the_sorted_scan(self):
+        g = graph_of(corpus.cut_cube_edge())
+        for v in g.vertices:
+            assert list(g.edges_at(v)) == sorted(e for e, (a, b) in g.edges.items() if v in (a, b))
+        assert g.edges_at("nope") == ()
 
 
 class TestFaceRingHilbert:
