@@ -27,11 +27,9 @@ from .complexes import (
     QuotientComplex,
     betti_mod2,
     chain_complex,
-    cw_failures,
-    face_subcomplex,
+    face_acyclicity,
     is_face_acyclic,
     reduced_betti,
-    require_cw_poset,
     validate_carriers,
 )
 from .errors import InputError, PreconditionError
@@ -94,12 +92,11 @@ __all__ = [
     "check_face_ring_relations",
     "coloring_classes",
     "cut_face",
-    "cw_failures",
     "dual_code",
     "equivariant_hilbert",
+    "face_acyclicity",
     "face_restriction",
     "face_ring_hilbert",
-    "face_subcomplex",
     "facet_code",
     "facial_components",
     "fh_vectors",
@@ -117,7 +114,6 @@ __all__ = [
     "order_complex",
     "parse_instance",
     "reduced_betti",
-    "require_cw_poset",
     "satisfies_gkm",
     "save_instance",
     "serialize_instance",

@@ -15,7 +15,7 @@ from collections.abc import Callable
 from .blowup import cut_face
 from .charfunc import m_involution_check
 from .codes import facet_code, is_self_dual, min_distance
-from .complexes import is_face_acyclic, require_cw_poset
+from .complexes import face_acyclicity
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
 from .gkm import axial_function, equivariant_hilbert, face_ring_hilbert
@@ -113,11 +113,7 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
 def frag_code(inst: Instance) -> Fragment:
     _need_lambda(inst)
     p = inst.poset
-    if inst.triangulation is not None:
-        acyclic = is_face_acyclic(inst.triangulation).verdict
-    else:  # mode A: true by construction, as in formality_verdict
-        require_cw_poset(p)
-        acyclic = True
+    acyclic = face_acyclicity(p, inst.triangulation).verdict
     inv = m_involution_check(p, inst.lam, acyclic)
     if inv.exists:
         lines = [f"m_involution=true g={inv.g}"]

@@ -8,12 +8,13 @@ mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
 (instances may supply one, a genuine triangulation of Q), and the face
 complex, whose cells are the faces of Q themselves.  QuotientComplex
 builds the mod-2 chain complex of either, with or without the isotropy
-gluing of a characteristic function.
+gluing of a characteristic function.  `is_face_acyclic` runs the
+paper's criterion on either; on the face complex it is the CW gate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .charfunc import CharFunction, isotropy
@@ -73,7 +74,7 @@ class FaceComplex:
     that `poset.validate` checks give every length-two interval exactly
     two middle elements, so these incidence-1 boundaries square to zero.
     The homology is that of Q's cell structure once every face's
-    boundary is a mod-2 homology sphere (see `cw_failures`).  `faces`
+    boundary is a mod-2 homology sphere (see `face_acyclicity`).  `faces`
     restricts the complex to a down-closed subset of the faces.
     """
 
@@ -198,16 +199,23 @@ def chain_complex(c: CarrierComplex | FaceComplex) -> Gf2ChainComplex:
     return QuotientComplex(c).chain
 
 
-def betti_mod2(cc: Gf2ChainComplex) -> tuple[int, ...]:
-    """Unreduced mod-2 Betti numbers.  Verifies boundary-squared = 0."""
-    D = len(cc.dims) - 1
-    for d in range(2, D + 1):
+def _check_squares(cc: Gf2ChainComplex) -> None:
+    for d in range(2, len(cc.dims)):
         if not compose_is_zero(cc.boundaries[d], cc.boundaries[d - 1]):
             raise ValueError(f"boundary composite in degree {d} is nonzero")
-    ranks = [0] * (D + 2)
-    for d in range(1, D + 1):
-        ranks[d] = cc.boundaries[d].rank()
-    return tuple(cc.dims[d] - ranks[d] - ranks[d + 1] for d in range(D + 1))
+
+
+def _betti(dims: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
+    """Betti numbers from cell counts and boundary ranks, ranks[d] being
+    the rank of the boundary out of degree d (ranks[0] = 0)."""
+    r = [*ranks, 0]
+    return tuple(dims[d] - r[d] - r[d + 1] for d in range(len(dims)))
+
+
+def betti_mod2(cc: Gf2ChainComplex) -> tuple[int, ...]:
+    """Unreduced mod-2 Betti numbers.  Verifies boundary-squared = 0."""
+    _check_squares(cc)
+    return _betti(cc.dims, [0] + [b.rank() for b in cc.boundaries[1:]])
 
 
 def reduced_betti(cc: Gf2ChainComplex) -> tuple[int, ...]:
@@ -215,18 +223,6 @@ def reduced_betti(cc: Gf2ChainComplex) -> tuple[int, ...]:
     if not b:
         return ()
     return (b[0] - 1,) + b[1:]
-
-
-def face_subcomplex(c: CarrierComplex, f: str) -> CarrierComplex:
-    """Subcomplex of simplices carried inside the face f."""
-    keep = {sx: cf for sx, cf in c.simplices.items() if c.poset.leq(cf, f)}
-    used = sorted({v for sx in keep for v in sx})
-    renum = {v: i for i, v in enumerate(used)}
-    simplices = {tuple(renum[v] for v in sx): cf for sx, cf in keep.items()}
-    labels = None
-    if c.vertex_labels is not None:
-        labels = [c.vertex_labels[v] for v in used]
-    return CarrierComplex(c.poset, len(used), simplices, vertex_labels=labels)
 
 
 @dataclass
@@ -250,17 +246,55 @@ class AcyclicityReport:
         return out
 
 
-def is_face_acyclic(c: CarrierComplex) -> AcyclicityReport:
-    """Is every face's subcomplex mod-2 acyclic (reduced homology zero)?"""
+def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
+    """Is every face's subcomplex, the cells carried inside it, mod-2 acyclic?
+
+    A boundary never leaves its cell's carrier, so each face's subcomplex
+    is a set of rows of base's one chain complex, read at its own size.
+    On the face complex this is the CW gate (Bjorner, "Posets, regular CW
+    complexes and Bruhat order", 1984): for f of dimension d >= 1 the
+    boundary of the cell f is a (d-1)-cycle of f's boundary, which has no
+    d-cells to bound it, so the faces below f are acyclic exactly when
+    f's boundary has the mod-2 homology of S^(d-1).
+    """
+    q = QuotientComplex(base)
+    cc = q.chain
+    _check_squares(cc)
+    rows: dict[str, list[list[int]]] = {}  # carrier -> boundary rows by degree
+    for d, (cells, bd) in enumerate(zip(q.cells, cc.boundaries)):
+        for (cell, _), row in zip(cells, bd.rows):
+            rows.setdefault(base.carrier(cell), [[] for _ in cc.dims])[d].append(row)
     per_face: dict[str, tuple[int, ...]] = {}
     empty: list[str] = []
-    for f in c.poset.faces():
-        sub = face_subcomplex(c, f)
-        if not sub.simplices:
+    for f in base.poset.faces():
+        carried = [rows[g] for g in base.poset.below(f) if g in rows]
+        if not carried:
             empty.append(f)
             continue
-        per_face[f] = reduced_betti(chain_complex(sub))
+        sub = [[row for by_dim in carried for row in by_dim[d]] for d in range(len(cc.dims))]
+        while not sub[-1]:  # degrees above the subcomplex's dimension
+            sub.pop()
+        ranks = [0] + [Matrix(tuple(sub[d]), cc.dims[d - 1]).rank() for d in range(1, len(sub))]
+        b = _betti([len(level) for level in sub], ranks)
+        per_face[f] = (b[0] - 1,) + b[1:]
     return AcyclicityReport(per_face, empty)
+
+
+def face_acyclicity(p: FacePoset, triangulation: CarrierComplex | None = None) -> AcyclicityReport:
+    """The criterion on a triangulation (mode B), or on the face complex as
+    the CW gate of mode A, whose failure raises PreconditionError."""
+    if triangulation is not None:
+        return is_face_acyclic(triangulation)
+    rep = is_face_acyclic(FaceComplex(p))
+    failing = sorted((p.dim_face(f), f) for f, b in rep.per_face.items() if any(b))
+    if failing:
+        named = ", ".join(f for _, f in failing[:5])
+        more = f" and {len(failing) - 5} more" if len(failing) > 5 else ""
+        raise PreconditionError(
+            "mode A needs a CW poset, where the boundary of every face is a mod-2 "
+            f"homology sphere; it fails at {named}{more}; supply a triangulation to use mode B"
+        )
+    return rep
 
 
 @dataclass
@@ -338,38 +372,3 @@ def validate_carriers(c: CarrierComplex, require_face_dims: bool = True) -> Carr
                     f"face {f}: wall {sx} lies in {got} top simplices, wanted {want}"
                 )
     return rep
-
-
-def cw_failures(p: FacePoset) -> list[str]:
-    """Faces whose boundary is not a mod-2 homology sphere, by dimension.
-
-    A face f of dimension d >= 1 passes when the faces strictly below it
-    have the reduced mod-2 Betti numbers of S^(d-1) (two points for
-    d = 1).  When every face passes, p is a CW poset over GF(2) in the
-    sense of Bjorner ("Posets, regular CW complexes and Bruhat order",
-    1984): each face is a mod-2 homology cell, and the face complex
-    computes the homology of Q's cell structure.
-    """
-    failing = []
-    for f in sorted(p.codims, key=lambda g: (p.dim_face(g), g)):
-        d = p.dim_face(f)
-        if d == 0:
-            continue
-        b = reduced_betti(chain_complex(FaceComplex(p, p.below(f) - {f})))
-        if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
-            failing.append(f)
-    return failing
-
-
-def require_cw_poset(p: FacePoset) -> None:
-    """The precondition of mode A: raise PreconditionError naming the
-    first faces that `cw_failures` finds."""
-    failing = cw_failures(p)
-    if failing:
-        named = ", ".join(failing[:5])
-        if len(failing) > 5:
-            named += f" and {len(failing) - 5} more"
-        raise PreconditionError(
-            "mode A needs a CW poset, where the boundary of every face is a mod-2 "
-            f"homology sphere; it fails at {named}; supply a triangulation to use mode B"
-        )

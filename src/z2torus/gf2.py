@@ -52,6 +52,8 @@ class Vec:
 
     @staticmethod
     def from_string(s: str) -> "Vec":
+        if not s.isascii():  # int() reads the digits of every script
+            raise ValueError("only the characters 0 and 1 are allowed")
         return Vec.from_bits(int(ch) for ch in s)
 
     def __post_init__(self) -> None:

@@ -17,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .charfunc import CharFunction, isotropy
-from .complexes import (
-    CarrierComplex,
-    FaceComplex,
-    QuotientComplex,
-    is_face_acyclic,
-    require_cw_poset,
-)
+from .complexes import CarrierComplex, FaceComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
 from .gf2 import Vec, bit_indices
 from .poset import FacePoset, count_components, fh_vectors
@@ -96,23 +90,16 @@ def formality_verdict(
 
     hsiang: total mod-2 Betti number of the model equals the number of
     fixed points (the lower bound is attained).
-    criterion: every face subcomplex is mod-2 acyclic.  Mode A first
-    checks that p is a CW poset (PreconditionError otherwise); that gate
-    makes every face a mod-2 homology cell, so the criterion holds by
-    construction and is not computed.  The mode label travels with the
-    verdict.
+    criterion: every face subcomplex is mod-2 acyclic (`face_acyclicity`).
+    In mode A the same check on the face complex is the CW gate, which
+    raises PreconditionError when it fails, so there it holds once the
+    model exists.  The mode label travels with the verdict.
     h_identity: Betti vector equals the h-vector.
     """
-    if triangulation is None:
-        mode = "A"
-        require_cw_poset(p)
-        q = build_quotient(FaceComplex(p), lam)
-        criterion, witnesses = True, ()
-    else:
-        mode = "B"
-        q = build_quotient(triangulation, lam)
-        acyc = is_face_acyclic(triangulation)
-        criterion, witnesses = acyc.verdict, tuple(acyc.witnesses())
+    mode, base = ("A", FaceComplex(p)) if triangulation is None else ("B", triangulation)
+    acyc = face_acyclicity(p, triangulation)
+    q = build_quotient(base, lam)
+    criterion, witnesses = acyc.verdict, tuple(acyc.witnesses())
     betti = q.betti()
     nverts = len(p.vertices())
     hsiang = sum(betti) == nverts

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2torus import corpus
-from z2torus.cli import main
+from z2torus.cli import COMMANDS, main
 from z2torus.instance import MAX_DIM, load_instance, save_instance, serialize_instance
 
 
@@ -145,6 +145,12 @@ class TestFixedLocus:
     def test_wrong_width(self, capsys):
         rc, _, err = run(capsys, "fixed-locus", bundled("cube"), "--g", "10")
         assert rc == 1 and "3" in err
+
+    @pytest.mark.parametrize("g", ["\u0661\u0660\u0660", "1\u0660\u0661", "\uff11\uff10\uff10"])
+    def test_only_ascii_bits(self, capsys, g):
+        rc, out, err = run(capsys, "fixed-locus", bundled("cube"), "--g", g)
+        assert rc == 1 and out == ""
+        assert err.startswith("error: bad --g value")
 
 
 class TestBlowup:
@@ -395,9 +401,24 @@ SERIALISED = {name: serialize_instance(build()) for name, build in corpus.BUILDE
 SERIALISED.update({f"ncube({n})": serialize_instance(corpus.ncube(n)) for n in (0, 1, 2)})
 
 
+def arguments(cmd, d, draw):
+    """Drawn options for cmd: a --max-deg around its range, a --g of
+    bits, stray characters and non-ASCII digits, or any --face text."""
+    dim = d["dim"]
+    if cmd == "gkm":
+        return [f"--max-deg={draw(st.integers(-3, 2 * dim + 2))}"]
+    if cmd == "fixed-locus":
+        return ["--g=" + draw(st.text(alphabet="01x\u0661 ", max_size=dim + 1))]
+    if cmd == "blowup":
+        ids = [f["id"] for f in d["faces"]] or ["Q"]
+        return ["--face=" + draw(st.one_of(st.sampled_from(ids), st.text()))]
+    return []
+
+
 class TestFuzz:
-    """Edited instances never crash the CLI: it exits 0, 1 or 2, and on 1
-    every line it prints on standard error is an `error:` line."""
+    """Edited instances and drawn options never crash the CLI: it exits
+    0, 1 or 2, and on 1 every line it prints on standard error is an
+    `error:` line."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -405,14 +426,13 @@ class TestFuzz:
         d = SERIALISED[data.draw(st.sampled_from(sorted(SERIALISED)))]
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             d = mutate(d, data.draw)
-        cmd = data.draw(st.sampled_from(["validate", "hvector", "report", "blowup"]))
+        cmd = data.draw(st.sampled_from(sorted(COMMANDS)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edited.json"
             path.write_text(json.dumps(d))
-            argv = [cmd, str(path)]
+            argv = [cmd, str(path), *arguments(cmd, d, data.draw)]
             if cmd == "blowup":
-                face = data.draw(st.sampled_from([f["id"] for f in d["faces"]] or ["Q"]))
-                argv += ["--face", face, "--out", str(Path(tmp) / "cut.json")]
+                argv += ["--out", str(Path(tmp) / "cut.json")]
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 rc = main(argv)
@@ -432,6 +452,18 @@ class TestModeAGate:
             assert rc == 2 and out == "", cmd
             assert err.startswith("error: mode A needs a CW poset"), cmd
             assert "F1, F2, Q" in err and "triangulation" in err, cmd
+
+    def test_split_annulus_is_refused_at_q(self, capsys, tmp_path, split_annulus_data):
+        f = tmp_path / "split_annulus.json"
+        f.write_text(json.dumps(split_annulus_data))
+        rc, out, err = run(capsys, "validate", str(f))
+        assert rc == 1 and "skeleton_connected=fail" in out
+        rc, out, err = run(capsys, "report", str(f))
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: mode A needs a CW poset, where the boundary of every face is a mod-2 "
+            "homology sphere; it fails at Q; supply a triangulation to use mode B\n"
+        )
 
 
 class TestSerialization:

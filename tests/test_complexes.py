@@ -8,15 +8,35 @@ from z2torus.complexes import (
     Gf2ChainComplex,
     betti_mod2,
     chain_complex,
-    face_subcomplex,
     is_face_acyclic,
     reduced_betti,
     validate_carriers,
 )
 from z2torus.gf2 import Matrix
-from z2torus.poset import FacePoset
+from z2torus.poset import FacePoset, order_complex
 
 POINT_POSET = FacePoset(0, {"Q": 0}, set())
+
+
+def face_subcomplex(c, f):
+    """Subcomplex of simplices carried inside the face f, renumbered."""
+    keep = {sx: cf for sx, cf in c.simplices.items() if c.poset.leq(cf, f)}
+    used = sorted({v for sx in keep for v in sx})
+    renum = {v: i for i, v in enumerate(used)}
+    simplices = {tuple(renum[v] for v in sx): cf for sx, cf in keep.items()}
+    return CarrierComplex(c.poset, len(used), simplices)
+
+
+def rebuilt_acyclicity(c):
+    """Oracle for `is_face_acyclic`: one chain complex rebuilt per face."""
+    per_face, empty = {}, []
+    for f in c.poset.faces():
+        sub = face_subcomplex(c, f)
+        if sub.simplices:
+            per_face[f] = reduced_betti(chain_complex(sub))
+        else:
+            empty.append(f)
+    return per_face, empty
 
 
 def plain(simplices, n_points):
@@ -140,11 +160,20 @@ class TestFaceAcyclicity:
         assert not rep.verdict and "v1" in rep.empty_faces
 
     def test_surrogate_models_are_always_acyclic(self):
-        from z2torus.poset import order_complex
-
         for name in ("triangle", "cube", "annulus", "bigon"):
             p = corpus.BUILDERS[name]().poset
             assert is_face_acyclic(order_complex(p)).verdict, name
+
+
+    @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+    def test_matches_per_face_rebuilds(self, name):
+        inst = corpus.BUILDERS[name]()
+        complexes = [order_complex(inst.poset)]
+        if inst.triangulation is not None:
+            complexes.append(inst.triangulation)
+        for c in complexes:
+            rep = is_face_acyclic(c)
+            assert (rep.per_face, rep.empty_faces) == rebuilt_acyclicity(c)
 
 
 class TestValidateCarriers:
@@ -155,8 +184,6 @@ class TestValidateCarriers:
             assert rep.ok, (name, rep.witnesses())
 
     def test_surrogate_passes_weak_fails_strict(self):
-        from z2torus.poset import order_complex
-
         oc = order_complex(corpus.annulus().poset)
         assert validate_carriers(oc, require_face_dims=False).ok
         strict = validate_carriers(oc, require_face_dims=True)

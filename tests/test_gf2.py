@@ -48,6 +48,8 @@ class TestVec:
     def test_bad_characters(self):
         with pytest.raises(ValueError):
             Vec.from_string("1a0")
+        with pytest.raises(ValueError, match="0 and 1"):
+            Vec.from_string("1\u0660\u0661")  # Arabic-Indic digits zero, one
 
 
 class TestRref:
