@@ -66,8 +66,8 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     for g in below_f:
         by_facets: dict[frozenset[str], list[str]] = {}
         for h in p.above(g):
-            by_facets.setdefault(frozenset(p.facets_containing(h)), []).append(h)
-        facets_g = frozenset(p.facets_containing(g))
+            by_facets.setdefault(p.facet_set(h), []).append(h)
+        facets_g = p.facet_set(g)
         for S in subsets:
             nid = _new_id(g, S)
             covers.update((_new_id(c, S), nid) for c in p.children(g))

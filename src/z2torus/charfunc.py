@@ -93,14 +93,22 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
             rep.unknown.append(f"lambda value for non-facet {F!r}")
     if not rep.ok:
         return rep
+
+    def independent(S: list[str]) -> bool:
+        return not S or Matrix.from_vecs([lam.vec(F) for F in S]).rank() == len(S)
+
+    # v <= f gives facets(f) <= facets(v), and subsets of independent sets are independent
+    passed: set[str] = set()
+    for v in p.vertices():
+        if independent(p.facets_containing(v)):
+            passed.update(p.above(v))
     for f in p.faces():
-        S = p.facets_containing(f)
-        if not S:
+        if f in passed:
             continue
-        vecs = [lam.vec(F) for F in S]
-        if Matrix.from_vecs(vecs).rank() != len(vecs):
+        S = p.facets_containing(f)
+        if not independent(S):
             rep.dependent.append(
-                f"face {f}: facet labels {[str(v) for v in vecs]} of {S} are dependent"
+                f"face {f}: facet labels {[str(lam.vec(F)) for F in S]} of {S} are dependent"
             )
     return rep
 
@@ -126,7 +134,7 @@ def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset
         reduced = G.coset_rep(v).bits
         return Vec.from_bits((reduced >> j) & 1 for j in free)
 
-    mine = set(p.facets_containing(f))
+    mine = p.facet_set(f)
     values: dict[str, Vec] = {}
     for g in sub.facets():
         others = [F for F in p.facets_containing(g) if F not in mine]

@@ -19,7 +19,7 @@ from .complexes import face_acyclicity
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
 from .gkm import axial_function, equivariant_hilbert, face_ring_hilbert
-from .instance import Instance, load_instance, save_instance
+from .instance import MAX_DEG, Instance, load_instance, save_instance
 from .model import fixed_locus, formality_verdict
 from .poset import fh_vectors, gorenstein_quick_checks, validate
 
@@ -93,6 +93,8 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
         max_deg = 2 * p.n
     if max_deg < 0:
         raise InputError(f"--max-deg must be at least 0, got {max_deg}")
+    if max_deg > MAX_DEG:
+        raise InputError(f"--max-deg must be at most {MAX_DEG}, got {max_deg}")
     try:
         graph = axial_function(p, inst.lam)
     except PreconditionError as exc:

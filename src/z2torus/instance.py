@@ -22,6 +22,7 @@ from .poset import FacePoset, validate
 
 TOP_KEYS = {"name", "dim", "faces", "inclusions", "lambda", "triangulation"}
 MAX_DIM = 64  # poset.fh_vectors is super-quadratic in dim
+MAX_DEG = 4 * MAX_DIM  # gkm --max-deg: twice its largest default, 2 * MAX_DIM
 
 
 def _is_int(x: object) -> bool:
@@ -171,11 +172,15 @@ def parse_instance(data: object) -> Instance:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply")
     return parse_instance(data)
 
 

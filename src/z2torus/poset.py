@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -20,8 +21,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from .complexes import CarrierComplex
 
 
+def _closure(adj: dict[str, list[str]], order: Iterable[str]) -> dict[str, frozenset[str]]:
+    """Each face with everything reachable from it along adj; order lists
+    every face after all of its neighbours in adj."""
+    memo: dict[str, frozenset[str]] = {}
+    for f in order:
+        memo[f] = frozenset((f,)).union(*(memo[g] for g in adj[f]))
+    return memo
+
+
 class FacePoset:
-    """Graded face poset with containment closure precomputed."""
+    """Graded face poset with containment closure and facet sets precomputed."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: set[tuple[str, str]]):
         if n < 0:
@@ -42,24 +52,13 @@ class FacePoset:
         for c, p in sorted(self.covers):
             self._parents[c].append(p)
             self._children[p].append(c)
-        self._above = self._closure(self._parents)
-        self._below = self._closure(self._children)
-
-    def _closure(self, adj: dict[str, list[str]]) -> dict[str, frozenset[str]]:
-        memo: dict[str, frozenset[str]] = {}
-
-        def reach(f: str) -> frozenset[str]:
-            if f not in memo:
-                acc = {f}
-                for g in adj[f]:
-                    acc |= reach(g)
-                memo[f] = frozenset(acc)
-            return memo[f]
-
-        # codim order keeps the recursion shallow
-        for f in sorted(self.codims, key=lambda x: self.codims[x]):
-            reach(f)
-        return memo
+        # a face's parents have smaller codim, its children larger
+        order = sorted(self.codims, key=self.codims.__getitem__)
+        self._above = _closure(self._parents, order)
+        self._below = _closure(self._children, reversed(order))
+        facets = frozenset(f for f, k in self.codims.items() if k == 1)
+        self._facet_sets = {f: up & facets for f, up in self._above.items()}
+        self._facets = {f: tuple(sorted(S)) for f, S in self._facet_sets.items()}
 
     # -- basic queries -------------------------------------------------
 
@@ -101,7 +100,12 @@ class FacePoset:
         return g in self._above[f]
 
     def facets_containing(self, f: str) -> list[str]:
-        return sorted(F for F in self._above[f] if self.codims[F] == 1)
+        """The facets through f, sorted; a fresh list each call."""
+        return list(self._facets[f])
+
+    def facet_set(self, f: str) -> frozenset[str]:
+        """The facets through f, as a set."""
+        return self._facet_sets[f]
 
     def top(self) -> str:
         tops = self.faces_of_codim(0)
@@ -131,13 +135,38 @@ class FacePoset:
 
 @dataclass
 class PosetReport:
-    """Validation findings; empty lists mean the check passed."""
+    """Validation findings; empty lists mean the check passed.
 
+    has_vertex and skeleton_connected are computed from the poset on first
+    read, and [] when structural is non-empty: `sound` never needs them."""
+
+    poset: FacePoset = field(repr=False, compare=False)
     structural: list[str] = field(default_factory=list)
     simplicial: list[str] = field(default_factory=list)
     nice: list[str] = field(default_factory=list)
-    has_vertex: list[str] = field(default_factory=list)
-    skeleton_connected: list[str] = field(default_factory=list)
+
+    @cached_property
+    def has_vertex(self) -> list[str]:
+        if self.structural:
+            return []
+        p = self.poset
+        verts = set(p.vertices())
+        return [f"face {f} contains no vertex" for f in p.faces() if not (p.below(f) & verts)]
+
+    @cached_property
+    def skeleton_connected(self) -> list[str]:
+        if self.structural:
+            return []
+        p = self.poset
+        verts = set(p.vertices())
+        edges = one_skeleton(p).edges
+        found = []
+        for f in p.faces():
+            below = p.below(f)
+            fverts = below & verts
+            if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
+                found.append(f"1-skeleton of face {f} is disconnected")
+        return found
 
     @property
     def sound(self) -> bool:
@@ -190,9 +219,10 @@ def count_components(
 
 
 def validate(p: FacePoset) -> PosetReport:
-    """Check top element, grading, boolean upper intervals, niceness,
-    presence of vertices, and connectivity of every face's 1-skeleton."""
-    rep = PosetReport()
+    """Check top element, grading, boolean upper intervals and niceness.
+    Presence of vertices and connectivity of every face's 1-skeleton are
+    checked when the report's has_vertex / skeleton_connected are read."""
+    rep = PosetReport(p)
     tops = p.faces_of_codim(0)
     if len(tops) != 1:
         rep.structural.append(f"expected exactly one codim-0 face, found {tops}")
@@ -209,7 +239,7 @@ def validate(p: FacePoset) -> PosetReport:
     if rep.structural:
         return rep
 
-    facet_sets = {f: frozenset(g for g in p.above(f) if p.codims[g] == 1) for f in p.codims}
+    facet_sets = p._facet_sets
 
     # niceness: a codim-k face lies in exactly k facets
     for f in p.faces():
@@ -234,17 +264,6 @@ def validate(p: FacePoset) -> PosetReport:
                 f"facet sets, wanted 2^{m}={2**m}"
             )
 
-    verts = set(p.vertices())
-    for f in p.faces():
-        if not (p.below(f) & verts):
-            rep.has_vertex.append(f"face {f} contains no vertex")
-
-    edges = one_skeleton(p).edges
-    for f in p.faces():
-        below = p.below(f)
-        fverts = below & verts
-        if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
-            rep.skeleton_connected.append(f"1-skeleton of face {f} is disconnected")
     return rep
 
 

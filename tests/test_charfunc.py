@@ -1,10 +1,14 @@
 """Characteristic functions, isotropy, axial functions, involutions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
+from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
+    LambdaReport,
     Subgroup,
     axial_function,
     coloring_classes,
@@ -14,7 +18,7 @@ from z2torus.charfunc import (
     validate_lambda,
 )
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Vec
+from z2torus.gf2 import Matrix, Vec
 from z2torus.model import fixed_locus
 from z2torus.poset import FacePoset, validate
 
@@ -74,6 +78,112 @@ class TestValidateLambda:
         p = corpus.triangle().poset
         rep = validate_lambda(p, lam_of(F1="00", F2="01", F3="11"))
         assert any("F1" in w for w in rep.dependent)
+
+
+def lambda_oracle(p, lam):
+    """validate_lambda as it was before it ranked at vertices first: one
+    rank per face that lies in a facet."""
+    rep = LambdaReport()
+    if lam.n != p.n:
+        rep.dependent.append(f"lambda has width {lam.n}, poset dimension is {p.n}")
+        return rep
+    facets = set(p.facets())
+    for F in sorted(facets):
+        if F not in lam.values:
+            rep.missing.append(f"facet {F} has no lambda value")
+    for F in sorted(lam.values):
+        if F not in facets:
+            rep.unknown.append(f"lambda value for non-facet {F!r}")
+    if not rep.ok:
+        return rep
+    for f in p.faces():
+        S = p.facets_containing(f)
+        if not S:
+            continue
+        vecs = [lam.vec(F) for F in S]
+        if Matrix.from_vecs(vecs).rank() != len(vecs):
+            rep.dependent.append(
+                f"face {f}: facet labels {[str(v) for v in vecs]} of {S} are dependent"
+            )
+    return rep
+
+
+def assert_lambda_matches_oracle(p, lam):
+    """The two reports agree line for line; returns the dependent faces."""
+    rep, want = validate_lambda(p, lam), lambda_oracle(p, lam)
+    assert (rep.missing, rep.unknown, rep.dependent) == (want.missing, want.unknown, want.dependent)
+    return [w.split(":")[0].removeprefix("face ") for w in rep.dependent]
+
+
+LAMBDA_SWEEP = dict(corpus.BUILDERS)
+LAMBDA_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4, 5)})
+
+
+def label_edits(lam):
+    """Every edit that gives one facet the label of another facet, or the
+    sum of two facets' labels (zero when the two are equal)."""
+    facets = sorted(lam.values)
+    for a in facets:
+        for b in facets:
+            if b != a:
+                yield a, lam.vec(b)
+            for c in facets:
+                if b <= c:
+                    yield a, lam.vec(b) ^ lam.vec(c)
+
+
+def relabel(lam, facet, vec):
+    return CharFunction(lam.n, {**lam.values, facet: vec})
+
+
+class TestValidateLambdaAgainstOracle:
+    """validate_lambda ranks the labels at each vertex and then only the
+    faces above no independent vertex; the per-face check must agree."""
+
+    @pytest.mark.parametrize("name", list(LAMBDA_SWEEP))
+    def test_instance(self, name):
+        inst = LAMBDA_SWEEP[name]()
+        assert assert_lambda_matches_oracle(inst.poset, inst.lam) == []
+
+    def test_every_label_edit(self):
+        dependent_vertices, dependent_without_vertex = set(), set()
+        for name in ("triangle", "square_torus", "square_klein", "cube", "annulus",
+                     "bigon", "cut_cube_edge"):
+            inst = corpus.BUILDERS[name]()
+            p = inst.poset
+            verts = set(p.vertices())
+            for facet, vec in label_edits(inst.lam):
+                for f in assert_lambda_matches_oracle(p, relabel(inst.lam, facet, vec)):
+                    if f in verts:
+                        dependent_vertices.add((name, f))
+                    if not p.below(f) & verts:
+                        dependent_without_vertex.add((name, f))
+        assert dependent_vertices
+        assert {("annulus", "F1"), ("annulus", "F2")} <= dependent_without_vertex
+
+    def test_missing_unknown_and_width(self):
+        p = corpus.triangle().poset
+        for lam in (lam_of(F1="10", F2="01", Fx="11"), lam_of(F1="1", F2="1", F3="1")):
+            assert_lambda_matches_oracle(p, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains_and_label_edits(self, data):
+        name = data.draw(st.sampled_from(sorted(LAMBDA_SWEEP)))
+        inst = LAMBDA_SWEEP[name]()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            if not cuttable:
+                break
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam = cut.poset, cut.lam
+            assert_lambda_matches_oracle(p, lam)
+        facets = sorted(lam.values)
+        if facets and data.draw(st.booleans()):
+            a, b, c = (data.draw(st.sampled_from(facets)) for _ in range(3))
+            vec = lam.vec(b) if data.draw(st.booleans()) else lam.vec(b) ^ lam.vec(c)
+            assert_lambda_matches_oracle(p, relabel(lam, a, vec))
 
 
 class TestIsotropy:

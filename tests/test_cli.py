@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.cli import COMMANDS, main
-from z2torus.instance import MAX_DIM, load_instance, save_instance, serialize_instance
+from z2torus.instance import (
+    MAX_DEG,
+    MAX_DIM,
+    load_instance,
+    save_instance,
+    serialize_instance,
+)
 
 
 def run(capsys, *argv):
@@ -93,6 +99,15 @@ class TestNumericFragments:
         rc, out, err = run(capsys, "gkm", bundled("cube"), "--max-deg", "-3")
         assert rc == 1 and out == ""
         assert err == "error: --max-deg must be at least 0, got -3\n"
+
+    def test_gkm_max_deg_is_bounded(self, capsys):
+        rc, out, err = run(capsys, "gkm", bundled("cube"), "--max-deg", str(MAX_DEG))
+        assert rc == 0 and err == "" and f"max_deg={MAX_DEG} match=true" in out
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "gkm", bundled("cube"), "--max-deg", "3000000")
+        assert time.perf_counter() - start < 1.0
+        assert rc == 1 and out == ""
+        assert err == f"error: --max-deg must be at most {MAX_DEG}, got 3000000\n"
 
     def test_gkm_annulus_skipped(self, capsys):
         rc, out, _ = run(capsys, "gkm", bundled("annulus"))
@@ -326,6 +341,21 @@ class TestMalformedInput:
         assert rc == 1 and out == ""
         assert err == "error: triangulation points=3000000 exceeds the number of listed simplices (1)\n"
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(bytes.fromhex("fffe00626164"))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {bad} is not UTF-8 text: ")
+        assert len(err.splitlines()) == 1
+
+    def test_deeply_nested_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == f"error: {bad} is nested too deeply\n"
+
     def test_blowup_into_a_missing_directory(self, capsys, tmp_path):
         out_file = tmp_path / "missing" / "x.json"
         rc, out, err = run(
@@ -402,11 +432,13 @@ SERIALISED.update({f"ncube({n})": serialize_instance(corpus.ncube(n)) for n in (
 
 
 def arguments(cmd, d, draw):
-    """Drawn options for cmd: a --max-deg around its range, a --g of
-    bits, stray characters and non-ASCII digits, or any --face text."""
+    """Drawn options for cmd: a --max-deg around its default or past its
+    bound, a --g of bits, stray characters and non-ASCII digits, or any
+    --face text."""
     dim = d["dim"]
     if cmd == "gkm":
-        return [f"--max-deg={draw(st.integers(-3, 2 * dim + 2))}"]
+        deg = st.one_of(st.integers(-3, 2 * dim + 2), st.integers(MAX_DEG + 1, 10**12))
+        return [f"--max-deg={draw(deg)}"]
     if cmd == "fixed-locus":
         return ["--g=" + draw(st.text(alphabet="01x\u0661 ", max_size=dim + 1))]
     if cmd == "blowup":

@@ -8,9 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import corpus
+from z2torus import charfunc, corpus, poset
 from z2torus.blowup import cut_face
 from z2torus.complexes import betti_mod2, chain_complex, validate_carriers
+from z2torus.instance import parse_instance, serialize_instance
 from z2torus.poset import (
     FacePoset,
     fh_vectors,
@@ -274,6 +275,104 @@ class TestValidateAgainstOracle:
         assert validate(p).simplicial == [
             "face v: 8 faces above it with 8 distinct facet sets, wanted 2^4=16"
         ]
+
+
+def closure_oracle(p, adj):
+    """Each face with everything reachable along adj, by memoised
+    recursion, as FacePoset built its closures before it went by codim."""
+    memo = {}
+
+    def reach(f):
+        if f not in memo:
+            acc = {f}
+            for g in adj[f]:
+                acc |= reach(g)
+            memo[f] = frozenset(acc)
+        return memo[f]
+
+    for f in sorted(p.codims, key=lambda x: p.codims[x]):
+        reach(f)
+    return memo
+
+
+def assert_tables_match_oracle(p):
+    parents = {f: [] for f in p.codims}
+    children = {f: [] for f in p.codims}
+    for c, q in p.covers:
+        parents[c].append(q)
+        children[q].append(c)
+    above, below = closure_oracle(p, parents), closure_oracle(p, children)
+    for f in p.codims:
+        assert p.above(f) == above[f] and p.below(f) == below[f], f
+        facets = sorted(F for F in above[f] if p.codims[F] == 1)
+        assert p.facets_containing(f) == facets and p.facet_set(f) == set(facets), f
+
+
+class TestTablesAgainstOracle:
+    """FacePoset builds above/below by one union per face in codim order
+    and reads facets off a table; recursion must give the same sets."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SWEEP))
+    def test_instance_and_its_cuts(self, name):
+        inst = ORACLE_SWEEP[name]()
+        p, lam = inst.poset, inst.lam
+        assert_tables_match_oracle(p)
+        for f in p.faces():
+            if p.codim(f) >= 2:
+                assert_tables_match_oracle(cut_face(p, lam, f).poset)
+
+    def test_five_cube(self):
+        assert_tables_match_oracle(corpus.ncube(5).poset)
+
+    @pytest.mark.parametrize("name", ["triangle", "square_torus", "bigon", "cube"])
+    def test_every_single_edit(self, name):
+        p = corpus.BUILDERS[name]().poset
+        for e in edits(p):
+            assert_tables_match_oracle(apply_edit(p, e))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        inst = data.draw(st.sampled_from([corpus.triangle, corpus.square_torus, corpus.cube]))()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam = cut.poset, cut.lam
+            assert_tables_match_oracle(p)
+
+    def test_facets_containing_is_a_fresh_list(self):
+        p = corpus.triangle().poset
+        p.facets_containing("p12").append("F3")
+        assert p.facets_containing("p12") == ["F1", "F2"]
+
+
+class TestLazyFindings:
+    """Loading and cutting read only `sound`, so they never build the
+    1-skeleton or run a per-face connectivity check; the findings are
+    computed when a report's has_vertex / skeleton_connected is read."""
+
+    def test_load_and_cut_skip_the_skeleton(self, monkeypatch, split_annulus_data):
+        def refuse(*args):
+            raise AssertionError("skeleton check ran")
+
+        monkeypatch.setattr(poset, "count_components", refuse)
+        monkeypatch.setattr(poset, "one_skeleton", refuse)
+        monkeypatch.setattr(charfunc, "one_skeleton", refuse)
+        for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
+            inst = parse_instance(data)
+            cut = cut_face(inst.poset, inst.lam, inst.poset.vertices()[0])
+            assert validate(cut.poset).sound
+        rep = validate(parse_instance(split_annulus_data).poset)
+        monkeypatch.undo()
+        assert rep.skeleton_connected == ["1-skeleton of face Q is disconnected"]
+        assert rep.has_vertex == [] and rep.sound and not rep.ok
+
+    def test_findings_are_empty_after_a_structural_failure(self):
+        # two top faces, and no face contains a vertex
+        p = FacePoset(2, {"Q": 0, "R": 0, "F": 1}, {("F", "Q")})
+        rep = validate(p)
+        assert rep.structural and rep.has_vertex == [] and rep.skeleton_connected == []
 
 
 class TestFHVectors:
