@@ -47,7 +47,6 @@ from .model import (
     build_quotient,
     facial_components,
     fixed_locus,
-    fixed_points,
     formality_verdict,
 )
 from .poset import (
@@ -101,7 +100,6 @@ __all__ = [
     "facial_components",
     "fh_vectors",
     "fixed_locus",
-    "fixed_points",
     "formality_verdict",
     "gorenstein_quick_checks",
     "is_face_acyclic",

@@ -44,8 +44,10 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
             f"cut face must have codimension in 2..{p.n}, {f} has {k}"
         )
     T = tuple(p.facets_containing(f))
-    below_f = sorted(p.below(f), key=p.face_key)
-    old = [g for g in p.faces() if not p.leq(g, f)]
+    old: list[str] = []
+    below_f: list[str] = []
+    for g in p.faces():
+        (below_f if p.leq(g, f) else old).append(g)
 
     subsets: list[tuple[str, ...]] = []
     for size in range(1, k + 1):

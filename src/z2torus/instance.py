@@ -5,12 +5,15 @@ Keys: "name", "dim", "faces" [{"id","codim"}], "inclusions"
 "lambda" {facet: [n bits]}, optional "triangulation" {"points": count,
 "simplices": [{"verts": [...], "carrier": id}]} listing every simplex
 of every dimension.  Parsing returns a fully validated Instance or
-raises InputError carrying all witnesses found.
+raises InputError carrying all witnesses found.  Files are written in
+the layout of json.dumps(indent=1), byte for byte, with keys in the
+order above.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +31,24 @@ MAX_DEG = 4 * MAX_DIM  # gkm --max-deg: twice its largest default, 2 * MAX_DIM
 def _is_int(x: object) -> bool:
     """A JSON integer; bool is an int subclass in Python but not here."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _not_unicode(strings: Iterable[str]) -> list[str]:
+    """One witness per distinct string that UTF-8 cannot encode: JSON
+    admits lone surrogates such as "\\ud800", Unicode text does not."""
+    strings = list(strings)
+    try:
+        "".join(strings).encode("utf-8")  # joining never pairs surrogates
+        return []
+    except UnicodeEncodeError:
+        pass
+    found = []
+    for s in dict.fromkeys(strings):
+        try:
+            s.encode("utf-8")
+        except UnicodeEncodeError:
+            found.append(f"string {s!r} is not valid Unicode: it holds a lone surrogate")
+    return found
 
 
 @dataclass
@@ -78,10 +99,11 @@ def parse_instance(data: object) -> Instance:
         codims[fid] = k
     covers: set[tuple[str, str]] = set()
     for pair in data["inclusions"]:
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, str) for x in pair)
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and isinstance(pair[0], str)
+            and isinstance(pair[1], str)
         ):
             errors.append(f"inclusion {pair!r} must be [child, parent]")
             continue
@@ -90,6 +112,8 @@ def parse_instance(data: object) -> Instance:
             if x not in codims:
                 errors.append(f"inclusion {pair!r} names unknown face {x!r}")
         covers.add((child, parent))
+    # carriers must name face ids, so checking these covers them too
+    errors.extend(_not_unicode([name, *codims, *(x for pair in covers for x in pair)]))
     if errors:
         raise InputError(errors)
 
@@ -106,6 +130,7 @@ def parse_instance(data: object) -> Instance:
         raw = data["lambda"]
         if not isinstance(raw, dict):
             raise InputError("lambda must be an object mapping facet to bit list")
+        errors.extend(_not_unicode(raw))
         values: dict[str, Vec] = {}
         for fid, bits in sorted(raw.items()):
             if not isinstance(bits, list) or len(bits) != n or any(
@@ -184,30 +209,63 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(data)
 
 
-def serialize_instance(inst: Instance) -> dict:
+_str = json.encoder.encode_basestring_ascii  # the C string encoder json.dumps uses
+
+
+def _array(items: list[str], pad: int) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=1)
+    lays it out at nesting depth pad."""
+    if not items:
+        return "[]"
+    sep = "\n" + " " * (pad + 1)
+    return "[" + sep + ("," + sep).join(items) + "\n" + " " * pad + "]"
+
+
+def _object(pairs: list[tuple[str, str]], pad: int) -> str:
+    """A JSON object of keys and rendered values, as _array lays out arrays."""
+    if not pairs:
+        return "{}"
+    sep = "\n" + " " * (pad + 1)
+    body = ("," + sep).join(f"{_str(k)}: {v}" for k, v in pairs)
+    return "{" + sep + body + "\n" + " " * pad + "}"
+
+
+def instance_text(inst: Instance) -> str:
+    """The instance file's text: byte for byte what json.dumps(indent=1)
+    writes, plus a newline, with keys in a fixed order.  json.dumps with
+    an indent runs CPython's pure-Python encoder, so this writes the
+    layout itself and leaves only the strings to the C encoder."""
     p = inst.poset
-    out: dict = {
-        "name": inst.name,
-        "dim": p.n,
-        "faces": [{"id": f, "codim": p.codim(f)} for f in p.faces()],
-        "inclusions": sorted([c, q] for c, q in p.covers),
-    }
+    faces = [_object([("id", _str(f)), ("codim", str(p.codims[f]))], 2) for f in p.faces()]
+    covers = [_array([_str(c), _str(q)], 2) for c, q in p.sorted_covers]
+    top = [
+        ("name", _str(inst.name)),
+        ("dim", str(p.n)),
+        ("faces", _array(faces, 1)),
+        ("inclusions", _array(covers, 1)),
+    ]
     if inst.lam is not None:
-        out["lambda"] = {F: inst.lam.vec(F).to_bits() for F in sorted(inst.lam.values)}
+        lam = inst.lam
+        bits = [(F, _array([str(b) for b in lam.vec(F).to_bits()], 2)) for F in sorted(lam.values)]
+        top.append(("lambda", _object(bits, 1)))
     if inst.triangulation is not None:
         tri = inst.triangulation
-        out["triangulation"] = {
-            "points": tri.n_points,
-            "simplices": [
-                {"verts": list(sx), "carrier": tri.simplices[sx]}
-                for sx in sorted(tri.simplices, key=lambda s: (len(s), s))
-            ],
-        }
-    return out
+        simplices = []
+        for sx in sorted(tri.simplices, key=lambda s: (len(s), s)):
+            verts = _array([str(v) for v in sx], 4)
+            simplices.append(_object([("verts", verts), ("carrier", _str(tri.simplices[sx]))], 3))
+        fields = [("points", str(tri.n_points)), ("simplices", _array(simplices, 2))]
+        top.append(("triangulation", _object(fields, 1)))
+    return _object(top, 0) + "\n"
+
+
+def serialize_instance(inst: Instance) -> dict:
+    """The instance as the JSON value its file holds."""
+    return json.loads(instance_text(inst))
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:
     try:
-        Path(path).write_text(json.dumps(serialize_instance(inst), indent=1) + "\n")
+        Path(path).write_text(instance_text(inst))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}")

@@ -27,12 +27,6 @@ def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> Quotie
     return QuotientComplex(c, lam)
 
 
-def fixed_points(p: FacePoset) -> tuple[list[str], int]:
-    """Vertices of Q: each is a single cell of the model, fixed by everything."""
-    vs = p.vertices()
-    return vs, len(vs)
-
-
 @dataclass(frozen=True)
 class FixedLocus:
     faces: tuple[str, ...]

@@ -31,7 +31,9 @@ def _closure(adj: dict[str, list[str]], order: Iterable[str]) -> dict[str, froze
 
 
 class FacePoset:
-    """Graded face poset with containment closure and facet sets precomputed."""
+    """Graded face poset with the faces above each face, facet sets and the
+    canonical face and cover orders precomputed; the faces below each face
+    are computed on first read."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: set[tuple[str, str]]):
         if n < 0:
@@ -47,23 +49,29 @@ class FacePoset:
             if self.codims[c] <= self.codims[p]:
                 raise ValueError(f"cover ({c!r}, {p!r}) does not go up in codim")
         self.covers = frozenset(covers)
+        self.sorted_covers = tuple(sorted(self.covers))
+        self._order = tuple(sorted(self.codims, key=self.face_key))
         self._parents: dict[str, list[str]] = {f: [] for f in self.codims}
         self._children: dict[str, list[str]] = {f: [] for f in self.codims}
-        for c, p in sorted(self.covers):
+        for c, p in self.sorted_covers:
             self._parents[c].append(p)
             self._children[p].append(c)
         # a face's parents have smaller codim, its children larger
-        order = sorted(self.codims, key=self.codims.__getitem__)
-        self._above = _closure(self._parents, order)
-        self._below = _closure(self._children, reversed(order))
+        self._above = _closure(self._parents, self._order)
         facets = frozenset(f for f, k in self.codims.items() if k == 1)
         self._facet_sets = {f: up & facets for f, up in self._above.items()}
         self._facets = {f: tuple(sorted(S)) for f, S in self._facet_sets.items()}
 
     # -- basic queries -------------------------------------------------
 
+    @cached_property
+    def _below(self) -> dict[str, frozenset[str]]:
+        # built on first read: validating and cutting never need it
+        return _closure(self._children, reversed(self._order))
+
     def faces(self) -> list[str]:
-        return sorted(self.codims, key=self.face_key)
+        """Every face in the canonical (codim, id) order; a fresh list each call."""
+        return list(self._order)
 
     def face_key(self, f: str) -> tuple[int, str]:
         return (self.codims[f], f)
@@ -75,7 +83,7 @@ class FacePoset:
         return self.n - self.codims[f]
 
     def faces_of_codim(self, k: int) -> list[str]:
-        return sorted((f for f, c in self.codims.items() if c == k))
+        return [f for f in self._order if self.codims[f] == k]
 
     def facets(self) -> list[str]:
         return self.faces_of_codim(1)
@@ -226,7 +234,7 @@ def validate(p: FacePoset) -> PosetReport:
     tops = p.faces_of_codim(0)
     if len(tops) != 1:
         rep.structural.append(f"expected exactly one codim-0 face, found {tops}")
-    for c, par in sorted(p.covers):
+    for c, par in p.sorted_covers:
         if p.codims[c] != p.codims[par] + 1:
             rep.structural.append(
                 f"cover ({c}, {par}) jumps codim {p.codims[par]} -> {p.codims[c]}"

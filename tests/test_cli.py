@@ -349,6 +349,31 @@ class TestMalformedInput:
         assert err.startswith(f"error: {bad} is not UTF-8 text: ")
         assert len(err.splitlines()) == 1
 
+    def test_lone_surrogates_are_refused(self, capsys, tmp_path):
+        # JSON admits "\ud800"; printing it as text would raise
+        bad = tmp_path / "bad.json"
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["name"] = "\ud800x"
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == "error: string '\\ud800x' is not valid Unicode: it holds a lone surrogate\n"
+        rename = {"B": "B\udc00", "TR": "\udbff"}
+        data["faces"] = [{**f, "id": rename.get(f["id"], f["id"])} for f in data["faces"]]
+        data["inclusions"] = [[rename.get(x, x) for x in pair] for pair in data["inclusions"]]
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert [line.split("'")[1] for line in err.splitlines()] == [
+            "\\ud800x", "B\\udc00", "\\udbff"
+        ]
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["lambda"]["\ud800"] = [0, 1]
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == "error: string '\\ud800' is not valid Unicode: it holds a lone surrogate\n"
+
     def test_deeply_nested_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[" * 100000 + "]" * 100000)
@@ -392,9 +417,11 @@ class TestMalformedInput:
 def mutate(data, draw):
     """One edit of a serialised instance: a face (with the inclusions and
     the lambda entry naming it), an inclusion, a lambda entry or a simplex
-    dropped, a codim, a lambda entry or a carrier changed, or dim set to 0."""
+    dropped, a codim, a lambda entry or a carrier changed, dim set to 0, or
+    a name, face id, inclusion end, lambda key or carrier given characters
+    that may be lone surrogates."""
     d = copy.deepcopy(data)
-    kinds = ["drop face", "drop inclusion", "codim", "dim 0"]
+    kinds = ["drop face", "drop inclusion", "codim", "dim 0", "surrogate"]
     if d.get("lambda"):
         kinds += ["change lambda", "drop lambda"]
     if "triangulation" in d:
@@ -414,6 +441,8 @@ def mutate(data, draw):
         d["faces"][pick(d["faces"])]["codim"] = draw(st.integers(-1, d["dim"] + 1))
     elif kind == "dim 0":
         d["dim"] = 0
+    elif kind == "surrogate":
+        spoil_string(d, draw)
     elif kind == "change lambda":
         facet = draw(st.sampled_from(sorted(d["lambda"])))
         d["lambda"][facet] = draw(st.lists(st.integers(0, 1), min_size=d["dim"], max_size=d["dim"]))
@@ -425,6 +454,32 @@ def mutate(data, draw):
         simplex = d["triangulation"]["simplices"][pick(d["triangulation"]["simplices"])]
         simplex["carrier"] = draw(st.sampled_from([f["id"] for f in data["faces"]]))
     return d
+
+
+def spoil_string(d, draw):
+    """Prefix the name, a face id, an inclusion end, a lambda key or a
+    carrier of d, in place, with characters that may be lone surrogates:
+    JSON admits them, Unicode text does not."""
+    prefix = draw(st.text(alphabet="x\ud800\udfff", min_size=1, max_size=3))
+
+    def pick(seq):
+        return seq[draw(st.integers(min_value=0, max_value=len(seq) - 1))]
+
+    where = draw(st.sampled_from(["name", "face id", "inclusion", "lambda key", "carrier"]))
+    if where == "name":
+        d["name"] = prefix + d["name"]
+    elif where == "face id" and d["faces"]:
+        entry = pick(d["faces"])
+        entry["id"] = prefix + entry["id"]
+    elif where == "inclusion" and d["inclusions"]:
+        pair = pick(d["inclusions"])
+        pair[1] = prefix + pair[1]
+    elif where == "lambda key" and d.get("lambda"):
+        facet = pick(sorted(d["lambda"]))
+        d["lambda"][prefix + facet] = d["lambda"].pop(facet)
+    elif where == "carrier" and "triangulation" in d:
+        simplex = pick(d["triangulation"]["simplices"])
+        simplex["carrier"] = prefix + simplex["carrier"]
 
 
 SERIALISED = {name: serialize_instance(build()) for name, build in corpus.BUILDERS.items()}
@@ -458,19 +513,37 @@ class TestFuzz:
         d = SERIALISED[data.draw(st.sampled_from(sorted(SERIALISED)))]
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             d = mutate(d, data.draw)
-        cmd = data.draw(st.sampled_from(sorted(COMMANDS)))
+        self.assert_cli_survives(d, data.draw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_unprintable_strings(self, data):
+        # one edit alone, so the instance is often otherwise sound and its
+        # strings reach standard output
+        d = copy.deepcopy(SERIALISED[data.draw(st.sampled_from(sorted(SERIALISED)))])
+        spoil_string(d, data.draw)
+        self.assert_cli_survives(d, data.draw)
+
+    @staticmethod
+    def assert_cli_survives(d, draw):
+        cmd = draw(st.sampled_from(sorted(COMMANDS)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edited.json"
             path.write_text(json.dumps(d))
-            argv = [cmd, str(path), *arguments(cmd, d, data.draw)]
+            argv = [cmd, str(path), *arguments(cmd, d, draw)]
             if cmd == "blowup":
                 argv += ["--out", str(Path(tmp) / "cut.json")]
-            out, err = io.StringIO(), io.StringIO()
+            # encoding streams, as sys.stdout and sys.stderr are: a StringIO
+            # would take text that cannot be printed
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
             with redirect_stdout(out), redirect_stderr(err):
                 rc = main(argv)
+            err.seek(0)
+            err_lines = err.read().splitlines()
         assert rc in (0, 1, 2)
         if rc == 1:
-            assert all(line.startswith("error:") for line in err.getvalue().splitlines())
+            assert all(line.startswith("error:") for line in err_lines)
 
 
 class TestModeAGate:

