@@ -5,7 +5,7 @@ models, formality verdicts, equivariant cohomology dimensions,
 corner-cut surgery, and the binary codes carried by fixed points.
 """
 
-from .blowup import CountsCheck, CutResult, acyclicity_preservation, blowup_counts_check, cut_face
+from .blowup import CountsCheck, CutResult, blowup_counts_check, cut_face
 from .charfunc import (
     CharFunction,
     GkmGraph,
@@ -26,7 +26,6 @@ from .complexes import (
     Gf2ChainComplex,
     QuotientComplex,
     betti_mod2,
-    chain_complex,
     face_acyclicity,
     is_face_acyclic,
     reduced_betti,
@@ -82,12 +81,10 @@ __all__ = [
     "QuotientComplex",
     "Subgroup",
     "Vec",
-    "acyclicity_preservation",
     "axial_function",
     "betti_mod2",
     "blowup_counts_check",
     "build_quotient",
-    "chain_complex",
     "check_face_ring_relations",
     "coloring_classes",
     "cut_face",

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .charfunc import CharFunction, face_restriction, validate_lambda
-from .complexes import CarrierComplex, is_face_acyclic
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
 from .model import formality_verdict
@@ -89,7 +88,7 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
 
     rep = validate(poset2)
     if not rep.sound:
-        raise InputError(["cut poset fails validation"] + rep.structural + rep.simplicial + rep.nice)
+        raise InputError(["cut poset fails validation"] + rep.witnesses())
 
     new_facet = _new_id(f, T)
     label = Vec(0, lam.n)
@@ -156,24 +155,4 @@ def blowup_counts_check(
         after.sum_betti == before.sum_betti + (k - 1) * face_sum,
         before.hsiang,
         after.hsiang,
-    )
-
-
-@dataclass(frozen=True)
-class AcyclicityComparison:
-    before: bool
-    after: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.before == self.after
-
-
-def acyclicity_preservation(
-    before: CarrierComplex, after: CarrierComplex
-) -> AcyclicityComparison:
-    """Compare the face-acyclicity verdicts of mode-B models of Q and of
-    the cut result; a blow-up preserves face-acyclicity."""
-    return AcyclicityComparison(
-        is_face_acyclic(before).verdict, is_face_acyclic(after).verdict
     )

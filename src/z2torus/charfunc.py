@@ -34,7 +34,6 @@ class Subgroup:
         for v in gens:
             if v.n != n:
                 raise ValueError("generator width mismatch")
-        self.gens = list(gens)
         self._rows, self._pivots = _rref_rows(v.bits for v in gens)
 
     @property

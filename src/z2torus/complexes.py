@@ -28,21 +28,14 @@ Simplex = tuple[int, ...]
 class CarrierComplex:
     """Simplicial complex with a carrier face label on every simplex."""
 
-    def __init__(
-        self,
-        poset: FacePoset,
-        n_points: int,
-        simplices: dict[Simplex, str],
-        vertex_labels: list[str] | None = None,
-    ):
+    def __init__(self, poset: FacePoset, n_points: int, simplices: dict[Simplex, str]):
         self.poset = poset
         self.n_points = n_points
         self.simplices = dict(simplices)
-        self.vertex_labels = vertex_labels
         for sx in simplices:
-            if list(sx) != sorted(set(sx)):
-                raise ValueError(f"simplex {sx} is not a sorted vertex tuple")
-            if sx and not (0 <= sx[0] and sx[-1] < n_points):
+            if not sx or list(sx) != sorted(set(sx)):
+                raise ValueError(f"simplex {sx} is not a nonempty sorted vertex tuple")
+            if not (0 <= sx[0] and sx[-1] < n_points):
                 raise ValueError(f"simplex {sx} uses points outside 0..{n_points - 1}")
 
     def dim(self) -> int:
@@ -194,11 +187,6 @@ class QuotientComplex:
         return sum(len(c) for c in self.cells)
 
 
-def chain_complex(c: CarrierComplex | FaceComplex) -> Gf2ChainComplex:
-    """Mod-2 cellular chain complex, cells in canonical sorted order."""
-    return QuotientComplex(c).chain
-
-
 def _check_squares(cc: Gf2ChainComplex) -> None:
     for d in range(2, len(cc.dims)):
         if not compose_is_zero(cc.boundaries[d], cc.boundaries[d - 1]):
@@ -311,14 +299,13 @@ class CarrierReport:
         return self.closure + self.carriers + self.face_strata
 
 
-def validate_carriers(c: CarrierComplex, require_face_dims: bool = True) -> CarrierReport:
+def validate_carriers(c: CarrierComplex) -> CarrierReport:
     """Closure, carrier monotonicity, and per-face pseudo-manifold checks.
 
-    For each face f the carried subcomplex must be pure, with every wall
+    For each face f the carried subcomplex must have dimension dim(f), as
+    a genuine triangulation of Q does, and be pure, with every wall
     ((d-1)-simplex) in two top simplices when carried by f itself and in
-    one when carried by a proper subface.  require_face_dims additionally
-    demands that the subcomplex of f has dimension dim(f), i.e. that the
-    complex is a genuine triangulation of Q rather than a surrogate.
+    one when carried by a proper subface.
     """
     rep = CarrierReport()
     p = c.poset
@@ -348,7 +335,7 @@ def validate_carriers(c: CarrierComplex, require_face_dims: bool = True) -> Carr
             rep.face_strata.append(f"face {f} carries no simplex")
             continue
         d = max(len(sx) - 1 for sx in sub)
-        if require_face_dims and d != p.dim_face(f):
+        if d != p.dim_face(f):
             rep.face_strata.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )

@@ -29,6 +29,7 @@ once and for all.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import comb
@@ -53,9 +54,6 @@ def poly_var(n: int, i: int) -> Poly:
 def poly_linear(v: Vec) -> Poly:
     """The linear form with coefficient vector v."""
     return frozenset(tuple(1 if j == i else 0 for j in range(v.n)) for i in v.support())
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p ^ q
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
     acc: set[tuple[int, ...]] = set()
@@ -111,12 +109,29 @@ def divisible_by(p: Poly, alpha: Vec) -> bool:
     return not image
 
 
-def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly]) -> bool:
-    """Does the vertex tuple satisfy every edge divisibility constraint?"""
-    for e, (v, w) in g.edges.items():
-        if not divisible_by(poly_add(cls[v], cls[w]), g.axial[e]):
+def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly], edges: Iterable[str]) -> bool:
+    """Does the vertex tuple satisfy the divisibility constraint of each
+    of the given edges?  A vertex missing from cls carries 0."""
+    zero = poly_zero()
+    for e in edges:
+        v, w = g.edges[e]
+        if not divisible_by(cls.get(v, zero) ^ cls.get(w, zero), g.axial[e]):
             return False
     return True
+
+
+def _thom_products(g: GkmGraph, face: Iterable[str], inside: Container[str]) -> dict[str, Poly]:
+    """A face's Thom-type class at its vertices: at each vertex w of the
+    face, the product of the axial forms of the edges at w that leave it,
+    those not `inside` the face."""
+    out: dict[str, Poly] = {}
+    for w in face:
+        poly = poly_one(g.n)
+        for e in g.edges_at(w):
+            if e not in inside:
+                poly = poly_mul(poly, poly_linear(g.axial[e]))
+        out[w] = poly
+    return out
 
 
 def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int | None:
@@ -144,17 +159,9 @@ def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int |
                 if u not in face:
                     face.add(u)
                     stack.append(u)
-    tau: dict[str, Poly] = {}
-    for w in face:
-        tau[w] = poly_one(g.n)
-        for e in g.edges_at(w):
-            if e not in face_edges:
-                tau[w] = poly_mul(tau[w], poly_linear(g.axial[e]))
-    zero = poly_zero()
-    for e in {e for w in face for e in g.edges_at(w)}:
-        a, b = g.edges[e]
-        if not divisible_by(tau.get(a, zero) ^ tau.get(b, zero), g.axial[e]):
-            return None
+    tau = _thom_products(g, face, face_edges)
+    if not satisfies_gkm(g, tau, {e for w in face for e in g.edges_at(w)}):
+        return None
     return len(down)
 
 
@@ -257,21 +264,13 @@ def thom_restriction(
     if f not in p.codims:
         raise InputError(f"unknown face {f!r}")
     k = p.codim(f)
-    out: dict[str, Poly] = {}
-    for v in graph.vertices:
-        if not p.leq(v, f):
-            out[v] = poly_zero()
-            continue
-        transverse = [e for e in graph.edges_at(v) if not p.leq(e, f)]
-        if len(transverse) != k:
-            raise InputError(
-                f"vertex {v} of {f} has {len(transverse)} transverse edges, wanted {k}"
-            )
-        poly = poly_one(p.n)
-        for e in transverse:
-            poly = poly_mul(poly, poly_linear(graph.axial[e]))
-        out[v] = poly
-    return out
+    inside = {e for e in graph.edges if p.leq(e, f)}
+    face = [v for v in graph.vertices if p.leq(v, f)]
+    for v in face:
+        transverse = sum(e not in inside for e in graph.edges_at(v))
+        if transverse != k:
+            raise InputError(f"vertex {v} of {f} has {transverse} transverse edges, wanted {k}")
+    return {v: poly_zero() for v in graph.vertices} | _thom_products(graph, face, inside)
 
 
 @dataclass
@@ -324,7 +323,7 @@ def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsRepor
                 else:
                     acc = poly_zero()
                     for g in meet:
-                        acc = poly_add(acc, thom[g][v])
+                        acc ^= thom[g][v]
                     rhs = poly_mul(thom[join][v], acc)
                 if lhs != rhs:
                     rep.product_failures.append(
@@ -336,7 +335,7 @@ def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsRepor
             acc = poly_zero()
             for F in p.facets():
                 if lam.vec(F)[j]:
-                    acc = poly_add(acc, thom[F][v])
+                    acc ^= thom[F][v]
             if acc != t:
                 rep.linearity_failures.append(
                     f"sum_F <r_{j + 1}, lambda(F)> tau(F) != r_{j + 1} at vertex {v}"

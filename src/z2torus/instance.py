@@ -123,7 +123,7 @@ def parse_instance(data: object) -> Instance:
         raise InputError(str(exc))
     rep = validate(poset)
     if not rep.sound:
-        raise InputError(rep.structural + rep.simplicial + rep.nice)
+        raise InputError(rep.witnesses())
 
     lam = None
     if "lambda" in data:
@@ -189,7 +189,7 @@ def parse_instance(data: object) -> Instance:
         if errors:
             raise InputError(errors)
         tri = CarrierComplex(poset, raw["points"], simplices)
-        crep = validate_carriers(tri, require_face_dims=True)
+        crep = validate_carriers(tri)
         if not crep.ok:
             raise InputError(crep.witnesses())
     return Instance(name, poset, lam, tri)
@@ -237,7 +237,7 @@ def instance_text(inst: Instance) -> str:
     layout itself and leaves only the strings to the C encoder."""
     p = inst.poset
     faces = [_object([("id", _str(f)), ("codim", str(p.codims[f]))], 2) for f in p.faces()]
-    covers = [_array([_str(c), _str(q)], 2) for c, q in p.sorted_covers]
+    covers = [_array([_str(c), _str(q)], 2) for c, q in p.covers]
     top = [
         ("name", _str(inst.name)),
         ("dim", str(p.n)),

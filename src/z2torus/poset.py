@@ -48,12 +48,11 @@ class FacePoset:
                 raise ValueError(f"cover ({c!r}, {p!r}) names an unknown face")
             if self.codims[c] <= self.codims[p]:
                 raise ValueError(f"cover ({c!r}, {p!r}) does not go up in codim")
-        self.covers = frozenset(covers)
-        self.sorted_covers = tuple(sorted(self.covers))
+        self.covers = tuple(sorted(covers))
         self._order = tuple(sorted(self.codims, key=self.face_key))
         self._parents: dict[str, list[str]] = {f: [] for f in self.codims}
         self._children: dict[str, list[str]] = {f: [] for f in self.codims}
-        for c, p in self.sorted_covers:
+        for c, p in self.covers:
             self._parents[c].append(p)
             self._children[p].append(c)
         # a face's parents have smaller codim, its children larger
@@ -179,7 +178,12 @@ class PosetReport:
     @property
     def sound(self) -> bool:
         """Structure good enough for every downstream computation."""
-        return not (self.structural or self.simplicial or self.nice)
+        return not self.witnesses()
+
+    def witnesses(self) -> list[str]:
+        """The findings that make the poset unsound, in the order loading
+        and cutting report them."""
+        return self.structural + self.simplicial + self.nice
 
     @property
     def ok(self) -> bool:
@@ -234,7 +238,7 @@ def validate(p: FacePoset) -> PosetReport:
     tops = p.faces_of_codim(0)
     if len(tops) != 1:
         rep.structural.append(f"expected exactly one codim-0 face, found {tops}")
-    for c, par in p.sorted_covers:
+    for c, par in p.covers:
         if p.codims[c] != p.codims[par] + 1:
             rep.structural.append(
                 f"cover ({c}, {par}) jumps codim {p.codims[par]} -> {p.codims[c]}"
@@ -343,28 +347,13 @@ def order_complex(p: FacePoset) -> "CarrierComplex":
     proper = [f for f in p.faces() if p.codims[f] > 0]
     index = {f: i for i, f in enumerate(proper)}
     apex = len(proper)
-
-    chains: list[list[str]] = []
-    by_largest: dict[str, list[list[str]]] = {f: [[f]] for f in proper}
-    # extend chains downward; process largest faces first
-    for f in proper:
-        below = sorted((g for g in p.below(f) if g != f), key=p.face_key)
-        grown: list[list[str]] = [[f]]
-        frontier = [[f]]
-        while frontier:
-            nxt = []
-            for ch in frontier:
-                last = ch[-1]
-                for g in below:
-                    if p.leq(g, last) and g != last:
-                        nxt.append(ch + [g])
-            grown.extend(nxt)
-            frontier = nxt
-        by_largest[f] = grown
     simplices: dict[tuple[int, ...], str] = {(apex,): top}
     for f in proper:
-        for ch in by_largest[f]:
-            sx = tuple(sorted(index[g] for g in ch))
+        stack = [((index[f],), f)]  # strictly descending chains from f
+        while stack:
+            chain, last = stack.pop()
+            sx = tuple(sorted(chain))
             simplices[sx] = f
-            simplices[tuple(sorted(sx + (apex,)))] = top
-    return CarrierComplex(p, apex + 1, simplices, vertex_labels=proper + ["*"])
+            simplices[sx + (apex,)] = top
+            stack.extend((chain + (index[g],), g) for g in p.below(last) - {last})
+    return CarrierComplex(p, apex + 1, simplices)

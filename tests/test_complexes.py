@@ -6,8 +6,8 @@ from z2torus import corpus
 from z2torus.complexes import (
     CarrierComplex,
     Gf2ChainComplex,
+    QuotientComplex,
     betti_mod2,
-    chain_complex,
     is_face_acyclic,
     reduced_betti,
     validate_carriers,
@@ -33,7 +33,7 @@ def rebuilt_acyclicity(c):
     for f in c.poset.faces():
         sub = face_subcomplex(c, f)
         if sub.simplices:
-            per_face[f] = reduced_betti(chain_complex(sub))
+            per_face[f] = reduced_betti(QuotientComplex(sub).chain)
         else:
             empty.append(f)
     return per_face, empty
@@ -57,16 +57,16 @@ def close_down(tops):
 class TestHomology:
     def test_circle(self):
         c = plain(close_down([(0, 1), (1, 2), (0, 2)]), 3)
-        assert betti_mod2(chain_complex(c)) == (1, 1)
-        assert reduced_betti(chain_complex(c)) == (0, 1)
+        assert betti_mod2(QuotientComplex(c).chain) == (1, 1)
+        assert reduced_betti(QuotientComplex(c).chain) == (0, 1)
 
     def test_two_points(self):
         c = plain([(0,), (1,)], 2)
-        assert betti_mod2(chain_complex(c)) == (2,)
+        assert betti_mod2(QuotientComplex(c).chain) == (2,)
 
     def test_filled_triangle(self):
         c = plain(close_down([(0, 1, 2)]), 3)
-        assert betti_mod2(chain_complex(c)) == (1, 0, 0)
+        assert betti_mod2(QuotientComplex(c).chain) == (1, 0, 0)
 
     def test_octahedron_boundary_is_a_sphere(self):
         # vertices 0/1 = poles, 2,3,4,5 = equator square
@@ -75,7 +75,7 @@ class TestHomology:
             tops.append(tuple(sorted((0, a, b))))
             tops.append(tuple(sorted((1, a, b))))
         c = plain(close_down(tops), 6)
-        assert betti_mod2(chain_complex(c)) == (1, 0, 1)
+        assert betti_mod2(QuotientComplex(c).chain) == (1, 0, 1)
 
     def test_projective_plane(self):
         # 6-vertex triangulation (antipodal icosahedron quotient);
@@ -90,17 +90,17 @@ class TestHomology:
         for e in edges:
             cofaces = [t for t in tops if set(e) <= set(t)]
             assert len(cofaces) == 2, e
-        assert betti_mod2(chain_complex(c)) == (1, 1, 1)
+        assert betti_mod2(QuotientComplex(c).chain) == (1, 1, 1)
 
     def test_empty_complex(self):
-        cc = chain_complex(CarrierComplex(POINT_POSET, 0, {}))
+        cc = QuotientComplex(CarrierComplex(POINT_POSET, 0, {})).chain
         assert cc.dims == ()
         assert betti_mod2(cc) == ()
 
     def test_closure_failure(self):
         c = CarrierComplex(POINT_POSET, 2, {(0, 1): "Q", (0,): "Q"})
         with pytest.raises(ValueError, match="misses facet"):
-            chain_complex(c)
+            QuotientComplex(c)
 
     def test_boundary_squared_guard(self):
         bad = Gf2ChainComplex(
@@ -119,6 +119,11 @@ class TestCarrierComplex:
             CarrierComplex(POINT_POSET, 2, {(0, 0): "Q"})
         with pytest.raises(ValueError):
             CarrierComplex(POINT_POSET, 2, {(0, 5): "Q"})
+        # the empty simplex would be filed under the top dimension
+        tri = dict(corpus.square_torus().triangulation.simplices)
+        tri[()] = "Q"
+        with pytest.raises(ValueError):
+            CarrierComplex(corpus.square_torus().poset, 4, tri)
 
     def test_dim_and_levels(self):
         tri = corpus.square_torus().triangulation
@@ -132,12 +137,12 @@ class TestFaceSubcomplex:
         sub = face_subcomplex(tri, "B")
         assert sub.n_points == 2
         assert set(sub.simplices) == {(0,), (1,), (0, 1)}
-        assert betti_mod2(chain_complex(sub)) == (1, 0)
+        assert betti_mod2(QuotientComplex(sub).chain) == (1, 0)
 
     def test_annulus_facet_is_a_circle(self):
         tri = corpus.annulus().triangulation
         sub = face_subcomplex(tri, "F1")
-        assert betti_mod2(chain_complex(sub)) == (1, 1)
+        assert betti_mod2(QuotientComplex(sub).chain) == (1, 1)
 
 
 class TestFaceAcyclicity:
@@ -180,14 +185,15 @@ class TestValidateCarriers:
     def test_mode_b_corpus_passes_strict(self):
         for name in ("square_torus", "square_klein", "annulus", "cut_triangle"):
             inst = corpus.BUILDERS[name]()
-            rep = validate_carriers(inst.triangulation, require_face_dims=True)
+            rep = validate_carriers(inst.triangulation)
             assert rep.ok, (name, rep.witnesses())
 
     def test_surrogate_passes_weak_fails_strict(self):
-        oc = order_complex(corpus.annulus().poset)
-        assert validate_carriers(oc, require_face_dims=False).ok
-        strict = validate_carriers(oc, require_face_dims=True)
-        assert not strict.ok and strict.face_strata
+        # the surrogate fails only the check that each face's subcomplex
+        # has the face's dimension
+        rep = validate_carriers(order_complex(corpus.annulus().poset))
+        assert not rep.ok and rep.face_strata
+        assert all("has dimension" in w for w in rep.witnesses())
 
     def test_unknown_carrier(self):
         rep = validate_carriers(CarrierComplex(POINT_POSET, 1, {(0,): "X"}))
@@ -200,7 +206,7 @@ class TestValidateCarriers:
     def test_carrier_monotonicity(self):
         p = corpus.triangle().poset
         c = CarrierComplex(p, 2, {(0,): "Q", (1,): "p12", (0, 1): "p12"})
-        rep = validate_carriers(c, require_face_dims=False)
+        rep = validate_carriers(c)
         assert any("not inside carrier" in w for w in rep.carriers)
 
     def test_missing_facet_simplex(self):
@@ -212,8 +218,5 @@ class TestValidateCarriers:
         # a square's facet triangulated with a dangling extra edge
         tri = dict(corpus.square_torus().triangulation.simplices)
         tri[(1, 3)] = "B"
-        rep = validate_carriers(
-            CarrierComplex(corpus.square_torus().poset, 4, tri),
-            require_face_dims=True,
-        )
+        rep = validate_carriers(CarrierComplex(corpus.square_torus().poset, 4, tri))
         assert not rep.ok

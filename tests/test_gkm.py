@@ -21,7 +21,6 @@ from z2torus.gkm import (
     face_ring_hilbert,
     flow_up_degrees,
     monomials,
-    poly_add,
     poly_linear,
     poly_mul,
     poly_one,
@@ -42,7 +41,7 @@ def graph_of(inst):
 class TestPolynomials:
     def test_mod_2_squares(self):
         t1 = poly_var(2, 0)
-        assert poly_add(t1, t1) == poly_zero()
+        assert t1 ^ t1 == poly_zero()
         assert poly_linear(Vec.from_string("11")) == frozenset({(1, 0), (0, 1)})
 
     def test_monomials_count(self):
@@ -88,7 +87,7 @@ def sympy_divides(p, alpha):
 def substitute_by_expansion(m, alpha):
     """Reference: multiply out (sum of alpha's other variables)^e with poly_mul."""
     pivot = lowest_bit(alpha.bits)
-    rest = poly_add(poly_linear(alpha), poly_var(alpha.n, pivot))
+    rest = poly_linear(alpha) ^ poly_var(alpha.n, pivot)
     out = frozenset({m[:pivot] + (0,) + m[pivot + 1 :]})
     for _ in range(m[pivot]):
         out = poly_mul(out, rest)
@@ -305,24 +304,26 @@ class TestThomRestrictions:
                     assert sum(mono) == k, (f, v)
 
     def test_classes_satisfy_the_membership_test(self):
-        for name in ("triangle", "square_torus", "cube"):
+        for name in ("triangle", "square_torus", "cube", "cut_cube_vertex", "cut_cube_edge"):
             inst = corpus.BUILDERS[name]()
             graph = graph_of(inst)
             for f in inst.poset.faces():
                 cls = thom_restriction(inst.poset, inst.lam, f, graph)
-                assert satisfies_gkm(graph, cls), (name, f)
+                assert satisfies_gkm(graph, cls, graph.edges), (name, f)
 
     def test_membership_rejects_a_spike(self):
         inst = corpus.triangle()
         graph = graph_of(inst)
         cls = {v: poly_zero() for v in graph.vertices}
         cls["p12"] = poly_var(2, 0)
-        assert not satisfies_gkm(graph, cls)
+        assert not satisfies_gkm(graph, cls, graph.edges)
 
 
 class TestRelations:
     def test_corpus_relations_hold(self):
-        for name in ("triangle", "square_torus", "square_klein", "cube"):
+        for name in (
+            "triangle", "square_torus", "square_klein", "cube", "cut_cube_vertex", "cut_cube_edge"
+        ):
             inst = corpus.BUILDERS[name]()
             rep = check_face_ring_relations(inst.poset, inst.lam)
             assert rep.ok, (name, rep.product_failures[:3], rep.linearity_failures[:3])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from z2torus import charfunc, corpus, poset
 from z2torus.blowup import cut_face
-from z2torus.complexes import betti_mod2, chain_complex, validate_carriers
+from z2torus.complexes import QuotientComplex, betti_mod2, validate_carriers
 from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
 from z2torus.poset import (
     FacePoset,
@@ -185,10 +185,11 @@ ORACLE_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 
 def edits(p):
     """Every edit one step away from p: a cover dropped, a cover added
     between adjacent codims, or a face deleted with its covers."""
-    found = [("drop", cover) for cover in sorted(p.covers)]
+    covers = set(p.covers)
+    found = [("drop", cover) for cover in p.covers]
     for c in p.faces():
         parents = p.faces_of_codim(p.codims[c] - 1)
-        found += [("add", (c, q)) for q in parents if (c, q) not in p.covers]
+        found += [("add", (c, q)) for q in parents if (c, q) not in covers]
     return found + [("delete", f) for f in p.faces()]
 
 
@@ -464,18 +465,19 @@ class TestOrderComplex:
         assert len([s for s in oc.simplices if len(s) == 1]) == 7
         assert len([s for s in oc.simplices if len(s) == 2]) == 6 + 6
         assert len([s for s in oc.simplices if len(s) == 3]) == 6
-        assert oc.vertex_labels is not None and oc.vertex_labels[-1] == "*"
 
     def test_cone_is_acyclic(self):
         for name, p in ALL_POSETS.items():
             oc = order_complex(p)
-            b = betti_mod2(chain_complex(oc))
+            b = betti_mod2(QuotientComplex(oc).chain)
             assert b[0] == 1 and not any(b[1:]), name
 
     def test_carriers_consistent(self):
+        # only the annulus, whose faces hold no vertex, fails, and then
+        # only the check that each face's subcomplex has its dimension
         for name, p in ALL_POSETS.items():
-            rep = validate_carriers(order_complex(p), require_face_dims=False)
-            assert rep.ok, (name, rep.witnesses())
+            rep = validate_carriers(order_complex(p))
+            assert all("has dimension" in w for w in rep.witnesses()), (name, rep.witnesses())
 
     def test_boundary_part_of_cube_is_a_sphere(self):
         oc = order_complex(ALL_POSETS["cube"])
@@ -484,4 +486,4 @@ class TestOrderComplex:
         from z2torus.complexes import CarrierComplex
 
         boundary = CarrierComplex(ALL_POSETS["cube"], oc.n_points - 1, proper)
-        assert betti_mod2(chain_complex(boundary)) == (1, 0, 1)
+        assert betti_mod2(QuotientComplex(boundary).chain) == (1, 0, 1)

@@ -1,8 +1,12 @@
-"""The pytest configuration itself: a failing test must not end the run."""
+"""The pytest configuration itself: a failing test must not end the run;
+and the package's export list."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import z2torus
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -29,3 +33,17 @@ def test_failing_property_test_does_not_abort_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_export_list_matches_the_imports():
+    # a stale __all__ entry makes `from z2torus import *` raise
+    tree = ast.parse(Path(z2torus.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert z2torus.__all__ == sorted(z2torus.__all__)
+    assert set(z2torus.__all__) == imported
+    for name in z2torus.__all__:
+        getattr(z2torus, name)
