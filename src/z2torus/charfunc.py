@@ -49,15 +49,24 @@ class Subgroup:
 
     def cosets(self) -> list[Vec]:
         """All canonical coset representatives, in increasing bit order."""
-        free = [j for j in range(self.n) if j not in set(self._pivots)]
-        reps = []
-        for mask in range(1 << len(free)):
-            bits = 0
-            for i, j in enumerate(free):
-                if (mask >> i) & 1:
-                    bits |= 1 << j
-            reps.append(Vec(bits, self.n))
-        return reps
+        return [Vec(bits, self.n) for bits in self.quotient()[0]]
+
+    def quotient(self) -> tuple[list[int], list[int]]:
+        """GF(2)^n / G on ints: the canonical coset representatives in
+        increasing order, and for each unit vector e_i the position of
+        rep(e_i + G) among them.  A rep's position is its bits read on the
+        non-pivot columns, so g -> position of rep(g + G) is linear: the
+        XOR of the positions of g's unit vectors."""
+        pivots = set(self._pivots)
+        free = [j for j in range(self.n) if j not in pivots]
+        reps = [0]
+        for j in free:
+            reps += [r | 1 << j for r in reps]
+        positions = []
+        for i in range(self.n):
+            rep = reduce_by(self._rows, self._pivots, 1 << i)
+            positions.append(sum(1 << k for k, j in enumerate(free) if rep >> j & 1))
+        return reps, positions
 
     def __repr__(self) -> str:
         return f"Subgroup(rank={self.rank} of GF(2)^{self.n})"
@@ -225,10 +234,17 @@ def _label_image(p: FacePoset, lam: CharFunction) -> tuple[list[int], int]:
 
 
 def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> MInvolution:
-    """A free involution on the model exists iff n >= 1, the label image
-    is a basis of GF(2)^n and Q is face-acyclic; then g is the sum of it.
-    At n = 0 the group is trivial and its one element, the identity, is
-    no involution."""
+    """An m-involution of the model, when the labels make one.
+
+    The paper's m-involution is not free: its fixed set is the largest
+    one Smith theory allows, sum b_i(M; Z/2) isolated points.  One is
+    reported when n >= 1, the label image is a basis of GF(2)^n and Q is
+    face-acyclic; g is then the sum of that basis.  g lies in the
+    isotropy group of a face exactly when the face's labels span
+    GF(2)^n, as at every vertex, so g fixes one point over each vertex,
+    and on a face-acyclic Q the vertices number sum b_i.  At n = 0 the
+    group is trivial and its one element, the identity, is no
+    involution."""
     image, rank = _label_image(p, lam)
     reasons = []
     if p.n == 0:

@@ -1,9 +1,9 @@
 """Binary codes from facet-vertex incidence.
 
-When the instance admits the free involution (label image a basis, Q
-face-acyclic) the facet-vertex incidence matrix generates a binary code
-on the fixed points; self-duality is checked per instance, never
-assumed.
+When the instance admits an m-involution (label image a basis, Q
+face-acyclic; see `charfunc.m_involution_check`) the facet-vertex
+incidence matrix generates a binary code on the fixed points;
+self-duality is checked per instance, never assumed.
 """
 
 from __future__ import annotations

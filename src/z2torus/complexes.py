@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, compose_is_zero
+from .gf2 import Matrix, chain_ranks, compose_is_zero
 from .poset import FacePoset
 
 Simplex = tuple[int, ...]
@@ -127,36 +127,45 @@ class QuotientComplex:
         carriers: dict[Hashable, str] = {
             cell: base.carrier(cell) for level in levels for cell in level
         }
-        self.groups = (
-            None if lam is None else {f: isotropy(p, lam, f) for f in set(carriers.values())}
-        )
+        # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
+        # the images of the unit vectors under g -> position of rep(g + G_f).
+        # group[f] indexes the quotients; carriers with the same labels share one.
+        quotients: list[tuple[list[int], list[int]]] = [([0], [])]
+        group: dict[str, int] = dict.fromkeys(carriers.values(), 0)
+        if lam is not None:
+            quotients, by_labels = [], {}
+            for f in group:
+                labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
+                if labels not in by_labels:
+                    by_labels[labels] = len(quotients)
+                    quotients.append(isotropy(p, lam, f).quotient())
+                group[f] = by_labels[labels]
 
         self.cells: list[list[tuple[Hashable, int]]] = []
-        index: list[dict[tuple[Hashable, int], int]] = []
+        offsets: list[dict[Hashable, int]] = []  # cell -> index of its first coset
         for level in levels:
-            if self.groups is None:
-                cells = [(cell, 0) for cell in level]
-            else:
-                cells = [
-                    (cell, rep.bits)
-                    for cell in level
-                    for rep in self.groups[carriers[cell]].cosets()
-                ]
-            cells.sort()
+            cells: list[tuple[Hashable, int]] = []
+            offset: dict[Hashable, int] = {}
+            for cell in level:
+                offset[cell] = len(cells)
+                cells += [(cell, r) for r in quotients[group[carriers[cell]]][0]]
             self.cells.append(cells)
-            index.append({cell: i for i, cell in enumerate(cells)})
+            offsets.append(offset)
 
-        groups, leq = self.groups, p.leq
-        drop: dict[tuple[str, int], int] = {}  # (face f, rep of g) -> rep of g + G_f
+        leq = p.leq
+        drops: dict[tuple[int, int], list[int]] = {}  # (group, face's group) -> positions
         boundaries: list[Matrix] = []
         if self.cells:
             boundaries.append(Matrix.zero(len(self.cells[0]), 0))
         for d in range(1, len(self.cells)):
-            below = index[d - 1]
-            rows = []
-            for cell, rep in self.cells[d]:
+            below = offsets[d - 1]
+            rows: list[int] = []
+            for cell in levels[d]:
                 carrier = carriers[cell]
-                bits = 0
+                mine = group[carrier]
+                reps = quotients[mine][0]
+                bits = 0  # the row of a lone coset, which drops to the cosets 0
+                targets = []  # for more cosets: (index of face's first coset, drop)
                 for face in base.boundary(cell):
                     fcar = carriers.get(face)
                     if fcar is None:
@@ -165,15 +174,23 @@ class QuotientComplex:
                         raise InputError(
                             f"carrier of {face} ({fcar}) not inside carrier of {cell} ({carrier})"
                         )
-                    frep = 0
-                    if groups is not None:
-                        frep = drop.get((fcar, rep))
-                        if frep is None:
-                            frep = groups[fcar].coset_rep(Vec(rep, self.n)).bits
-                            drop[(fcar, rep)] = frep
-                    bits ^= 1 << below[(face, frep)]
-                rows.append(bits)
-            boundaries.append(Matrix.from_rows(rows, len(self.cells[d - 1])))
+                    if len(reps) == 1:
+                        bits ^= 1 << below[face]
+                        continue
+                    key = (mine, group[fcar])
+                    drop = drops.get(key)
+                    if drop is None:
+                        drop = drops[key] = _drop_positions(reps, quotients[key[1]][1])
+                    targets.append((below[face], drop))
+                if len(reps) == 1:
+                    rows.append(bits)
+                    continue
+                for k in range(len(reps)):
+                    bits = 0
+                    for first, drop in targets:
+                        bits ^= 1 << (first + drop[k])
+                    rows.append(bits)
+            boundaries.append(Matrix(tuple(rows), len(self.cells[d - 1])))
         self.chain = Gf2ChainComplex(
             tuple(len(c) for c in self.cells), tuple(boundaries)
         )
@@ -185,6 +202,22 @@ class QuotientComplex:
 
     def cell_count(self) -> int:
         return sum(len(c) for c in self.cells)
+
+
+def _drop_positions(reps: list[int], images: list[int]) -> list[int]:
+    """Position of rep(g + G_f) for each coset rep g of a carrier's group,
+    in the order of reps, from the images of the unit vectors under that
+    linear map.  reps run over the subsets of the free columns, the last
+    one being all of them, and doubling the table per free column keeps
+    that order."""
+    table = [0]
+    free = reps[-1]
+    while free:
+        low = free & -free
+        image = images[low.bit_length() - 1]
+        table += [t ^ image for t in table]
+        free ^= low
+    return table
 
 
 def _check_squares(cc: Gf2ChainComplex) -> None:
@@ -203,7 +236,7 @@ def _betti(dims: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
 def betti_mod2(cc: Gf2ChainComplex) -> tuple[int, ...]:
     """Unreduced mod-2 Betti numbers.  Verifies boundary-squared = 0."""
     _check_squares(cc)
-    return _betti(cc.dims, [0] + [b.rank() for b in cc.boundaries[1:]])
+    return _betti(cc.dims, chain_ranks([enumerate(b.rows) for b in cc.boundaries]))
 
 
 def reduced_betti(cc: Gf2ChainComplex) -> tuple[int, ...]:
@@ -248,22 +281,28 @@ def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
     q = QuotientComplex(base)
     cc = q.chain
     _check_squares(cc)
-    rows: dict[str, list[list[int]]] = {}  # carrier -> boundary rows by degree
+    # carrier -> (degree, its (index in degree, boundary row) pairs), for
+    # the degrees the carrier holds cells in
+    rows: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
     for d, (cells, bd) in enumerate(zip(q.cells, cc.boundaries)):
-        for (cell, _), row in zip(cells, bd.rows):
-            rows.setdefault(base.carrier(cell), [[] for _ in cc.dims])[d].append(row)
+        for i, ((cell, _), row) in enumerate(zip(cells, bd.rows)):
+            by_dim = rows.setdefault(base.carrier(cell), [])
+            if not by_dim or by_dim[-1][0] != d:
+                by_dim.append((d, []))
+            by_dim[-1][1].append((i, row))
     per_face: dict[str, tuple[int, ...]] = {}
     empty: list[str] = []
     for f in base.poset.faces():
-        carried = [rows[g] for g in base.poset.below(f) if g in rows]
-        if not carried:
+        sub: list[list[tuple[int, int]]] = [[] for _ in cc.dims]
+        for g in base.poset.below(f):
+            for d, pairs in rows.get(g, ()):
+                sub[d] += pairs
+        while sub and not sub[-1]:  # degrees above the subcomplex's dimension
+            sub.pop()
+        if not sub:
             empty.append(f)
             continue
-        sub = [[row for by_dim in carried for row in by_dim[d]] for d in range(len(cc.dims))]
-        while not sub[-1]:  # degrees above the subcomplex's dimension
-            sub.pop()
-        ranks = [0] + [Matrix(tuple(sub[d]), cc.dims[d - 1]).rank() for d in range(1, len(sub))]
-        b = _betti([len(level) for level in sub], ranks)
+        b = _betti([len(level) for level in sub], chain_ranks(sub))
         per_face[f] = (b[0] - 1,) + b[1:]
     return AcyclicityReport(per_face, empty)
 
@@ -329,8 +368,11 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     if not rep.ok:
         return rep
 
+    by_carrier: dict[str, list[Simplex]] = {}
+    for sx, cf in c.simplices.items():
+        by_carrier.setdefault(cf, []).append(sx)
     for f in p.faces():
-        sub = {sx for sx, cf in c.simplices.items() if p.leq(cf, f)}
+        sub = sorted(sx for g in p.below(f) for sx in by_carrier.get(g, ()))
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")
             continue

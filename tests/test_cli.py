@@ -6,6 +6,7 @@ import json
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,16 @@ class TestReport:
         assert whole == "".join(parts)
         expected_rc = 2 if name == "annulus" else 0
         assert rc == expected_rc
+
+    def test_six_cube(self, capsys, tmp_path):
+        # the real torus T^6 from 4,096 model cells, one rung past the corpus
+        path = tmp_path / "cube6.json"
+        save_instance(corpus.ncube(6), path)
+        rc, out, err = run(capsys, "report", str(path))
+        betti = tuple(comb(6, k) for k in range(7))
+        assert rc == 0 and err == ""
+        assert f"mode=A betti={betti} sum=64" in out
+        assert "agree=true" in out and "match=true" in out
 
 
 class TestParseErrors:

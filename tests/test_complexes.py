@@ -1,18 +1,24 @@
 """Carrier complexes, mod-2 homology, and face-acyclicity."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
+from z2torus.blowup import cut_face
 from z2torus.complexes import (
     CarrierComplex,
+    FaceComplex,
     Gf2ChainComplex,
     QuotientComplex,
     betti_mod2,
+    face_acyclicity,
     is_face_acyclic,
     reduced_betti,
     validate_carriers,
 )
-from z2torus.gf2 import Matrix
+from z2torus.errors import InputError, PreconditionError
+from z2torus.gf2 import Matrix, _span_basis, chain_ranks
 from z2torus.poset import FacePoset, order_complex
 
 POINT_POSET = FacePoset(0, {"Q": 0}, set())
@@ -37,6 +43,36 @@ def rebuilt_acyclicity(c):
         else:
             empty.append(f)
     return per_face, empty
+
+
+def assert_ranks_match_the_oracle(cc):
+    """chain_ranks against the lowest-bit basis rank, degree by degree."""
+    levels = [b.rows for b in cc.boundaries]
+    ranks = chain_ranks([list(enumerate(rows)) for rows in levels])
+    assert ranks == [len(_span_basis(rows)) for rows in levels]
+
+
+def models(inst):
+    """The instance's models: mode A when its CW gate passes, mode B when
+    it has a triangulation, and the order-complex model always."""
+    p, lam = inst.poset, inst.lam
+    out = [QuotientComplex(order_complex(p), lam)]
+    if inst.triangulation is not None:
+        out.append(QuotientComplex(inst.triangulation, lam))
+    try:
+        face_acyclicity(p)
+    except PreconditionError:
+        return out
+    return out + [QuotientComplex(FaceComplex(p), lam)]
+
+
+def cut_chain(data):
+    inst = corpus.BUILDERS[data.draw(st.sampled_from(["triangle", "cube", "square_torus"]))]()
+    p, lam = inst.poset, inst.lam
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        cut = cut_face(p, lam, data.draw(st.sampled_from([f for f in p.faces() if p.codim(f) >= 2])))
+        p, lam = cut.poset, cut.lam
+    return p, lam
 
 
 def plain(simplices, n_points):
@@ -102,6 +138,14 @@ class TestHomology:
         with pytest.raises(ValueError, match="misses facet"):
             QuotientComplex(c)
 
+    def test_non_monotone_carriers_are_refused(self):
+        # the edge is carried by a vertex, its endpoint (0,) by Q
+        inst = corpus.triangle()
+        c = CarrierComplex(inst.poset, 2, {(0,): "Q", (1,): "p12", (0, 1): "p12"})
+        for lam in (None, inst.lam):
+            with pytest.raises(InputError, match=r"carrier of \(0,\) \(Q\) not inside carrier"):
+                QuotientComplex(c, lam)
+
     def test_boundary_squared_guard(self):
         bad = Gf2ChainComplex(
             (1, 1, 1),
@@ -109,6 +153,28 @@ class TestHomology:
         )
         with pytest.raises(ValueError, match="composite"):
             betti_mod2(bad)
+
+
+class TestChainRanks:
+    @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+    def test_corpus_models(self, name):
+        for q in models(corpus.BUILDERS[name]()):
+            assert_ranks_match_the_oracle(q.chain)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        p, lam = cut_chain(data)
+        assert_ranks_match_the_oracle(QuotientComplex(FaceComplex(p), lam).chain)
+        assert_ranks_match_the_oracle(QuotientComplex(FaceComplex(p)).chain)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_face_acyclicity_of_random_cut_chains(self, data):
+        p, _ = cut_chain(data)
+        c = order_complex(p)
+        rep = is_face_acyclic(c)
+        assert (rep.per_face, rep.empty_faces) == rebuilt_acyclicity(c)
 
 
 class TestCarrierComplex:

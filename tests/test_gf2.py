@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus.gf2 import Matrix, Vec, dual_code, lowest_bit, reduce_by
+from z2torus.gf2 import (
+    Matrix,
+    Vec,
+    _span_basis,
+    chain_ranks,
+    compose_is_zero,
+    dual_code,
+    lowest_bit,
+    reduce_by,
+)
 
 
 def span(rows: list[int]) -> set[int]:
@@ -167,3 +176,80 @@ def test_min_weight_agrees_with_combinations():
             if acc:
                 by_comb.add(acc)
     assert words == by_comb
+
+
+def transpose(rows: list[int], ncols: int) -> list[int]:
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
+
+
+def lowest_bit_ranks(levels: list[list[int]]) -> list[int]:
+    """The oracle: each degree's rank from the lowest-bit basis, no clearing."""
+    return [len(_span_basis(rows)) for rows in levels]
+
+
+@st.composite
+def chain_complexes(draw, max_degree=4, max_cells=7):
+    """levels[d] = boundary rows of the d-cells, as bits over the (d-1)-cells.
+
+    Each row of degree d is a random sum of a basis of the chains whose
+    boundary vanishes, so boundary^2 = 0 by construction.
+    """
+    dims = draw(st.lists(st.integers(0, max_cells), min_size=1, max_size=max_degree + 1))
+    levels = [[0] * dims[0]]
+    for d in range(1, len(dims)):
+        below_t = Matrix(tuple(transpose(levels[d - 1], dims[d - 2] if d >= 2 else 0)), dims[d - 1])
+        basis = below_t.nullspace().rows  # the (d-1)-cycles
+        masks = draw(st.lists(st.integers(0, (1 << len(basis)) - 1), min_size=dims[d],
+                              max_size=dims[d]))
+        levels.append([Matrix(basis, dims[d - 1]).apply(m) for m in masks])
+    return levels
+
+
+class TestChainRanks:
+    def test_filled_triangle(self):
+        levels = [[0, 0, 0], [0b011, 0b110, 0b101], [0b111]]
+        assert chain_ranks([list(enumerate(rows)) for rows in levels]) == [0, 2, 1]
+
+    def test_cleared_cells_are_indices_not_positions(self):
+        # a triangle of edges 0, 1, 2 with a pendant edge 3, and one 2-cell
+        # bounded by the triangle; its highest edge, index 2, is cleared,
+        # while position 2 of the list holds the pendant edge
+        edges = [(0, 0b0011), (1, 0b0110), (3, 0b1100), (2, 0b0101)]
+        assert chain_ranks([[], edges, [(0, 0b0111)]]) == [0, 3, 1]
+
+    def test_empty_and_zero_levels(self):
+        assert chain_ranks([]) == []
+        assert chain_ranks([[(0, 0), (1, 0)]]) == [0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(chain_complexes())
+def test_chain_ranks_match_the_lowest_bit_rank(levels):
+    for d in range(2, len(levels)):
+        inner = Matrix(tuple(levels[d - 1]), len(levels[d - 2]))
+        assert compose_is_zero(Matrix(tuple(levels[d]), len(levels[d - 1])), inner)
+    assert chain_ranks([list(enumerate(rows)) for rows in levels]) == lowest_bit_ranks(levels)
+    widths = [0] + [len(rows) for rows in levels[:-1]]
+    assert [Matrix(tuple(rows), w).rank() for rows, w in zip(levels, widths)] == (
+        lowest_bit_ranks(levels)
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_subcomplex_ranks_keep_the_whole_complexs_indices(data):
+    """A subcomplex passes its cells, in any order, under their indices in
+    the whole complex; clearing by position in the list would skip the
+    wrong rows."""
+    levels = data.draw(chain_complexes())
+    keep = [set() for _ in levels]
+    for d in range(len(levels) - 1, -1, -1):
+        chosen = data.draw(st.sets(st.sampled_from(range(len(levels[d]))))) if levels[d] else set()
+        keep[d] |= chosen
+        if d:
+            for i in keep[d]:
+                keep[d - 1] |= {j for j in range(len(levels[d - 1])) if (levels[d][i] >> j) & 1}
+    sub = [data.draw(st.permutations([(i, levels[d][i]) for i in sorted(keep[d])]))
+           for d in range(len(levels))]
+    want = lowest_bit_ranks([[row for _, row in level] for level in sub])
+    assert chain_ranks(sub) == want
