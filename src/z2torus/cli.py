@@ -9,6 +9,7 @@ concatenation of the fragments of the other read-only subcommands.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 
@@ -188,7 +189,14 @@ COMMANDS: dict[str, Callable[[Instance, argparse.Namespace], Fragment]] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    `parse_args` returns a fresh namespace each time and argparse looks up
+    the output streams only when it prints, so `main` reuses it; callers
+    must not add to it.  `build_parser.__wrapped__()` builds a new one.
+    """
     ap = argparse.ArgumentParser(
         prog="z2torus",
         description="Formality, cohomology, blow-ups, and codes for "

@@ -14,8 +14,10 @@ paper's criterion on either; on the face complex it is the CW gate.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
@@ -348,19 +350,18 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     """
     rep = CarrierReport()
     p = c.poset
+    facets: dict[Simplex, list[Simplex]] = {}  # listed once, read again per face
     for sx, cf in sorted(c.simplices.items()):
         if cf not in p.codims:
             rep.carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
             continue
-        if len(sx) == 1:
-            continue
-        for tau in _facets(sx):
-            if tau not in c.simplices:
+        facets[sx] = _facets(sx) if len(sx) >= 2 else []
+        for tau in facets[sx]:
+            ct = c.simplices.get(tau)
+            if ct is None:
                 rep.closure.append(f"simplex {sx} misses facet {tau}")
-            elif not p.leq(c.simplices[tau], cf):
-                rep.carriers.append(
-                    f"carrier of {tau} ({c.simplices[tau]}) not inside carrier of {sx} ({cf})"
-                )
+            elif ct in p.codims and not p.leq(ct, cf):  # an unknown ct has its own line
+                rep.carriers.append(f"carrier of {tau} ({ct}) not inside carrier of {sx} ({cf})")
     used = {v for sx in c.simplices for v in sx}
     for v in range(c.n_points):
         if v not in used:
@@ -376,28 +377,22 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")
             continue
-        d = max(len(sx) - 1 for sx in sub)
+        d = max(map(len, sub)) - 1
         if d != p.dim_face(f):
             rep.face_strata.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )
-        cofaces: dict[Simplex, int] = {sx: 0 for sx in sub}
+        cofaces = Counter(chain.from_iterable(map(facets.__getitem__, sub)))
+        rep.face_strata += [
+            f"face {f}: simplex {sx} is maximal below dimension {d}"
+            for sx in sub
+            if len(sx) <= d and not cofaces[sx]
+        ]
         for sx in sub:
-            if len(sx) >= 2:
-                for tau in _facets(sx):
-                    cofaces[tau] += 1
-        for sx in sub:
-            if len(sx) - 1 < d and cofaces[sx] == 0:
-                rep.face_strata.append(
-                    f"face {f}: simplex {sx} is maximal below dimension {d}"
-                )
-        for sx in sub:
-            if len(sx) - 1 != d - 1:
-                continue
-            want = 2 if c.simplices[sx] == f else 1
-            got = cofaces[sx]
-            if got != want:
-                rep.face_strata.append(
-                    f"face {f}: wall {sx} lies in {got} top simplices, wanted {want}"
-                )
+            if len(sx) == d:  # a wall, a (d-1)-simplex
+                want = 2 if c.simplices[sx] == f else 1
+                if cofaces[sx] != want:
+                    rep.face_strata.append(
+                        f"face {f}: wall {sx} lies in {cofaces[sx]} top simplices, wanted {want}"
+                    )
     return rep

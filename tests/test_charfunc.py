@@ -19,7 +19,7 @@ from z2torus.charfunc import (
 )
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec
-from z2torus.model import fixed_locus
+from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import FacePoset, validate
 
 
@@ -300,6 +300,61 @@ class TestMInvolution:
             loc = fixed_locus(inst.poset, inst.lam, res.g)
             assert loc.discrete, name
             assert list(loc.faces) == inst.poset.vertices(), name
+
+
+def change_basis(lam, images):
+    """lam followed by the linear map sending unit vector i to images[i]."""
+    def apply(v):
+        bits = 0
+        for i, image in enumerate(images):
+            if v.bits >> i & 1:
+                bits ^= image
+        return Vec(bits, lam.n)
+
+    return CharFunction(lam.n, {F: apply(v) for F, v in lam.values.items()})
+
+
+# the annulus is the one instance here that is not face-acyclic, though its
+# labels are a basis
+M_INVOLUTION_SWEEP = {
+    name: corpus.BUILDERS[name]
+    for name in ("triangle", "square_torus", "square_klein", "annulus", "cube", "segment")
+}
+M_INVOLUTION_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (2, 3, 4)})
+
+
+class TestMInvolutionAgainstBruteForce:
+    """The m-involution is reported exactly when some nonzero g fixes a
+    discrete set of sum b_i points, and the reported g is such a g."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains_and_label_bases(self, data):
+        inst = M_INVOLUTION_SWEEP[data.draw(st.sampled_from(sorted(M_INVOLUTION_SWEEP)))]()
+        p, lam, tri = inst.poset, inst.lam, inst.triangulation
+        # a permutation of the basis, then transvections e_i -> e_i + e_j:
+        # together they generate every invertible change of basis
+        images = [1 << i for i in data.draw(st.permutations(range(p.n)))]
+        if p.n >= 2:
+            pairs = st.permutations(range(p.n)).map(lambda order: order[:2])
+            for i, j in data.draw(st.lists(pairs, max_size=3)):
+                images[i] ^= images[j]
+        lam = change_basis(lam, images)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            if not cuttable:
+                break
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam, tri = cut.poset, cut.lam, None
+        verdict = formality_verdict(p, lam, tri)
+        fixing = []
+        for bits in range(1, 1 << p.n):
+            loc = fixed_locus(p, lam, Vec(bits, p.n))
+            if loc.discrete and loc.size == verdict.sum_betti:
+                fixing.append(Vec(bits, p.n))
+        inv = m_involution_check(p, lam, verdict.criterion)
+        assert inv.exists == bool(fixing)
+        assert inv.g is None or inv.g in fixing
 
 
 class TestColoringClasses:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, round trips."""
 
+import argparse
 import copy
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import corpus
+from z2torus import cli, corpus
 from z2torus.cli import COMMANDS, main
 from z2torus.instance import (
     MAX_DEG,
@@ -230,6 +231,58 @@ class TestReport:
         assert rc == 0 and err == ""
         assert f"mode=A betti={betti} sum=64" in out
         assert "agree=true" in out and "match=true" in out
+
+
+def captured(argv):
+    """stdout, stderr and exit code of one in-process `main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return out.getvalue(), err.getvalue(), rc
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process; a reused parser must
+    print what a freshly built one prints, call after call."""
+
+    def test_same_output_as_a_fresh_parser(self, monkeypatch):
+        cube = bundled("cube")
+        calls = [
+            ["blowup", cube],
+            ["nosuch", cube],
+            ["gkm", cube, "--max-deg", "3"],
+            ["gkm", cube],
+            ["report", cube],
+            ["fixed-locus", cube, "--g", "1x1"],
+            ["--help"],
+        ]
+        shared = [captured(argv) for argv in calls]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert [captured(argv) for argv in calls] == shared
+        blowup, unknown, gkm3, gkm, report, bad_g, help_ = shared
+        assert blowup[2] == 2 and blowup[1].startswith("usage: z2torus blowup")
+        assert "required: --face, --out" in blowup[1]
+        assert unknown[2] == 2 and "invalid choice: 'nosuch'" in unknown[1]
+        assert "max_deg=3 " in gkm3[0] and "max_deg=6 " in gkm[0]
+        assert report[2] == 0 and gkm[0] in report[0]
+        assert bad_g[2] == 1 and "error: bad --g value '1x1'" in bad_g[1]
+        assert help_[2] == 0 and help_[0].startswith("usage: z2torus")
+
+    def test_main_reuses_one_parser(self, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        captured(["hvector", bundled("cube")])
+        captured(["hvector", bundled("triangle")])
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 class TestParseErrors:

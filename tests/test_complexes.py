@@ -1,5 +1,7 @@
 """Carrier complexes, mod-2 homology, and face-acyclicity."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.complexes import (
     CarrierComplex,
+    CarrierReport,
     FaceComplex,
     Gf2ChainComplex,
     QuotientComplex,
+    _facets,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
@@ -73,6 +77,75 @@ def cut_chain(data):
         cut = cut_face(p, lam, data.draw(st.sampled_from([f for f in p.faces() if p.codim(f) >= 2])))
         p, lam = cut.poset, cut.lam
     return p, lam
+
+
+def carriers_oracle(c):
+    """validate_carriers with each face's subcomplex found by scanning every
+    simplex, and each simplex's facets listed again in every face that
+    holds it."""
+    rep = CarrierReport()
+    p = c.poset
+    for sx, cf in sorted(c.simplices.items()):
+        if cf not in p.codims:
+            rep.carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
+            continue
+        for tau in _facets(sx) if len(sx) >= 2 else ():
+            if tau not in c.simplices:
+                rep.closure.append(f"simplex {sx} misses facet {tau}")
+            elif c.simplices[tau] in p.codims and not p.leq(c.simplices[tau], cf):
+                rep.carriers.append(
+                    f"carrier of {tau} ({c.simplices[tau]}) not inside carrier of {sx} ({cf})"
+                )
+    used = {v for sx in c.simplices for v in sx}
+    rep.carriers += [f"point {v} appears in no simplex" for v in range(c.n_points) if v not in used]
+    if not rep.ok:
+        return rep
+    for f in p.faces():
+        sub = sorted(sx for sx, cf in c.simplices.items() if p.leq(cf, f))
+        if not sub:
+            rep.face_strata.append(f"face {f} carries no simplex")
+            continue
+        d = max(len(sx) - 1 for sx in sub)
+        if d != p.dim_face(f):
+            rep.face_strata.append(
+                f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
+            )
+        cofaces = {sx: 0 for sx in sub}
+        for sx in sub:
+            for tau in _facets(sx) if len(sx) >= 2 else ():
+                cofaces[tau] += 1
+        rep.face_strata += [
+            f"face {f}: simplex {sx} is maximal below dimension {d}"
+            for sx in sub
+            if len(sx) - 1 < d and cofaces[sx] == 0
+        ]
+        for sx in sub:
+            if len(sx) - 1 == d - 1:
+                want = 2 if c.simplices[sx] == f else 1
+                if cofaces[sx] != want:
+                    rep.face_strata.append(
+                        f"face {f}: wall {sx} lies in {cofaces[sx]} top simplices, wanted {want}"
+                    )
+    return rep
+
+
+def carrier_edits(c):
+    """Every deletion of one simplex, and every change of one simplex's
+    carrier to another face or to an unknown one."""
+    faces = c.poset.faces() + ["X"]
+    for sx, cf in sorted(c.simplices.items()):
+        yield {k: v for k, v in c.simplices.items() if k != sx}
+        for f in faces:
+            if f != cf:
+                yield {**c.simplices, sx: f}
+
+
+@functools.cache
+def carrier_complexes(name):
+    """A corpus triangulation, or the barycentric n-cube for "ncube(n)"."""
+    if name.startswith("ncube("):
+        return order_complex(corpus.ncube(int(name[6:-1])).poset)
+    return corpus.BUILDERS[name]().triangulation
 
 
 def plain(simplices, n_points):
@@ -265,6 +338,13 @@ class TestValidateCarriers:
         rep = validate_carriers(CarrierComplex(POINT_POSET, 1, {(0,): "X"}))
         assert rep.carriers
 
+    def test_unknown_carrier_of_a_later_facet(self):
+        # (1, 2) sorts after (0, 1, 2), whose carrier is checked against it
+        simplices = {sx: "Q" for sx in close_down([(0, 1, 2)])}
+        simplices[(1, 2)] = "X"
+        rep = validate_carriers(CarrierComplex(POINT_POSET, 3, simplices))
+        assert rep.witnesses() == ["simplex (1, 2) carried by unknown face 'X'"]
+
     def test_unused_point(self):
         rep = validate_carriers(CarrierComplex(POINT_POSET, 2, {(0,): "Q"}))
         assert any("appears in no simplex" in w for w in rep.carriers)
@@ -279,6 +359,37 @@ class TestValidateCarriers:
         c = CarrierComplex(POINT_POSET, 2, {(0, 1): "Q", (0,): "Q"})
         rep = validate_carriers(c)
         assert rep.closure
+
+    @pytest.mark.parametrize("name", ["square_torus", "square_klein", "annulus", "cut_triangle",
+                                      "ncube(2)", "ncube(3)", "ncube(4)"])
+    def test_matches_the_per_face_oracle(self, name):
+        c = carrier_complexes(name)
+        assert validate_carriers(c) == carriers_oracle(c)
+
+    @pytest.mark.parametrize("name", ["square_torus", "square_klein", "annulus", "cut_triangle",
+                                      "ncube(2)"])
+    def test_every_one_simplex_edit_matches_the_oracle(self, name):
+        c = carrier_complexes(name)
+        failed = 0
+        for simplices in carrier_edits(c):
+            edited = CarrierComplex(c.poset, c.n_points, simplices)
+            rep = validate_carriers(edited)
+            assert rep == carriers_oracle(edited), simplices
+            failed += not rep.ok
+        assert failed
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_edits_of_barycentric_cubes(self, data):
+        c = carrier_complexes(data.draw(st.sampled_from(["ncube(3)", "ncube(4)"])))
+        simplices = dict(c.simplices)
+        sx = data.draw(st.sampled_from(sorted(simplices)))
+        if data.draw(st.booleans()):
+            del simplices[sx]
+        else:
+            simplices[sx] = data.draw(st.sampled_from(c.poset.faces() + ["X"]))
+        edited = CarrierComplex(c.poset, c.n_points, simplices)
+        assert validate_carriers(edited) == carriers_oracle(edited)
 
     def test_wall_count_failure(self):
         # a square's facet triangulated with a dangling extra edge
