@@ -62,28 +62,29 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
 
     # the covers of the cut poset, from three rules: old covers away from f
     # stay; (g, S) sits under (g', S) for g' covering g and under (g, S + t);
-    # and under the one old face whose facets are facets(g) minus S
-    covers = {(c, b) for c, b in p.covers if not p.leq(c, f)}
+    # and under the one old face whose facets are facets(g) minus S.  Each
+    # is listed once, the old ones first: FacePoset sorts one long run.
+    inside = set(below_f)
+    covers = [(c, b) for c, b in p.covers if c not in inside]
+    by_facets: dict[int, list[str]] = {}
+    for h in old:
+        by_facets.setdefault(p._facet_mask[h], []).append(h)
     for g in below_f:
-        by_facets: dict[frozenset[str], list[str]] = {}
-        for h in p.above(g):
-            by_facets.setdefault(p.facet_set(h), []).append(h)
-        facets_g = p.facet_set(g)
         for S in subsets:
             nid = _new_id(g, S)
-            covers.update((_new_id(c, S), nid) for c in p.children(g))
-            covers.update(
+            covers.extend((_new_id(c, S), nid) for c in p.children(g))
+            covers.extend(
                 (nid, _new_id(g, tuple(u for u in T if u in S or u == t)))
                 for t in T if t not in S
             )
-            rest = facets_g - set(S)
-            hits = by_facets.get(rest, [])
+            rest = p._facet_mask[g] & ~sum(p._facet_mask[u] for u in S)
+            hits = [h for h in by_facets.get(rest, []) if p.leq(g, h)]
             if len(hits) != 1:
                 raise InputError(
                     f"face {g} has {len(hits)} faces above it on the facets "
-                    f"{sorted(rest)}, wanted one"
+                    f"{p._facet_names(rest)}, wanted one"
                 )
-            covers.add((nid, hits[0]))
+            covers.append((nid, hits[0]))
     poset2 = FacePoset(p.n, codims, covers)
 
     rep = validate(poset2)

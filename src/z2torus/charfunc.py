@@ -106,12 +106,12 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
         return not S or Matrix.from_vecs([lam.vec(F) for F in S]).rank() == len(S)
 
     # v <= f gives facets(f) <= facets(v), and subsets of independent sets are independent
-    passed: set[str] = set()
+    passed = 0  # a bitmask over the face order, as FacePoset keeps it
     for v in p.vertices():
         if independent(p.facets_containing(v)):
-            passed.update(p.above(v))
+            passed |= p._up[v]
     for f in p.faces():
-        if f in passed:
+        if passed & p._bit[f]:
             continue
         S = p.facets_containing(f)
         if not independent(S):

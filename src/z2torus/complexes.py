@@ -154,7 +154,6 @@ class QuotientComplex:
             self.cells.append(cells)
             offsets.append(offset)
 
-        leq = p.leq
         drops: dict[tuple[int, int], list[int]] = {}  # (group, face's group) -> positions
         boundaries: list[Matrix] = []
         if self.cells:
@@ -164,6 +163,7 @@ class QuotientComplex:
             rows: list[int] = []
             for cell in levels[d]:
                 carrier = carriers[cell]
+                inside = p.below(carrier)
                 mine = group[carrier]
                 reps = quotients[mine][0]
                 bits = 0  # the row of a lone coset, which drops to the cosets 0
@@ -172,7 +172,7 @@ class QuotientComplex:
                     fcar = carriers.get(face)
                     if fcar is None:
                         raise InputError(f"complex not closed: {cell} misses facet {face}")
-                    if fcar != carrier and not leq(fcar, carrier):
+                    if fcar not in inside:
                         raise InputError(
                             f"carrier of {face} ({fcar}) not inside carrier of {cell} ({carrier})"
                         )

@@ -97,7 +97,7 @@ def parse_instance(data: object) -> Instance:
         if fid in codims:
             errors.append(f"duplicate face id {fid!r}")
         codims[fid] = k
-    covers: set[tuple[str, str]] = set()
+    covers: dict[tuple[str, str], None] = {}  # the file's order, duplicates collapsed
     for pair in data["inclusions"]:
         if not (
             isinstance(pair, list)
@@ -111,7 +111,7 @@ def parse_instance(data: object) -> Instance:
         for x in (child, parent):
             if x not in codims:
                 errors.append(f"inclusion {pair!r} names unknown face {x!r}")
-        covers.add((child, parent))
+        covers[(child, parent)] = None
     # carriers must name face ids, so checking these covers them too
     errors.extend(_not_unicode([name, *codims, *(x for pair in covers for x in pair)]))
     if errors:

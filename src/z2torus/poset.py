@@ -11,6 +11,7 @@ derived object is reproducible bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,11 +32,12 @@ def _closure(adj: dict[str, list[str]], order: Iterable[str]) -> dict[str, froze
 
 
 class FacePoset:
-    """Graded face poset with the faces above each face, facet sets and the
-    canonical face and cover orders precomputed; the faces below each face
-    are computed on first read."""
+    """Graded face poset with the canonical face and cover orders and, for
+    each face, the faces above it and its facets as bitmasks over the face
+    order; the faces above and below each face as frozensets, and facet
+    sets, are built on first read."""
 
-    def __init__(self, n: int, codims: dict[str, int], covers: set[tuple[str, str]]):
+    def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
             raise ValueError("negative dimension")
         self.n = n
@@ -43,30 +45,56 @@ class FacePoset:
         for f, k in self.codims.items():
             if not 0 <= k <= n:
                 raise ValueError(f"face {f!r} has codim {k} outside 0..{n}")
-        for c, p in covers:
+        # stable sorts: by id, then by codim
+        self._order = tuple(sorted(sorted(self.codims), key=self.codims.__getitem__))
+        self.covers = tuple(sorted(covers))
+        self._parents: dict[str, list[str]] = {f: [] for f in self._order}
+        self._children: dict[str, list[str]] = {f: [] for f in self._order}
+        for c, p in self.covers:
             if c not in self.codims or p not in self.codims:
                 raise ValueError(f"cover ({c!r}, {p!r}) names an unknown face")
             if self.codims[c] <= self.codims[p]:
                 raise ValueError(f"cover ({c!r}, {p!r}) does not go up in codim")
-        self.covers = tuple(sorted(covers))
-        self._order = tuple(sorted(self.codims, key=self.face_key))
-        self._parents: dict[str, list[str]] = {f: [] for f in self.codims}
-        self._children: dict[str, list[str]] = {f: [] for f in self.codims}
-        for c, p in self.covers:
             self._parents[c].append(p)
             self._children[p].append(c)
-        # a face's parents have smaller codim, its children larger
-        self._above = _closure(self._parents, self._order)
-        facets = frozenset(f for f, k in self.codims.items() if k == 1)
-        self._facet_sets = {f: up & facets for f, up in self._above.items()}
-        self._facets = {f: tuple(sorted(S)) for f, S in self._facet_sets.items()}
+        # bit i stands for self._order[i]; a face's parents come before it
+        self._bit = {f: 1 << i for i, f in enumerate(self._order)}
+        up: dict[str, int] = {}
+        for f in self._order:
+            mask = self._bit[f]
+            for q in self._parents[f]:
+                mask |= up[q]
+            up[f] = mask
+        self._up = up
+        # facet masks have bit j for the j-th facet in id order
+        counts = Counter(self.codims.values())
+        first = counts[0]
+        self._facet_ids = self._order[first:first + counts[1]]
+        block = (1 << counts[1]) - 1
+        self._facet_mask = {f: m >> first & block for f, m in up.items()}
 
     # -- basic queries -------------------------------------------------
 
     @cached_property
+    def _above(self) -> dict[str, frozenset[str]]:
+        return _closure(self._parents, self._order)
+
+    @cached_property
     def _below(self) -> dict[str, frozenset[str]]:
-        # built on first read: validating and cutting never need it
         return _closure(self._children, reversed(self._order))
+
+    @cached_property
+    def _facet_sets(self) -> dict[str, frozenset[str]]:
+        return {f: frozenset(self._facet_names(m)) for f, m in self._facet_mask.items()}
+
+    def _facet_names(self, mask: int) -> list[str]:
+        """The facets whose bits are set in a facet mask, sorted."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self._facet_ids[low.bit_length() - 1])
+            mask ^= low
+        return names
 
     def faces(self) -> list[str]:
         """Every face in the canonical (codim, id) order; a fresh list each call."""
@@ -104,11 +132,11 @@ class FacePoset:
 
     def leq(self, f: str, g: str) -> bool:
         """True iff face f is contained in face g."""
-        return g in self._above[f]
+        return self._bit.get(g, 0) & self._up[f] != 0
 
     def facets_containing(self, f: str) -> list[str]:
         """The facets through f, sorted; a fresh list each call."""
-        return list(self._facets[f])
+        return self._facet_names(self._facet_mask[f])
 
     def facet_set(self, f: str) -> frozenset[str]:
         """The facets through f, as a set."""
@@ -243,21 +271,19 @@ def validate(p: FacePoset) -> PosetReport:
             rep.structural.append(
                 f"cover ({c}, {par}) jumps codim {p.codims[par]} -> {p.codims[c]}"
             )
-    if len(tops) == 1:
-        top = tops[0]
+    up, facet_mask = p._up, p._facet_mask
+    if len(tops) == 1:  # the top face is bit 0
         for f in p.faces():
-            if top not in p.above(f):
-                rep.structural.append(f"face {f} is not below the top face {top}")
+            if not up[f] & 1:
+                rep.structural.append(f"face {f} is not below the top face {tops[0]}")
     if rep.structural:
         return rep
-
-    facet_sets = p._facet_sets
 
     # niceness: a codim-k face lies in exactly k facets
     for f in p.faces():
         k = p.codims[f]
-        if len(facet_sets[f]) != k:
-            S = sorted(facet_sets[f])
+        if facet_mask[f].bit_count() != k:
+            S = p.facets_containing(f)
             rep.nice.append(f"face {f} has codim {k} but lies in {len(S)} facets {S}")
 
     # simpliciality: the interval above each face is boolean of rank codim.
@@ -266,13 +292,22 @@ def validate(p: FacePoset) -> PosetReport:
     # those subsets.  As that holds above f too, facets(g2) <= facets(g1)
     # forces g1 <= g2: the interval is the boolean lattice on facets(f).
     # Covers step one codim, so then m = k: niceness follows, and 2^m = 2^k.
+    # A face whose facet set no other face has counts once; facet sets are
+    # compared only among the faces above f in `shared`.
+    times = Counter(facet_mask.values())
+    shared = sum(p._bit[f] for f in p.faces() if times[facet_mask[f]] > 1)
     for f in p.faces():
-        up = p.above(f)
-        m = len(facet_sets[f])
-        distinct = len({facet_sets[g] for g in up})
-        if not len(up) == distinct == 2**m:
+        size, m = up[f].bit_count(), facet_mask[f].bit_count()
+        dup, sets = up[f] & shared, set()
+        distinct = size - dup.bit_count()
+        while dup:
+            i = dup.bit_length() - 1
+            sets.add(facet_mask[p._order[i]])
+            dup ^= 1 << i
+        distinct += len(sets)
+        if not size == distinct == 2**m:
             rep.simplicial.append(
-                f"face {f}: {len(up)} faces above it with {distinct} distinct "
+                f"face {f}: {size} faces above it with {distinct} distinct "
                 f"facet sets, wanted 2^{m}={2**m}"
             )
 

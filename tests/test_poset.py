@@ -1,6 +1,7 @@
 """Face poset validation, counting vectors, skeleta, and the coned
 order complex."""
 
+import random
 from math import comb
 
 import pytest
@@ -35,6 +36,13 @@ class TestConstruction:
     def test_cover_must_go_up(self):
         with pytest.raises(ValueError):
             FacePoset(1, {"Q": 0, "v": 1}, {("Q", "v")})
+
+    def test_first_bad_cover_in_sorted_order(self):
+        # the witness does not depend on the covers' iteration order
+        codims = {"Q": 1, "a": 1, "b": 1}
+        for covers in ([("b", "Q"), ("a", "Q")], [("a", "Q"), ("b", "Q")]):
+            with pytest.raises(ValueError, match=r"^cover \('a', 'Q'\) does not go up"):
+                FacePoset(1, codims, covers)
 
     def test_codim_out_of_range(self):
         with pytest.raises(ValueError):
@@ -162,15 +170,48 @@ def interval_oracle(p):
     return nice, simplicial
 
 
+def count_oracle(p):
+    """The simplicial witnesses validate prints, counted on frozensets from
+    the recursive closure: for each face, the faces above it and their
+    distinct facet sets, with every facet set built and compared."""
+    parents = {f: [] for f in p.codims}
+    for c, q in p.covers:
+        parents[c].append(q)
+    above = closure_oracle(p, parents)
+    facets = {f: frozenset(F for F in above[f] if p.codims[F] == 1) for f in p.codims}
+    found = []
+    for f in p.faces():
+        m = len(facets[f])
+        distinct = len({facets[g] for g in above[f]})
+        if not len(above[f]) == distinct == 2**m:
+            found.append(
+                f"face {f}: {len(above[f])} faces above it with {distinct} distinct "
+                f"facet sets, wanted 2^{m}={2**m}"
+            )
+    return found
+
+
+def shares_above(p):
+    """Whether two faces above some face lie in the same facets, so that
+    validate counts facet sets exactly there rather than by popcount."""
+    for f in p.faces():
+        up = p.above(f)
+        if len({p.facet_set(g) for g in up}) < len(up):
+            return True
+    return False
+
+
 def assert_validate_matches_oracle(p):
     """validate agrees with the oracle on structural, nice, sound, ok and
-    whether simplicial is empty; returns whether simpliciality alone fails."""
+    whether simplicial is empty, and with the count oracle witness for
+    witness; returns whether simpliciality alone fails."""
     rep = validate(p)
     if rep.structural:  # validate stops before the interval checks
         assert not (rep.nice or rep.simplicial)
         return False
     nice, simplicial = interval_oracle(p)
     assert rep.nice == nice
+    assert rep.simplicial == count_oracle(p)
     assert bool(rep.simplicial) == bool(simplicial), (rep.simplicial, simplicial)
     sound = not (nice or simplicial)
     assert rep.sound == sound
@@ -263,6 +304,33 @@ class TestValidateAgainstOracle:
             "face v: 8 faces above it with 7 distinct facet sets, wanted 2^3=8"
         ]
 
+    def test_shared_facet_sets_meeting_below(self):
+        # a second edge e2 beside EX0Y0, on the same two facets and over
+        # the same two vertices: above V000 and V001 two faces share a
+        # facet set, so only the exact count sees the ninth face
+        p = corpus.cube().poset
+        codims = dict(p.codims, e2=2)
+        covers = set(p.covers) | {("e2", "X0"), ("e2", "Y0"), ("V000", "e2"), ("V001", "e2")}
+        q = FacePoset(3, codims, covers)
+        assert shares_above(q)
+        assert assert_validate_matches_oracle(q)
+        assert validate(q).simplicial == [
+            "face V000: 9 faces above it with 8 distinct facet sets, wanted 2^3=8",
+            "face V001: 9 faces above it with 8 distinct facet sets, wanted 2^3=8",
+        ]
+
+    def test_seeded_edits_of_a_cut_four_cube(self):
+        inst = corpus.ncube(4)
+        p = cut_face(inst.poset, inst.lam, "00**").poset
+        assert len(p.codims) == 99
+        sample = random.Random(4).sample(edits(p), 150)
+        shared = 0
+        for e in sample:
+            q = apply_edit(p, e)
+            assert_validate_matches_oracle(q)
+            shared += not validate(q).structural and shares_above(q)
+        assert shared > 0
+
     def test_extra_facet_is_caught_by_the_count(self):
         # v (codim 3) lies in four facets under two edges, with 2^3 faces
         # above it on distinct facet sets: not nice, and not boolean either
@@ -307,6 +375,7 @@ def assert_tables_match_oracle(p):
         assert p.above(f) == above[f] and p.below(f) == below[f], f
         facets = sorted(F for F in above[f] if p.codims[F] == 1)
         assert p.facets_containing(f) == facets and p.facet_set(f) == set(facets), f
+    return above
 
 
 class TestTablesAgainstOracle:
@@ -341,6 +410,25 @@ class TestTablesAgainstOracle:
             cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
             p, lam = cut.poset, cut.lam
             assert_tables_match_oracle(p)
+
+    def test_six_cube_blowup_chain(self):
+        # the chain the blowup-chain benchmark cuts, with its faces unmoved
+        inst = corpus.ncube(6)
+        p, lam = inst.poset, inst.lam
+        sizes = []
+        rng = random.Random(6)
+        for face in ("000000", "00****", "***111", None):
+            sizes.append(len(p.codims))
+            above = assert_tables_match_oracle(p)
+            faces = p.faces()
+            for _ in range(2000):
+                f = rng.choice(faces)
+                g = rng.choice(faces) if rng.random() < 0.5 else rng.choice(sorted(above[f]))
+                assert p.leq(f, g) == (g in above[f]), (f, g)
+            if face is not None:
+                cut = cut_face(p, lam, face)
+                p, lam = cut.poset, cut.lam
+        assert sizes == [729, 791, 981, 1179]
 
     def test_facets_containing_is_a_fresh_list(self):
         p = corpus.triangle().poset
@@ -381,6 +469,20 @@ class TestLazyFindings:
             for q in (p, cut.poset, again.poset):
                 assert "_below" not in vars(q)
         assert p.below("Q") == frozenset(p.codims) and "_below" in vars(p)
+
+    def test_load_cut_and_write_skip_the_frozenset_views(self, split_annulus_data):
+        # they read the above and facet bitmasks, never the frozensets
+        for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
+            inst = parse_instance(data)
+            p = inst.poset
+            cut = cut_face(p, inst.lam, p.vertices()[0])
+            again = cut_face(cut.poset, cut.lam, cut.poset.vertices()[0])
+            instance_text(Instance("again", again.poset, again.lam, None))
+            for q in (p, cut.poset, again.poset):
+                assert "_above" not in vars(q) and "_facet_sets" not in vars(q)
+        v = p.vertices()[0]
+        assert p.above(v) == {g for g in p.faces() if p.leq(v, g)} and "_above" in vars(p)
+        assert p.facet_set(v) == set(p.facets_containing(v)) and "_facet_sets" in vars(p)
 
     def test_findings_are_empty_after_a_structural_failure(self):
         # two top faces, and no face contains a vertex
