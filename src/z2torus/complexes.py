@@ -22,7 +22,7 @@ from itertools import chain
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
 from .gf2 import Matrix, chain_ranks, compose_is_zero
-from .poset import FacePoset
+from .poset import FacePoset, per_poset
 
 Simplex = tuple[int, ...]
 
@@ -309,9 +309,11 @@ def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
     return AcyclicityReport(per_face, empty)
 
 
+@per_poset
 def face_acyclicity(p: FacePoset, triangulation: CarrierComplex | None = None) -> AcyclicityReport:
     """The criterion on a triangulation (mode B), or on the face complex as
-    the CW gate of mode A, whose failure raises PreconditionError."""
+    the CW gate of mode A, whose failure raises PreconditionError on every
+    call, as a call that raises keeps nothing on p."""
     if triangulation is not None:
         return is_face_acyclic(triangulation)
     rep = is_face_acyclic(FaceComplex(p))

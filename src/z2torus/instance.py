@@ -236,8 +236,10 @@ def instance_text(inst: Instance) -> str:
     an indent runs CPython's pure-Python encoder, so this writes the
     layout itself and leaves only the strings to the C encoder."""
     p = inst.poset
-    faces = [_object([("id", _str(f)), ("codim", str(p.codims[f]))], 2) for f in p.faces()]
-    covers = [_array([_str(c), _str(q)], 2) for c, q in p.covers]
+    # a face and an inclusion have fixed layouts, each written by one format
+    face, cover = '{\n   "id": %s,\n   "codim": %s\n  }', "[\n   %s,\n   %s\n  ]"
+    faces = [face % (_str(f), p.codims[f]) for f in p.faces()]
+    covers = [cover % (_str(c), _str(q)) for c, q in p.covers]
     top = [
         ("name", _str(inst.name)),
         ("dim", str(p.n)),

@@ -11,12 +11,14 @@ derived object is reproducible bit for bit.
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from collections import Counter
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .complexes import CarrierComplex
@@ -31,11 +33,45 @@ def _closure(adj: dict[str, list[str]], order: Iterable[str]) -> dict[str, froze
     return memo
 
 
+T = TypeVar("T")
+
+
+def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
+    """Keep fn(p, ...)'s result on the poset p, one per fn and per the
+    identities of its other arguments, defaults filled in.  The entry holds
+    those arguments weakly and a read checks that each is still the object
+    it was kept for, so a new object that takes a dead one's id gets its own
+    result.  Held strongly, a triangulation, which refers to its poset,
+    would make a cycle; as it is, nothing kept on p refers back to p, so a
+    dropped poset is freed at once.  A call that raises keeps nothing.
+    Callers share the result and must not change it."""
+    sig = inspect.signature(fn)
+
+    @wraps(fn)
+    def memo(p: "FacePoset", *args: object, **kwargs: object) -> T:
+        bound = sig.bind(p, *args, **kwargs)
+        bound.apply_defaults()
+        args = bound.args[1:]
+        key = (fn, *map(id, args))
+        hit = p._memo.get(key)
+        if hit is None or any(ref() is not a for ref, a in zip(hit[1], args)):
+            hit = p._memo[key] = (fn(p, *args), tuple(map(_weak, args)))
+        return hit[0]
+
+    return memo
+
+
+def _weak(x: object) -> Callable[[], object]:
+    """A weak reference to x; None takes none, and NoneType() is None."""
+    return type(None) if x is None else weakref.ref(x)
+
+
 class FacePoset:
     """Graded face poset with the canonical face and cover orders and, for
     each face, the faces above it and its facets as bitmasks over the face
     order; the faces above and below each face as frozensets, and facet
-    sets, are built on first read."""
+    sets, are built on first read.  The results of the `per_poset`
+    functions are kept on it too."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
@@ -72,6 +108,7 @@ class FacePoset:
         self._facet_ids = self._order[first:first + counts[1]]
         block = (1 << counts[1]) - 1
         self._facet_mask = {f: m >> first & block for f, m in up.items()}
+        self._memo: dict[tuple[object, ...], tuple[object, tuple[Callable[[], object], ...]]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -261,30 +298,40 @@ def count_components(
 def validate(p: FacePoset) -> PosetReport:
     """Check top element, grading, boolean upper intervals and niceness.
     Presence of vertices and connectivity of every face's 1-skeleton are
-    checked when the report's has_vertex / skeleton_connected are read."""
-    rep = PosetReport(p)
+    checked when the report's has_vertex / skeleton_connected are read.
+    The findings are kept on p; each call returns a new report over them,
+    as a report refers to p."""
+    return PosetReport(p, *_findings(p))
+
+
+@per_poset
+def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
+    """validate's structural, simplicial and nice findings."""
+    structural: list[str] = []
+    simplicial: list[str] = []
+    nice: list[str] = []
     tops = p.faces_of_codim(0)
     if len(tops) != 1:
-        rep.structural.append(f"expected exactly one codim-0 face, found {tops}")
+        structural.append(f"expected exactly one codim-0 face, found {tops}")
     for c, par in p.covers:
         if p.codims[c] != p.codims[par] + 1:
-            rep.structural.append(
+            structural.append(
                 f"cover ({c}, {par}) jumps codim {p.codims[par]} -> {p.codims[c]}"
             )
     up, facet_mask = p._up, p._facet_mask
     if len(tops) == 1:  # the top face is bit 0
         for f in p.faces():
             if not up[f] & 1:
-                rep.structural.append(f"face {f} is not below the top face {tops[0]}")
-    if rep.structural:
-        return rep
+                structural.append(f"face {f} is not below the top face {tops[0]}")
+    if structural:
+        return structural, simplicial, nice
 
     # niceness: a codim-k face lies in exactly k facets
     for f in p.faces():
         k = p.codims[f]
         if facet_mask[f].bit_count() != k:
             S = p.facets_containing(f)
-            rep.nice.append(f"face {f} has codim {k} but lies in {len(S)} facets {S}")
+            nice.append(f"face {f} has codim {k} but lies in {len(S)} facets {S}")
 
     # simpliciality: the interval above each face is boolean of rank codim.
     # A face above f lies in a subset of the m facets through f, so 2^m of
@@ -306,14 +353,15 @@ def validate(p: FacePoset) -> PosetReport:
             dup ^= 1 << i
         distinct += len(sets)
         if not size == distinct == 2**m:
-            rep.simplicial.append(
+            simplicial.append(
                 f"face {f}: {size} faces above it with {distinct} distinct "
                 f"facet sets, wanted 2^{m}={2**m}"
             )
 
-    return rep
+    return structural, simplicial, nice
 
 
+@per_poset
 def fh_vectors(p: FacePoset) -> FHVector:
     """f- and h-vectors; h is read off the defining polynomial identity."""
     n = p.n

@@ -6,6 +6,7 @@ import io
 import json
 import tempfile
 import time
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import cli, corpus
+from z2torus import cli, complexes, corpus, model
 from z2torus.cli import COMMANDS, main
 from z2torus.instance import (
     MAX_DEG,
@@ -221,6 +222,32 @@ class TestReport:
         assert whole == "".join(parts)
         expected_rc = 2 if name == "annulus" else 0
         assert rc == expected_rc
+
+    @pytest.mark.parametrize("name", ["cube", "square_klein"])  # mode A, mode B
+    def test_one_gate_and_one_model_per_report(self, capsys, monkeypatch, name):
+        calls = Counter()
+
+        def count(module, attr):
+            fn = getattr(module, attr)
+
+            def counted(*args):
+                calls[attr] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, attr, counted)
+
+        count(complexes, "is_face_acyclic")
+        count(model, "build_quotient")
+        parts = []
+        for cmd in ("validate", "hvector", "betti", "formality", "gkm", "code"):
+            _, out, _ = run(capsys, cmd, bundled(name))
+            parts.append(out)
+        # every subcommand loads its own instance, so each computes afresh
+        assert calls == {"is_face_acyclic": 4, "build_quotient": 3}
+        calls.clear()
+        rc, whole, _ = run(capsys, "report", bundled(name))
+        assert calls == {"is_face_acyclic": 1, "build_quotient": 1}
+        assert rc == 0 and whole == "".join(parts)
 
     def test_six_cube(self, capsys, tmp_path):
         # the real torus T^6 from 4,096 model cells, one rung past the corpus

@@ -1,11 +1,14 @@
 """The canonical quotient model: Betti oracles, fixed sets, components."""
 
+import gc
+import weakref
+
 import pytest
 
-from z2torus import corpus
+from z2torus import corpus, model
 from z2torus.charfunc import CharFunction
-from z2torus.complexes import CarrierComplex
-from z2torus.errors import InputError
+from z2torus.complexes import CarrierComplex, face_acyclicity
+from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
 from z2torus.model import (
     build_quotient,
@@ -13,7 +16,7 @@ from z2torus.model import (
     fixed_locus,
     formality_verdict,
 )
-from z2torus.poset import order_complex
+from z2torus.poset import fh_vectors, order_complex, validate
 
 
 def surrogate_model(inst):
@@ -177,3 +180,103 @@ class TestFormalityVerdict:
             inst = build()
             v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
             assert v.n_vertices <= v.sum_betti, name
+
+
+def labels(n, **values):
+    return CharFunction(n, {k: Vec.from_string(v) for k, v in values.items()})
+
+
+class TestKeptOnThePoset:
+    """formality_verdict, face_acyclicity, validate and fh_vectors keep their
+    results on the poset they are given, one per labelling and
+    triangulation.  Each kept result must equal the same computation on a
+    freshly loaded copy, whatever was asked of the poset before."""
+
+    def test_each_labelling_and_triangulation_gets_its_own_verdict(self):
+        inst = corpus.bundled("square_torus")
+        klein = corpus.bundled("square_klein").lam  # the same facets L, R, T, B
+        combos = [(lam, tri) for lam in (inst.lam, klein) for tri in (inst.triangulation, None)]
+
+        def fresh(lam, tri):
+            copy = corpus.bundled("square_torus")
+            fresh_lam = copy.lam if lam is inst.lam else corpus.bundled("square_klein").lam
+            return formality_verdict(
+                copy.poset, fresh_lam, copy.triangulation if tri is not None else None
+            )
+
+        want = [fresh(lam, tri) for lam, tri in combos]
+        assert [v.mode for v in want] == ["B", "A", "B", "A"]
+        for order in (combos, combos[::-1], combos):
+            got = {(id(lam), id(tri)): formality_verdict(inst.poset, lam, tri) for lam, tri in order}
+            assert [got[id(lam), id(tri)] for lam, tri in combos] == want
+        # a default and an explicit None name the same triangulation
+        assert formality_verdict(inst.poset, inst.lam) is formality_verdict(
+            inst.poset, inst.lam, None
+        )
+
+    def test_a_new_labelling_never_reads_a_dropped_ones_verdict(self):
+        # equal labels on the annulus's two circles give two tori, distinct
+        # labels one.  Each labelling is dropped right after its call, so
+        # the next one may be built where it was.
+        inst = corpus.annulus()
+        values = [{"F1": "10", "F2": "10"}, {"F1": "10", "F2": "01"}]
+        want = []
+        for v in values:
+            copy = corpus.annulus()
+            want.append(formality_verdict(copy.poset, labels(2, **v), copy.triangulation))
+        assert [w.betti for w in want] == [(2, 4, 2), (1, 2, 1)]
+        got = [
+            formality_verdict(inst.poset, labels(2, **values[i % 2]), inst.triangulation)
+            for i in range(8)
+        ]
+        assert got == want * 4
+
+    def test_a_failed_cw_gate_raises_on_every_call(self):
+        inst = corpus.annulus()  # its facets are circles without vertices
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="mode A needs a CW poset"):
+                face_acyclicity(inst.poset)
+            with pytest.raises(PreconditionError, match="mode A needs a CW poset"):
+                formality_verdict(inst.poset, inst.lam)
+        v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+        assert v.mode == "B" and v.sum_betti == 4
+
+    def test_validate_and_fh_vectors_match_a_fresh_copy(self):
+        for name in ("cube", "annulus", "cut_cube_edge"):
+            p, q = corpus.BUILDERS[name]().poset, corpus.BUILDERS[name]().poset
+            rep, again = validate(p), validate(p)
+            assert again.simplicial is rep.simplicial and rep == again == validate(q)
+            assert (rep.has_vertex, rep.skeleton_connected, rep.ok) == (
+                validate(q).has_vertex, validate(q).skeleton_connected, validate(q).ok
+            )
+            assert fh_vectors(p) is fh_vectors(p) and fh_vectors(p) == fh_vectors(q)
+
+    @pytest.mark.parametrize("name", ["cube", "square_klein", "annulus"])
+    def test_a_dropped_poset_is_freed_at_once(self, name):
+        # nothing kept on a poset refers back to it, so no garbage cycle
+        # outlives it; an instance's triangulation refers to its poset
+        inst = corpus.BUILDERS[name]()
+        p, lam, tri = inst.poset, inst.lam, inst.triangulation
+        validate(p).ok, fh_vectors(p), face_acyclicity(p, tri), formality_verdict(p, lam, tri)
+        gone = weakref.ref(p), weakref.ref(lam)
+        gc.disable()
+        try:
+            del inst, p, lam, tri
+            assert [ref() for ref in gone] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_the_model_is_not_kept(self, monkeypatch):
+        models = []
+
+        def build(base, lam):
+            q = build_quotient(base, lam)
+            models.append(weakref.ref(q))
+            return q
+
+        monkeypatch.setattr(model, "build_quotient", build)
+        inst = corpus.cube()
+        v = formality_verdict(inst.poset, inst.lam)
+        gc.collect()
+        assert v.betti == (1, 3, 3, 1)
+        assert len(models) == 1 and models[0]() is None
