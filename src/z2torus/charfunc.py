@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, _rref_rows, reduce_by
+from .gf2 import Matrix, Vec, _rref_rows, mod_line, reduce_by
 from .poset import FacePoset, one_skeleton
 
 
@@ -206,17 +206,22 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
                 raise InputError(f"edge {e} lies in no facet but n = {p.n}")
             axial[e] = Vec(1, 1)
     g = GkmGraph(p.n, sk.vertices, dict(sk.edges), axial)
+    _check_axial(g)
+    return g
+
+
+def _check_axial(g: GkmGraph) -> None:
+    """`axial_function`'s checks on the way out, raising InputError."""
     for v in g.vertices:
         at_v = [g.axial[e].bits for e in g.edges_at(v)]
-        if Matrix.from_rows(at_v, p.n).rank() != p.n:
+        if Matrix.from_rows(at_v, g.n).rank() != g.n:
             raise InputError(f"axial labels at vertex {v} do not form a basis")
     for e, (v, w) in sorted(g.edges.items()):
-        line = Subgroup(p.n, [g.axial[e]])
-        left = sorted(line.coset_rep(g.axial[x]).bits for x in g.edges_at(v))
-        right = sorted(line.coset_rep(g.axial[x]).bits for x in g.edges_at(w))
+        a = g.axial[e].bits
+        left = mod_line((g.axial[x].bits for x in g.edges_at(v)), a)
+        right = mod_line((g.axial[x].bits for x in g.edges_at(w)), a)
         if left != right:
             raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
-    return g
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ Two pivot rules, each where it pays:
   pivot of a reduced boundary one degree up (Chen and Kerber,
   "Persistent homology computation with a twist", 2011; Bauer, Kerber,
   Reininghaus and Wagner, "PHAT", 2017).
-- Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`)
-  pivot on the lowest-index nonzero column, so reduced row echelon form
-  is the canonical one, with rows ordered by pivot column.  Codes and
-  coset representatives print these rows, so their rule stays fixed.
+- Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`,
+  `mod_line`) pivot on the lowest-index nonzero column, so reduced row
+  echelon form is the canonical one, with rows ordered by pivot column.
+  Codes and coset representatives print these rows, so their rule stays
+  fixed.
 """
 
 from __future__ import annotations
@@ -262,6 +263,14 @@ def reduce_by(rref_rows: list[int], pivots: list[int], v: int) -> int:
         if (v >> p) & 1:
             v ^= r
     return v
+
+
+def mod_line(forms: Iterable[int], a: int) -> list[int]:
+    """The forms modulo the line {0, a}, as sorted canonical
+    representatives: `reduce_by` against the one-row basis [a], which is
+    one bit test, since a form holding a's lowest set bit gets a added."""
+    low = a & -a
+    return sorted([b ^ a if b & low else b for b in forms])
 
 
 def compose_is_zero(outer: Matrix, inner: Matrix) -> bool:

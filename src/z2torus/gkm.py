@@ -21,6 +21,18 @@ of v's down-edges: no matrix is built.  When no vertex can be placed,
 `eliminated_hilbert` ranks one GF(2) matrix per degree instead; it is
 also the test oracle for the closed form.
 
+The edge conditions of tau_v are checked on its factors, with no
+polynomial built.  Mod a nonzero form alpha, GF(2)[r_1..r_n] is a
+polynomial ring in n - 1 variables, a UFD whose only unit is 1, so two
+products of forms other than 0 and alpha are congruent iff their
+factors reduced mod alpha (one bit test each, `gf2.mod_line`) agree as
+multisets.  Only the edges of C_v need that test (`flow_up_degrees`
+says why).  On the 8-cube, `axial_function` and
+`equivariant_hilbert(g, 16)` take about 0.07 s together on a 2-vCPU
+x86-64 VM, 0.24 s when each tau_v was expanded into polynomials.
+Polynomials remain for `thom_restriction`, `check_face_ring_relations`
+and the public membership test `satisfies_gkm`, the tests' oracle.
+
 A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
 Monomials are ordered graded-lexicographically, largest first, fixed
 once and for all.
@@ -36,7 +48,7 @@ from math import comb
 
 from .charfunc import CharFunction, GkmGraph, Subgroup, axial_function
 from .errors import InputError
-from .gf2 import Matrix, Vec, lowest_bit
+from .gf2 import Matrix, Vec, lowest_bit, mod_line
 from .poset import FacePoset
 
 Poly = frozenset  # of exponent tuples
@@ -138,7 +150,7 @@ def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int |
     """The number d_v of v's down-edges (those to placed vertices) if v may
     come next, else None.  Checked: v's up-face C_v holds no placed
     vertex; the down-edge forms are nonzero and pairwise distinct; tau_v
-    meets every edge condition."""
+    meets the edge condition on each edge of C_v."""
     down: list[Vec] = []
     up: list[Vec] = []
     for e in g.edges_at(v):
@@ -147,22 +159,40 @@ def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int |
     if len(set(down)) < len(down) or not all(alpha.bits for alpha in down):
         return None
     span = Subgroup(g.n, up)
-    face, face_edges, stack = {v}, set(), [v]
+    in_span: dict[int, bool] = {}  # per form's bits: the graph has few distinct forms
+    tau: dict[str, list[int]] = {v: []}  # vertex of C_v -> the bits of its factors
+    face_edges: set[str] = set()
+    stack = [v]
     while stack:
-        for e in g.edges_at(stack.pop()):
-            if not span.contains(g.axial[e]):
+        w = stack.pop()
+        for e in g.edges_at(w):
+            alpha = g.axial[e]
+            b = alpha.bits
+            if b not in in_span:
+                in_span[b] = span.contains(alpha)
+            if not in_span[b]:
+                tau[w].append(b)
                 continue
             face_edges.add(e)
             for u in g.edges[e]:
                 if u in placed:
                     return None
-                if u not in face:
-                    face.add(u)
+                if u not in tau:
+                    tau[u] = []
                     stack.append(u)
-    tau = _thom_products(g, face, face_edges)
-    if not satisfies_gkm(g, tau, {e for w in face for e in g.edges_at(w)}):
-        return None
-    return len(down)
+    return len(down) if _congruent_on(g, tau, face_edges) else None
+
+
+def _congruent_on(g: GkmGraph, tau: dict[str, list[int]], edges: Iterable[str]) -> bool:
+    """Does the class with the product of the forms tau[w] at each vertex w
+    meet the edge condition on each of the edges?  The ends of each edge
+    must be keys of tau, and no factor there may be 0 or the edge's form."""
+    for e in edges:
+        v, w = g.edges[e]
+        a = g.axial[e].bits
+        if mod_line(tau[v], a) != mod_line(tau[w], a):
+            return False
+    return True
 
 
 def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
@@ -170,8 +200,8 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     None when at some step no remaining vertex can be placed.
 
     Why the tau_v then give a basis of the GKM module M over
-    R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition was
-    checked), vanishes at the vertices placed before v (C_v holds none of
+    R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition
+    holds, see below), vanishes at the vertices placed before v (C_v holds none of
     them) and equals Pi_v, the product of v's down-edge forms, at v.  The
     edge conditions are homogeneous, so the degree-d_v part of tau_v lies
     in M too and still equals Pi_v at v; take that part (on a GKM graph
@@ -182,7 +212,22 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     form divides f(v); the down-edge forms are distinct nonzero linear
     forms, hence pairwise coprime, so Pi_v divides f(v), and
     f - (f(v) / Pi_v) tau_v vanishes up to v included.  So M is free
-    with one generator in degree d_v per vertex."""
+    with one generator in degree d_v per vertex.
+
+    Why comparing factors on the edges of C_v checks every edge
+    condition of tau_v.  An edge with neither end in C_v has 0 at both.
+    An edge e at a vertex w of C_v whose form is not in the span is not
+    an edge of C_v, so alpha(e) is a factor of tau_v(w); at its other
+    end tau_v is 0 or, inside C_v, has the factor alpha(e) too: both
+    sides are 0 mod alpha(e).  On an edge of C_v, with form alpha in the
+    span, both ends are products of forms outside the span, so none of
+    them is alpha or 0.  Mod a nonzero alpha, substituting alpha's pivot
+    maps GF(2)[r_1..r_n]/(alpha) onto a polynomial ring in n - 1
+    variables, a UFD whose only unit is 1, and such a form b onto a
+    nonzero, hence irreducible, linear form read off from b reduced mod
+    alpha.  Two products of such forms are then equal iff their reduced
+    factors agree as multisets, the test `_congruent_on` makes.  (Mod
+    alpha = 0, equality of products, the same test.)"""
     placed: dict[str, int] = {}
     remaining = list(g.vertices)
     while remaining:

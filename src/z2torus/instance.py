@@ -98,6 +98,7 @@ def parse_instance(data: object) -> Instance:
             errors.append(f"duplicate face id {fid!r}")
         codims[fid] = k
     covers: dict[tuple[str, str], None] = {}  # the file's order, duplicates collapsed
+    unknown: list[str] = []  # the endpoints that are not face ids
     for pair in data["inclusions"]:
         if not (
             isinstance(pair, list)
@@ -111,9 +112,10 @@ def parse_instance(data: object) -> Instance:
         for x in (child, parent):
             if x not in codims:
                 errors.append(f"inclusion {pair!r} names unknown face {x!r}")
+                unknown.append(x)
         covers[(child, parent)] = None
-    # carriers must name face ids, so checking these covers them too
-    errors.extend(_not_unicode([name, *codims, *(x for pair in covers for x in pair)]))
+    # the other endpoints, and the carriers, name face ids: checking these covers them
+    errors.extend(_not_unicode([name, *codims, *unknown]))
     if errors:
         raise InputError(errors)
 

@@ -10,6 +10,7 @@ from z2torus.charfunc import (
     CharFunction,
     LambdaReport,
     Subgroup,
+    _check_axial,
     axial_function,
     coloring_classes,
     face_restriction,
@@ -18,7 +19,7 @@ from z2torus.charfunc import (
     validate_lambda,
 )
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, Vec
+from z2torus.gf2 import Matrix, Vec, mod_line
 from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import FacePoset, validate
 
@@ -267,6 +268,26 @@ class TestAxialFunction:
         bad = lam_of(L="10", B="10", R="01", T="01")
         with pytest.raises(InputError, match="basis"):
             axial_function(p, bad)
+
+    def test_one_edited_label_breaks_the_congruence(self):
+        """EX0Y0 runs in the z direction; labelled y + z instead, the labels
+        at its ends still form bases, but across the x edge at one end they
+        read {0, y, y + z} and {0, y, z} mod x."""
+        inst = corpus.cube()
+        g = axial_function(inst.poset, inst.lam)
+        _check_axial(g)
+        g.axial["EX0Y0"] = Vec.from_string("011")
+        with pytest.raises(InputError, match="do not agree mod alpha"):
+            _check_axial(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_mod_line_is_the_coset_representative(self, data):
+        n = data.draw(st.integers(1, 6))
+        a = data.draw(st.integers(0, (1 << n) - 1))
+        forms = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+        line = Subgroup(n, [Vec(a, n)])
+        assert mod_line(forms, a) == sorted(line.coset_rep(Vec(b, n)).bits for b in forms)
 
 
 class TestMInvolution:

@@ -465,6 +465,30 @@ class TestMalformedInput:
         assert rc == 1 and out == ""
         assert err == "error: string '\\ud800' is not valid Unicode: it holds a lone surrogate\n"
 
+    def test_lone_surrogate_in_an_unknown_endpoint(self, capsys, tmp_path):
+        # both lines for each such endpoint, one witness per distinct string
+        bad = tmp_path / "bad.json"
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["name"] = "\ud800"
+        data["faces"][1]["id"] = "B\udc00"
+        data["inclusions"] = [["B\udc00", "Q"], ["\ud800", "Q"], ["L", "\udbff"],
+                              ["\ud800", "Q"], ["\udbff", "B\udc00"]] + data["inclusions"][1:]
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err.splitlines()[:9] == [
+            "error: inclusion ['\\ud800', 'Q'] names unknown face '\\ud800'",
+            "error: inclusion ['L', '\\udbff'] names unknown face '\\udbff'",
+            "error: inclusion ['\\ud800', 'Q'] names unknown face '\\ud800'",
+            "error: inclusion ['\\udbff', 'B\\udc00'] names unknown face '\\udbff'",
+            "error: inclusion ['BL', 'B'] names unknown face 'B'",
+            "error: inclusion ['BR', 'B'] names unknown face 'B'",
+            "error: string '\\ud800' is not valid Unicode: it holds a lone surrogate",
+            "error: string 'B\\udc00' is not valid Unicode: it holds a lone surrogate",
+            "error: string '\\udbff' is not valid Unicode: it holds a lone surrogate",
+        ]
+        assert len(err.splitlines()) == 9
+
     def test_deeply_nested_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("[" * 100000 + "]" * 100000)

@@ -1,19 +1,23 @@
 """Graded dimensions, Thom restrictions, and the interface relations."""
 
+import random
 from collections import Counter
+from contextlib import contextmanager
 from math import comb
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import corpus
+from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
 from z2torus.charfunc import GkmGraph, axial_function
 from z2torus.errors import PreconditionError
 from z2torus.gf2 import Vec, lowest_bit
 from z2torus.gkm import (
+    _thom_products,
     check_face_ring_relations,
     divisible_by,
     eliminated_hilbert,
@@ -132,7 +136,7 @@ class TestEquivariantHilbert:
     def test_square_torus_oracle(self):
         assert equivariant_hilbert(graph_of(corpus.square_torus()), 2) == (1, 4, 8)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_real_torus_matches_binomial_face_ring(self, n):
         h = tuple(comb(n, i) for i in range(n + 1))
         g = graph_of(corpus.ncube(n))
@@ -158,6 +162,43 @@ FLOW_SWEEP = {name: b for name, b in corpus.BUILDERS.items() if has_graph(b())}
 FLOW_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
 
 
+@st.composite
+def cut_chain(draw):
+    """The poset and labels of a triangle, square torus, cube or 4-cube
+    after one to three cuts of drawn faces."""
+    build = draw(st.sampled_from(
+        [corpus.triangle, corpus.square_torus, corpus.cube, lambda: corpus.ncube(4)]
+    ))
+    inst = build()
+    p, lam = inst.poset, inst.lam
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+        cut = cut_face(p, lam, draw(st.sampled_from(cuttable)))
+        p, lam = cut.poset, cut.lam
+    return p, lam
+
+
+@st.composite
+def labelled_multigraph(draw):
+    """Up to 5 vertices, up to 8 edges without loops, nonzero forms, n <= 3."""
+    n = draw(st.integers(1, 3))
+    V = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)).filter(
+        lambda ab: ab[0] != ab[1]
+    )
+    pairs = draw(st.lists(ends, max_size=8))
+    forms = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=len(pairs),
+                          max_size=len(pairs)))
+    return multigraph(n, V, pairs, forms)
+
+
+def multigraph(n, V, pairs, forms):
+    """Vertices v0..v{V-1}, edge ei joining pairs[i] with form bits forms[i]."""
+    edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
+    axial = {f"e{i}": Vec(bits, n) for i, bits in enumerate(forms)}
+    return GkmGraph(n, tuple(f"v{i}" for i in range(V)), edges, axial)
+
+
 def assert_matches_elimination(g, max_deg):
     assert flow_up_degrees(g) is not None
     assert equivariant_hilbert(g, max_deg) == eliminated_hilbert(g, max_deg)
@@ -181,17 +222,9 @@ class TestFlowUp:
         assert kalai_h(graph_of(inst)) == fh_vectors(inst.poset).h
 
     @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_cut_chains(self, data):
-        build = data.draw(st.sampled_from(
-            [corpus.triangle, corpus.square_torus, corpus.cube, lambda: corpus.ncube(4)]
-        ))
-        inst = build()
-        p, lam = inst.poset, inst.lam
-        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
-            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
-            p, lam = cut.poset, cut.lam
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        p, lam = cut
         g = axial_function(p, lam)
         assert_matches_elimination(g, min(2 * p.n, 6))
         assert kalai_h(g) == fh_vectors(p).h
@@ -209,21 +242,10 @@ class TestFlowUp:
         assert equivariant_hilbert(g, 6) == want
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_any_labelled_graph_matches_elimination(self, data):
+    @given(labelled_multigraph())
+    def test_any_labelled_graph_matches_elimination(self, g):
         """The certificate is sound on any multigraph with nonzero forms,
         GKM or not: whichever path runs, the dims are elimination's."""
-        n = data.draw(st.integers(1, 3))
-        V = data.draw(st.integers(1, 5))
-        ends = st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)).filter(
-            lambda ab: ab[0] != ab[1]
-        )
-        pairs = data.draw(st.lists(ends, max_size=8))
-        forms = data.draw(st.lists(st.integers(1, (1 << n) - 1), min_size=len(pairs),
-                                   max_size=len(pairs)))
-        edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
-        axial = {f"e{i}": Vec(bits, n) for i, bits in enumerate(forms)}
-        g = GkmGraph(n, tuple(f"v{i}" for i in range(V)), edges, axial)
         assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4)
 
     def test_failed_edge_condition_falls_back(self):
@@ -244,6 +266,115 @@ class TestFlowUp:
         for v in g.vertices:
             assert list(g.edges_at(v)) == sorted(e for e, (a, b) in g.edges.items() if v in (a, b))
         assert g.edges_at("nope") == ()
+
+
+def products(g, tau):
+    """The class with, at each vertex w, the product of the forms tau[w]."""
+    out = {}
+    for w, factors in tau.items():
+        poly = poly_one(g.n)
+        for bits in factors:
+            poly = poly_mul(poly, poly_linear(Vec(bits, g.n)))
+        out[w] = poly
+    return out
+
+
+def spoiled(g, tau, face_edges):
+    """Copies of tau with the first factor b at one vertex w made b + alpha(e),
+    e the first edge of C_v at w: still congruent across e, not always
+    across w's other edges of C_v."""
+    for w, factors in tau.items():
+        at_w = [e for e in g.edges_at(w) if e in face_edges]
+        if factors and at_w:
+            yield tau | {w: [factors[0] ^ g.axial[at_w[0]].bits, *factors[1:]]}
+
+
+@contextmanager
+def polynomial_oracle():
+    """On every vertex the certificate gets to, check the factor test
+    `gkm._congruent_on` against polynomials: on tau_v, the polynomial
+    test is every edge condition at C_v, built by `_thom_products`; on
+    spoiled copies of tau_v, it is the edge conditions on the edges of
+    C_v.  Yields the verdicts of the factor test, keyed (kind, verdict)."""
+    verdicts = Counter()
+    factor_test = gkm._congruent_on
+
+    def checked(g, tau, face_edges):
+        verdict = factor_test(g, tau, face_edges)
+        at_face = {e for w in tau for e in g.edges_at(w)}
+        assert verdict == satisfies_gkm(g, _thom_products(g, tau, face_edges), at_face)
+        verdicts["tau", verdict] += 1
+        for other in spoiled(g, tau, face_edges):
+            other_verdict = factor_test(g, other, face_edges)
+            assert other_verdict == satisfies_gkm(g, products(g, other), face_edges)
+            verdicts["spoiled", other_verdict] += 1
+        return verdict
+
+    with mock.patch.object(gkm, "_congruent_on", checked):
+        yield verdicts
+
+
+def failed_edge_graph():
+    """The graph of `TestFlowUp.test_failed_edge_condition_falls_back`."""
+    forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
+    edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
+    return GkmGraph(3, ("v0", "v1", "v2", "v3"), edges,
+                    {e: Vec.from_string(f) for e, f in forms.items()})
+
+
+class TestFactorCertificate:
+    """The factor test on tau_v agrees with expanding it into polynomials,
+    on every vertex `flow_up_degrees` tries."""
+
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_sweep(self, name):
+        g = graph_of(FLOW_SWEEP[name]())
+        with polynomial_oracle() as verdicts:
+            assert flow_up_degrees(g) is not None
+        # on a GKM graph every tau_v tried is a Thom class, so it passes
+        assert verdicts["tau", True] == len(g.vertices) and not verdicts["tau", False]
+
+    def test_sweep_sees_both_verdicts_on_spoiled_classes(self):
+        verdicts = Counter()
+        for build in FLOW_SWEEP.values():
+            with polynomial_oracle() as seen:
+                flow_up_degrees(graph_of(build()))
+            verdicts += seen
+        assert verdicts["spoiled", True] and verdicts["spoiled", False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        g = axial_function(*cut)
+        with polynomial_oracle() as verdicts:
+            assert flow_up_degrees(g) is not None
+        assert verdicts["tau", True] == len(g.vertices)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_multigraph())
+    def test_labelled_multigraphs(self, g):
+        with polynomial_oracle():
+            flow_up_degrees(g)
+
+    def test_seeded_multigraphs_see_both_verdicts(self):
+        """Graphs of the same shape, drawn from a seeded generator."""
+        rng = random.Random(0)
+        verdicts = Counter()
+        for _ in range(100):
+            n, V = rng.randint(1, 3), rng.randint(2, 5)
+            pairs = [rng.sample(range(V), 2) for _ in range(rng.randint(0, 8))]
+            forms = [rng.randint(1, (1 << n) - 1) for _ in pairs]
+            with polynomial_oracle() as seen:
+                flow_up_degrees(multigraph(n, V, pairs, forms))
+            verdicts += seen
+        assert verdicts["tau", True] and verdicts["tau", False]
+
+    def test_rejections_of_the_failed_edge_graph(self):
+        """v0 passes, v1 fails on e3, v2 passes, then v1 and v3 fail on e3
+        and no vertex is left to try."""
+        with polynomial_oracle() as verdicts:
+            assert flow_up_degrees(failed_edge_graph()) is None
+        assert verdicts["tau", True] == 2 and verdicts["tau", False] == 3
 
 
 class TestFaceRingHilbert:
