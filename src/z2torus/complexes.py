@@ -6,10 +6,11 @@ the face of Q whose relative interior contains the cell's interior (its
 carrier), and gives each cell's boundary cells, every incidence being 1
 mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
 (instances may supply one, a genuine triangulation of Q), and the face
-complex, whose cells are the faces of Q themselves.  QuotientComplex
-builds the mod-2 chain complex of either, with or without the isotropy
-gluing of a characteristic function.  `is_face_acyclic` runs the
-paper's criterion on either; on the face complex it is the CW gate.
+complex, whose cells are the faces of Q themselves.  `base_chain`
+walks either once into its mod-2 chain complex, kept on the poset.
+QuotientComplex lifts that chain through the isotropy gluing of a
+characteristic function.  `is_face_acyclic` runs the paper's criterion
+on it; on the face complex it is the CW gate.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate
+from itertools import chain as iter_chain
+from typing import NamedTuple
 
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, chain_ranks, compose_is_zero
+from .gf2 import Matrix, bit_indices, chain_ranks, compose_is_zero
 from .poset import FacePoset, per_poset
 
 Simplex = tuple[int, ...]
@@ -108,6 +111,97 @@ def _facets(sx: Simplex) -> list[Simplex]:
     return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
 
+class BaseChain(NamedTuple):
+    """The cellular chain complex of a cell complex over Q, from one walk.
+
+    cells[d] lists the d-cells in `by_dim` order, carriers[d] their
+    carrier faces, and rows[d] their boundaries as bits over the indices
+    of the (d-1)-cells (rows[0] is all 0).  closure and wrong_carriers
+    are the walk's findings in sorted cell order, with the wording of
+    `validate_carriers`; when there are any, the rows leave those cells'
+    missing facets out and nothing may read them.  It holds only cells,
+    face ids and ints, so keeping it on its poset makes no cycle.
+    """
+
+    cells: tuple[tuple[Hashable, ...], ...]
+    carriers: tuple[tuple[str, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    closure: tuple[str, ...] = ()
+    wrong_carriers: tuple[str, ...] = ()
+
+
+def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
+    """Walk base once: each cell's carrier and boundary row, the closure and
+    carrier-monotonicity findings, and, when there are none, boundary² = 0,
+    which raises ValueError when it fails."""
+    p = base.poset
+    kind = "simplex" if isinstance(base, CarrierComplex) else "face"
+    levels = base.by_dim()
+    carriers = [[base.carrier(cell) for cell in level] for level in levels]
+    closure: list[tuple[Hashable, str]] = []
+    wrong: list[tuple[Hashable, str]] = []
+    rows: list[tuple[int, ...]] = []
+    index: dict[Hashable, int] = {}
+    for d, level in enumerate(levels):
+        below, index = index, {cell: i for i, cell in enumerate(level)}
+        under = carriers[d - 1] if d else []
+        out = []
+        for cell, cf in zip(level, carriers[d]):
+            bits = 0
+            if cf not in p.codims:
+                wrong.append((cell, f"{kind} {cell} carried by unknown face {cf!r}"))
+            elif d:
+                inside = p.below(cf)
+                for face in base.boundary(cell):
+                    j = below.get(face)
+                    if j is None:
+                        closure.append((cell, f"{kind} {cell} misses facet {face}"))
+                        continue
+                    fc = under[j]
+                    if fc not in inside and fc in p.codims:  # an unknown fc has its own line
+                        wrong.append(
+                            (cell, f"carrier of {face} ({fc}) not inside carrier of {cell} ({cf})")
+                        )
+                    bits |= 1 << j
+            out.append(bits)
+        rows.append(tuple(out))
+    if not (closure or wrong):
+        dims = (0, *map(len, rows))
+        _check_squares(
+            Gf2ChainComplex(dims[1:], tuple(Matrix(r, n) for r, n in zip(rows, dims)))
+        )
+
+    def in_order(found: list[tuple[Hashable, str]]) -> tuple[str, ...]:
+        return tuple(line for _, line in sorted(found, key=lambda x: x[0]))
+
+    return BaseChain(
+        tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(rows),
+        in_order(closure), in_order(wrong),
+    )
+
+
+@per_poset
+def _kept_chain(p: FacePoset, triangulation: CarrierComplex | None = None) -> BaseChain:
+    """The walk of a triangulation of p, or of p's whole face complex."""
+    return _walk(FaceComplex(p) if triangulation is None else triangulation)
+
+
+def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
+    """base's chain, walked once per poset and triangulation, or per whole
+    face complex, and kept on the poset; a face complex restricted to some
+    faces is walked on its own.  Raises InputError when base is not closed
+    or a boundary leaves its cell's carrier."""
+    if isinstance(base, CarrierComplex):
+        chain = _kept_chain(base.poset, base)
+    elif base.faces == base.poset.codims.keys():
+        chain = _kept_chain(base.poset, None)
+    else:
+        chain = _walk(base)
+    if chain.closure or chain.wrong_carriers:
+        raise InputError([*chain.closure, *chain.wrong_carriers])
+    return chain
+
+
 class QuotientComplex:
     """Mod-2 chain complex of (base x GF(2)^n) / isotropy.
 
@@ -118,92 +212,97 @@ class QuotientComplex:
     The boundary drops the coset into the cosets of the smaller carriers'
     groups, and coincident images cancel mod 2.  Without one every cell
     has the single coset 0, which is the cellular chain complex of base.
+
+    The rows are lifted from base's chain (`base_chain`), where closure,
+    carriers and boundary² = 0 were checked once: the row of (c, g) is
+    the XOR of (c', rep(g + G_f')) over the cells c' in the row of c, f'
+    being the carrier of c'.  Boundary² = 0 on the model follows from the
+    base's.  Take c' in the boundary of c and c'' in that of c', with
+    carriers f'' <= f' <= f.  A smaller face lies in more facets, so
+    G_f <= G_f' <= G_f'', and coset drops compose:
+    rep(rep(g + G_f') + G_f'') = rep(g + G_f'').  Every path from (c, g)
+    down to c'' thus ends at the one cell (c'', rep(g + G_f'')), and the
+    coefficient of (c'', h) in the boundary² of (c, g) is 0 or the number
+    of paths from c to c'' in base, which is even as boundary² = 0 there.
+    The tests check the models as well.
     """
 
     def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction | None = None):
         self.base = base
         self.lam = lam
         self.n = lam.n if lam is not None else 0
-        p = base.poset
-        levels = base.by_dim()
-        carriers: dict[Hashable, str] = {
-            cell: base.carrier(cell) for level in levels for cell in level
-        }
-        # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
-        # the images of the unit vectors under g -> position of rep(g + G_f).
-        # group[f] indexes the quotients; carriers with the same labels share one.
-        quotients: list[tuple[list[int], list[int]]] = [([0], [])]
-        group: dict[str, int] = dict.fromkeys(carriers.values(), 0)
-        if lam is not None:
-            quotients, by_labels = [], {}
-            for f in group:
-                labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
-                if labels not in by_labels:
-                    by_labels[labels] = len(quotients)
-                    quotients.append(isotropy(p, lam, f).quotient())
-                group[f] = by_labels[labels]
-
-        self.cells: list[list[tuple[Hashable, int]]] = []
-        offsets: list[dict[Hashable, int]] = []  # cell -> index of its first coset
-        for level in levels:
-            cells: list[tuple[Hashable, int]] = []
-            offset: dict[Hashable, int] = {}
-            for cell in level:
-                offset[cell] = len(cells)
-                cells += [(cell, r) for r in quotients[group[carriers[cell]]][0]]
-            self.cells.append(cells)
-            offsets.append(offset)
-
-        drops: dict[tuple[int, int], list[int]] = {}  # (group, face's group) -> positions
-        boundaries: list[Matrix] = []
-        if self.cells:
-            boundaries.append(Matrix.zero(len(self.cells[0]), 0))
-        for d in range(1, len(self.cells)):
-            below = offsets[d - 1]
-            rows: list[int] = []
-            for cell in levels[d]:
-                carrier = carriers[cell]
-                inside = p.below(carrier)
-                mine = group[carrier]
-                reps = quotients[mine][0]
-                bits = 0  # the row of a lone coset, which drops to the cosets 0
-                targets = []  # for more cosets: (index of face's first coset, drop)
-                for face in base.boundary(cell):
-                    fcar = carriers.get(face)
-                    if fcar is None:
-                        raise InputError(f"complex not closed: {cell} misses facet {face}")
-                    if fcar not in inside:
-                        raise InputError(
-                            f"carrier of {face} ({fcar}) not inside carrier of {cell} ({carrier})"
-                        )
-                    if len(reps) == 1:
-                        bits ^= 1 << below[face]
-                        continue
-                    key = (mine, group[fcar])
-                    drop = drops.get(key)
-                    if drop is None:
-                        drop = drops[key] = _drop_positions(reps, quotients[key[1]][1])
-                    targets.append((below[face], drop))
-                if len(reps) == 1:
-                    rows.append(bits)
-                    continue
-                for k in range(len(reps)):
-                    bits = 0
-                    for first, drop in targets:
-                        bits ^= 1 << (first + drop[k])
-                    rows.append(bits)
-            boundaries.append(Matrix(tuple(rows), len(self.cells[d - 1])))
+        chain = base_chain(base)
+        rows: Sequence[Sequence[int]]
+        if lam is None:
+            self.cells = [[(cell, 0) for cell in level] for level in chain.cells]
+            rows = chain.rows
+        else:
+            self.cells, rows = _lift(chain, base.poset, lam)
+        dims = (0, *map(len, self.cells))
         self.chain = Gf2ChainComplex(
-            tuple(len(c) for c in self.cells), tuple(boundaries)
+            dims[1:], tuple(Matrix(tuple(r), n) for r, n in zip(rows, dims))
         )
 
     def betti(self) -> tuple[int, ...]:
         """Unreduced mod-2 Betti numbers, padded to length n+1."""
-        b = betti_mod2(self.chain)  # also asserts boundary^2 = 0
+        cc = self.chain
+        b = _betti(cc.dims, chain_ranks([enumerate(m.rows) for m in cc.boundaries]))
         return tuple(b) + (0,) * (self.n + 1 - len(b))
 
     def cell_count(self) -> int:
         return sum(len(c) for c in self.cells)
+
+
+def _lift(
+    chain: BaseChain, p: FacePoset, lam: CharFunction
+) -> tuple[list[list[tuple[Hashable, int]]], list[list[int]]]:
+    """The cells and boundary rows of the quotient model over chain."""
+    # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
+    # the images of the unit vectors under g -> position of rep(g + G_f).
+    # group[f] indexes the quotients; carriers with the same labels share one.
+    quotients: list[tuple[list[int], list[int]]] = []
+    by_labels: dict[frozenset[int], int] = {}
+    group: dict[str, int] = {}
+    for f in dict.fromkeys(f for level in chain.carriers for f in level):
+        labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
+        if labels not in by_labels:
+            by_labels[labels] = len(quotients)
+            quotients.append(isotropy(p, lam, f).quotient())
+        group[f] = by_labels[labels]
+    groups = [[group[f] for f in level] for level in chain.carriers]
+
+    cells: list[list[tuple[Hashable, int]]] = []
+    firsts: list[list[int]] = []  # per degree, each cell's first coset's index
+    for level, gs in zip(chain.cells, groups):
+        out: list[tuple[Hashable, int]] = []
+        first = []
+        for cell, g in zip(level, gs):
+            first.append(len(out))
+            out += [(cell, r) for r in quotients[g][0]]
+        cells.append(out)
+        firsts.append(first)
+
+    drops: dict[tuple[int, int], list[int]] = {}  # (group, face's group) -> positions
+    rows: list[list[int]] = [[0] * len(cells[0])] if cells else []
+    for d in range(1, len(cells)):
+        first, below = firsts[d - 1], groups[d - 1]
+        out_rows: list[int] = []
+        for mine, row in zip(groups[d], chain.rows[d]):
+            reps = quotients[mine][0]
+            targets = []  # (index of face's first coset, drop)
+            for j in bit_indices(row):
+                key = (mine, below[j])
+                drop = drops.get(key)
+                if drop is None:
+                    drop = drops[key] = _drop_positions(reps, quotients[key[1]][1])
+                targets.append((first[j], drop))
+            for k in range(len(reps)):
+                bits = 0
+                for f0, drop in targets:
+                    bits ^= 1 << (f0 + drop[k])
+                out_rows.append(bits)
+        rows.append(out_rows)
+    return cells, rows
 
 
 def _drop_positions(reps: list[int], images: list[int]) -> list[int]:
@@ -280,22 +379,20 @@ def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
     d-cells to bound it, so the faces below f are acyclic exactly when
     f's boundary has the mod-2 homology of S^(d-1).
     """
-    q = QuotientComplex(base)
-    cc = q.chain
-    _check_squares(cc)
+    chain = base_chain(base)
     # carrier -> (degree, its (index in degree, boundary row) pairs), for
     # the degrees the carrier holds cells in
     rows: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
-    for d, (cells, bd) in enumerate(zip(q.cells, cc.boundaries)):
-        for i, ((cell, _), row) in enumerate(zip(cells, bd.rows)):
-            by_dim = rows.setdefault(base.carrier(cell), [])
+    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
+        for i, (carrier, row) in enumerate(zip(carriers, level)):
+            by_dim = rows.setdefault(carrier, [])
             if not by_dim or by_dim[-1][0] != d:
                 by_dim.append((d, []))
             by_dim[-1][1].append((i, row))
     per_face: dict[str, tuple[int, ...]] = {}
     empty: list[str] = []
     for f in base.poset.faces():
-        sub: list[list[tuple[int, int]]] = [[] for _ in cc.dims]
+        sub: list[list[tuple[int, int]]] = [[] for _ in chain.rows]
         for g in base.poset.below(f):
             for d, pairs in rows.get(g, ()):
                 sub[d] += pairs
@@ -352,18 +449,9 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     """
     rep = CarrierReport()
     p = c.poset
-    facets: dict[Simplex, list[Simplex]] = {}  # listed once, read again per face
-    for sx, cf in sorted(c.simplices.items()):
-        if cf not in p.codims:
-            rep.carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
-            continue
-        facets[sx] = _facets(sx) if len(sx) >= 2 else []
-        for tau in facets[sx]:
-            ct = c.simplices.get(tau)
-            if ct is None:
-                rep.closure.append(f"simplex {sx} misses facet {tau}")
-            elif ct in p.codims and not p.leq(ct, cf):  # an unknown ct has its own line
-                rep.carriers.append(f"carrier of {tau} ({ct}) not inside carrier of {sx} ({cf})")
+    chain = _kept_chain(p, c)  # the closure and carrier findings come from its walk
+    rep.closure += chain.closure
+    rep.carriers += chain.wrong_carriers
     used = {v for sx in c.simplices for v in sx}
     for v in range(c.n_points):
         if v not in used:
@@ -371,30 +459,41 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     if not rep.ok:
         return rep
 
-    by_carrier: dict[str, list[Simplex]] = {}
-    for sx, cf in c.simplices.items():
-        by_carrier.setdefault(cf, []).append(sx)
+    # the simplices numbered degree by degree, with their facets' numbers;
+    # a face's lines come in sorted simplex order, as each list is sorted
+    cells = [sx for level in chain.cells for sx in level]
+    first = [0, *accumulate(map(len, chain.cells))]
+    facets = [
+        [first[k - 1] + j for j in bit_indices(row)]
+        for k, rows in enumerate(chain.rows)
+        for row in rows
+    ]
+    by_carrier: dict[str, list[int]] = {}
+    for x, sx in enumerate(cells):
+        by_carrier.setdefault(c.simplices[sx], []).append(x)
     for f in p.faces():
-        sub = sorted(sx for g in p.below(f) for sx in by_carrier.get(g, ()))
+        sub = [x for g in p.below(f) for x in by_carrier.get(g, ())]
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")
             continue
-        d = max(map(len, sub)) - 1
+        d = max(len(cells[x]) for x in sub) - 1
         if d != p.dim_face(f):
             rep.face_strata.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )
-        cofaces = Counter(chain.from_iterable(map(facets.__getitem__, sub)))
+        cofaces = Counter(iter_chain.from_iterable(map(facets.__getitem__, sub)))
         rep.face_strata += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
-            for sx in sub
-            if len(sx) <= d and not cofaces[sx]
+            for sx in sorted(cells[x] for x in sub if len(cells[x]) <= d and not cofaces[x])
         ]
-        for sx in sub:
-            if len(sx) == d:  # a wall, a (d-1)-simplex
-                want = 2 if c.simplices[sx] == f else 1
-                if cofaces[sx] != want:
-                    rep.face_strata.append(
-                        f"face {f}: wall {sx} lies in {cofaces[sx]} top simplices, wanted {want}"
-                    )
+        walls = []
+        for x in sub:
+            if len(cells[x]) == d:  # a wall, a (d-1)-simplex
+                want = 2 if c.simplices[cells[x]] == f else 1
+                if cofaces[x] != want:
+                    walls.append((cells[x], cofaces[x], want))
+        rep.face_strata += [
+            f"face {f}: wall {sx} lies in {n} top simplices, wanted {want}"
+            for sx, n, want in sorted(walls)
+        ]
     return rep

@@ -44,14 +44,26 @@ def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
     result.  Held strongly, a triangulation, which refers to its poset,
     would make a cycle; as it is, nothing kept on p refers back to p, so a
     dropped poset is freed at once.  A call that raises keeps nothing.
-    Callers share the result and must not change it."""
+    Callers share the result and must not change it.
+
+    fn's other parameters must be plain positional-or-keyword ones; their
+    names and defaults are read here, once."""
     sig = inspect.signature(fn)
+    params = list(sig.parameters.values())[1:]
+    if any(q.kind is not q.POSITIONAL_OR_KEYWORD for q in params):
+        raise TypeError(f"per_poset: {fn.__name__} takes more than plain parameters")
+    names = tuple(q.name for q in params)
+    defaults = tuple(q.default for q in params)
 
     @wraps(fn)
     def memo(p: "FacePoset", *args: object, **kwargs: object) -> T:
-        bound = sig.bind(p, *args, **kwargs)
-        bound.apply_defaults()
-        args = bound.args[1:]
+        if kwargs or len(args) != len(names):
+            rest = dict(kwargs)
+            missing = zip(names[len(args):], defaults[len(args):])
+            full = args + tuple(rest.pop(name, default) for name, default in missing)
+            if rest or len(full) != len(names) or any(a is sig.empty for a in full):
+                sig.bind(p, *args, **kwargs)  # raises the call's own TypeError
+            args = full
         key = (fn, *map(id, args))
         hit = p._memo.get(key)
         if hit is None or any(ref() is not a for ref, a in zip(hit[1], args)):
@@ -380,15 +392,18 @@ def fh_vectors(p: FacePoset) -> FHVector:
     return FHVector(fvec, hvec)
 
 
+@per_poset
 def one_skeleton(p: FacePoset) -> Skeleton:
-    """Graph of vertices (codim-n faces) and edges (codim-(n-1) faces)."""
+    """Graph of vertices (codim-n faces) and edges (codim-(n-1) faces).
+
+    Covers go up in codim, so the faces an edge covers are exactly the
+    vertices under it.  Kept on p: callers must not change its dicts."""
     verts = tuple(p.vertices())
-    vset = set(verts)
     edges: dict[str, tuple[str, str]] = {}
     degenerate: dict[str, tuple[str, ...]] = {}
     if p.n >= 1:
         for e in p.faces_of_codim(p.n - 1):
-            evs = tuple(sorted(p.below(e) & vset))
+            evs = tuple(sorted(set(p.children(e))))
             if len(evs) == 2:
                 edges[e] = (evs[0], evs[1])
             else:

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
+from z2torus.charfunc import CharFunction, isotropy
 from z2torus.complexes import (
     CarrierComplex,
     CarrierReport,
     FaceComplex,
     Gf2ChainComplex,
     QuotientComplex,
+    _drop_positions,
     _facets,
+    base_chain,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
@@ -22,7 +25,7 @@ from z2torus.complexes import (
     validate_carriers,
 )
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, _span_basis, chain_ranks
+from z2torus.gf2 import Matrix, Vec, _span_basis, chain_ranks, compose_is_zero
 from z2torus.poset import FacePoset, order_complex
 
 POINT_POSET = FacePoset(0, {"Q": 0}, set())
@@ -56,18 +59,85 @@ def assert_ranks_match_the_oracle(cc):
     assert ranks == [len(_span_basis(rows)) for rows in levels]
 
 
-def models(inst):
-    """The instance's models: mode A when its CW gate passes, mode B when
-    it has a triangulation, and the order-complex model always."""
-    p, lam = inst.poset, inst.lam
-    out = [QuotientComplex(order_complex(p), lam)]
-    if inst.triangulation is not None:
-        out.append(QuotientComplex(inst.triangulation, lam))
+def bases(p, triangulation=None):
+    """The complexes over p that models are built on: the order complex,
+    the triangulation if there is one, and the face complex when its CW
+    gate passes."""
+    out = [order_complex(p)]
+    if triangulation is not None:
+        out.append(triangulation)
     try:
         face_acyclicity(p)
     except PreconditionError:
         return out
-    return out + [QuotientComplex(FaceComplex(p), lam)]
+    return out + [FaceComplex(p)]
+
+
+def models(inst):
+    """The instance's models, one per base."""
+    return [QuotientComplex(base, inst.lam) for base in bases(inst.poset, inst.triangulation)]
+
+
+def walked_quotient(base, lam):
+    """Oracle for the lifted QuotientComplex: the model built by walking
+    base's boundaries itself, with a carrier dict and a check that every
+    boundary stays inside its cell's carrier.  Returns the cells and the
+    boundary rows of each degree."""
+    p = base.poset
+    levels = base.by_dim()
+    carriers = {cell: base.carrier(cell) for level in levels for cell in level}
+    quotients, by_labels, group = [], {}, {}
+    for f in dict.fromkeys(carriers.values()):
+        labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
+        if labels not in by_labels:
+            by_labels[labels] = len(quotients)
+            quotients.append(isotropy(p, lam, f).quotient())
+        group[f] = by_labels[labels]
+    cells, offsets = [], []
+    for level in levels:
+        out, offset = [], {}
+        for cell in level:
+            offset[cell] = len(out)
+            out += [(cell, r) for r in quotients[group[carriers[cell]]][0]]
+        cells.append(out)
+        offsets.append(offset)
+    rows = [[0] * len(cells[0])] if cells else []
+    for d in range(1, len(cells)):
+        out = []
+        for cell in levels[d]:
+            carrier = carriers[cell]
+            reps = quotients[group[carrier]][0]
+            targets = []
+            for face in base.boundary(cell):
+                assert carriers[face] in p.below(carrier)
+                drop = _drop_positions(reps, quotients[group[carriers[face]]][1])
+                targets.append((offsets[d - 1][face], drop))
+            for k in range(len(reps)):
+                bits = 0
+                for first, drop in targets:
+                    bits ^= 1 << (first + drop[k])
+                out.append(bits)
+        rows.append(out)
+    return cells, rows
+
+
+def assert_lift_matches_the_walk(base, lam):
+    """The lifted model equals the walked one row for row, and its
+    boundary squares to zero, which the program checks only on the base."""
+    q = QuotientComplex(base, lam)
+    cells, rows = walked_quotient(base, lam)
+    assert q.cells == cells
+    assert [list(m.rows) for m in q.chain.boundaries] == rows
+    bd = q.chain.boundaries
+    assert all(compose_is_zero(bd[d], bd[d - 1]) for d in range(2, len(bd)))
+
+
+def random_labels(data, p):
+    """Any nonzero label on each facet: the model is defined for every one."""
+    top = (1 << p.n) - 1
+    return CharFunction(
+        p.n, {F: Vec(data.draw(st.integers(1, top)), p.n) for F in p.facets()}
+    )
 
 
 def cut_chain(data):
@@ -248,6 +318,64 @@ class TestChainRanks:
         c = order_complex(p)
         rep = is_face_acyclic(c)
         assert (rep.per_face, rep.empty_faces) == rebuilt_acyclicity(c)
+
+
+class TestLift:
+    """QuotientComplex lifts base's chain through the coset drop tables."""
+
+    @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+    def test_corpus(self, name):
+        inst = corpus.BUILDERS[name]()
+        for base in bases(inst.poset, inst.triangulation):
+            assert_lift_matches_the_walk(base, inst.lam)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_ncubes(self, n):
+        inst = corpus.ncube(n)
+        assert_lift_matches_the_walk(FaceComplex(inst.poset), inst.lam)
+        if n <= 4:  # the barycentric 5-cube model has about 1.1M cells
+            assert_lift_matches_the_walk(order_complex(inst.poset), inst.lam)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        p, lam = cut_chain(data)
+        for base in bases(p):
+            assert_lift_matches_the_walk(base, lam)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_labels(self, data):
+        if data.draw(st.booleans()):
+            inst = corpus.BUILDERS[data.draw(st.sampled_from(sorted(corpus.BUILDERS)))]()
+            p, tri = inst.poset, inst.triangulation
+        else:
+            p, tri = cut_chain(data)[0], None
+        lam = random_labels(data, p)
+        for base in bases(p, tri):
+            assert_lift_matches_the_walk(base, lam)
+
+    def test_the_chain_is_kept_and_shared(self):
+        inst = corpus.square_klein()
+        chain = base_chain(inst.triangulation)
+        assert base_chain(inst.triangulation) is chain
+        assert validate_carriers(inst.triangulation).ok and base_chain(inst.triangulation) is chain
+        assert base_chain(FaceComplex(inst.poset)) is base_chain(FaceComplex(inst.poset))
+        assert base_chain(FaceComplex(inst.poset)) is not chain
+
+    def test_a_restricted_face_complex_gets_its_own_chain(self):
+        p = corpus.cube().poset
+        whole = base_chain(FaceComplex(p))
+        kept = len(p._memo)
+        chain = base_chain(FaceComplex(p, set(p.codims) - {"Q"}))
+        assert [len(level) for level in chain.cells] == [8, 12, 6]
+        assert [len(level) for level in whole.cells] == [8, 12, 6, 1]
+        assert len(p._memo) == kept and base_chain(FaceComplex(p)) is whole
+
+    def test_a_face_complex_that_is_not_closed_is_refused(self):
+        p = corpus.triangle().poset
+        with pytest.raises(InputError, match="face Q misses facet F1"):
+            QuotientComplex(FaceComplex(p, {"Q", "F2", "F3", "p12", "p13", "p23"}))
 
 
 class TestCarrierComplex:

@@ -544,6 +544,58 @@ class TestSkeleton:
         assert set(sk.degenerate_edges) == {"F1", "F2"}
         assert not sk.n_valent and not sk.connected
 
+    def test_kept_and_read_off_the_covers(self):
+        # the covers of an edge are its vertices, so no down-set is built
+        p = corpus.ncube(4).poset
+        sk = one_skeleton(p)
+        assert one_skeleton(p) is sk and "_below" not in vars(p)
+        assert len(sk.edges) == 32 and sk.n_valent and sk.connected
+        for e, ends in sk.edges.items():
+            assert set(ends) == p.below(e) & set(p.vertices()), e
+
+
+class TestPerPoset:
+    """per_poset reads its function's defaults once and fills them in."""
+
+    class Arg:  # an object that takes weak references
+        pass
+
+    def test_defaults_and_keywords_name_one_entry(self):
+        calls = []
+
+        @poset.per_poset
+        def f(p, a, b=None):
+            calls.append((a, b))
+            return [a, b]
+
+        p, a = corpus.triangle().poset, self.Arg()
+        got = f(p, a)
+        assert f(p, a, None) is got and f(p, a, b=None) is got and f(p, b=None, a=a) is got
+        assert calls == [(a, None)]
+        other = self.Arg()
+        assert f(p, a, other) == [a, other] and f(p, a, b=other) is f(p, a, other)
+        assert len(calls) == 2
+
+    def test_bad_calls_raise_the_call_type_error(self):
+        @poset.per_poset
+        def f(p, a, b=None):
+            return a
+
+        p, a = corpus.triangle().poset, self.Arg()
+        for args, kwargs, message in [
+            ((), {}, "missing a required argument: 'a'"),
+            ((a, None, None), {}, "too many positional arguments"),
+            ((a,), {"c": 1}, "unexpected keyword argument 'c'"),
+            ((a,), {"a": a}, "multiple values for argument 'a'"),
+        ]:
+            with pytest.raises(TypeError, match=message):
+                f(p, *args, **kwargs)
+        assert p._memo == {}
+
+    def test_only_plain_parameters(self):
+        with pytest.raises(TypeError, match="more than plain parameters"):
+            poset.per_poset(lambda p, *rest: rest)
+
 
 class TestDualAndGorenstein:
     def test_gorenstein_quick(self):
