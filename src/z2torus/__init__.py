@@ -23,12 +23,10 @@ from .complexes import (
     AcyclicityReport,
     CarrierComplex,
     FaceComplex,
-    Gf2ChainComplex,
     QuotientComplex,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
-    reduced_betti,
     validate_carriers,
 )
 from .errors import InputError, PreconditionError
@@ -71,7 +69,6 @@ __all__ = [
     "FaceComplex",
     "FacePoset",
     "FormalityVerdict",
-    "Gf2ChainComplex",
     "GkmGraph",
     "InputError",
     "Instance",
@@ -108,7 +105,6 @@ __all__ = [
     "one_skeleton",
     "order_complex",
     "parse_instance",
-    "reduced_betti",
     "satisfies_gkm",
     "save_instance",
     "serialize_instance",

@@ -6,25 +6,29 @@ the face of Q whose relative interior contains the cell's interior (its
 carrier), and gives each cell's boundary cells, every incidence being 1
 mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
 (instances may supply one, a genuine triangulation of Q), and the face
-complex, whose cells are the faces of Q themselves.  `base_chain`
-walks either once into its mod-2 chain complex, kept on the poset.
-QuotientComplex lifts that chain through the isotropy gluing of a
-characteristic function.  `is_face_acyclic` runs the paper's criterion
-on it; on the face complex it is the CW gate.
+complex, whose cells are the faces of Q themselves.
+
+Every mod-2 chain complex here has one form, its rows: rows[d][i] is
+the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
+(rows[0] is all 0).  `base_chain` walks a cell complex over Q once into
+its rows, kept on the poset; QuotientComplex lifts them through the
+isotropy gluing of a characteristic function; `betti_mod2` reads any
+rows.  `is_face_acyclic` runs the paper's criterion on the base rows,
+gathered per face by `_carried`, which `validate_carriers` shares; on
+the face complex the criterion is the CW gate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
 from itertools import chain as iter_chain
 from typing import NamedTuple
 
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, bit_indices, chain_ranks, compose_is_zero
+from .gf2 import bit_indices, chain_ranks
 from .poset import FacePoset, per_poset
 
 Simplex = tuple[int, ...]
@@ -99,14 +103,6 @@ class FaceComplex:
         return f"FaceComplex(faces={len(self.faces)})"
 
 
-@dataclass(frozen=True)
-class Gf2ChainComplex:
-    """dims[d] cells in degree d; boundaries[d] maps degree d to d-1."""
-
-    dims: tuple[int, ...]
-    boundaries: tuple[Matrix, ...]
-
-
 def _facets(sx: Simplex) -> list[Simplex]:
     return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
@@ -166,10 +162,7 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
             out.append(bits)
         rows.append(tuple(out))
     if not (closure or wrong):
-        dims = (0, *map(len, rows))
-        _check_squares(
-            Gf2ChainComplex(dims[1:], tuple(Matrix(r, n) for r, n in zip(rows, dims)))
-        )
+        _check_squares(rows)
 
     def in_order(found: list[tuple[Hashable, str]]) -> tuple[str, ...]:
         return tuple(line for _, line in sorted(found, key=lambda x: x[0]))
@@ -205,13 +198,13 @@ def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
 class QuotientComplex:
     """Mod-2 chain complex of (base x GF(2)^n) / isotropy.
 
-    `base` is a CarrierComplex or a FaceComplex.  With a characteristic
-    function, (x, g) ~ (x, g') whenever g - g' lies in the isotropy
+    `base` is a CarrierComplex or a FaceComplex, and lam a characteristic
+    function.  (x, g) ~ (x, g') whenever g - g' lies in the isotropy
     subgroup of the carrier of x: a cell with carrier f becomes one cell
     per coset of G_f, written (cell, canonical coset representative).
     The boundary drops the coset into the cosets of the smaller carriers'
-    groups, and coincident images cancel mod 2.  Without one every cell
-    has the single coset 0, which is the cellular chain complex of base.
+    groups, and coincident images cancel mod 2.  cells[d] lists the
+    d-cells and rows[d] their boundaries, in the module's row form.
 
     The rows are lifted from base's chain (`base_chain`), where closure,
     carriers and boundary² = 0 were checked once: the row of (c, g) is
@@ -227,26 +220,15 @@ class QuotientComplex:
     The tests check the models as well.
     """
 
-    def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction | None = None):
+    def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction):
         self.base = base
         self.lam = lam
-        self.n = lam.n if lam is not None else 0
-        chain = base_chain(base)
-        rows: Sequence[Sequence[int]]
-        if lam is None:
-            self.cells = [[(cell, 0) for cell in level] for level in chain.cells]
-            rows = chain.rows
-        else:
-            self.cells, rows = _lift(chain, base.poset, lam)
-        dims = (0, *map(len, self.cells))
-        self.chain = Gf2ChainComplex(
-            dims[1:], tuple(Matrix(tuple(r), n) for r, n in zip(rows, dims))
-        )
+        self.n = lam.n
+        self.cells, self.rows = _lift(base_chain(base), base.poset, lam)
 
     def betti(self) -> tuple[int, ...]:
         """Unreduced mod-2 Betti numbers, padded to length n+1."""
-        cc = self.chain
-        b = _betti(cc.dims, chain_ranks([enumerate(m.rows) for m in cc.boundaries]))
+        b = _betti(list(map(len, self.rows)), chain_ranks([enumerate(r) for r in self.rows]))
         return tuple(b) + (0,) * (self.n + 1 - len(b))
 
     def cell_count(self) -> int:
@@ -255,7 +237,7 @@ class QuotientComplex:
 
 def _lift(
     chain: BaseChain, p: FacePoset, lam: CharFunction
-) -> tuple[list[list[tuple[Hashable, int]]], list[list[int]]]:
+) -> tuple[list[list[tuple[Hashable, int]]], tuple[tuple[int, ...], ...]]:
     """The cells and boundary rows of the quotient model over chain."""
     # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
     # the images of the unit vectors under g -> position of rep(g + G_f).
@@ -283,7 +265,7 @@ def _lift(
         firsts.append(first)
 
     drops: dict[tuple[int, int], list[int]] = {}  # (group, face's group) -> positions
-    rows: list[list[int]] = [[0] * len(cells[0])] if cells else []
+    rows: list[tuple[int, ...]] = [(0,) * len(cells[0])] if cells else []
     for d in range(1, len(cells)):
         first, below = firsts[d - 1], groups[d - 1]
         out_rows: list[int] = []
@@ -301,8 +283,8 @@ def _lift(
                 for f0, drop in targets:
                     bits ^= 1 << (f0 + drop[k])
                 out_rows.append(bits)
-        rows.append(out_rows)
-    return cells, rows
+        rows.append(tuple(out_rows))
+    return cells, tuple(rows)
 
 
 def _drop_positions(reps: list[int], images: list[int]) -> list[int]:
@@ -321,10 +303,19 @@ def _drop_positions(reps: list[int], images: list[int]) -> list[int]:
     return table
 
 
-def _check_squares(cc: Gf2ChainComplex) -> None:
-    for d in range(2, len(cc.dims)):
-        if not compose_is_zero(cc.boundaries[d], cc.boundaries[d - 1]):
-            raise ValueError(f"boundary composite in degree {d} is nonzero")
+def _check_squares(rows: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError unless each row's boundary, the XOR of the rows
+    one degree down that its bits select, is 0."""
+    for d in range(2, len(rows)):
+        inner = rows[d - 1]
+        for row in rows[d]:
+            acc = 0
+            while row:
+                top = row.bit_length() - 1
+                acc ^= inner[top]
+                row ^= 1 << top
+            if acc:
+                raise ValueError(f"boundary composite in degree {d} is nonzero")
 
 
 def _betti(dims: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
@@ -334,17 +325,13 @@ def _betti(dims: Sequence[int], ranks: Sequence[int]) -> tuple[int, ...]:
     return tuple(dims[d] - r[d] - r[d + 1] for d in range(len(dims)))
 
 
-def betti_mod2(cc: Gf2ChainComplex) -> tuple[int, ...]:
-    """Unreduced mod-2 Betti numbers.  Verifies boundary-squared = 0."""
-    _check_squares(cc)
-    return _betti(cc.dims, chain_ranks([enumerate(b.rows) for b in cc.boundaries]))
-
-
-def reduced_betti(cc: Gf2ChainComplex) -> tuple[int, ...]:
-    b = betti_mod2(cc)
-    if not b:
-        return ()
-    return (b[0] - 1,) + b[1:]
+def betti_mod2(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Unreduced mod-2 Betti numbers of the chain complex whose d-cells
+    have the boundary rows rows[d]: rows[d][i] is an int with bit j set
+    when (d-1)-cell j lies in the boundary of d-cell i, and rows[0] is all
+    0.  Verifies boundary-squared = 0."""
+    _check_squares(rows)
+    return _betti(list(map(len, rows)), chain_ranks([enumerate(r) for r in rows]))
 
 
 @dataclass
@@ -368,36 +355,45 @@ class AcyclicityReport:
         return out
 
 
-def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
-    """Is every face's subcomplex, the cells carried inside it, mod-2 acyclic?
-
-    A boundary never leaves its cell's carrier, so each face's subcomplex
-    is a set of rows of base's one chain complex, read at its own size.
-    On the face complex this is the CW gate (Bjorner, "Posets, regular CW
-    complexes and Bruhat order", 1984): for f of dimension d >= 1 the
-    boundary of the cell f is a (d-1)-cycle of f's boundary, which has no
-    d-cells to bound it, so the faces below f are acyclic exactly when
-    f's boundary has the mod-2 homology of S^(d-1).
-    """
-    chain = base_chain(base)
-    # carrier -> (degree, its (index in degree, boundary row) pairs), for
-    # the degrees the carrier holds cells in
-    rows: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
+def _carried(
+    chain: BaseChain, p: FacePoset
+) -> Iterator[tuple[str, list[list[tuple[int, int]]]]]:
+    """Each face f of p, in `p.faces()` order, with its subcomplex: the
+    cells of chain carried inside f, per degree up to the subcomplex's
+    dimension, as (index in degree, boundary row) pairs.  A boundary never
+    leaves its cell's carrier, so the subcomplex is closed."""
+    # carrier -> (degree, its pairs), for the degrees the carrier holds cells in
+    by_carrier: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
     for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
         for i, (carrier, row) in enumerate(zip(carriers, level)):
-            by_dim = rows.setdefault(carrier, [])
+            by_dim = by_carrier.setdefault(carrier, [])
             if not by_dim or by_dim[-1][0] != d:
                 by_dim.append((d, []))
             by_dim[-1][1].append((i, row))
-    per_face: dict[str, tuple[int, ...]] = {}
-    empty: list[str] = []
-    for f in base.poset.faces():
+    for f in p.faces():
         sub: list[list[tuple[int, int]]] = [[] for _ in chain.rows]
-        for g in base.poset.below(f):
-            for d, pairs in rows.get(g, ()):
+        for g in p.below(f):
+            for d, pairs in by_carrier.get(g, ()):
                 sub[d] += pairs
         while sub and not sub[-1]:  # degrees above the subcomplex's dimension
             sub.pop()
+        yield f, sub
+
+
+def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
+    """Is every face's subcomplex, the cells carried inside it, mod-2 acyclic?
+
+    Each face's subcomplex is a set of rows of base's one chain complex
+    (`_carried`), read at its own size.  On the face complex this is the
+    CW gate (Bjorner, "Posets, regular CW complexes and Bruhat order",
+    1984): for f of dimension d >= 1 the boundary of the cell f is a
+    (d-1)-cycle of f's boundary, which has no d-cells to bound it, so the
+    faces below f are acyclic exactly when f's boundary has the mod-2
+    homology of S^(d-1).
+    """
+    per_face: dict[str, tuple[int, ...]] = {}
+    empty: list[str] = []
+    for f, sub in _carried(base_chain(base), base.poset):
         if not sub:
             empty.append(f)
             continue
@@ -459,39 +455,33 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     if not rep.ok:
         return rep
 
-    # the simplices numbered degree by degree, with their facets' numbers;
-    # a face's lines come in sorted simplex order, as each list is sorted
-    cells = [sx for level in chain.cells for sx in level]
-    first = [0, *accumulate(map(len, chain.cells))]
-    facets = [
-        [first[k - 1] + j for j in bit_indices(row)]
-        for k, rows in enumerate(chain.rows)
-        for row in rows
-    ]
-    by_carrier: dict[str, list[int]] = {}
-    for x, sx in enumerate(cells):
-        by_carrier.setdefault(c.simplices[sx], []).append(x)
-    for f in p.faces():
-        sub = [x for g in p.below(f) for x in by_carrier.get(g, ())]
+    # each simplex's facets, as indices one degree down, listed once
+    facets = [[list(bit_indices(row)) for row in level] for level in chain.rows]
+    for f, sub in _carried(chain, p):
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")
             continue
-        d = max(len(cells[x]) for x in sub) - 1
+        d = len(sub) - 1
         if d != p.dim_face(f):
             rep.face_strata.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )
-        cofaces = Counter(iter_chain.from_iterable(map(facets.__getitem__, sub)))
+        # cofaces[k][i]: the (k+1)-simplices of the subcomplex on its k-simplex i
+        cofaces = [
+            Counter(iter_chain.from_iterable(facets[k][i] for i, _ in level))
+            for k, level in enumerate(sub[1:], 1)
+        ]
         rep.face_strata += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
-            for sx in sorted(cells[x] for x in sub if len(cells[x]) <= d and not cofaces[x])
+            for sx in sorted(
+                chain.cells[k][i] for k in range(d) for i, _ in sub[k] if not cofaces[k][i]
+            )
         ]
         walls = []
-        for x in sub:
-            if len(cells[x]) == d:  # a wall, a (d-1)-simplex
-                want = 2 if c.simplices[cells[x]] == f else 1
-                if cofaces[x] != want:
-                    walls.append((cells[x], cofaces[x], want))
+        for i, _ in sub[d - 1] if d else ():  # the walls, the (d-1)-simplices
+            want = 2 if chain.carriers[d - 1][i] == f else 1
+            if cofaces[d - 1][i] != want:
+                walls.append((chain.cells[d - 1][i], cofaces[d - 1][i], want))
         rep.face_strata += [
             f"face {f}: wall {sx} lies in {n} top simplices, wanted {want}"
             for sx, n, want in sorted(walls)

@@ -234,16 +234,6 @@ class Matrix:
             basis.append(v)
         return Matrix(tuple(basis), self.ncols)
 
-    def apply(self, v: int) -> int:
-        """Row-vector times matrix: XOR of the rows selected by bits of v."""
-        acc = 0
-        rows = self.rows
-        while v:
-            top = v.bit_length() - 1
-            acc ^= rows[top]
-            v ^= 1 << top
-        return acc
-
     def __str__(self) -> str:
         return "\n".join(str(Vec(r, self.ncols)) for r in self.rows)
 
@@ -271,14 +261,3 @@ def mod_line(forms: Iterable[int], a: int) -> list[int]:
     one bit test, since a form holding a's lowest set bit gets a added."""
     low = a & -a
     return sorted([b ^ a if b & low else b for b in forms])
-
-
-def compose_is_zero(outer: Matrix, inner: Matrix) -> bool:
-    """True iff the composite map row->outer->inner is identically zero.
-
-    Rows of `outer` are chains written in the basis indexing the rows of
-    `inner`, so the composite of one row is the XOR of its selected rows.
-    """
-    if outer.ncols != inner.nrows:
-        raise ValueError("shape mismatch")
-    return all(inner.apply(r) == 0 for r in outer.rows)

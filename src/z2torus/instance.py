@@ -158,6 +158,8 @@ def parse_instance(data: object) -> Instance:
             or not isinstance(raw["simplices"], list)
         ):
             raise InputError("triangulation must be {points, simplices}")
+        if raw["points"] < 0:
+            raise InputError("triangulation points must be a non-negative integer")
         if raw["points"] > len(raw["simplices"]):
             # every point is its own 0-simplex (validate_carriers checks closure)
             raise InputError(

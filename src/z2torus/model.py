@@ -56,7 +56,7 @@ def facial_components(q: QuotientComplex, f: str) -> int:
     pairs = (
         ((d, i), (d - 1, j))
         for d in range(1, len(q.cells))
-        for i, row in enumerate(q.chain.boundaries[d].rows)
+        for i, row in enumerate(q.rows[d])
         if inside[d][i]
         for j in bit_indices(row)
     )

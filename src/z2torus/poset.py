@@ -43,8 +43,10 @@ def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
     it was kept for, so a new object that takes a dead one's id gets its own
     result.  Held strongly, a triangulation, which refers to its poset,
     would make a cycle; as it is, nothing kept on p refers back to p, so a
-    dropped poset is freed at once.  A call that raises keeps nothing.
-    Callers share the result and must not change it.
+    dropped poset is freed at once.  Each write first drops the entries
+    whose arguments are gone, so p keeps no result for a freed argument
+    past its next write.  A call that raises keeps nothing.  Callers share
+    the result and must not change it.
 
     fn's other parameters must be plain positional-or-keyword ones; their
     names and defaults are read here, once."""
@@ -67,7 +69,11 @@ def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
         key = (fn, *map(id, args))
         hit = p._memo.get(key)
         if hit is None or any(ref() is not a for ref, a in zip(hit[1], args)):
-            hit = p._memo[key] = (fn(p, *args), tuple(map(_weak, args)))
+            result = fn(p, *args)
+            kept = p._memo
+            for k in [k for k, (_, refs) in kept.items() if _gone(refs)]:
+                del kept[k]
+            hit = kept[key] = (result, tuple(map(_weak, args)))
         return hit[0]
 
     return memo
@@ -76,6 +82,12 @@ def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
 def _weak(x: object) -> Callable[[], object]:
     """A weak reference to x; None takes none, and NoneType() is None."""
     return type(None) if x is None else weakref.ref(x)
+
+
+def _gone(refs: tuple[Callable[[], object], ...]) -> bool:
+    """Whether an argument an entry was kept for is freed; a None argument
+    is never, though its stand-in NoneType also returns None."""
+    return any(ref is not type(None) and ref() is None for ref in refs)
 
 
 class FacePoset:

@@ -1,6 +1,11 @@
-"""Instances shared by several test modules."""
+"""Instances and helpers shared by several test modules."""
 
 import pytest
+
+
+def reduced(betti):
+    """Reduced Betti numbers from unreduced ones: b[0] - 1 in degree 0."""
+    return (betti[0] - 1,) + betti[1:] if betti else ()
 
 
 @pytest.fixture

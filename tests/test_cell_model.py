@@ -4,6 +4,7 @@ CW gate that guards it."""
 from math import comb
 
 import pytest
+from conftest import reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,11 +12,10 @@ from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.complexes import (
     FaceComplex,
-    QuotientComplex,
+    base_chain,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
-    reduced_betti,
 )
 from z2torus.errors import PreconditionError
 from z2torus.instance import parse_instance
@@ -43,7 +43,7 @@ def sphere_failures(p):
         d = p.dim_face(f)
         if d == 0:
             continue
-        b = reduced_betti(QuotientComplex(FaceComplex(p, p.below(f) - {f})).chain)
+        b = reduced(betti_mod2(base_chain(FaceComplex(p, p.below(f) - {f})).rows))
         if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
             failing.append(f)
     return failing
@@ -130,9 +130,9 @@ def test_gate_rejects_the_annulus_poset():
 def test_face_complex_of_the_cube_boundary_is_a_sphere():
     p = corpus.cube().poset
     boundary = FaceComplex(p, set(p.codims) - {"Q"})
-    cc = QuotientComplex(boundary).chain
-    assert cc.dims == (8, 12, 6)
-    assert betti_mod2(cc) == (1, 0, 1)
+    rows = base_chain(boundary).rows
+    assert tuple(map(len, rows)) == (8, 12, 6)
+    assert betti_mod2(rows) == (1, 0, 1)
     cells = FaceComplex(p)
     assert [len(level) for level in cells.by_dim()] == [8, 12, 6, 1]
 

@@ -436,6 +436,15 @@ class TestMalformedInput:
         assert rc == 1 and out == ""
         assert err == "error: triangulation points=3000000 exceeds the number of listed simplices (1)\n"
 
+    def test_negative_points_is_one_error_line(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["triangulation"]["points"] = -1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == "error: triangulation points must be a non-negative integer\n"
+
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_bytes(bytes.fromhex("fffe00626164"))

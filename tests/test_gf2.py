@@ -11,7 +11,6 @@ from z2torus.gf2 import (
     Vec,
     _span_basis,
     chain_ranks,
-    compose_is_zero,
     dual_code,
     lowest_bit,
     reduce_by,
@@ -102,10 +101,6 @@ class TestNullspaceAndDual:
 
 
 class TestOps:
-    def test_apply_selects_rows(self):
-        m = Matrix.from_rows([0b01, 0b10, 0b11], 2)
-        assert m.apply(0b101) == 0b01 ^ 0b11
-
     def test_reduce_by_membership(self):
         rows, pivots = Matrix.from_rows([0b011, 0b110], 3).rref()
         assert reduce_by(list(rows.rows), list(pivots), 0b011 ^ 0b110) == 0
@@ -182,6 +177,15 @@ def transpose(rows: list[int], ncols: int) -> list[int]:
     return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
 
 
+def selected_sum(rows, mask: int) -> int:
+    """XOR of the rows whose indices are the set bits of mask."""
+    acc = 0
+    for j, row in enumerate(rows):
+        if (mask >> j) & 1:
+            acc ^= row
+    return acc
+
+
 def lowest_bit_ranks(levels: list[list[int]]) -> list[int]:
     """The oracle: each degree's rank from the lowest-bit basis, no clearing."""
     return [len(_span_basis(rows)) for rows in levels]
@@ -201,7 +205,7 @@ def chain_complexes(draw, max_degree=4, max_cells=7):
         basis = below_t.nullspace().rows  # the (d-1)-cycles
         masks = draw(st.lists(st.integers(0, (1 << len(basis)) - 1), min_size=dims[d],
                               max_size=dims[d]))
-        levels.append([Matrix(basis, dims[d - 1]).apply(m) for m in masks])
+        levels.append([selected_sum(basis, m) for m in masks])
     return levels
 
 
@@ -226,8 +230,7 @@ class TestChainRanks:
 @given(chain_complexes())
 def test_chain_ranks_match_the_lowest_bit_rank(levels):
     for d in range(2, len(levels)):
-        inner = Matrix(tuple(levels[d - 1]), len(levels[d - 2]))
-        assert compose_is_zero(Matrix(tuple(levels[d]), len(levels[d - 1])), inner)
+        assert all(selected_sum(levels[d - 1], row) == 0 for row in levels[d])
     assert chain_ranks([list(enumerate(rows)) for rows in levels]) == lowest_bit_ranks(levels)
     widths = [0] + [len(rows) for rows in levels[:-1]]
     assert [Matrix(tuple(rows), w).rank() for rows, w in zip(levels, widths)] == (
