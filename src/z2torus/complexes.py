@@ -15,7 +15,8 @@ its rows, kept on the poset; QuotientComplex lifts them through the
 isotropy gluing of a characteristic function; `betti_mod2` reads any
 rows.  `is_face_acyclic` runs the paper's criterion on the base rows,
 gathered per face by `_carried`, which `validate_carriers` shares; on
-the face complex the criterion is the CW gate.
+the face complex the criterion is the CW gate.  The walk and the gather
+read the poset's up-set masks, never its frozenset views.
 """
 
 from __future__ import annotations
@@ -129,8 +130,10 @@ class BaseChain(NamedTuple):
 def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
     """Walk base once: each cell's carrier and boundary row, the closure and
     carrier-monotonicity findings, and, when there are none, boundary² = 0,
-    which raises ValueError when it fails."""
+    which raises ValueError when it fails.  A carrier is tested against its
+    cell's with a bit of the poset's up-set masks `p._up`."""
     p = base.poset
+    up = p._up
     kind = "simplex" if isinstance(base, CarrierComplex) else "face"
     levels = base.by_dim()
     carriers = [[base.carrier(cell) for cell in level] for level in levels]
@@ -147,14 +150,14 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
             if cf not in p.codims:
                 wrong.append((cell, f"{kind} {cell} carried by unknown face {cf!r}"))
             elif d:
-                inside = p.below(cf)
+                mine = p._bit[cf]  # fc <= cf when this bit is in fc's up-set
                 for face in base.boundary(cell):
                     j = below.get(face)
                     if j is None:
                         closure.append((cell, f"{kind} {cell} misses facet {face}"))
                         continue
                     fc = under[j]
-                    if fc not in inside and fc in p.codims:  # an unknown fc has its own line
+                    if fc in up and not up[fc] & mine:  # an unknown fc has its own line
                         wrong.append(
                             (cell, f"carrier of {face} ({fc}) not inside carrier of {cell} ({cf})")
                         )
@@ -241,12 +244,14 @@ def _lift(
     """The cells and boundary rows of the quotient model over chain."""
     # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
     # the images of the unit vectors under g -> position of rep(g + G_f).
-    # group[f] indexes the quotients; carriers with the same labels share one.
+    # group[f] indexes the quotients; carriers with the same labels, read
+    # off their facet masks, share one.
     quotients: list[tuple[list[int], list[int]]] = []
     by_labels: dict[frozenset[int], int] = {}
     group: dict[str, int] = {}
+    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
     for f in dict.fromkeys(f for level in chain.carriers for f in level):
-        labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
+        labels = frozenset(label[j] for j in bit_indices(p._facet_mask[f]))
         if labels not in by_labels:
             by_labels[labels] = len(quotients)
             quotients.append(isotropy(p, lam, f).quotient())
@@ -360,8 +365,12 @@ def _carried(
 ) -> Iterator[tuple[str, list[list[tuple[int, int]]]]]:
     """Each face f of p, in `p.faces()` order, with its subcomplex: the
     cells of chain carried inside f, per degree up to the subcomplex's
-    dimension, as (index in degree, boundary row) pairs.  A boundary never
-    leaves its cell's carrier, so the subcomplex is closed."""
+    dimension, as (index in degree, boundary row) pairs.  Each carrier's
+    pairs are handed to the faces above it, the bits of its up-set mask
+    `p._up`, and a face's lists are joined when it is yielded, so the
+    pairs within a degree follow the carriers, not the indices.  A
+    boundary never leaves its cell's carrier, so the subcomplex is
+    closed."""
     # carrier -> (degree, its pairs), for the degrees the carrier holds cells in
     by_carrier: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
     for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
@@ -370,13 +379,19 @@ def _carried(
             if not by_dim or by_dim[-1][0] != d:
                 by_dim.append((d, []))
             by_dim[-1][1].append((i, row))
-    for f in p.faces():
-        sub: list[list[tuple[int, int]]] = [[] for _ in chain.rows]
-        for g in p.below(f):
-            for d, pairs in by_carrier.get(g, ()):
-                sub[d] += pairs
-        while sub and not sub[-1]:  # degrees above the subcomplex's dimension
-            sub.pop()
+    held: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in p._order]  # by face bit
+    for g, by_dim in by_carrier.items():
+        up = p._up[g]
+        while up:
+            k = up.bit_length() - 1
+            up ^= 1 << k
+            held[k] += by_dim
+    for f, pieces in zip(p._order, held):
+        sub: list[list[tuple[int, int]]] = []
+        for d, pairs in pieces:
+            while len(sub) <= d:
+                sub.append([])
+            sub[d] += pairs
         yield f, sub
 
 

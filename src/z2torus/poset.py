@@ -234,7 +234,9 @@ class PosetReport:
     """Validation findings; empty lists mean the check passed.
 
     has_vertex and skeleton_connected are computed from the poset on first
-    read, and [] when structural is non-empty: `sound` never needs them."""
+    read, and [] when structural is non-empty: `sound` never needs them.
+    They read the poset's up-set masks and covers, never the frozenset
+    views."""
 
     poset: FacePoset = field(repr=False, compare=False)
     structural: list[str] = field(default_factory=list)
@@ -243,26 +245,49 @@ class PosetReport:
 
     @cached_property
     def has_vertex(self) -> list[str]:
+        """The faces outside the union of the vertices' up-sets."""
         if self.structural:
             return []
         p = self.poset
-        verts = set(p.vertices())
-        return [f"face {f} contains no vertex" for f in p.faces() if not (p.below(f) & verts)]
+        held = 0
+        for v in p.vertices():
+            held |= p._up[v]
+        return [f"face {f} contains no vertex" for f in p.faces() if not held & p._bit[f]]
 
     @cached_property
     def skeleton_connected(self) -> list[str]:
+        """The faces whose vertices do not form one component, each
+        component a mask over the vertices (bit j for the j-th vertex)."""
         if self.structural:
             return []
+        # With no structural findings, covers step one codim, so every
+        # vertex and edge below a face of dimension >= 2 lies below one of
+        # its children: the face's 1-skeleton is the union of theirs, and
+        # its components are theirs, merged where they share a vertex.  An
+        # edge joins its two ends; a degenerate one, which is not in
+        # `edges`, keeps the vertices it covers apart.
         p = self.poset
-        verts = set(p.vertices())
+        vbit = {v: 1 << j for j, v in enumerate(p.vertices())}
         edges = one_skeleton(p).edges
-        found = []
-        for f in p.faces():
-            below = p.below(f)
-            fverts = below & verts
-            if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
-                found.append(f"1-skeleton of face {f} is disconnected")
-        return found
+        comps: dict[str, list[int]] = {}
+        for f in reversed(p._order):  # children first
+            if f in vbit:
+                comps[f] = [vbit[f]]
+            elif f in edges:
+                a, b = edges[f]
+                comps[f] = [vbit[a] | vbit[b]]
+            else:
+                merged: list[int] = []
+                for c in p.children(f):
+                    for comp in comps[c]:
+                        for m in [m for m in merged if m & comp]:
+                            merged.remove(m)
+                            comp |= m
+                        merged.append(comp)
+                comps[f] = merged
+        return [
+            f"1-skeleton of face {f} is disconnected" for f in p.faces() if len(comps[f]) > 1
+        ]
 
     @property
     def sound(self) -> bool:

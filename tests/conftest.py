@@ -2,10 +2,33 @@
 
 import pytest
 
+from z2torus.poset import FacePoset
+
 
 def reduced(betti):
     """Reduced Betti numbers from unreduced ones: b[0] - 1 in degree 0."""
     return (betti[0] - 1,) + betti[1:] if betti else ()
+
+
+def edits(p):
+    """Every edit one step away from the poset p: a cover dropped, a cover
+    added between adjacent codims, or a face deleted with its covers."""
+    covers = set(p.covers)
+    found = [("drop", cover) for cover in p.covers]
+    for c in p.faces():
+        parents = p.faces_of_codim(p.codims[c] - 1)
+        found += [("add", (c, q)) for q in parents if (c, q) not in covers]
+    return found + [("delete", f) for f in p.faces()]
+
+
+def apply_edit(p, edit):
+    kind, x = edit
+    if kind == "drop":
+        return FacePoset(p.n, p.codims, set(p.covers) - {x})
+    if kind == "add":
+        return FacePoset(p.n, p.codims, set(p.covers) | {x})
+    codims = {g: k for g, k in p.codims.items() if g != x}
+    return FacePoset(p.n, codims, {(c, q) for c, q in p.covers if x not in (c, q)})
 
 
 @pytest.fixture

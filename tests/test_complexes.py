@@ -1,9 +1,10 @@
 """Carrier complexes, mod-2 homology, and face-acyclicity."""
 
 import functools
+import random
 
 import pytest
-from conftest import reduced
+from conftest import apply_edit, edits, reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,11 @@ from z2torus.complexes import (
     CarrierReport,
     FaceComplex,
     QuotientComplex,
+    _carried,
     _check_squares,
     _drop_positions,
     _facets,
+    _walk,
     base_chain,
     betti_mod2,
     face_acyclicity,
@@ -231,6 +234,45 @@ def close_down(tops):
     return out
 
 
+def carried_oracle(chain, p):
+    """`_carried` as it read the down-sets: each face with, per degree up
+    to its subcomplex's dimension, the set of (index, row) pairs of the
+    cells whose carrier is in below(f)."""
+    by_carrier = {}
+    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
+        for i, (carrier, row) in enumerate(zip(carriers, level)):
+            by_carrier.setdefault(carrier, []).append((d, i, row))
+    out = []
+    for f in p.faces():
+        sub = [set() for _ in chain.rows]
+        for g in p.below(f):
+            for d, i, row in by_carrier.get(g, ()):
+                sub[d].add((i, row))
+        while sub and not sub[-1]:
+            sub.pop()
+        out.append((f, sub))
+    return out
+
+
+def assert_carried_matches_oracle(chain, p):
+    """The faces in order, and each degree's cells as a set, each once."""
+    got = list(_carried(chain, p))
+    assert [(f, [set(level) for level in sub]) for f, sub in got] == carried_oracle(chain, p)
+    assert all(len(set(level)) == len(level) for _, sub in got for level in sub)
+
+
+def gathered_chains(p):
+    """The chains `_carried` reads on p: its face complex's, when its
+    boundary squares to zero, and its order complex's, when p has one top
+    face."""
+    try:
+        yield _walk(FaceComplex(p))
+    except ValueError:
+        pass
+    if len(p.faces_of_codim(0)) == 1:
+        yield _walk(order_complex(p))
+
+
 class TestHomology:
     def test_circle(self):
         c = plain(close_down([(0, 1), (1, 2), (0, 2)]), 3)
@@ -372,6 +414,54 @@ class TestLift:
         inst = corpus.triangle()
         with pytest.raises(InputError, match="face Q misses facet F1"):
             QuotientComplex(FaceComplex(inst.poset, {"Q", "F2", "F3", "p12", "p13", "p23"}), inst.lam)
+
+
+class TestCarried:
+    """`_carried` puts each carrier's cells into the faces above it, read
+    off the up-set masks; the down-set gather it replaced must give every
+    face the same cells in each degree."""
+
+    @pytest.mark.parametrize("name", sorted(corpus.BUILDERS))
+    def test_corpus(self, name):
+        inst = corpus.BUILDERS[name]()
+        p = inst.poset
+        for chain in gathered_chains(p):
+            assert_carried_matches_oracle(chain, p)
+        if inst.triangulation is not None:
+            assert_carried_matches_oracle(base_chain(inst.triangulation), p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_ncubes(self, n):
+        p = corpus.ncube(n).poset
+        assert_carried_matches_oracle(base_chain(FaceComplex(p)), p)
+
+    @pytest.mark.parametrize("name", ["ncube(2)", "ncube(3)"])
+    def test_barycentric_cubes(self, name):
+        c = carrier_complexes(name)
+        assert_carried_matches_oracle(base_chain(c), c.poset)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        p, _ = cut_chain(data)
+        for chain in gathered_chains(p):
+            assert_carried_matches_oracle(chain, p)
+
+    @pytest.mark.parametrize("name", ["triangle", "square_torus", "cube", "annulus"])
+    def test_every_single_edit(self, name):
+        p = corpus.BUILDERS[name]().poset
+        for e in edits(p):
+            q = apply_edit(p, e)
+            for chain in gathered_chains(q):
+                assert_carried_matches_oracle(chain, q)
+
+    def test_seeded_edits_of_a_cut_cube(self):
+        inst = corpus.cube()
+        p = cut_face(inst.poset, inst.lam, inst.poset.vertices()[0]).poset
+        for e in random.Random(18).sample(edits(p), 40):
+            q = apply_edit(p, e)
+            for chain in gathered_chains(q):
+                assert_carried_matches_oracle(chain, q)
 
 
 class TestCarrierComplex:

@@ -7,11 +7,13 @@ from math import comb
 
 import pytest
 import sympy
+from conftest import apply_edit, edits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z2torus import charfunc, corpus, poset
 from z2torus.blowup import cut_face
+from z2torus.cli import frag_report
 from z2torus.complexes import (
     CarrierComplex,
     base_chain,
@@ -19,9 +21,13 @@ from z2torus.complexes import (
     face_acyclicity,
     validate_carriers,
 )
+from z2torus.gf2 import Vec
+from z2torus.gkm import check_face_ring_relations
 from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
+from z2torus.model import fixed_locus
 from z2torus.poset import (
     FacePoset,
+    count_components,
     fh_vectors,
     gorenstein_quick_checks,
     one_skeleton,
@@ -125,17 +131,22 @@ class TestValidate:
         assert rep.simplicial and not rep.sound
 
     def test_disconnected_face_skeleton(self):
-        # two segments sharing no vertex cannot happen below one top
-        # face without breaking an earlier check, so disconnect via a
-        # square whose two diagonal vertices are deleted
-        codims = {"Q": 0, "L": 1, "R": 1, "T": 1, "B": 1, "BL": 2, "TR": 2}
-        covers = {
-            ("L", "Q"), ("R", "Q"), ("T", "Q"), ("B", "Q"),
-            ("BL", "B"), ("BL", "L"), ("TR", "T"), ("TR", "R"),
-        }
-        rep = validate(FacePoset(2, codims, covers))
+        rep = validate(disconnected_square())
         assert rep.sound
         assert rep.skeleton_connected
+
+
+def disconnected_square():
+    """Two segments sharing no vertex cannot happen below one top face
+    without breaking an earlier check, so this disconnects a square by
+    deleting two diagonal vertices: sound, with Q's 1-skeleton in two
+    pieces."""
+    codims = {"Q": 0, "L": 1, "R": 1, "T": 1, "B": 1, "BL": 2, "TR": 2}
+    covers = {
+        ("L", "Q"), ("R", "Q"), ("T", "Q"), ("B", "Q"),
+        ("BL", "B"), ("BL", "L"), ("TR", "T"), ("TR", "R"),
+    }
+    return FacePoset(2, codims, covers)
 
 
 def interval_oracle(p):
@@ -228,27 +239,6 @@ def assert_validate_matches_oracle(p):
 
 ORACLE_SWEEP = dict(corpus.BUILDERS)
 ORACLE_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
-
-
-def edits(p):
-    """Every edit one step away from p: a cover dropped, a cover added
-    between adjacent codims, or a face deleted with its covers."""
-    covers = set(p.covers)
-    found = [("drop", cover) for cover in p.covers]
-    for c in p.faces():
-        parents = p.faces_of_codim(p.codims[c] - 1)
-        found += [("add", (c, q)) for q in parents if (c, q) not in covers]
-    return found + [("delete", f) for f in p.faces()]
-
-
-def apply_edit(p, edit):
-    kind, x = edit
-    if kind == "drop":
-        return FacePoset(p.n, p.codims, set(p.covers) - {x})
-    if kind == "add":
-        return FacePoset(p.n, p.codims, set(p.covers) | {x})
-    codims = {g: k for g, k in p.codims.items() if g != x}
-    return FacePoset(p.n, codims, {(c, q) for c, q in p.covers if x not in (c, q)})
 
 
 class TestValidateAgainstOracle:
@@ -353,6 +343,135 @@ class TestValidateAgainstOracle:
         ]
 
 
+def has_vertex_oracle(p):
+    """has_vertex as it read the down-sets: a face fails when no vertex
+    lies in below(f)."""
+    verts = set(p.vertices())
+    return [f"face {f} contains no vertex" for f in p.faces() if not (p.below(f) & verts)]
+
+
+def skeleton_oracle(p):
+    """skeleton_connected as it read the down-sets: one union-find per
+    face over the vertices below it and the edges of `one_skeleton` below
+    it."""
+    verts = set(p.vertices())
+    edges = one_skeleton(p).edges
+    found = []
+    for f in p.faces():
+        below = p.below(f)
+        fverts = below & verts
+        if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
+            found.append(f"1-skeleton of face {f} is disconnected")
+    return found
+
+
+def assert_findings_match_oracle(p):
+    """has_vertex and skeleton_connected against the down-set oracles,
+    line for line; both are [] after a structural finding.  Returns
+    whether either found something."""
+    rep = validate(p)
+    if rep.structural:
+        assert rep.has_vertex == rep.skeleton_connected == []
+        return False
+    assert rep.has_vertex == has_vertex_oracle(p)
+    assert rep.skeleton_connected == skeleton_oracle(p)
+    return bool(rep.has_vertex or rep.skeleton_connected)
+
+
+def failing_findings(split_annulus_data):
+    """Posets with no structural finding whose per-face findings are not
+    empty, each with its has_vertex and skeleton_connected lines."""
+    two = {"Q": 0, "A": 1, "B": 1, "u": 2, "v": 2}
+    q_apart = ["1-skeleton of face Q is disconnected"]
+    return [
+        (disconnected_square(), [], q_apart),
+        (parse_instance(split_annulus_data).poset, [], q_apart),
+        # an edge over one vertex, beside one over another: Q's two apart
+        (FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "B")}), [], q_apart),
+        # an edge over three vertices keeps them apart, and w stays apart in Q
+        (
+            FacePoset(
+                2, {**two, "w": 2},
+                {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A"), ("w", "A"), ("u", "B"), ("v", "B")},
+            ),
+            [],
+            q_apart + ["1-skeleton of face A is disconnected"],
+        ),
+        # an edge over no vertex
+        (
+            FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A")}),
+            ["face B contains no vertex"],
+            [],
+        ),
+    ]
+
+
+class TestFindingsAgainstOracle:
+    """has_vertex ORs the vertices' up-set masks and skeleton_connected
+    merges vertex masks child by child; the down-set versions they replaced
+    must print the same lines."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SWEEP))
+    def test_instance_and_its_cuts(self, name):
+        inst = ORACLE_SWEEP[name]()
+        p, lam = inst.poset, inst.lam
+        assert_findings_match_oracle(p)
+        for f in p.faces():
+            if p.codim(f) >= 2:
+                assert_findings_match_oracle(cut_face(p, lam, f).poset)
+
+    def test_five_cube(self):
+        assert not assert_findings_match_oracle(corpus.ncube(5).poset)
+
+    def test_failing_findings(self, split_annulus_data):
+        for p, has_vertex, skeleton in failing_findings(split_annulus_data):
+            rep = validate(p)
+            assert not rep.structural
+            assert (rep.has_vertex, rep.skeleton_connected) == (has_vertex, skeleton)
+            assert assert_findings_match_oracle(p)
+
+    def test_every_single_edit_of_a_failing_poset(self, split_annulus_data):
+        failed = 0
+        for p, _, _ in failing_findings(split_annulus_data):
+            failed += sum(assert_findings_match_oracle(apply_edit(p, e)) for e in edits(p))
+        assert failed > 0
+
+    @pytest.mark.parametrize("name", ["triangle", "square_torus", "cube", "annulus"])
+    def test_every_single_edit(self, name):
+        p = corpus.BUILDERS[name]().poset
+        failed = sum(assert_findings_match_oracle(apply_edit(p, e)) for e in edits(p))
+        assert failed > 0  # e.g. a deleted vertex leaves a face without one
+
+    def test_seeded_edits_of_a_cut_four_cube(self):
+        inst = corpus.ncube(4)
+        p = cut_face(inst.poset, inst.lam, "00**").poset
+        sample = random.Random(18).sample(edits(p), 150)
+        assert sum(assert_findings_match_oracle(apply_edit(p, e)) for e in sample) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_cut_chains(self, data):
+        build = data.draw(st.sampled_from([corpus.triangle, corpus.square_torus, corpus.cube]))
+        inst = build()
+        p, lam = inst.poset, inst.lam
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+            cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
+            p, lam = cut.poset, cut.lam
+            assert not assert_findings_match_oracle(p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_edits(self, data):
+        name = data.draw(st.sampled_from(sorted(ORACLE_SWEEP)))
+        inst = ORACLE_SWEEP[name]()
+        p = inst.poset
+        cuttable = [f for f in p.faces() if p.codim(f) >= 2]
+        if cuttable and data.draw(st.booleans()):
+            p = cut_face(p, inst.lam, data.draw(st.sampled_from(cuttable))).poset
+        assert_findings_match_oracle(apply_edit(p, data.draw(st.sampled_from(edits(p)))))
+
+
 def closure_oracle(p, adj):
     """Each face with everything reachable along adj, by memoised
     recursion, as FacePoset built its closures before it went by codim."""
@@ -443,11 +562,37 @@ class TestTablesAgainstOracle:
         assert p.facets_containing("p12") == ["F1", "F2"]
 
 
+def barycentric_cube(n):
+    """The n-cube given with its barycentric triangulation, as mode B."""
+    inst = corpus.ncube(n)
+    return Instance(f"{n}-cube barycentric", inst.poset, inst.lam, order_complex(inst.poset))
+
+
+VIEWS = {"_below", "_above", "_facet_sets"}
+REPORTED = {
+    "ncube(3)": lambda: corpus.ncube(3),
+    "cut_cube_edge": corpus.cut_cube_edge,
+    "square_torus": corpus.square_torus,
+    "barycentric 3-cube": lambda: barycentric_cube(3),
+}
+# a read off the report path, and the views it builds
+OFF_THE_REPORT_PATH = {
+    "restrict": (lambda inst: inst.poset.restrict("X0"), {"_below"}),
+    "fixed_locus": (lambda inst: fixed_locus(inst.poset, inst.lam, Vec.from_string("100")), {"_above"}),
+    "check_face_ring_relations": (
+        lambda inst: check_face_ring_relations(inst.poset, inst.lam), {"_above", "_below"}
+    ),
+    "order_complex": (lambda inst: order_complex(inst.poset).simplices, {"_below"}),
+}
+
+
 class TestLazyFindings:
     """Loading and cutting read only `sound`, so they never build the
     1-skeleton or run a per-face connectivity check; the findings are
     computed when a report's has_vertex / skeleton_connected is read.
-    Nor do loading, cutting and writing build the faces below each face."""
+    Nor do loading, cutting, writing and `report` build the frozenset
+    views of the faces above and below each face or of its facets; what
+    reads them off that path builds them then."""
 
     def test_load_and_cut_skip_the_skeleton(self, monkeypatch, split_annulus_data):
         def refuse(*args):
@@ -490,6 +635,28 @@ class TestLazyFindings:
         v = p.vertices()[0]
         assert p.above(v) == {g for g in p.faces() if p.leq(v, g)} and "_above" in vars(p)
         assert p.facet_set(v) == set(p.facets_containing(v)) and "_facet_sets" in vars(p)
+
+    def test_a_mode_b_load_skips_the_below_closure(self):
+        # the walk tests each carrier with a bit of the up-set masks
+        for inst in (corpus.square_torus(), barycentric_cube(3)):
+            p = parse_instance(serialize_instance(inst)).poset
+            assert "_below" not in vars(p)
+
+    @pytest.mark.parametrize("name", list(REPORTED))
+    def test_report_skips_the_frozenset_views(self, name):
+        inst = parse_instance(serialize_instance(REPORTED[name]()))
+        lines, rc = frag_report(inst)
+        assert rc == 0 and any("agree=true" in line for line in lines)
+        assert not set(VIEWS) & set(vars(inst.poset))
+
+    @pytest.mark.parametrize("name", list(OFF_THE_REPORT_PATH))
+    def test_off_the_report_path_the_views_build_on_read(self, name):
+        read, built = OFF_THE_REPORT_PATH[name]
+        inst = parse_instance(serialize_instance(corpus.cube()))
+        frag_report(inst)
+        assert read(inst) == read(corpus.cube())  # as on a poset nothing else has read
+        assert set(VIEWS) & set(vars(inst.poset)) == built
+        assert_tables_match_oracle(inst.poset)
 
     def test_findings_are_empty_after_a_structural_failure(self):
         # two top faces, and no face contains a vertex
