@@ -142,10 +142,10 @@ def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset
         reduced = G.coset_rep(v).bits
         return Vec.from_bits((reduced >> j) & 1 for j in free)
 
-    mine = p.facet_set(f)
+    mine = p._facet_mask[f]
     values: dict[str, Vec] = {}
     for g in sub.facets():
-        others = [F for F in p.facets_containing(g) if F not in mine]
+        others = p._facet_names(p._facet_mask[g] & ~mine)
         if len(others) != 1:
             raise InputError(
                 f"face {g} of {f} lies in {len(others)} facets transverse to {f}, wanted one"

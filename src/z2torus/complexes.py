@@ -16,7 +16,7 @@ isotropy gluing of a characteristic function; `betti_mod2` reads any
 rows.  `is_face_acyclic` runs the paper's criterion on the base rows,
 gathered per face by `_carried`, which `validate_carriers` shares; on
 the face complex the criterion is the CW gate.  The walk and the gather
-read the poset's up-set masks, never its frozenset views.
+read the poset's up-set masks.
 """
 
 from __future__ import annotations

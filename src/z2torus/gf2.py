@@ -83,14 +83,6 @@ class Vec:
             raise IndexError(i)
         return (self.bits >> i) & 1
 
-    def dot(self, other: "Vec") -> int:
-        if other.n != self.n:
-            raise ValueError("width mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -201,16 +193,9 @@ class Matrix:
             raise ValueError("width mismatch")
         return Matrix(tuple(v.bits for v in vecs), n)
 
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix((0,) * nrows, ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def vecs(self) -> list[Vec]:
-        return [Vec(r, self.ncols) for r in self.rows]
 
     def rank(self) -> int:
         return len(_top_basis(enumerate(self.rows)))

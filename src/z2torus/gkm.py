@@ -330,19 +330,24 @@ class RelationsReport:
 
 def _join(p: FacePoset, f1: str, f2: str) -> str | None:
     """Unique minimal face containing both, if the meet below is nonempty."""
-    cands = p.above(f1) & p.above(f2)
-    minimal = [g for g in cands if not any(h != g and p.leq(h, g) for h in cands)]
-    if len(minimal) != 1:
+    cands = p._up[f1] & p._up[f2]
+    higher = 0  # the faces strictly above some candidate
+    for g in p._order[:cands.bit_length()]:
+        if cands & p._bit[g]:
+            higher |= p._up[g] ^ p._bit[g]
+    minimal = cands & ~higher
+    if minimal.bit_count() != 1:
         return None
-    return minimal[0]
+    return p._order[minimal.bit_length() - 1]
 
 
 def _meet_components(p: FacePoset, f1: str, f2: str) -> list[str]:
     """Maximal common subfaces (the components of the intersection)."""
-    common = p.below(f1) & p.below(f2)
-    return sorted(
-        (g for g in common if p.above(g) & common == {g}), key=p.face_key
-    )
+    both = p._bit[f1] | p._bit[f2]
+    # a face comes after the faces above it in the face order
+    common = [g for g in p._order[both.bit_length() - 1:] if p._up[g] & both == both]
+    held = sum(p._bit[g] for g in common)
+    return [g for g in common if p._up[g] & held == p._bit[g]]
 
 
 def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsReport:

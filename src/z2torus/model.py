@@ -39,10 +39,9 @@ def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     union is the fixed set of the subgroup element g."""
     if g.is_zero():
         raise InputError("g = 0 fixes everything; ask about a nonzero element")
-    hits = {f for f in p.faces() if isotropy(p, lam, f).contains(g)}
-    maximal = sorted(
-        (f for f in hits if p.above(f) & hits == {f}), key=p.face_key
-    )
+    hits = [f for f in p.faces() if isotropy(p, lam, f).contains(g)]
+    held = sum(p._bit[f] for f in hits)
+    maximal = [f for f in hits if p._up[f] & held == p._bit[f]]
     discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)
     return FixedLocus(tuple(maximal), discrete, len(maximal) if discrete else None)
 

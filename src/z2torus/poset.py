@@ -24,15 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .complexes import CarrierComplex
 
 
-def _closure(adj: dict[str, list[str]], order: Iterable[str]) -> dict[str, frozenset[str]]:
-    """Each face with everything reachable from it along adj; order lists
-    every face after all of its neighbours in adj."""
-    memo: dict[str, frozenset[str]] = {}
-    for f in order:
-        memo[f] = frozenset((f,)).union(*(memo[g] for g in adj[f]))
-    return memo
-
-
 T = TypeVar("T")
 
 
@@ -93,9 +84,8 @@ def _gone(refs: tuple[Callable[[], object], ...]) -> bool:
 class FacePoset:
     """Graded face poset with the canonical face and cover orders and, for
     each face, the faces above it and its facets as bitmasks over the face
-    order; the faces above and below each face as frozensets, and facet
-    sets, are built on first read.  The results of the `per_poset`
-    functions are kept on it too."""
+    order; every containment query reads those masks.  The results of the
+    `per_poset` functions are kept on it too."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
@@ -108,21 +98,21 @@ class FacePoset:
         # stable sorts: by id, then by codim
         self._order = tuple(sorted(sorted(self.codims), key=self.codims.__getitem__))
         self.covers = tuple(sorted(covers))
-        self._parents: dict[str, list[str]] = {f: [] for f in self._order}
+        parents: dict[str, list[str]] = {f: [] for f in self._order}
         self._children: dict[str, list[str]] = {f: [] for f in self._order}
         for c, p in self.covers:
             if c not in self.codims or p not in self.codims:
                 raise ValueError(f"cover ({c!r}, {p!r}) names an unknown face")
             if self.codims[c] <= self.codims[p]:
                 raise ValueError(f"cover ({c!r}, {p!r}) does not go up in codim")
-            self._parents[c].append(p)
+            parents[c].append(p)
             self._children[p].append(c)
         # bit i stands for self._order[i]; a face's parents come before it
         self._bit = {f: 1 << i for i, f in enumerate(self._order)}
         up: dict[str, int] = {}
         for f in self._order:
             mask = self._bit[f]
-            for q in self._parents[f]:
+            for q in parents[f]:
                 mask |= up[q]
             up[f] = mask
         self._up = up
@@ -135,18 +125,6 @@ class FacePoset:
         self._memo: dict[tuple[object, ...], tuple[object, tuple[Callable[[], object], ...]]] = {}
 
     # -- basic queries -------------------------------------------------
-
-    @cached_property
-    def _above(self) -> dict[str, frozenset[str]]:
-        return _closure(self._parents, self._order)
-
-    @cached_property
-    def _below(self) -> dict[str, frozenset[str]]:
-        return _closure(self._children, reversed(self._order))
-
-    @cached_property
-    def _facet_sets(self) -> dict[str, frozenset[str]]:
-        return {f: frozenset(self._facet_names(m)) for f, m in self._facet_mask.items()}
 
     def _facet_names(self, mask: int) -> list[str]:
         """The facets whose bits are set in a facet mask, sorted."""
@@ -179,14 +157,6 @@ class FacePoset:
     def vertices(self) -> list[str]:
         return self.faces_of_codim(self.n)
 
-    def above(self, f: str) -> frozenset[str]:
-        """All faces containing f, including f itself."""
-        return self._above[f]
-
-    def below(self, f: str) -> frozenset[str]:
-        """All faces contained in f, including f itself."""
-        return self._below[f]
-
     def children(self, f: str) -> list[str]:
         """The faces f covers: its faces of one dimension less."""
         return self._children[f]
@@ -199,10 +169,6 @@ class FacePoset:
         """The facets through f, sorted; a fresh list each call."""
         return self._facet_names(self._facet_mask[f])
 
-    def facet_set(self, f: str) -> frozenset[str]:
-        """The facets through f, as a set."""
-        return self._facet_sets[f]
-
     def top(self) -> str:
         tops = self.faces_of_codim(0)
         if len(tops) != 1:
@@ -211,10 +177,9 @@ class FacePoset:
 
     def restrict(self, f: str) -> "FacePoset":
         """Face poset of the face f itself, regraded so f has codim 0."""
-        k = self.codims[f]
-        keep = self._below[f]
-        codims = {g: self.codims[g] - k for g in keep}
-        covers = {(c, p) for (c, p) in self.covers if c in keep and p in keep}
+        k, bit = self.codims[f], self._bit[f]
+        codims = {g: self.codims[g] - k for g in self._order if self._up[g] & bit}
+        covers = {(c, p) for (c, p) in self.covers if c in codims and p in codims}
         return FacePoset(self.n - k, codims, covers)
 
     def __eq__(self, other: object) -> bool:
@@ -235,8 +200,7 @@ class PosetReport:
 
     has_vertex and skeleton_connected are computed from the poset on first
     read, and [] when structural is non-empty: `sound` never needs them.
-    They read the poset's up-set masks and covers, never the frozenset
-    views."""
+    They read the poset's up-set masks and covers."""
 
     poset: FacePoset = field(repr=False, compare=False)
     structural: list[str] = field(default_factory=list)
@@ -475,20 +439,30 @@ def order_complex(p: FacePoset) -> "CarrierComplex":
     apex yields a simplex carried by Q.  For posets whose dual complex is
     a sphere this is a genuine triangulation of Q.  The tests build the
     quotient model on it as an oracle for the face-coset model of mode A.
+    The simplices are listed in the same order on every run: by the top
+    face of the chain, then depth first in face order.
     """
     from .complexes import CarrierComplex
 
-    top = p.top()
-    proper = [f for f in p.faces() if p.codims[f] > 0]
-    index = {f: i for i, f in enumerate(proper)}
+    top = p.top()  # bit 0; proper face i has bit i + 1
+    proper = p.faces()[1:]
     apex = len(proper)
+    # the faces strictly below each proper face, in face order: a face's
+    # codim exceeds that of every face above it, so a chain descending in
+    # the poset ascends in index and is its own sorted vertex tuple
+    below: list[list[int]] = [[] for _ in proper]
+    for j, g in enumerate(proper):
+        above = (p._up[g] >> 1) ^ (1 << j)
+        while above:
+            i = above.bit_length() - 1
+            below[i].append(j)
+            above ^= 1 << i
     simplices: dict[tuple[int, ...], str] = {(apex,): top}
-    for f in proper:
-        stack = [((index[f],), f)]  # strictly descending chains from f
+    for i, f in enumerate(proper):
+        stack = [(i,)]
         while stack:
-            chain, last = stack.pop()
-            sx = tuple(sorted(chain))
-            simplices[sx] = f
-            simplices[sx + (apex,)] = top
-            stack.extend((chain + (index[g],), g) for g in p.below(last) - {last})
+            chain = stack.pop()
+            simplices[chain] = f
+            simplices[chain + (apex,)] = top
+            stack.extend(chain + (j,) for j in reversed(below[chain[-1]]))
     return CarrierComplex(p, apex + 1, simplices)

@@ -1,13 +1,85 @@
 """Instances and helpers shared by several test modules."""
 
+import random
+
 import pytest
 
+from z2torus import corpus
+from z2torus.blowup import cut_face
 from z2torus.poset import FacePoset
 
 
 def reduced(betti):
     """Reduced Betti numbers from unreduced ones: b[0] - 1 in degree 0."""
     return (betti[0] - 1,) + betti[1:] if betti else ()
+
+
+def closure_oracle(p, adj):
+    """Each face with everything reachable along adj, itself included, by
+    memoised recursion: the oracle for the poset's face masks."""
+    memo = {}
+
+    def reach(f):
+        if f not in memo:
+            acc = {f}
+            for g in adj[f]:
+                acc |= reach(g)
+            memo[f] = frozenset(acc)
+        return memo[f]
+
+    for f in sorted(p.codims, key=lambda x: p.codims[x]):
+        reach(f)
+    return memo
+
+
+def above_oracle(p):
+    """Each face with the faces containing it, itself included, closed
+    over the covers."""
+    parents = {f: [] for f in p.codims}
+    for c, q in p.covers:
+        parents[c].append(q)
+    return closure_oracle(p, parents)
+
+
+def below_oracle(p):
+    """Each face with the faces it contains, itself included, closed over
+    the children."""
+    return closure_oracle(p, {f: p.children(f) for f in p.codims})
+
+
+def restrict_oracle(p, f):
+    """p.restrict(f) from the recursive closure: the faces below f,
+    regraded, with the covers among them."""
+    keep, k = below_oracle(p)[f], p.codims[f]
+    codims = {g: p.codims[g] - k for g in keep}
+    return FacePoset(p.n - k, codims, {(c, q) for c, q in p.covers if c in keep and q in keep})
+
+
+def cut_chain(p, lam, seed, steps=3):
+    """The (poset, lam) pairs after each of `steps` cuts, each of a face of
+    codim >= 2 drawn by random.Random(seed)."""
+    rng = random.Random(seed)
+    chain = []
+    for _ in range(steps):
+        cut = cut_face(p, lam, rng.choice([f for f in p.faces() if p.codim(f) >= 2]))
+        p, lam = cut.poset, cut.lam
+        chain.append((p, lam))
+    return chain
+
+
+def _mask_readers_sweep():
+    instances = {name: build() for name, build in corpus.BUILDERS.items()}
+    instances.update({f"ncube({n})": corpus.ncube(n) for n in (1, 2, 3, 4)})
+    sweep = {name: (inst.poset, inst.lam) for name, inst in instances.items()}
+    cube = instances["cube"]
+    for i, pair in enumerate(cut_chain(cube.poset, cube.lam, seed=19), 1):
+        sweep[f"cube cut {i}"] = pair
+    return sweep
+
+
+# (poset, lam) by name: the corpus, the 1- to 4-cubes and a chain of three
+# cuts of the cube, where what reads the face masks meets its oracle
+MASK_READERS_SWEEP = _mask_readers_sweep()
 
 
 def edits(p):

@@ -4,7 +4,7 @@ CW gate that guards it."""
 from math import comb
 
 import pytest
-from conftest import reduced
+from conftest import below_oracle, reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,12 +38,13 @@ def sphere_failures(p):
     """Oracle for the gate: the faces f of dimension d >= 1 whose boundary,
     the faces strictly below f, lacks the reduced mod-2 Betti numbers of
     S^(d-1), each boundary built as a chain complex of its own."""
+    below = below_oracle(p)
     failing = []
     for f in by_dim(p, p.codims):
         d = p.dim_face(f)
         if d == 0:
             continue
-        b = reduced(betti_mod2(base_chain(FaceComplex(p, p.below(f) - {f})).rows))
+        b = reduced(betti_mod2(base_chain(FaceComplex(p, below[f] - {f})).rows))
         if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
             failing.append(f)
     return failing

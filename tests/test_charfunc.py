@@ -1,6 +1,7 @@
 """Characteristic functions, isotropy, axial functions, involutions."""
 
 import pytest
+from conftest import MASK_READERS_SWEEP, above_oracle, below_oracle, restrict_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,12 +153,12 @@ class TestValidateLambdaAgainstOracle:
                      "bigon", "cut_cube_edge"):
             inst = corpus.BUILDERS[name]()
             p = inst.poset
-            verts = set(p.vertices())
+            verts, below = set(p.vertices()), below_oracle(p)
             for facet, vec in label_edits(inst.lam):
                 for f in assert_lambda_matches_oracle(p, relabel(inst.lam, facet, vec)):
                     if f in verts:
                         dependent_vertices.add((name, f))
-                    if not p.below(f) & verts:
+                    if not below[f] & verts:
                         dependent_without_vertex.add((name, f))
         assert dependent_vertices
         assert {("annulus", "F1"), ("annulus", "F2")} <= dependent_without_vertex
@@ -203,7 +204,45 @@ class TestIsotropy:
             assert len(g.cosets()) == 1 << (3 - g.rank)
 
 
+def face_restriction_oracle(p, lam, f, above):
+    """face_restriction as it read the facet sets, here those of the
+    recursive closure, on the oracle's restriction of p to f."""
+    k = p.codim(f)
+    if k == 0:
+        return p, lam
+    facets = {g: {F for F in above[g] if p.codims[F] == 1} for g in p.faces()}
+    sub = restrict_oracle(p, f)
+    G = isotropy(p, lam, f)
+    free = [j for j in range(p.n) if j not in set(G._pivots)]
+    values = {}
+    for g in sub.facets():
+        others = sorted(facets[g] - facets[f])
+        if len(others) != 1:
+            raise InputError(
+                f"face {g} of {f} lies in {len(others)} facets transverse to {f}, wanted one"
+            )
+        reduced = G.coset_rep(lam.vec(others[0])).bits
+        values[g] = Vec.from_bits((reduced >> j) & 1 for j in free)
+    return sub, CharFunction(p.n - k, values)
+
+
+def outcome(fn, *args):
+    """fn's result, or the message of the InputError it raises."""
+    try:
+        return fn(*args)
+    except InputError as e:
+        return str(e)
+
+
 class TestFaceRestriction:
+    @pytest.mark.parametrize("name", list(MASK_READERS_SWEEP))
+    def test_every_face_matches_the_oracle(self, name):
+        p, lam = MASK_READERS_SWEEP[name]
+        above = above_oracle(p)
+        for f in p.faces():
+            got = outcome(face_restriction, p, lam, f)
+            assert got == outcome(face_restriction_oracle, p, lam, f, above), f
+
     def test_cube_facet_is_the_torus_square(self):
         inst = corpus.cube()
         sub, lam2 = face_restriction(inst.poset, inst.lam, "X0")

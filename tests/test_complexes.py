@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from conftest import apply_edit, edits, reduced
+from conftest import apply_edit, below_oracle, edits, reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,11 +90,12 @@ def walked_quotient(base, lam):
     carriers = {cell: base.carrier(cell) for level in levels for cell in level}
     quotients, by_labels, group = [], {}, {}
     for f in dict.fromkeys(carriers.values()):
-        labels = frozenset(lam.vec(F).bits for F in p.facet_set(f))
+        labels = frozenset(lam.vec(F).bits for F in p.facets_containing(f))
         if labels not in by_labels:
             by_labels[labels] = len(quotients)
             quotients.append(isotropy(p, lam, f).quotient())
         group[f] = by_labels[labels]
+    below = below_oracle(p)
     cells, offsets = [], []
     for level in levels:
         out, offset = [], {}
@@ -111,7 +112,7 @@ def walked_quotient(base, lam):
             reps = quotients[group[carrier]][0]
             targets = []
             for face in base.boundary(cell):
-                assert carriers[face] in p.below(carrier)
+                assert carriers[face] in below[carrier]
                 drop = _drop_positions(reps, quotients[group[carriers[face]]][1])
                 targets.append((offsets[d - 1][face], drop))
             for k in range(len(reps)):
@@ -235,17 +236,18 @@ def close_down(tops):
 
 
 def carried_oracle(chain, p):
-    """`_carried` as it read the down-sets: each face with, per degree up
-    to its subcomplex's dimension, the set of (index, row) pairs of the
-    cells whose carrier is in below(f)."""
+    """`_carried` as it read the down-sets, here those of the recursive
+    closure: each face with, per degree up to its subcomplex's dimension,
+    the set of (index, row) pairs of the cells whose carrier is below f."""
     by_carrier = {}
     for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
         for i, (carrier, row) in enumerate(zip(carriers, level)):
             by_carrier.setdefault(carrier, []).append((d, i, row))
+    below = below_oracle(p)
     out = []
     for f in p.faces():
         sub = [set() for _ in chain.rows]
-        for g in p.below(f):
+        for g in below[f]:
             for d, i, row in by_carrier.get(g, ()):
                 sub[d].add((i, row))
         while sub and not sub[-1]:

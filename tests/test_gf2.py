@@ -37,9 +37,9 @@ class TestVec:
         a = Vec.from_string("1100")
         b = Vec.from_string("0110")
         assert str(a ^ b) == "1010"
-        assert a.dot(b) == 1
-        assert a.dot(a) == 0
-        assert a.weight() == 2
+        assert (a.bits & b.bits).bit_count() % 2 == 1
+        assert (a.bits & a.bits).bit_count() % 2 == 0
+        assert a.bits.bit_count() == 2
         assert a.support() == [0, 1]
         assert a[0] == 1 and a[2] == 0
         assert not a.is_zero() and Vec.zero(4).is_zero()
@@ -64,13 +64,13 @@ class TestRref:
     def test_two_rows(self):
         m = Matrix.from_vecs([Vec.from_string("11"), Vec.from_string("01")])
         r, pivots = m.rref()
-        assert [str(v) for v in r.vecs()] == ["10", "01"]
+        assert [str(Vec(x, r.ncols)) for x in r.rows] == ["10", "01"]
         assert pivots == (0, 1)
 
     def test_three_columns(self):
         m = Matrix.from_vecs([Vec.from_string("111"), Vec.from_string("110")])
         r, pivots = m.rref()
-        assert [str(v) for v in r.vecs()] == ["110", "001"]
+        assert [str(Vec(x, r.ncols)) for x in r.rows] == ["110", "001"]
         assert pivots == (0, 2)
 
     def test_rank_and_duplicates(self):
@@ -79,21 +79,21 @@ class TestRref:
         assert m.rref()[0].rows == (0b11,)
 
     def test_zero_matrix(self):
-        assert Matrix.zero(3, 4).rank() == 0
-        assert Matrix.zero(0, 0).rref() == (Matrix.from_rows([], 0), ())
+        assert Matrix.from_rows([0, 0, 0], 4).rank() == 0
+        assert Matrix.from_rows([], 0).rref() == (Matrix.from_rows([], 0), ())
 
 
 class TestNullspaceAndDual:
     def test_single_row(self):
         m = Matrix.from_vecs([Vec.from_string("11")])
         null = m.nullspace()
-        assert [str(v) for v in null.vecs()] == ["11"]
+        assert [str(Vec(x, null.ncols)) for x in null.rows] == ["11"]
 
     def test_repetition_code_dual(self):
         gen = Matrix.from_vecs([Vec.from_string("1111")])
         d = dual_code(gen)
         assert d.nrows == 3
-        assert all(Vec(r, 4).dot(Vec.from_string("1111")) == 0 for r in d.rows)
+        assert all((r & Vec.from_string("1111").bits).bit_count() % 2 == 0 for r in d.rows)
 
     def test_full_rank_square(self):
         m = Matrix.from_rows([0b01, 0b10], 2)

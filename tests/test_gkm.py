@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 import sympy
+from conftest import above_oracle, below_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from z2torus.charfunc import GkmGraph, axial_function
 from z2torus.errors import PreconditionError
 from z2torus.gf2 import Vec, lowest_bit
 from z2torus.gkm import (
+    _join,
+    _meet_components,
     _thom_products,
     check_face_ring_relations,
     divisible_by,
@@ -450,7 +453,35 @@ class TestThomRestrictions:
         assert not satisfies_gkm(graph, cls, graph.edges)
 
 
+def join_oracle(above, f1, f2):
+    """_join as it read the up-sets, here those of the recursive closure."""
+    cands = above[f1] & above[f2]
+    minimal = [g for g in cands if not any(h != g and g in above[h] for h in cands)]
+    return minimal[0] if len(minimal) == 1 else None
+
+
+def meet_oracle(p, above, below, f1, f2):
+    """_meet_components as it read the down- and up-sets, here those of
+    the recursive closure."""
+    common = below[f1] & below[f2]
+    return sorted((g for g in common if above[g] & common == {g}), key=p.face_key)
+
+
 class TestRelations:
+    @pytest.mark.parametrize("name", ["bigon", "cube", "cut_cube_edge", "ncube(4)"])
+    def test_join_and_meet_match_the_oracle(self, name):
+        p = (corpus.ncube(4) if name == "ncube(4)" else corpus.BUILDERS[name]()).poset
+        above, below = above_oracle(p), below_oracle(p)
+        no_join = 0
+        for f1 in p.faces():
+            for f2 in p.faces():
+                join = _join(p, f1, f2)
+                assert join == join_oracle(above, f1, f2), (f1, f2)
+                assert _meet_components(p, f1, f2) == meet_oracle(p, above, below, f1, f2)
+                no_join += join is None
+        # only the bigon's two vertices lie in two minimal common faces
+        assert no_join == (2 if name == "bigon" else 0)
+
     def test_corpus_relations_hold(self):
         for name in (
             "triangle", "square_torus", "square_klein", "cube", "cut_cube_vertex", "cut_cube_edge"

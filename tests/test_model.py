@@ -4,13 +4,15 @@ import gc
 import weakref
 
 import pytest
+from conftest import MASK_READERS_SWEEP, above_oracle
 
 from z2torus import corpus, model
-from z2torus.charfunc import CharFunction
+from z2torus.charfunc import CharFunction, isotropy
 from z2torus.complexes import CarrierComplex, face_acyclicity
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
 from z2torus.model import (
+    FixedLocus,
     build_quotient,
     facial_components,
     fixed_locus,
@@ -103,7 +105,24 @@ class TestCellStructure:
             build_quotient(c, inst.lam)
 
 
+def fixed_locus_oracle(p, lam, g, above):
+    """fixed_locus as it read the up-sets, here those of the recursive
+    closure: the hits with no other hit above them."""
+    hits = {f for f in p.faces() if isotropy(p, lam, f).contains(g)}
+    maximal = sorted((f for f in hits if above[f] & hits == {f}), key=p.face_key)
+    discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)
+    return FixedLocus(tuple(maximal), discrete, len(maximal) if discrete else None)
+
+
 class TestFixedSets:
+    @pytest.mark.parametrize("name", list(MASK_READERS_SWEEP))
+    def test_every_element_matches_the_oracle(self, name):
+        p, lam = MASK_READERS_SWEEP[name]
+        above = above_oracle(p)
+        for bits in range(1, 1 << lam.n):
+            g = Vec(bits, lam.n)
+            assert fixed_locus(p, lam, g) == fixed_locus_oracle(p, lam, g, above), str(g)
+
     def test_fixed_points(self):
         # each vertex of Q is one cell of the model, fixed by the whole group
         vertices = corpus.cube().poset.vertices()

@@ -2,12 +2,23 @@
 order complex."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy
-from conftest import apply_edit, edits
+from conftest import (
+    MASK_READERS_SWEEP,
+    above_oracle,
+    apply_edit,
+    below_oracle,
+    edits,
+    restrict_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +32,7 @@ from z2torus.complexes import (
     face_acyclicity,
     validate_carriers,
 )
-from z2torus.gf2 import Vec
+from z2torus.gf2 import Vec, bit_indices
 from z2torus.gkm import check_face_ring_relations
 from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
 from z2torus.model import fixed_locus
@@ -161,9 +172,10 @@ def interval_oracle(p):
         if len(S) != k:
             nice.append(f"face {f} has codim {k} but lies in {len(S)} facets {S}")
 
+    above = above_oracle(p)
     for f in p.faces():
         k = p.codims[f]
-        interval = sorted(p.above(f), key=p.face_key)
+        interval = sorted(above[f], key=p.face_key)
         facet_sets = {g: frozenset(p.facets_containing(g)) for g in interval}
         for j in range(k + 1):
             level = [g for g in interval if p.codims[g] == j]
@@ -192,10 +204,7 @@ def count_oracle(p):
     """The simplicial witnesses validate prints, counted on frozensets from
     the recursive closure: for each face, the faces above it and their
     distinct facet sets, with every facet set built and compared."""
-    parents = {f: [] for f in p.codims}
-    for c, q in p.covers:
-        parents[c].append(q)
-    above = closure_oracle(p, parents)
+    above = above_oracle(p)
     facets = {f: frozenset(F for F in above[f] if p.codims[F] == 1) for f in p.codims}
     found = []
     for f in p.faces():
@@ -212,9 +221,8 @@ def count_oracle(p):
 def shares_above(p):
     """Whether two faces above some face lie in the same facets, so that
     validate counts facet sets exactly there rather than by popcount."""
-    for f in p.faces():
-        up = p.above(f)
-        if len({p.facet_set(g) for g in up}) < len(up):
+    for up in above_oracle(p).values():
+        if len({frozenset(p.facets_containing(g)) for g in up}) < len(up):
             return True
     return False
 
@@ -295,7 +303,7 @@ class TestValidateAgainstOracle:
         covers |= {("g3", "a"), ("g3", "c")}
         covers |= {("v", "g1"), ("v", "g2"), ("v", "g3")}
         p = FacePoset(3, codims, covers)
-        assert len(p.above("v")) == 8
+        assert len(above_oracle(p)["v"]) == 8
         assert assert_validate_matches_oracle(p)
         assert validate(p).simplicial == [
             "face v: 8 faces above it with 7 distinct facet sets, wanted 2^3=8"
@@ -336,7 +344,7 @@ class TestValidateAgainstOracle:
         covers |= {("g1", "a"), ("g1", "b"), ("g2", "c"), ("g2", "d")}
         covers |= {("v", "g1"), ("v", "g2")}
         p = FacePoset(3, codims, covers)
-        assert len(p.above("v")) == 8
+        assert len(above_oracle(p)["v"]) == 8
         assert_validate_matches_oracle(p)
         assert validate(p).simplicial == [
             "face v: 8 faces above it with 8 distinct facet sets, wanted 2^4=16"
@@ -344,23 +352,23 @@ class TestValidateAgainstOracle:
 
 
 def has_vertex_oracle(p):
-    """has_vertex as it read the down-sets: a face fails when no vertex
-    lies in below(f)."""
-    verts = set(p.vertices())
-    return [f"face {f} contains no vertex" for f in p.faces() if not (p.below(f) & verts)]
+    """has_vertex as it read the down-sets, here those of the recursive
+    closure: a face fails when no vertex lies below it."""
+    verts, below = set(p.vertices()), below_oracle(p)
+    return [f"face {f} contains no vertex" for f in p.faces() if not (below[f] & verts)]
 
 
 def skeleton_oracle(p):
-    """skeleton_connected as it read the down-sets: one union-find per
-    face over the vertices below it and the edges of `one_skeleton` below
-    it."""
+    """skeleton_connected as it read the down-sets, here those of the
+    recursive closure: one union-find per face over the vertices below it
+    and the edges of `one_skeleton` below it."""
     verts = set(p.vertices())
     edges = one_skeleton(p).edges
+    below = below_oracle(p)
     found = []
     for f in p.faces():
-        below = p.below(f)
-        fverts = below & verts
-        if fverts and count_components(fverts, (edges[e] for e in below if e in edges)) != 1:
+        fverts = below[f] & verts
+        if fverts and count_components(fverts, (edges[e] for e in below[f] if e in edges)) != 1:
             found.append(f"1-skeleton of face {f} is disconnected")
     return found
 
@@ -472,41 +480,28 @@ class TestFindingsAgainstOracle:
         assert_findings_match_oracle(apply_edit(p, data.draw(st.sampled_from(edits(p)))))
 
 
-def closure_oracle(p, adj):
-    """Each face with everything reachable along adj, by memoised
-    recursion, as FacePoset built its closures before it went by codim."""
-    memo = {}
-
-    def reach(f):
-        if f not in memo:
-            acc = {f}
-            for g in adj[f]:
-                acc |= reach(g)
-            memo[f] = frozenset(acc)
-        return memo[f]
-
-    for f in sorted(p.codims, key=lambda x: p.codims[x]):
-        reach(f)
-    return memo
-
-
 def assert_tables_match_oracle(p):
-    parents = {f: [] for f in p.codims}
-    children = {f: [] for f in p.codims}
-    for c, q in p.covers:
-        parents[c].append(q)
-        children[q].append(c)
-    above, below = closure_oracle(p, parents), closure_oracle(p, children)
-    for f in p.codims:
-        assert p.above(f) == above[f] and p.below(f) == below[f], f
+    """Each face's up-set mask, read back as face ids, and the up-sets
+    turned around into down-sets, against the recursive closures; the
+    facets through each face against the facets in its closure."""
+    above, below = above_oracle(p), below_oracle(p)
+    faces = p.faces()
+    up = {f: {faces[i] for i in bit_indices(p._up[f])} for f in faces}
+    down = {f: set() for f in faces}
+    for g in faces:
+        for f in up[g]:
+            down[f].add(g)
+    for f in faces:
+        assert up[f] == above[f] and down[f] == below[f], f
         facets = sorted(F for F in above[f] if p.codims[F] == 1)
-        assert p.facets_containing(f) == facets and p.facet_set(f) == set(facets), f
+        assert p.facets_containing(f) == facets, f
     return above
 
 
 class TestTablesAgainstOracle:
-    """FacePoset builds above/below by one union per face in codim order
-    and reads facets off a table; recursion must give the same sets."""
+    """FacePoset builds each face's up-set mask by one OR per face in codim
+    order and reads facets off those masks; recursion over the covers must
+    give the same sets."""
 
     @pytest.mark.parametrize("name", list(ORACLE_SWEEP))
     def test_instance_and_its_cuts(self, name):
@@ -562,27 +557,39 @@ class TestTablesAgainstOracle:
         assert p.facets_containing("p12") == ["F1", "F2"]
 
 
+class TestRestrictAgainstOracle:
+    """restrict keeps the faces whose up-set mask holds f's bit."""
+
+    @pytest.mark.parametrize("name", list(MASK_READERS_SWEEP))
+    def test_every_face(self, name):
+        p, _ = MASK_READERS_SWEEP[name]
+        for f in p.faces():
+            sub = p.restrict(f)
+            assert sub == restrict_oracle(p, f), f
+            assert list(sub.codims) == [g for g in p.faces() if p.leq(g, f)], f
+
+
 def barycentric_cube(n):
     """The n-cube given with its barycentric triangulation, as mode B."""
     inst = corpus.ncube(n)
     return Instance(f"{n}-cube barycentric", inst.poset, inst.lam, order_complex(inst.poset))
 
 
-VIEWS = {"_below", "_above", "_facet_sets"}
+# what a FacePoset holds once built; no read adds to it but entries of
+# its per_poset memo
+POSET_STATE = set(vars(FacePoset(0, {"Q": 0}, ())))
 REPORTED = {
     "ncube(3)": lambda: corpus.ncube(3),
     "cut_cube_edge": corpus.cut_cube_edge,
     "square_torus": corpus.square_torus,
     "barycentric 3-cube": lambda: barycentric_cube(3),
 }
-# a read off the report path, and the views it builds
+# the reads of containment off the report path
 OFF_THE_REPORT_PATH = {
-    "restrict": (lambda inst: inst.poset.restrict("X0"), {"_below"}),
-    "fixed_locus": (lambda inst: fixed_locus(inst.poset, inst.lam, Vec.from_string("100")), {"_above"}),
-    "check_face_ring_relations": (
-        lambda inst: check_face_ring_relations(inst.poset, inst.lam), {"_above", "_below"}
-    ),
-    "order_complex": (lambda inst: order_complex(inst.poset).simplices, {"_below"}),
+    "restrict": lambda inst: inst.poset.restrict("X0"),
+    "fixed_locus": lambda inst: fixed_locus(inst.poset, inst.lam, Vec.from_string("100")),
+    "check_face_ring_relations": lambda inst: check_face_ring_relations(inst.poset, inst.lam),
+    "order_complex": lambda inst: order_complex(inst.poset).simplices,
 }
 
 
@@ -590,9 +597,8 @@ class TestLazyFindings:
     """Loading and cutting read only `sound`, so they never build the
     1-skeleton or run a per-face connectivity check; the findings are
     computed when a report's has_vertex / skeleton_connected is read.
-    Nor do loading, cutting, writing and `report` build the frozenset
-    views of the faces above and below each face or of its facets; what
-    reads them off that path builds them then."""
+    Every path reads containment off the masks the poset is built with,
+    so none adds a table of its own to the poset."""
 
     def test_load_and_cut_skip_the_skeleton(self, monkeypatch, split_annulus_data):
         def refuse(*args):
@@ -610,20 +616,7 @@ class TestLazyFindings:
         assert rep.skeleton_connected == ["1-skeleton of face Q is disconnected"]
         assert rep.has_vertex == [] and rep.sound and not rep.ok
 
-    def test_load_and_cut_skip_the_below_closure(self, split_annulus_data):
-        for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
-            inst = parse_instance(data)
-            p = inst.poset
-            assert "_below" not in vars(p)
-            cut = cut_face(p, inst.lam, p.vertices()[0])
-            again = cut_face(cut.poset, cut.lam, cut.poset.vertices()[0])
-            instance_text(Instance("again", again.poset, again.lam, None))
-            for q in (p, cut.poset, again.poset):
-                assert "_below" not in vars(q)
-        assert p.below("Q") == frozenset(p.codims) and "_below" in vars(p)
-
-    def test_load_cut_and_write_skip_the_frozenset_views(self, split_annulus_data):
-        # they read the above and facet bitmasks, never the frozensets
+    def test_load_cut_and_write_add_no_table(self, split_annulus_data):
         for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
             inst = parse_instance(data)
             p = inst.poset
@@ -631,31 +624,27 @@ class TestLazyFindings:
             again = cut_face(cut.poset, cut.lam, cut.poset.vertices()[0])
             instance_text(Instance("again", again.poset, again.lam, None))
             for q in (p, cut.poset, again.poset):
-                assert "_above" not in vars(q) and "_facet_sets" not in vars(q)
-        v = p.vertices()[0]
-        assert p.above(v) == {g for g in p.faces() if p.leq(v, g)} and "_above" in vars(p)
-        assert p.facet_set(v) == set(p.facets_containing(v)) and "_facet_sets" in vars(p)
+                assert set(vars(q)) == POSET_STATE
 
-    def test_a_mode_b_load_skips_the_below_closure(self):
-        # the walk tests each carrier with a bit of the up-set masks
+    def test_a_mode_b_load_adds_no_table(self):
         for inst in (corpus.square_torus(), barycentric_cube(3)):
             p = parse_instance(serialize_instance(inst)).poset
-            assert "_below" not in vars(p)
+            assert set(vars(p)) == POSET_STATE
 
     @pytest.mark.parametrize("name", list(REPORTED))
-    def test_report_skips_the_frozenset_views(self, name):
+    def test_report_adds_no_table(self, name):
         inst = parse_instance(serialize_instance(REPORTED[name]()))
         lines, rc = frag_report(inst)
         assert rc == 0 and any("agree=true" in line for line in lines)
-        assert not set(VIEWS) & set(vars(inst.poset))
+        assert set(vars(inst.poset)) == POSET_STATE
 
     @pytest.mark.parametrize("name", list(OFF_THE_REPORT_PATH))
-    def test_off_the_report_path_the_views_build_on_read(self, name):
-        read, built = OFF_THE_REPORT_PATH[name]
+    def test_off_path_reads_add_no_table(self, name):
+        read = OFF_THE_REPORT_PATH[name]
         inst = parse_instance(serialize_instance(corpus.cube()))
         frag_report(inst)
         assert read(inst) == read(corpus.cube())  # as on a poset nothing else has read
-        assert set(VIEWS) & set(vars(inst.poset)) == built
+        assert set(vars(inst.poset)) == POSET_STATE
         assert_tables_match_oracle(inst.poset)
 
     def test_findings_are_empty_after_a_structural_failure(self):
@@ -719,13 +708,15 @@ class TestSkeleton:
         assert not sk.n_valent and not sk.connected
 
     def test_kept_and_read_off_the_covers(self):
-        # the covers of an edge are its vertices, so no down-set is built
+        # the covers of an edge are its vertices, so reading it adds nothing
+        # to the poset but the kept skeleton
         p = corpus.ncube(4).poset
         sk = one_skeleton(p)
-        assert one_skeleton(p) is sk and "_below" not in vars(p)
+        assert one_skeleton(p) is sk and set(vars(p)) == POSET_STATE
         assert len(sk.edges) == 32 and sk.n_valent and sk.connected
+        below = below_oracle(p)
         for e, ends in sk.edges.items():
-            assert set(ends) == p.below(e) & set(p.vertices()), e
+            assert set(ends) == below[e] & set(p.vertices()), e
 
 
 class TestPerPoset:
@@ -796,7 +787,62 @@ class TestDualAndGorenstein:
         assert not g.pseudo_manifold and not g.euler_ok
 
 
+def order_complex_oracle(p):
+    """order_complex's simplices as it built them from the down-sets of the
+    recursive closure, each chain sorted into a vertex tuple."""
+    below = below_oracle(p)
+    top = p.top()
+    proper = [f for f in p.faces() if p.codims[f] > 0]
+    index = {f: i for i, f in enumerate(proper)}
+    apex = len(proper)
+    simplices = {(apex,): top}
+    for f in proper:
+        stack = [((index[f],), f)]
+        while stack:
+            chain, last = stack.pop()
+            sx = tuple(sorted(chain))
+            simplices[sx] = f
+            simplices[sx + (apex,)] = top
+            stack.extend((chain + (index[g],), g) for g in below[last] - {last})
+    return simplices
+
+
+LISTING = (
+    "from z2torus import corpus, poset; "
+    "print(list(poset.order_complex(corpus.ncube(3).poset).simplices.items()))"
+)
+
+
 class TestOrderComplex:
+    @pytest.mark.parametrize("name", list(MASK_READERS_SWEEP))
+    def test_simplices_match_the_oracle(self, name):
+        p, _ = MASK_READERS_SWEEP[name]
+        oc = order_complex(p)
+        assert oc.simplices == order_complex_oracle(p)
+        assert oc.n_points == len(p.codims)
+
+    def test_simplices_listed_alike_under_every_hash_seed(self):
+        # ids hash differently under each seed, so a listing that follows
+        # the iteration of a set of ids changes from run to run
+        src = str(Path(poset.__file__).resolve().parents[1])
+        listings = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", LISTING], env=env, capture_output=True, text=True,
+                timeout=120, check=True,
+            )
+            listings.add(run.stdout)
+        here = list(order_complex(corpus.ncube(3).poset).simplices.items())
+        assert listings == {f"{here}\n"}
+
+    def test_simplices_listed_by_top_face_then_depth_first(self):
+        oc = order_complex(ALL_POSETS["segment"])  # X0 = 0, X1 = 1, apex 2
+        assert list(oc.simplices) == [(2,), (0,), (0, 2), (1,), (1, 2)]
+        tri = list(order_complex(ALL_POSETS["triangle"]).simplices)
+        # F1 = 0 holds p12 = 3 and p13 = 4, the apex is 6
+        assert tri[:7] == [(6,), (0,), (0, 6), (0, 3), (0, 3, 6), (0, 4), (0, 4, 6)]
+
     def test_point_counts(self):
         assert order_complex(ALL_POSETS["triangle"]).n_points == 7
         assert order_complex(ALL_POSETS["cube"]).n_points == 27
