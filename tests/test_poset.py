@@ -616,7 +616,20 @@ class TestLazyFindings:
         assert rep.skeleton_connected == ["1-skeleton of face Q is disconnected"]
         assert rep.has_vertex == [] and rep.sound and not rep.ok
 
-    def test_load_cut_and_write_add_no_table(self, split_annulus_data):
+    def test_load_and_cut_skip_the_below_closure(self, split_annulus_data):
+        for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
+            inst = parse_instance(data)
+            p = inst.poset
+            cut = cut_face(p, inst.lam, p.vertices()[0])
+            again = cut_face(cut.poset, cut.lam, cut.poset.vertices()[0])
+            for q in (p, cut.poset, again.poset):
+                assert set(vars(q)) == POSET_STATE
+        # the down-set still reads off the masks, and reading it adds nothing
+        assert {g for g in p.faces() if p.leq(g, "Q")} == below_oracle(p)["Q"]
+        assert set(vars(p)) == POSET_STATE
+
+    def test_load_cut_and_write_skip_the_frozenset_views(self, split_annulus_data):
+        # they read the above and facet bitmasks, never a table of sets
         for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
             inst = parse_instance(data)
             p = inst.poset
@@ -625,6 +638,10 @@ class TestLazyFindings:
             instance_text(Instance("again", again.poset, again.lam, None))
             for q in (p, cut.poset, again.poset):
                 assert set(vars(q)) == POSET_STATE
+        v = p.vertices()[0]
+        assert {g for g in p.faces() if p.leq(v, g)} == above_oracle(p)[v]
+        assert set(p.facets_containing(v)) == above_oracle(p)[v] & set(p.facets())
+        assert set(vars(p)) == POSET_STATE
 
     def test_a_mode_b_load_adds_no_table(self):
         for inst in (corpus.square_torus(), barycentric_cube(3)):
