@@ -130,6 +130,8 @@ def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset
     """The face f as an instance of its own: poset of f plus the induced
     characteristic function in GF(2)^(n-k), read in the coordinates
     complementary to the isotropy subgroup of f."""
+    if f not in p.codims:
+        raise InputError(f"unknown face {f!r}")
     k = p.codim(f)
     if k == 0:
         return p, lam

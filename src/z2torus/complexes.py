@@ -11,18 +11,19 @@ complex, whose cells are the faces of Q themselves.
 Every mod-2 chain complex here has one form, its rows: rows[d][i] is
 the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
 (rows[0] is all 0).  `base_chain` walks a cell complex over Q once into
-its rows, kept on the poset; QuotientComplex lifts them through the
-isotropy gluing of a characteristic function; `betti_mod2` reads any
-rows.  `is_face_acyclic` runs the paper's criterion on the base rows,
-gathered per face by `_carried`, which `validate_carriers` shares; on
-the face complex the criterion is the CW gate.  The walk and the gather
-read the poset's up-set masks.
+its rows, kept on the triangulation or, for the face complex, the poset;
+QuotientComplex lifts them through the isotropy gluing of a
+characteristic function; `betti_mod2` reads any rows.  `is_face_acyclic`
+runs the paper's criterion on the base rows, gathered per face by
+`_carried`, which `validate_carriers` shares; on the face complex the
+criterion is the CW gate.  The walk and the gather read the poset's
+up-set masks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from typing import NamedTuple
@@ -30,7 +31,7 @@ from typing import NamedTuple
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
 from .gf2 import bit_indices, chain_ranks
-from .poset import FacePoset, per_poset
+from .poset import FacePoset, kept
 
 Simplex = tuple[int, ...]
 
@@ -42,6 +43,8 @@ class CarrierComplex:
         self.poset = poset
         self.n_points = n_points
         self.simplices = dict(simplices)
+        # the results `poset.kept` keeps on this triangulation
+        self._kept: dict[Callable[..., object], tuple[tuple[object, ...], object]] = {}
         for sx in simplices:
             if not sx or list(sx) != sorted(set(sx)):
                 raise ValueError(f"simplex {sx} is not a nonempty sorted vertex tuple")
@@ -117,7 +120,7 @@ class BaseChain(NamedTuple):
     are the walk's findings in sorted cell order, with the wording of
     `validate_carriers`; when there are any, the rows leave those cells'
     missing facets out and nothing may read them.  It holds only cells,
-    face ids and ints, so keeping it on its poset makes no cycle.
+    face ids and ints, so keeping it on its owner makes no cycle.
     """
 
     cells: tuple[tuple[Hashable, ...], ...]
@@ -176,17 +179,17 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
     )
 
 
-@per_poset
+@kept
 def _kept_chain(p: FacePoset, triangulation: CarrierComplex | None = None) -> BaseChain:
     """The walk of a triangulation of p, or of p's whole face complex."""
     return _walk(FaceComplex(p) if triangulation is None else triangulation)
 
 
 def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
-    """base's chain, walked once per poset and triangulation, or per whole
-    face complex, and kept on the poset; a face complex restricted to some
-    faces is walked on its own.  Raises InputError when base is not closed
-    or a boundary leaves its cell's carrier."""
+    """base's chain, walked once per triangulation, kept on it, or once per
+    whole face complex, kept on its poset; a face complex restricted to
+    some faces is walked on its own.  Raises InputError when base is not
+    closed or a boundary leaves its cell's carrier."""
     if isinstance(base, CarrierComplex):
         chain = _kept_chain(base.poset, base)
     elif base.faces == base.poset.codims.keys():
@@ -417,11 +420,11 @@ def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
     return AcyclicityReport(per_face, empty)
 
 
-@per_poset
+@kept
 def face_acyclicity(p: FacePoset, triangulation: CarrierComplex | None = None) -> AcyclicityReport:
-    """The criterion on a triangulation (mode B), or on the face complex as
-    the CW gate of mode A, whose failure raises PreconditionError on every
-    call, as a call that raises keeps nothing on p."""
+    """The criterion on a triangulation (mode B), kept on it, or on the face
+    complex as the CW gate of mode A, kept on p, whose failure raises
+    PreconditionError on every call, as a call that raises keeps nothing."""
     if triangulation is not None:
         return is_face_acyclic(triangulation)
     rep = is_face_acyclic(FaceComplex(p))

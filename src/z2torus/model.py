@@ -20,7 +20,7 @@ from .charfunc import CharFunction, isotropy
 from .complexes import CarrierComplex, FaceComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
 from .gf2 import Vec, bit_indices
-from .poset import FacePoset, count_components, fh_vectors, per_poset
+from .poset import FacePoset, count_components, fh_vectors, kept
 
 
 def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> QuotientComplex:
@@ -76,7 +76,7 @@ class FormalityVerdict:
     acyclicity_witnesses: tuple[str, ...]
 
 
-@per_poset
+@kept
 def formality_verdict(
     p: FacePoset, lam: CharFunction, triangulation: CarrierComplex | None = None
 ) -> FormalityVerdict:
@@ -89,8 +89,8 @@ def formality_verdict(
     raises PreconditionError when it fails, so there it holds once the
     model exists.  The mode label travels with the verdict.
     h_identity: Betti vector equals the h-vector.
-    The verdict is kept on p for this lam and triangulation; the model it
-    is read off is not.
+    The verdict is kept with lam on the triangulation, or on p in mode A,
+    until a call for another lam takes its place; its model is not kept.
     """
     mode, base = ("A", FaceComplex(p)) if triangulation is None else ("B", triangulation)
     acyc = face_acyclicity(p, triangulation)

@@ -11,14 +11,13 @@ derived object is reproducible bit for bit.
 
 from __future__ import annotations
 
-import inspect
-import weakref
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from math import comb
-from typing import TYPE_CHECKING, TypeVar
+from operator import is_
+from typing import TYPE_CHECKING, Any, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .complexes import CarrierComplex
@@ -27,65 +26,39 @@ if TYPE_CHECKING:  # pragma: no cover
 T = TypeVar("T")
 
 
-def per_poset(fn: Callable[..., T]) -> Callable[..., T]:
-    """Keep fn(p, ...)'s result on the poset p, one per fn and per the
-    identities of its other arguments, defaults filled in.  The entry holds
-    those arguments weakly and a read checks that each is still the object
-    it was kept for, so a new object that takes a dead one's id gets its own
-    result.  Held strongly, a triangulation, which refers to its poset,
-    would make a cycle; as it is, nothing kept on p refers back to p, so a
-    dropped poset is freed at once.  Each write first drops the entries
-    whose arguments are gone, so p keeps no result for a freed argument
-    past its next write.  A call that raises keeps nothing.  Callers share
-    the result and must not change it.
-
-    fn's other parameters must be plain positional-or-keyword ones; their
-    names and defaults are read here, once."""
-    sig = inspect.signature(fn)
-    params = list(sig.parameters.values())[1:]
-    if any(q.kind is not q.POSITIONAL_OR_KEYWORD for q in params):
-        raise TypeError(f"per_poset: {fn.__name__} takes more than plain parameters")
-    names = tuple(q.name for q in params)
-    defaults = tuple(q.default for q in params)
+def kept(fn: Callable[..., T]) -> Callable[..., T]:
+    """Keep fn's last result on the object it describes: the call's last
+    argument when that keeps results too (a triangulation), else its first
+    (the poset).  Trailing None arguments are dropped first, so f(p, lam)
+    and f(p, lam, None) share the result.  It is kept with the call's other
+    arguments, held strongly and compared by identity; a call with any
+    other objects computes afresh and takes over fn's one slot.  Those
+    arguments and the result never refer to their owner (a poset does not
+    refer to its triangulations), so a dropped owner is freed at once.  A
+    call that raises keeps nothing.  Callers share the result and must not
+    change it.  Arguments are passed by position only."""
 
     @wraps(fn)
-    def memo(p: "FacePoset", *args: object, **kwargs: object) -> T:
-        if kwargs or len(args) != len(names):
-            rest = dict(kwargs)
-            missing = zip(names[len(args):], defaults[len(args):])
-            full = args + tuple(rest.pop(name, default) for name, default in missing)
-            if rest or len(full) != len(names) or any(a is sig.empty for a in full):
-                sig.bind(p, *args, **kwargs)  # raises the call's own TypeError
-            args = full
-        key = (fn, *map(id, args))
-        hit = p._memo.get(key)
-        if hit is None or any(ref() is not a for ref, a in zip(hit[1], args)):
-            result = fn(p, *args)
-            kept = p._memo
-            for k in [k for k, (_, refs) in kept.items() if _gone(refs)]:
-                del kept[k]
-            hit = kept[key] = (result, tuple(map(_weak, args)))
-        return hit[0]
+    def keep(*args: Any) -> T:
+        while args[-1] is None:
+            args = args[:-1]
+        if hasattr(args[-1], "_kept"):  # a triangulation, or the poset alone
+            owner, rest = args[-1], args[:-1]
+        else:
+            owner, rest = args[0], args[1:]
+        slot = owner._kept.get(fn)
+        if slot is None or len(slot[0]) != len(rest) or not all(map(is_, slot[0], rest)):
+            slot = owner._kept[fn] = (rest, fn(*args))
+        return slot[1]
 
-    return memo
-
-
-def _weak(x: object) -> Callable[[], object]:
-    """A weak reference to x; None takes none, and NoneType() is None."""
-    return type(None) if x is None else weakref.ref(x)
-
-
-def _gone(refs: tuple[Callable[[], object], ...]) -> bool:
-    """Whether an argument an entry was kept for is freed; a None argument
-    is never, though its stand-in NoneType also returns None."""
-    return any(ref is not type(None) and ref() is None for ref in refs)
+    return keep
 
 
 class FacePoset:
     """Graded face poset with the canonical face and cover orders and, for
     each face, the faces above it and its facets as bitmasks over the face
-    order; every containment query reads those masks.  The results of the
-    `per_poset` functions are kept on it too."""
+    order; every containment query reads those masks.  The `kept`
+    functions keep on it the results of calls given no triangulation."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
@@ -122,7 +95,7 @@ class FacePoset:
         self._facet_ids = self._order[first:first + counts[1]]
         block = (1 << counts[1]) - 1
         self._facet_mask = {f: m >> first & block for f, m in up.items()}
-        self._memo: dict[tuple[object, ...], tuple[object, tuple[Callable[[], object], ...]]] = {}
+        self._kept: dict[Callable[..., object], tuple[tuple[object, ...], object]] = {}
 
     # -- basic queries -------------------------------------------------
 
@@ -312,12 +285,12 @@ def validate(p: FacePoset) -> PosetReport:
     """Check top element, grading, boolean upper intervals and niceness.
     Presence of vertices and connectivity of every face's 1-skeleton are
     checked when the report's has_vertex / skeleton_connected are read.
-    The findings are kept on p; each call returns a new report over them,
-    as a report refers to p."""
+    The findings are kept on p (`kept`); each call returns a new report
+    over them, as a report refers to p and must not be kept on it."""
     return PosetReport(p, *_findings(p))
 
 
-@per_poset
+@kept
 def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
     """validate's structural, simplicial and nice findings."""
     structural: list[str] = []
@@ -374,7 +347,7 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
     return structural, simplicial, nice
 
 
-@per_poset
+@kept
 def fh_vectors(p: FacePoset) -> FHVector:
     """f- and h-vectors; h is read off the defining polynomial identity."""
     n = p.n
@@ -393,7 +366,7 @@ def fh_vectors(p: FacePoset) -> FHVector:
     return FHVector(fvec, hvec)
 
 
-@per_poset
+@kept
 def one_skeleton(p: FacePoset) -> Skeleton:
     """Graph of vertices (codim-n faces) and edges (codim-(n-1) faces).
 

@@ -265,6 +265,12 @@ class TestFaceRestriction:
         sub, lam2 = face_restriction(inst.poset, inst.lam, "Q")
         assert sub is inst.poset and lam2 is inst.lam
 
+    def test_an_unknown_face_is_an_input_error(self):
+        # as cut_face and thom_restriction report it
+        inst = corpus.cube()
+        with pytest.raises(InputError, match="^unknown face 'nosuch'$"):
+            face_restriction(inst.poset, inst.lam, "nosuch")
+
     def test_every_restriction_validates(self):
         for name in ("triangle", "square_torus", "square_klein", "cube"):
             inst = corpus.BUILDERS[name]()

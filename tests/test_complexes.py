@@ -406,11 +406,11 @@ class TestLift:
     def test_a_restricted_face_complex_gets_its_own_chain(self):
         p = corpus.cube().poset
         whole = base_chain(FaceComplex(p))
-        kept = len(p._memo)
+        kept = len(p._kept)
         chain = base_chain(FaceComplex(p, set(p.codims) - {"Q"}))
         assert [len(level) for level in chain.cells] == [8, 12, 6]
         assert [len(level) for level in whole.cells] == [8, 12, 6, 1]
-        assert len(p._memo) == kept and base_chain(FaceComplex(p)) is whole
+        assert len(p._kept) == kept and base_chain(FaceComplex(p)) is whole
 
     def test_a_face_complex_that_is_not_closed_is_refused(self):
         inst = corpus.triangle()

@@ -207,9 +207,10 @@ def labels(n, **values):
 
 class TestKeptOnThePoset:
     """formality_verdict, face_acyclicity, validate and fh_vectors keep their
-    results on the poset they are given, one per labelling and
-    triangulation.  Each kept result must equal the same computation on a
-    freshly loaded copy, whatever was asked of the poset before."""
+    last result on the triangulation they are given, or else on the poset,
+    with the labelling it was computed for.  Each kept result must equal the
+    same computation on a freshly loaded copy, whatever was asked of the
+    poset before."""
 
     def test_each_labelling_and_triangulation_gets_its_own_verdict(self):
         inst = corpus.bundled("square_torus")
@@ -232,6 +233,19 @@ class TestKeptOnThePoset:
         assert formality_verdict(inst.poset, inst.lam) is formality_verdict(
             inst.poset, inst.lam, None
         )
+        # one slot per function: a verdict for a second labelling takes the
+        # first one's place, so the first labelling is then freed at once
+        for tri in (inst.triangulation, None):
+            first = corpus.bundled("square_torus").lam
+            assert formality_verdict(inst.poset, first, tri) == fresh(inst.lam, tri)
+            gone = weakref.ref(first)
+            gc.disable()
+            try:
+                assert formality_verdict(inst.poset, klein, tri) == fresh(klein, tri)
+                del first
+                assert gone() is None
+            finally:
+                gc.enable()
 
     def test_a_new_labelling_never_reads_a_dropped_ones_verdict(self):
         # equal labels on the annulus's two circles give two tori, distinct
@@ -272,16 +286,18 @@ class TestKeptOnThePoset:
 
     @pytest.mark.parametrize("name", ["cube", "square_klein", "annulus"])
     def test_a_dropped_poset_is_freed_at_once(self, name):
-        # nothing kept on a poset refers back to it, so no garbage cycle
-        # outlives it; an instance's triangulation refers to its poset
+        # nothing kept on a poset or triangulation refers back to it, so no
+        # garbage cycle outlives them; an instance's triangulation refers to
+        # its poset
         inst = corpus.BUILDERS[name]()
         p, lam, tri = inst.poset, inst.lam, inst.triangulation
         validate(p).ok, fh_vectors(p), face_acyclicity(p, tri), formality_verdict(p, lam, tri)
-        gone = weakref.ref(p), weakref.ref(lam)
+        gone = [weakref.ref(x) for x in (p, lam, tri) if x is not None]
+        assert len(gone) == (2 if name == "cube" else 3)
         gc.disable()
         try:
             del inst, p, lam, tri
-            assert [ref() for ref in gone] == [None, None]
+            assert [ref() for ref in gone] == [None] * len(gone)
         finally:
             gc.enable()
 

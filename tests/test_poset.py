@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import charfunc, corpus, poset
+from z2torus import charfunc, complexes, corpus, poset
 from z2torus.blowup import cut_face
 from z2torus.cli import frag_report
 from z2torus.complexes import (
@@ -35,7 +36,7 @@ from z2torus.complexes import (
 from z2torus.gf2 import Vec, bit_indices
 from z2torus.gkm import check_face_ring_relations
 from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
-from z2torus.model import fixed_locus
+from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import (
     FacePoset,
     count_components,
@@ -575,8 +576,8 @@ def barycentric_cube(n):
     return Instance(f"{n}-cube barycentric", inst.poset, inst.lam, order_complex(inst.poset))
 
 
-# what a FacePoset holds once built; no read adds to it but entries of
-# its per_poset memo
+# what a FacePoset holds once built; no read adds to it, the results of
+# the `kept` functions going into its `_kept`
 POSET_STATE = set(vars(FacePoset(0, {"Q": 0}, ())))
 REPORTED = {
     "ncube(3)": lambda: corpus.ncube(3),
@@ -736,63 +737,48 @@ class TestSkeleton:
             assert set(ends) == below[e] & set(p.vertices()), e
 
 
-class TestPerPoset:
-    """per_poset reads its function's defaults once and fills them in."""
+class TestKept:
+    """A `kept` function keeps its last result on the triangulation it is
+    given, else on the poset, with the other arguments by identity."""
 
-    class Arg:  # an object that takes weak references
-        pass
-
-    def test_defaults_and_keywords_name_one_entry(self):
+    def test_one_slot_per_function(self):
         calls = []
 
-        @poset.per_poset
+        @poset.kept
         def f(p, a, b=None):
             calls.append((a, b))
             return [a, b]
 
-        p, a = corpus.triangle().poset, self.Arg()
+        p, a, b = corpus.triangle().poset, object(), object()
         got = f(p, a)
-        assert f(p, a, None) is got and f(p, a, b=None) is got and f(p, b=None, a=a) is got
-        assert calls == [(a, None)]
-        other = self.Arg()
-        assert f(p, a, other) == [a, other] and f(p, a, b=other) is f(p, a, other)
-        assert len(calls) == 2
+        assert f(p, a, None) is got and calls == [(a, None)]
+        assert f(p, a, b) == [a, b] and f(p, a) == [a, None] and len(calls) == 3
+        assert list(p._kept) == [f.__wrapped__]
 
-    def test_bad_calls_raise_the_call_type_error(self):
-        @poset.per_poset
-        def f(p, a, b=None):
-            return a
-
-        p, a = corpus.triangle().poset, self.Arg()
-        for args, kwargs, message in [
-            ((), {}, "missing a required argument: 'a'"),
-            ((a, None, None), {}, "too many positional arguments"),
-            ((a,), {"c": 1}, "unexpected keyword argument 'c'"),
-            ((a,), {"a": a}, "multiple values for argument 'a'"),
-        ]:
-            with pytest.raises(TypeError, match=message):
-                f(p, *args, **kwargs)
-        assert p._memo == {}
-
-    def test_only_plain_parameters(self):
-        with pytest.raises(TypeError, match="more than plain parameters"):
-            poset.per_poset(lambda p, *rest: rest)
-
-    def test_entries_of_freed_arguments_are_dropped_on_the_next_write(self):
-        # each validate_carriers call keeps its triangulation's chain on p;
-        # a None argument (the mode-A gate's) is never taken for a freed one
+    def test_a_triangulations_chain_gate_and_verdict_are_kept_on_it(self):
+        # so the poset keeps nothing for its copies, and each dropped copy
+        # is freed at once, with no garbage cycle
         inst = corpus.square_torus()
-        p, tri = inst.poset, inst.triangulation
-        gate = face_acyclicity(p)
-        before = len(p._memo)
-        copies = [CarrierComplex(p, tri.n_points, tri.simplices) for _ in range(50)]
-        assert all(validate_carriers(c).ok for c in copies)
-        assert len(p._memo) == before + 50
-        del copies
-        gc.collect()
+        p, lam, tri = inst.poset, inst.lam, inst.triangulation
+        want = formality_verdict(p, lam, tri)
         assert validate_carriers(tri).ok
-        assert len(p._memo) == before + 1
-        assert face_acyclicity(p) is gate
+        before = dict(p._kept)
+        on_tri = {f.__wrapped__ for f in (complexes._kept_chain, face_acyclicity, formality_verdict)}
+        assert set(tri._kept) == on_tri
+        gc.disable()
+        try:
+            for _ in range(50):
+                c = CarrierComplex(p, tri.n_points, tri.simplices)
+                assert validate_carriers(c).ok and formality_verdict(p, lam, c) == want
+                assert set(c._kept) == on_tri
+                gone = weakref.ref(c)
+                del c
+                assert gone() is None
+        finally:
+            gc.enable()
+        assert p._kept.keys() == before.keys()
+        assert all(p._kept[f] is slot for f, slot in before.items())
+        assert formality_verdict(p, lam, tri) is want
 
 
 class TestDualAndGorenstein:
