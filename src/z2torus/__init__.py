@@ -31,13 +31,7 @@ from .complexes import (
 )
 from .errors import InputError, PreconditionError
 from .gf2 import Matrix, Vec, dual_code
-from .gkm import (
-    check_face_ring_relations,
-    equivariant_hilbert,
-    face_ring_hilbert,
-    satisfies_gkm,
-    thom_restriction,
-)
+from .gkm import equivariant_hilbert, face_ring_hilbert, satisfies_gkm
 from .instance import Instance, load_instance, parse_instance, save_instance, serialize_instance
 from .model import (
     FormalityVerdict,
@@ -82,7 +76,6 @@ __all__ = [
     "betti_mod2",
     "blowup_counts_check",
     "build_quotient",
-    "check_face_ring_relations",
     "coloring_classes",
     "cut_face",
     "dual_code",
@@ -108,7 +101,6 @@ __all__ = [
     "satisfies_gkm",
     "save_instance",
     "serialize_instance",
-    "thom_restriction",
     "validate",
     "validate_carriers",
     "validate_lambda",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, _rref_rows, mod_line, reduce_by
+from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, mod_line, reduce_by
 from .poset import FacePoset, one_skeleton
 
 
@@ -181,6 +181,8 @@ class GkmGraph:
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
     """Axial function on the 1-skeleton: alpha(e) is the unique nonzero
     functional vanishing on the labels of the n-1 facets containing e.
+    It depends only on those labels, so one nullspace is solved per
+    facet-label set and the edges with that set share its form.
 
     Verified on the way out: the labels at each vertex form a basis, and
     across each edge the two vertex label multisets agree mod alpha(e).
@@ -192,21 +194,27 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
             f"(n_valent={sk.n_valent}, connected={sk.connected}, "
             f"degenerate_edges={sorted(sk.degenerate_edges)})"
         )
+    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    forms: dict[tuple[int, ...], Vec] = {}  # sorted facet labels -> form
     axial: dict[str, Vec] = {}
     for e in sorted(sk.edges):
-        S = p.facets_containing(e)
-        if S:
-            null = Matrix.from_vecs([lam.vec(F) for F in S]).nullspace()
-            if null.nrows != 1:
-                raise InputError(
-                    f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"
-                )
-            axial[e] = Vec(null.rows[0], p.n)
-        else:
-            # only for n = 1, where the edge is Q itself and nothing constrains it
-            if p.n != 1:
+        labels = tuple(sorted(label[j] for j in bit_indices(p._facet_mask[e])))
+        form = forms.get(labels)
+        if form is None:
+            if labels:
+                null = Matrix(labels, lam.n).nullspace()
+                if null.nrows != 1:
+                    raise InputError(
+                        f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"
+                    )
+                form = Vec(null.rows[0], p.n)
+            elif p.n != 1:
                 raise InputError(f"edge {e} lies in no facet but n = {p.n}")
-            axial[e] = Vec(1, 1)
+            else:
+                # only for n = 1, where the edge is Q itself and nothing constrains it
+                form = Vec(1, 1)
+            forms[labels] = form
+        axial[e] = form
     g = GkmGraph(p.n, sk.vertices, dict(sk.edges), axial)
     _check_axial(g)
     return g
@@ -214,15 +222,15 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
 
 def _check_axial(g: GkmGraph) -> None:
     """`axial_function`'s checks on the way out, raising InputError."""
-    for v in g.vertices:
-        at_v = [g.axial[e].bits for e in g.edges_at(v)]
-        if Matrix.from_rows(at_v, g.n).rank() != g.n:
+    at = {v: [g.axial[e].bits for e in g.edges_at(v)] for v in g.vertices}
+    for v, forms in at.items():
+        if any(b >> g.n for b in forms):
+            raise ValueError("row wider than ncols")
+        if len(_top_basis(enumerate(forms))) != g.n:
             raise InputError(f"axial labels at vertex {v} do not form a basis")
     for e, (v, w) in sorted(g.edges.items()):
         a = g.axial[e].bits
-        left = mod_line((g.axial[x].bits for x in g.edges_at(v)), a)
-        right = mod_line((g.axial[x].bits for x in g.edges_at(w)), a)
-        if left != right:
+        if mod_line(at[v], a) != mod_line(at[w], a):
             raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
 
 
@@ -243,15 +251,28 @@ def _label_image(p: FacePoset, lam: CharFunction) -> tuple[list[int], int]:
 def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> MInvolution:
     """An m-involution of the model, when the labels make one.
 
-    The paper's m-involution is not free: its fixed set is the largest
-    one Smith theory allows, sum b_i(M; Z/2) isolated points.  One is
-    reported when n >= 1, the label image is a basis of GF(2)^n and Q is
-    face-acyclic; g is then the sum of that basis.  g lies in the
-    isotropy group of a face exactly when the face's labels span
-    GF(2)^n, as at every vertex, so g fixes one point over each vertex,
-    and on a face-acyclic Q the vertices number sum b_i.  At n = 0 the
-    group is trivial and its one element, the identity, is no
-    involution."""
+    Only the elements g of the acting group GF(2)^n = (Z/2)^n are
+    searched, not other involutions of M.  The paper's m-involution is
+    not free: its fixed set is the largest one Smith theory allows,
+    sum b_i(M; Z/2) isolated points.  One is reported when n >= 1, the
+    label image is a basis of GF(2)^n and Q is face-acyclic; g is then
+    the sum of that basis.  g lies in the isotropy group of a face
+    exactly when the face's labels span GF(2)^n, as at every vertex, so
+    g fixes one point over each vertex, and on a face-acyclic Q the
+    vertices number sum b_i.  At n = 0 the group is trivial and its one
+    element, the identity, is no involution.
+
+    Why none is found otherwise.  Every g fixes the one point over each
+    vertex, so a discrete fixed set has one point per vertex and no
+    more; when Q is not face-acyclic the paper's theorem puts sum b_i
+    above the vertex count, and no g reaches it.  A fixed set is
+    discrete iff g lies in no edge's isotropy group.  At a vertex v the
+    labels are a basis and the edges at v drop one facet each, so this
+    holds at v iff g is the sum of v's labels.  The two ends of an edge
+    share its n - 1 facets, so the one facet each has beyond them carry
+    equal labels, and the two ends have the same label set.  On a
+    connected 1-skeleton where every facet has a vertex, the label image
+    is then that one basis."""
     image, rank = _label_image(p, lam)
     reasons = []
     if p.n == 0:

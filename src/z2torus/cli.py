@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Every subcommand loads one instance file, prints a report fragment on
-standard output, and exits 0 on success, 1 on a validation failure, 2
-when a computation's precondition fails.  `report` is exactly the
-concatenation of the fragments of the other read-only subcommands.
+standard output, and exits 0 on success, 1 on a validation failure or
+when memory runs out, 2 when a computation's precondition fails.
+`report` is exactly the concatenation of the fragments of the other
+read-only subcommands.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import sys
 from collections.abc import Callable
 
 from .blowup import cut_face
-from .charfunc import m_involution_check
+from .charfunc import axial_function, m_involution_check
 from .codes import facet_code, is_self_dual, min_distance
 from .complexes import face_acyclicity
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
-from .gkm import axial_function, equivariant_hilbert, face_ring_hilbert
+from .gkm import equivariant_hilbert, face_ring_hilbert
 from .instance import MAX_DEG, Instance, load_instance, save_instance
 from .model import fixed_locus, formality_verdict
 from .poset import fh_vectors, gorenstein_quick_checks, validate
@@ -237,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.cmd} {args.instance}", file=sys.stderr)
+        return 1
     for line in lines:
         print(line)
     return rc

@@ -28,10 +28,12 @@ products of forms other than 0 and alpha are congruent iff their
 factors reduced mod alpha (one bit test each, `gf2.mod_line`) agree as
 multisets.  Only the edges of C_v need that test (`flow_up_degrees`
 says why).  On the 8-cube, `axial_function` and
-`equivariant_hilbert(g, 16)` take about 0.07 s together on a 2-vCPU
-x86-64 VM, 0.24 s when each tau_v was expanded into polynomials.
-Polynomials remain for `thom_restriction`, `check_face_ring_relations`
-and the public membership test `satisfies_gkm`, the tests' oracle.
+`equivariant_hilbert(g, 16)` take 44-60 ms together on a 2-vCPU x86-64
+VM (one fresh process each), against 66-84 ms in the same run when each
+edge solved its own nullspace and each vertex tried built a subgroup of
+`Vec`s; an earlier run measured 0.24 s when each tau_v was expanded
+into polynomials.  Polynomials remain for the public membership test
+`satisfies_gkm`, the tests' oracle.
 
 A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
 Monomials are ordered graded-lexicographically, largest first, fixed
@@ -41,39 +43,22 @@ once and for all.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Container, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import combinations_with_replacement
 from math import comb
 
-from .charfunc import CharFunction, GkmGraph, Subgroup, axial_function
-from .errors import InputError
-from .gf2 import Matrix, Vec, lowest_bit, mod_line
-from .poset import FacePoset
+from .charfunc import GkmGraph
+from .gf2 import Matrix, Vec, _rref_rows, lowest_bit, mod_line, reduce_by
 
 Poly = frozenset  # of exponent tuples
+# vertex -> (edge, other end, form bits) for each edge at it, edges sorted
+Ends = dict[str, list[tuple[str, str, int]]]
+# up-edge forms -> RREF rows and pivots of their span, and form -> in span?
+Spans = dict[frozenset[int], tuple[list[int], list[int], dict[int, bool]]]
 
 
 def poly_zero() -> Poly:
     return frozenset()
-
-def poly_one(n: int) -> Poly:
-    return frozenset({(0,) * n})
-
-def poly_var(n: int, i: int) -> Poly:
-    return frozenset({tuple(1 if j == i else 0 for j in range(n))})
-
-def poly_linear(v: Vec) -> Poly:
-    """The linear form with coefficient vector v."""
-    return frozenset(tuple(1 if j == i else 0 for j in range(v.n)) for i in v.support())
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    acc: set[tuple[int, ...]] = set()
-    for m1 in p:
-        for m2 in q:
-            m = tuple(a + b for a, b in zip(m1, m2))
-            acc.symmetric_difference_update({m})
-    return frozenset(acc)
 
 
 def monomials(n: int, k: int) -> list[tuple[int, ...]]:
@@ -132,54 +117,44 @@ def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly], edges: Iterable[str]) -> bo
     return True
 
 
-def _thom_products(g: GkmGraph, face: Iterable[str], inside: Container[str]) -> dict[str, Poly]:
-    """A face's Thom-type class at its vertices: at each vertex w of the
-    face, the product of the axial forms of the edges at w that leave it,
-    those not `inside` the face."""
-    out: dict[str, Poly] = {}
-    for w in face:
-        poly = poly_one(g.n)
-        for e in g.edges_at(w):
-            if e not in inside:
-                poly = poly_mul(poly, poly_linear(g.axial[e]))
-        out[w] = poly
-    return out
-
-
-def _certified_down_degree(g: GkmGraph, v: str, placed: dict[str, int]) -> int | None:
+def _certified_down_degree(
+    g: GkmGraph, v: str, placed: dict[str, int], ends: Ends, spans: Spans
+) -> int | None:
     """The number d_v of v's down-edges (those to placed vertices) if v may
     come next, else None.  Checked: v's up-face C_v holds no placed
     vertex; the down-edge forms are nonzero and pairwise distinct; tau_v
     meets the edge condition on each edge of C_v."""
-    down: list[Vec] = []
-    up: list[Vec] = []
-    for e in g.edges_at(v):
-        a, b = g.edges[e]
-        (down if (b if a == v else a) in placed else up).append(g.axial[e])
-    if len(set(down)) < len(down) or not all(alpha.bits for alpha in down):
+    down: list[int] = []
+    up: set[int] = set()
+    for _, u, b in ends.get(v, ()):
+        if u in placed:
+            down.append(b)
+        else:
+            up.add(b)
+    if len(set(down)) < len(down) or 0 in down:
         return None
-    span = Subgroup(g.n, up)
-    in_span: dict[int, bool] = {}  # per form's bits: the graph has few distinct forms
+    key = frozenset(up)
+    if key not in spans:
+        spans[key] = (*_rref_rows(up), {})
+    rows, pivots, in_span = spans[key]
     tau: dict[str, list[int]] = {v: []}  # vertex of C_v -> the bits of its factors
     face_edges: set[str] = set()
     stack = [v]
     while stack:
         w = stack.pop()
-        for e in g.edges_at(w):
-            alpha = g.axial[e]
-            b = alpha.bits
-            if b not in in_span:
-                in_span[b] = span.contains(alpha)
-            if not in_span[b]:
+        for e, u, b in ends.get(w, ()):
+            inside = in_span.get(b)
+            if inside is None:
+                inside = in_span[b] = reduce_by(rows, pivots, b) == 0
+            if not inside:
                 tau[w].append(b)
                 continue
             face_edges.add(e)
-            for u in g.edges[e]:
-                if u in placed:
-                    return None
-                if u not in tau:
-                    tau[u] = []
-                    stack.append(u)
+            if u in placed:
+                return None
+            if u not in tau:
+                tau[u] = []
+                stack.append(u)
     return len(down) if _congruent_on(g, tau, face_edges) else None
 
 
@@ -197,7 +172,11 @@ def _congruent_on(g: GkmGraph, tau: dict[str, list[int]], edges: Iterable[str]) 
 
 def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     """Down-degree d_v of every vertex, in a certified flow-up order, or
-    None when at some step no remaining vertex can be placed.
+    None when at some step no remaining vertex can be placed.  The graph
+    is read once into `ends`, each vertex's edges as (edge, other end,
+    form bits), and the span of a vertex's up-edge forms is reduced once
+    per distinct set of them (`spans`), with a memo of the forms found
+    in it: vertices with the same up-edge forms share both.
 
     Why the tau_v then give a basis of the GKM module M over
     R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition
@@ -228,11 +207,19 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     alpha.  Two products of such forms are then equal iff their reduced
     factors agree as multisets, the test `_congruent_on` makes.  (Mod
     alpha = 0, equality of products, the same test.)"""
+    ends: Ends = {}
+    for e in sorted(g.edges):
+        a, b = g.edges[e]
+        bits = g.axial[e].bits
+        ends.setdefault(a, []).append((e, b, bits))
+        if b != a:
+            ends.setdefault(b, []).append((e, a, bits))
+    spans: Spans = {}
     placed: dict[str, int] = {}
     remaining = list(g.vertices)
     while remaining:
         for v in remaining:
-            d = _certified_down_degree(g, v, placed)
+            d = _certified_down_degree(g, v, placed, ends, spans)
             if d is not None:
                 break
         else:
@@ -296,98 +283,3 @@ def _free_dims(n: int, gens: dict[int, int], max_deg: int) -> tuple[int, ...]:
 def face_ring_hilbert(h: tuple[int, ...], max_deg: int) -> tuple[int, ...]:
     """Graded dimensions of a ring with Hilbert series sum(h_i t^i)/(1-t)^n."""
     return _free_dims(len(h) - 1, dict(enumerate(h)), max_deg)
-
-
-def thom_restriction(
-    p: FacePoset, lam: CharFunction, f: str, graph: GkmGraph | None = None
-) -> dict[str, Poly]:
-    """Vertex restrictions of the equivariant class carried by a face:
-    at a vertex of f, the product of the axial forms of the edges
-    leaving f; zero at vertices outside f."""
-    if graph is None:
-        graph = axial_function(p, lam)
-    if f not in p.codims:
-        raise InputError(f"unknown face {f!r}")
-    k = p.codim(f)
-    inside = {e for e in graph.edges if p.leq(e, f)}
-    face = [v for v in graph.vertices if p.leq(v, f)]
-    for v in face:
-        transverse = sum(e not in inside for e in graph.edges_at(v))
-        if transverse != k:
-            raise InputError(f"vertex {v} of {f} has {transverse} transverse edges, wanted {k}")
-    return {v: poly_zero() for v in graph.vertices} | _thom_products(graph, face, inside)
-
-
-@dataclass
-class RelationsReport:
-    product_failures: list[str] = field(default_factory=list)
-    linearity_failures: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.product_failures or self.linearity_failures)
-
-
-def _join(p: FacePoset, f1: str, f2: str) -> str | None:
-    """Unique minimal face containing both, if the meet below is nonempty."""
-    cands = p._up[f1] & p._up[f2]
-    higher = 0  # the faces strictly above some candidate
-    for g in p._order[:cands.bit_length()]:
-        if cands & p._bit[g]:
-            higher |= p._up[g] ^ p._bit[g]
-    minimal = cands & ~higher
-    if minimal.bit_count() != 1:
-        return None
-    return p._order[minimal.bit_length() - 1]
-
-
-def _meet_components(p: FacePoset, f1: str, f2: str) -> list[str]:
-    """Maximal common subfaces (the components of the intersection)."""
-    both = p._bit[f1] | p._bit[f2]
-    # a face comes after the faces above it in the face order
-    common = [g for g in p._order[both.bit_length() - 1:] if p._up[g] & both == both]
-    held = sum(p._bit[g] for g in common)
-    return [g for g in common if p._up[g] & held == p._bit[g]]
-
-
-def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsReport:
-    """Verify, vertexwise in the restriction image, the face-ring product
-    relation for every pair of faces and linearity of the degree-one part."""
-    graph = axial_function(p, lam)
-    rep = RelationsReport()
-    faces = p.faces()
-    thom = {f: thom_restriction(p, lam, f, graph) for f in faces}
-    for i, f1 in enumerate(faces):
-        for f2 in faces[i:]:
-            meet = _meet_components(p, f1, f2)
-            join = _join(p, f1, f2) if meet else None
-            if meet and join is None:
-                rep.product_failures.append(
-                    f"faces {f1}, {f2} meet but have no unique minimal common face"
-                )
-                continue
-            for v in graph.vertices:
-                lhs = poly_mul(thom[f1][v], thom[f2][v])
-                if not meet:
-                    rhs = poly_zero()
-                else:
-                    acc = poly_zero()
-                    for g in meet:
-                        acc ^= thom[g][v]
-                    rhs = poly_mul(thom[join][v], acc)
-                if lhs != rhs:
-                    rep.product_failures.append(
-                        f"tau({f1})*tau({f2}) != tau(join)*sum at vertex {v}"
-                    )
-    for j in range(p.n):
-        t = poly_var(p.n, j)
-        for v in graph.vertices:
-            acc = poly_zero()
-            for F in p.facets():
-                if lam.vec(F)[j]:
-                    acc ^= thom[F][v]
-            if acc != t:
-                rep.linearity_failures.append(
-                    f"sum_F <r_{j + 1}, lambda(F)> tau(F) != r_{j + 1} at vertex {v}"
-                )
-    return rep

@@ -6,6 +6,8 @@ import pytest
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
+from z2torus.charfunc import CharFunction
+from z2torus.gf2 import Vec
 from z2torus.poset import FacePoset
 
 
@@ -53,6 +55,18 @@ def restrict_oracle(p, f):
     keep, k = below_oracle(p)[f], p.codims[f]
     codims = {g: p.codims[g] - k for g in keep}
     return FacePoset(p.n - k, codims, {(c, q) for c, q in p.covers if c in keep and q in keep})
+
+
+def change_basis(lam, images):
+    """lam followed by the linear map sending unit vector i to images[i]."""
+    def apply(v):
+        bits = 0
+        for i, image in enumerate(images):
+            if v.bits >> i & 1:
+                bits ^= image
+        return Vec(bits, lam.n)
+
+    return CharFunction(lam.n, {F: apply(v) for F, v in lam.values.items()})
 
 
 def cut_chain(p, lam, seed, steps=3):

@@ -1,7 +1,13 @@
 """Characteristic functions, isotropy, axial functions, involutions."""
 
 import pytest
-from conftest import MASK_READERS_SWEEP, above_oracle, below_oracle, restrict_oracle
+from conftest import (
+    MASK_READERS_SWEEP,
+    above_oracle,
+    below_oracle,
+    change_basis,
+    restrict_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -368,30 +374,35 @@ class TestMInvolution:
             assert list(loc.faces) == inst.poset.vertices(), name
 
 
-def change_basis(lam, images):
-    """lam followed by the linear map sending unit vector i to images[i]."""
-    def apply(v):
-        bits = 0
-        for i, image in enumerate(images):
-            if v.bits >> i & 1:
-                bits ^= image
-        return Vec(bits, lam.n)
-
-    return CharFunction(lam.n, {F: apply(v) for F, v in lam.values.items()})
-
-
 # the annulus is the one instance here that is not face-acyclic, though its
 # labels are a basis
-M_INVOLUTION_SWEEP = {
-    name: corpus.BUILDERS[name]
-    for name in ("triangle", "square_torus", "square_klein", "annulus", "cube", "segment")
-}
-M_INVOLUTION_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (2, 3, 4)})
+M_INVOLUTION_SWEEP = dict(corpus.BUILDERS)
+M_INVOLUTION_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
+
+
+def assert_matches_brute_force(p, lam, tri):
+    """Every nonzero g of GF(2)^n through `fixed_locus`: the check reports
+    an m-involution iff some g fixes a discrete set of sum b_i points,
+    and the g it reports is one of them."""
+    verdict = formality_verdict(p, lam, tri)
+    fixing = []
+    for bits in range(1, 1 << p.n):
+        loc = fixed_locus(p, lam, Vec(bits, p.n))
+        if loc.discrete and loc.size == verdict.sum_betti:
+            fixing.append(Vec(bits, p.n))
+    inv = m_involution_check(p, lam, verdict.criterion)
+    assert inv.exists == bool(fixing)
+    assert inv.g is None or inv.g in fixing
 
 
 class TestMInvolutionAgainstBruteForce:
     """The m-involution is reported exactly when some nonzero g fixes a
     discrete set of sum b_i points, and the reported g is such a g."""
+
+    @pytest.mark.parametrize("name", list(M_INVOLUTION_SWEEP))
+    def test_sweep(self, name):
+        inst = M_INVOLUTION_SWEEP[name]()
+        assert_matches_brute_force(inst.poset, inst.lam, inst.triangulation)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -412,15 +423,7 @@ class TestMInvolutionAgainstBruteForce:
                 break
             cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
             p, lam, tri = cut.poset, cut.lam, None
-        verdict = formality_verdict(p, lam, tri)
-        fixing = []
-        for bits in range(1, 1 << p.n):
-            loc = fixed_locus(p, lam, Vec(bits, p.n))
-            if loc.discrete and loc.size == verdict.sum_betti:
-                fixing.append(Vec(bits, p.n))
-        inv = m_involution_check(p, lam, verdict.criterion)
-        assert inv.exists == bool(fixing)
-        assert inv.g is None or inv.g in fixing
+        assert_matches_brute_force(p, lam, tri)
 
 
 class TestColoringClasses:

@@ -374,6 +374,17 @@ class TestParseErrors:
         assert rc == 1 and "p23" in err
 
 
+class TestOutOfMemory:
+    def test_memory_error_is_an_error_line(self, capsys, monkeypatch):
+        def exhaust(inst, args):
+            raise MemoryError
+
+        monkeypatch.setitem(COMMANDS, "report", exhaust)
+        rc, out, err = run(capsys, "report", bundled("cube"))
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [f"error: out of memory in report {bundled('cube')}"]
+
+
 class TestMalformedInput:
     """Malformed input exits 1 with error lines, never a traceback."""
 

@@ -8,37 +8,39 @@ from unittest import mock
 
 import pytest
 import sympy
-from conftest import above_oracle, below_oracle
+from conftest import above_oracle, below_oracle, change_basis
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from thom_classes import (
+    check_face_ring_relations,
+    join,
+    meet_components,
+    poly_linear,
+    poly_mul,
+    poly_one,
+    poly_var,
+    thom_products,
+    thom_restriction,
+)
 
 from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import GkmGraph, axial_function
-from z2torus.errors import PreconditionError
-from z2torus.gf2 import Vec, lowest_bit
+from z2torus.charfunc import CharFunction, GkmGraph, axial_function
+from z2torus.errors import InputError, PreconditionError
+from z2torus.gf2 import Matrix, Vec, lowest_bit
 from z2torus.gkm import (
-    _join,
-    _meet_components,
-    _thom_products,
-    check_face_ring_relations,
     divisible_by,
     eliminated_hilbert,
     equivariant_hilbert,
     face_ring_hilbert,
     flow_up_degrees,
     monomials,
-    poly_linear,
-    poly_mul,
-    poly_one,
-    poly_var,
     poly_zero,
     satisfies_gkm,
     substitute,
-    thom_restriction,
 )
 from z2torus.model import formality_verdict
-from z2torus.poset import fh_vectors
+from z2torus.poset import fh_vectors, one_skeleton
 
 
 def graph_of(inst):
@@ -296,7 +298,7 @@ def spoiled(g, tau, face_edges):
 def polynomial_oracle():
     """On every vertex the certificate gets to, check the factor test
     `gkm._congruent_on` against polynomials: on tau_v, the polynomial
-    test is every edge condition at C_v, built by `_thom_products`; on
+    test is every edge condition at C_v, built by `thom_products`; on
     spoiled copies of tau_v, it is the edge conditions on the edges of
     C_v.  Yields the verdicts of the factor test, keyed (kind, verdict)."""
     verdicts = Counter()
@@ -305,7 +307,7 @@ def polynomial_oracle():
     def checked(g, tau, face_edges):
         verdict = factor_test(g, tau, face_edges)
         at_face = {e for w in tau for e in g.edges_at(w)}
-        assert verdict == satisfies_gkm(g, _thom_products(g, tau, face_edges), at_face)
+        assert verdict == satisfies_gkm(g, thom_products(g, tau, face_edges), at_face)
         verdicts["tau", verdict] += 1
         for other in spoiled(g, tau, face_edges):
             other_verdict = factor_test(g, other, face_edges)
@@ -454,14 +456,14 @@ class TestThomRestrictions:
 
 
 def join_oracle(above, f1, f2):
-    """_join as it read the up-sets, here those of the recursive closure."""
+    """join as it read the up-sets, here those of the recursive closure."""
     cands = above[f1] & above[f2]
     minimal = [g for g in cands if not any(h != g and g in above[h] for h in cands)]
     return minimal[0] if len(minimal) == 1 else None
 
 
 def meet_oracle(p, above, below, f1, f2):
-    """_meet_components as it read the down- and up-sets, here those of
+    """meet_components as it read the down- and up-sets, here those of
     the recursive closure."""
     common = below[f1] & below[f2]
     return sorted((g for g in common if above[g] & common == {g}), key=p.face_key)
@@ -475,10 +477,10 @@ class TestRelations:
         no_join = 0
         for f1 in p.faces():
             for f2 in p.faces():
-                join = _join(p, f1, f2)
-                assert join == join_oracle(above, f1, f2), (f1, f2)
-                assert _meet_components(p, f1, f2) == meet_oracle(p, above, below, f1, f2)
-                no_join += join is None
+                top = join(p, f1, f2)
+                assert top == join_oracle(above, f1, f2), (f1, f2)
+                assert meet_components(p, f1, f2) == meet_oracle(p, above, below, f1, f2)
+                no_join += top is None
         # only the bigon's two vertices lie in two minimal common faces
         assert no_join == (2 if name == "bigon" else 0)
 
@@ -497,6 +499,75 @@ class TestRelations:
         b = thom_restriction(inst.poset, inst.lam, "X1", graph)
         for v in graph.vertices:
             assert poly_mul(a[v], b[v]) == poly_zero()
+
+
+def per_edge_axial(p, lam):
+    """axial_function's forms solved one nullspace per edge, with its
+    errors: the oracle for one nullspace per facet-label set."""
+    axial = {}
+    for e in sorted(one_skeleton(p).edges):
+        S = p.facets_containing(e)
+        if S:
+            null = Matrix.from_vecs([lam.vec(F) for F in S]).nullspace()
+            if null.nrows != 1:
+                raise InputError(
+                    f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"
+                )
+            axial[e] = Vec(null.rows[0], p.n)
+        elif p.n != 1:
+            raise InputError(f"edge {e} lies in no facet but n = {p.n}")
+        else:
+            axial[e] = Vec(1, 1)
+    return axial
+
+
+AXIAL_SWEEP = dict(FLOW_SWEEP)
+AXIAL_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (5, 6)})
+
+
+@st.composite
+def cube_in_a_random_basis(draw):
+    """The 1- to 5-cube with its coordinate labels sent through a drawn
+    invertible GF(2) matrix: valid labels with many distinct forms."""
+    n = draw(st.integers(1, 5))
+    images = draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=n, max_size=n).filter(
+            lambda rows: Matrix(tuple(rows), n).rank() == n
+        )
+    )
+    inst = corpus.ncube(n)
+    return inst.poset, change_basis(inst.lam, images)
+
+
+class TestAxialSharing:
+    """One nullspace per facet-label set gives the forms, and the errors,
+    of one nullspace per edge."""
+
+    @pytest.mark.parametrize("name", list(AXIAL_SWEEP))
+    def test_sweep(self, name):
+        inst = AXIAL_SWEEP[name]()
+        assert axial_function(inst.poset, inst.lam).axial == per_edge_axial(inst.poset, inst.lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        assert axial_function(*cut).axial == per_edge_axial(*cut)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cube_in_a_random_basis())
+    def test_random_label_bases(self, case):
+        assert axial_function(*case).axial == per_edge_axial(*case)
+
+    def test_shared_dependent_label_set_names_the_first_edge(self):
+        """Y1 labelled like X0 and X1: EX0Y1 and EX1Y1 both lie in two
+        facets labelled 100, after EX0Y0 has been solved."""
+        inst = corpus.cube()
+        values = dict(inst.lam.values) | {"Y1": Vec.from_string("100")}
+        lam = CharFunction(3, values)
+        want = "^edge EX0Y1: functional not unique, nullspace has dimension 2$"
+        for solve in (axial_function, per_edge_axial):
+            with pytest.raises(InputError, match=want):
+                solve(inst.poset, lam)
 
 
 class TestGkmWarning:

@@ -22,6 +22,7 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from thom_classes import check_face_ring_relations
 
 from z2torus import charfunc, complexes, corpus, poset
 from z2torus.blowup import cut_face
@@ -34,7 +35,6 @@ from z2torus.complexes import (
     validate_carriers,
 )
 from z2torus.gf2 import Vec, bit_indices
-from z2torus.gkm import check_face_ring_relations
 from z2torus.instance import Instance, instance_text, parse_instance, serialize_instance
 from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import (
