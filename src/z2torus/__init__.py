@@ -5,14 +5,13 @@ models, formality verdicts, equivariant cohomology dimensions,
 corner-cut surgery, and the binary codes carried by fixed points.
 """
 
-from .blowup import CountsCheck, CutResult, blowup_counts_check, cut_face
+from .blowup import CutResult, cut_face
 from .charfunc import (
     CharFunction,
     GkmGraph,
     LambdaReport,
     Subgroup,
     axial_function,
-    coloring_classes,
     face_restriction,
     isotropy,
     m_involution_check,
@@ -36,7 +35,6 @@ from .instance import Instance, load_instance, parse_instance, save_instance, se
 from .model import (
     FormalityVerdict,
     build_quotient,
-    facial_components,
     fixed_locus,
     formality_verdict,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "BinaryCode",
     "CarrierComplex",
     "CharFunction",
-    "CountsCheck",
     "CutResult",
     "FHVector",
     "FaceComplex",
@@ -74,9 +71,7 @@ __all__ = [
     "Vec",
     "axial_function",
     "betti_mod2",
-    "blowup_counts_check",
     "build_quotient",
-    "coloring_classes",
     "cut_face",
     "dual_code",
     "equivariant_hilbert",
@@ -84,7 +79,6 @@ __all__ = [
     "face_restriction",
     "face_ring_hilbert",
     "facet_code",
-    "facial_components",
     "fh_vectors",
     "fixed_locus",
     "formality_verdict",

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .charfunc import CharFunction, face_restriction, validate_lambda
+from .charfunc import CharFunction, validate_lambda
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
-from .model import formality_verdict
 from .poset import FacePoset, validate
 
 
@@ -106,54 +105,3 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     for g in below_f:
         provenance[g] = sorted(_new_id(g, S) for S in subsets)
     return CutResult(poset2, lam2, new_facet, provenance)
-
-
-@dataclass(frozen=True)
-class CountsCheck:
-    k: int
-    vertices_before: int
-    vertices_after: int
-    vertices_face: int
-    vertices_ok: bool
-    betti_sum_before: int
-    betti_sum_after: int
-    betti_sum_face: int
-    betti_ok: bool
-    hsiang_before: bool
-    hsiang_after: bool
-
-    @property
-    def formality_preserved(self) -> bool:
-        return (not self.hsiang_before) or self.hsiang_after
-
-
-def blowup_counts_check(
-    p: FacePoset, lam: CharFunction, f: str, cut: CutResult | None = None
-) -> CountsCheck:
-    """Verify the two counting identities for the cut at f, with total
-    Betti numbers computed from the mode-A models of Q, the cut result,
-    and the face itself."""
-    if cut is None:
-        cut = cut_face(p, lam, f)
-    k = p.codim(f)
-    nv_before = len(p.vertices())
-    nv_after = len(cut.poset.vertices())
-    nv_face = len([v for v in p.vertices() if p.leq(v, f)])
-
-    before = formality_verdict(p, lam)
-    after = formality_verdict(cut.poset, cut.lam)
-    sub_p, sub_lam = face_restriction(p, lam, f)
-    face_sum = formality_verdict(sub_p, sub_lam).sum_betti
-    return CountsCheck(
-        k,
-        nv_before,
-        nv_after,
-        nv_face,
-        nv_after == nv_before + (k - 1) * nv_face,
-        before.sum_betti,
-        after.sum_betti,
-        face_sum,
-        after.sum_betti == before.sum_betti + (k - 1) * face_sum,
-        before.hsiang,
-        after.hsiang,
-    )

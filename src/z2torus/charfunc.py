@@ -158,13 +158,16 @@ def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset
 
 @dataclass
 class GkmGraph:
-    """1-skeleton with axial labels; edges keyed by their face id."""
+    """1-skeleton with axial labels; edges keyed by their face id.  The
+    incidence and, once found, the congruent edges are kept, so a graph
+    with other edges or forms must be built anew."""
 
     n: int
     vertices: tuple[str, ...]
     edges: dict[str, tuple[str, str]]
     axial: dict[str, Vec]
     _incidence: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _congruent: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         inc: dict[str, list[str]] = {v: [] for v in self.vertices}
@@ -176,6 +179,25 @@ class GkmGraph:
     def edges_at(self, v: str) -> tuple[str, ...]:
         """The edges at v, sorted; looked up in an incidence built once."""
         return self._incidence.get(v, ())
+
+    def congruent_edges(self) -> frozenset[str]:
+        """The edges e = (v, w) across which the forms at v and the forms
+        at w agree mod alpha(e): found on first use and kept.
+        `_check_axial` finds them afresh, from the forms as they stand."""
+        if self._congruent is None:
+            at = {v: [self.axial[e].bits for e in es] for v, es in self._incidence.items()}
+            self._congruent = _congruent_edges(self, at)
+        return self._congruent
+
+
+def _congruent_edges(g: GkmGraph, at: dict[str, list[int]]) -> frozenset[str]:
+    """The edges whose ends' form bits `at` agree mod the edge's form."""
+    out = set()
+    for e, (v, w) in g.edges.items():
+        a = g.axial[e].bits
+        if mod_line(at[v], a) == mod_line(at[w], a):
+            out.add(e)
+    return frozenset(out)
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
@@ -221,16 +243,17 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
 
 
 def _check_axial(g: GkmGraph) -> None:
-    """`axial_function`'s checks on the way out, raising InputError."""
+    """`axial_function`'s checks on the way out, raising InputError.  The
+    congruent edges found here are kept on the graph (`congruent_edges`)."""
     at = {v: [g.axial[e].bits for e in g.edges_at(v)] for v in g.vertices}
     for v, forms in at.items():
         if any(b >> g.n for b in forms):
             raise ValueError("row wider than ncols")
         if len(_top_basis(enumerate(forms))) != g.n:
             raise InputError(f"axial labels at vertex {v} do not form a basis")
+    g._congruent = congruent = _congruent_edges(g, at)
     for e, (v, w) in sorted(g.edges.items()):
-        a = g.axial[e].bits
-        if mod_line(at[v], a) != mod_line(at[w], a):
+        if e not in congruent:
             raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
 
 
@@ -290,18 +313,3 @@ def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> M
     for bits in image:
         g = g ^ Vec(bits, p.n)
     return MInvolution(True, g)
-
-
-@dataclass(frozen=True)
-class ColoringClasses:
-    classes: dict[str, tuple[str, ...]]  # label string -> facet ids
-    is_basis: bool
-
-
-def coloring_classes(p: FacePoset, lam: CharFunction) -> ColoringClasses:
-    by_label: dict[str, list[str]] = {}
-    for F in p.facets():
-        by_label.setdefault(str(lam.vec(F)), []).append(F)
-    image, rank = _label_image(p, lam)
-    classes = {k: tuple(sorted(v)) for k, v in sorted(by_label.items())}
-    return ColoringClasses(classes, len(image) == rank == p.n)

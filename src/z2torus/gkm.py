@@ -26,14 +26,19 @@ polynomial built.  Mod a nonzero form alpha, GF(2)[r_1..r_n] is a
 polynomial ring in n - 1 variables, a UFD whose only unit is 1, so two
 products of forms other than 0 and alpha are congruent iff their
 factors reduced mod alpha (one bit test each, `gf2.mod_line`) agree as
-multisets.  Only the edges of C_v need that test (`flow_up_degrees`
-says why).  On the 8-cube, `axial_function` and
-`equivariant_hilbert(g, 16)` take 44-60 ms together on a 2-vCPU x86-64
-VM (one fresh process each), against 66-84 ms in the same run when each
-edge solved its own nullspace and each vertex tried built a subgroup of
-`Vec`s; an earlier run measured 0.24 s when each tau_v was expanded
-into polynomials.  Polynomials remain for the public membership test
-`satisfies_gkm`, the tests' oracle.
+multisets.  Only the edges of C_v need that test, and an edge whose
+ends' full form multisets agree mod its form passes it for every v
+(`flow_up_degrees` says why).  So edges are tested once per graph
+(`GkmGraph.congruent_edges`; on a graph from `axial_function` every
+edge passes), and only the edges failing that test are tested again,
+on tau_v.  On the 8-cube, `axial_function` and
+`equivariant_hilbert(g, 16)` take 17-18 ms together on a 2-vCPU x86-64
+VM (one fresh process each, 8 per side), against 41-45 ms in the same
+run when every edge of each C_v was tested on tau_v; earlier runs
+measured 66-84 ms when each edge solved its own nullspace and each
+vertex tried built a subgroup of `Vec`s, and 0.24 s when each tau_v
+was expanded into polynomials.  Polynomials remain for the public
+membership test `satisfies_gkm`, the tests' oracle.
 
 A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
 Monomials are ordered graded-lexicographically, largest first, fixed
@@ -118,12 +123,14 @@ def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly], edges: Iterable[str]) -> bo
 
 
 def _certified_down_degree(
-    g: GkmGraph, v: str, placed: dict[str, int], ends: Ends, spans: Spans
+    g: GkmGraph, v: str, placed: dict[str, int], ends: Ends, spans: Spans,
+    congruent: frozenset[str],
 ) -> int | None:
     """The number d_v of v's down-edges (those to placed vertices) if v may
     come next, else None.  Checked: v's up-face C_v holds no placed
     vertex; the down-edge forms are nonzero and pairwise distinct; tau_v
-    meets the edge condition on each edge of C_v."""
+    meets the edge condition on each edge of C_v outside `congruent`
+    (on the others it holds, `flow_up_degrees` says why)."""
     down: list[int] = []
     up: set[int] = set()
     for _, u, b in ends.get(v, ()):
@@ -137,8 +144,8 @@ def _certified_down_degree(
     if key not in spans:
         spans[key] = (*_rref_rows(up), {})
     rows, pivots, in_span = spans[key]
-    tau: dict[str, list[int]] = {v: []}  # vertex of C_v -> the bits of its factors
-    face_edges: set[str] = set()
+    face = {v: None}  # the vertices of C_v, v first
+    unsure: set[str] = set()  # edges of C_v outside `congruent`
     stack = [v]
     while stack:
         w = stack.pop()
@@ -147,15 +154,20 @@ def _certified_down_degree(
             if inside is None:
                 inside = in_span[b] = reduce_by(rows, pivots, b) == 0
             if not inside:
-                tau[w].append(b)
                 continue
-            face_edges.add(e)
             if u in placed:
                 return None
-            if u not in tau:
-                tau[u] = []
+            if e not in congruent:
+                unsure.add(e)
+            if u not in face:
+                face[u] = None
                 stack.append(u)
-    return len(down) if _congruent_on(g, tau, face_edges) else None
+    if unsure:
+        # at each vertex of C_v, the bits of tau_v's factors
+        tau = {w: [b for _, _, b in ends.get(w, ()) if not in_span[b]] for w in face}
+        if not _congruent_on(g, tau, unsure):
+            return None
+    return len(down)
 
 
 def _congruent_on(g: GkmGraph, tau: dict[str, list[int]], edges: Iterable[str]) -> bool:
@@ -206,7 +218,18 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     nonzero, hence irreducible, linear form read off from b reduced mod
     alpha.  Two products of such forms are then equal iff their reduced
     factors agree as multisets, the test `_congruent_on` makes.  (Mod
-    alpha = 0, equality of products, the same test.)"""
+    alpha = 0, equality of products, the same test.)
+
+    Why the edges of C_v in `g.congruent_edges()` need no factor test.
+    Let e = (x, y) be one, with form a, and S the span of v's up-edge
+    forms, so a lies in S.  Reduction mod a sends a form b to b or
+    b + a, so it keeps membership in S.  At each vertex of C_v the
+    factors of tau_v are exactly the forms there outside S.  The full
+    form multisets at x and y agree mod a; reduced, each splits into
+    the reductions of its forms in S and of those outside S, so the
+    parts outside S agree mod a too: tau_v passes the factor test on e.
+    On a graph from `axial_function` every edge is congruent, and no
+    edge is tested on any tau_v."""
     ends: Ends = {}
     for e in sorted(g.edges):
         a, b = g.edges[e]
@@ -215,11 +238,12 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
         if b != a:
             ends.setdefault(b, []).append((e, a, bits))
     spans: Spans = {}
+    congruent = g.congruent_edges()
     placed: dict[str, int] = {}
     remaining = list(g.vertices)
     while remaining:
         for v in remaining:
-            d = _certified_down_degree(g, v, placed, ends, spans)
+            d = _certified_down_degree(g, v, placed, ends, spans, congruent)
             if d is not None:
                 break
         else:

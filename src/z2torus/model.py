@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .charfunc import CharFunction, isotropy
 from .complexes import CarrierComplex, FaceComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
-from .gf2 import Vec, bit_indices
-from .poset import FacePoset, count_components, fh_vectors, kept
+from .gf2 import Vec
+from .poset import FacePoset, fh_vectors, kept
 
 
 def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> QuotientComplex:
@@ -44,22 +44,6 @@ def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     maximal = [f for f in hits if p._up[f] & held == p._bit[f]]
     discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)
     return FixedLocus(tuple(maximal), discrete, len(maximal) if discrete else None)
-
-
-def facial_components(q: QuotientComplex, f: str) -> int:
-    """Connected components of the preimage of the face f in the model."""
-    p = q.base.poset
-    inside = [[p.leq(q.base.carrier(cell), f) for cell, _ in cells] for cells in q.cells]
-    cells = [(d, i) for d, flags in enumerate(inside) for i, ok in enumerate(flags) if ok]
-    # the boundary cells of a cell inside f are inside f too
-    pairs = (
-        ((d, i), (d - 1, j))
-        for d in range(1, len(q.cells))
-        for i, row in enumerate(q.rows[d])
-        if inside[d][i]
-        for j in bit_indices(row)
-    )
-    return count_components(cells, pairs)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ import pytest
 from conftest import above_oracle, below_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import blowup_counts_check
 
 from z2torus import corpus
-from z2torus.blowup import blowup_counts_check, cut_face
+from z2torus.blowup import cut_face
 from z2torus.charfunc import validate_lambda
 from z2torus.complexes import CarrierComplex, base_chain, betti_mod2, is_face_acyclic
 from z2torus.errors import InputError, PreconditionError

@@ -7,6 +7,7 @@ import pytest
 from conftest import below_oracle, reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import facial_components
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
@@ -19,7 +20,7 @@ from z2torus.complexes import (
 )
 from z2torus.errors import PreconditionError
 from z2torus.instance import parse_instance
-from z2torus.model import build_quotient, facial_components, formality_verdict
+from z2torus.model import build_quotient, formality_verdict
 from z2torus.poset import FacePoset, order_complex, validate
 
 CW_CORPUS = [name for name in corpus.BUILDERS if name != "annulus"]

@@ -10,16 +10,17 @@ from conftest import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from paper_checks import coloring_classes
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
+    GkmGraph,
     LambdaReport,
     Subgroup,
     _check_axial,
     axial_function,
-    coloring_classes,
     face_restriction,
     isotropy,
     m_involution_check,
@@ -330,6 +331,28 @@ class TestAxialFunction:
         g.axial["EX0Y0"] = Vec.from_string("011")
         with pytest.raises(InputError, match="do not agree mod alpha"):
             _check_axial(g)
+
+    def test_hand_built_disagreement_names_the_first_edge(self):
+        """K4 with x0, x1, x2 on the edges at v0 and the same forms on the
+        opposite edges is a GKM graph.  With v2v3 (e5) relabelled x0 + x1,
+        the forms at each vertex are still a basis and still agree across
+        e5, but not across v0v3 (e2) and v1v2 (e3): e2 is named."""
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
+
+        def k4(forms):
+            axial = {f"e{i}": Vec(bits, 3) for i, bits in enumerate(forms)}
+            return GkmGraph(3, ("v0", "v1", "v2", "v3"), edges, axial)
+
+        g = k4([1, 2, 4, 4, 2, 1])
+        _check_axial(g)
+        assert g.congruent_edges() == set(edges)
+        g = k4([1, 2, 4, 4, 2, 3])
+        assert g.congruent_edges() == {"e0", "e1", "e4", "e5"}
+        want = r"^axial labels at v0 and v3 do not agree mod alpha\(e2\)$"
+        with pytest.raises(InputError, match=want):
+            _check_axial(g)
+        assert "e2" not in g.congruent_edges()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

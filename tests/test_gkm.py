@@ -27,7 +27,7 @@ from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction, GkmGraph, axial_function
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, Vec, lowest_bit
+from z2torus.gf2 import Matrix, Vec, _rref_rows, lowest_bit, reduce_by
 from z2torus.gkm import (
     divisible_by,
     eliminated_hilbert,
@@ -156,11 +156,12 @@ class TestEquivariantHilbert:
 
 
 def has_graph(inst) -> bool:
-    try:
-        graph_of(inst)
-    except PreconditionError:
-        return False
-    return True
+    """Does the instance pass `axial_function`'s precondition, a connected
+    n-valent 1-skeleton?  Read off the skeleton, with no form solved: a
+    fault in the forms then fails the tests that build them, not the
+    collection of this module."""
+    sk = one_skeleton(inst.poset)
+    return sk.n_valent and sk.connected
 
 
 FLOW_SWEEP = {name: b for name, b in corpus.BUILDERS.items() if has_graph(b())}
@@ -294,13 +295,67 @@ def spoiled(g, tau, face_edges):
             yield tau | {w: [factors[0] ^ g.axial[at_w[0]].bits, *factors[1:]]}
 
 
+def full_check_degrees(g):
+    """`flow_up_degrees` with the factor test `gkm._congruent_on` run on
+    every edge of each C_v, none taken as passed from the edges'
+    congruence on the whole graph: the oracle for the certificate."""
+    ends = {}
+    for e in sorted(g.edges):
+        a, b = g.edges[e]
+        bits = g.axial[e].bits
+        ends.setdefault(a, []).append((e, b, bits))
+        if b != a:
+            ends.setdefault(b, []).append((e, a, bits))
+    placed = {}
+    remaining = list(g.vertices)
+    while remaining:
+        for v in remaining:
+            d = full_check_down_degree(g, v, placed, ends)
+            if d is not None:
+                break
+        else:
+            return None
+        remaining.remove(v)
+        placed[v] = d
+    return placed
+
+
+def full_check_down_degree(g, v, placed, ends):
+    down, up = [], set()
+    for _, u, b in ends.get(v, ()):
+        if u in placed:
+            down.append(b)
+        else:
+            up.add(b)
+    if len(set(down)) < len(down) or 0 in down:
+        return None
+    rows, pivots = _rref_rows(up)
+    tau = {v: []}  # vertex of C_v -> the bits of its factors
+    face_edges = set()
+    stack = [v]
+    while stack:
+        w = stack.pop()
+        for e, u, b in ends.get(w, ()):
+            if reduce_by(rows, pivots, b):
+                tau[w].append(b)
+                continue
+            face_edges.add(e)
+            if u in placed:
+                return None
+            if u not in tau:
+                tau[u] = []
+                stack.append(u)
+    return len(down) if gkm._congruent_on(g, tau, face_edges) else None
+
+
 @contextmanager
 def polynomial_oracle():
-    """On every vertex the certificate gets to, check the factor test
-    `gkm._congruent_on` against polynomials: on tau_v, the polynomial
-    test is every edge condition at C_v, built by `thom_products`; on
-    spoiled copies of tau_v, it is the edge conditions on the edges of
-    C_v.  Yields the verdicts of the factor test, keyed (kind, verdict)."""
+    """On every vertex the full-check certificate gets to, check the
+    factor test `gkm._congruent_on` against polynomials: on tau_v, the
+    polynomial test is every edge condition at C_v, built by
+    `thom_products`; on spoiled copies of tau_v, it is the edge conditions
+    on the edges of C_v.  Yields the verdicts of the factor test, keyed
+    (kind, verdict)."""
     verdicts = Counter()
     factor_test = gkm._congruent_on
 
@@ -319,6 +374,16 @@ def polynomial_oracle():
         yield verdicts
 
 
+def seeded_multigraphs():
+    """100 graphs shaped as `labelled_multigraph`'s, from a seeded generator."""
+    rng = random.Random(0)
+    for _ in range(100):
+        n, V = rng.randint(1, 3), rng.randint(2, 5)
+        pairs = [rng.sample(range(V), 2) for _ in range(rng.randint(0, 8))]
+        forms = [rng.randint(1, (1 << n) - 1) for _ in pairs]
+        yield multigraph(n, V, pairs, forms)
+
+
 def failed_edge_graph():
     """The graph of `TestFlowUp.test_failed_edge_condition_falls_back`."""
     forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
@@ -329,13 +394,13 @@ def failed_edge_graph():
 
 class TestFactorCertificate:
     """The factor test on tau_v agrees with expanding it into polynomials,
-    on every vertex `flow_up_degrees` tries."""
+    on every vertex the full-check certificate tries."""
 
     @pytest.mark.parametrize("name", list(FLOW_SWEEP))
     def test_sweep(self, name):
         g = graph_of(FLOW_SWEEP[name]())
         with polynomial_oracle() as verdicts:
-            assert flow_up_degrees(g) is not None
+            assert full_check_degrees(g) is not None
         # on a GKM graph every tau_v tried is a Thom class, so it passes
         assert verdicts["tau", True] == len(g.vertices) and not verdicts["tau", False]
 
@@ -343,7 +408,7 @@ class TestFactorCertificate:
         verdicts = Counter()
         for build in FLOW_SWEEP.values():
             with polynomial_oracle() as seen:
-                flow_up_degrees(graph_of(build()))
+                full_check_degrees(graph_of(build()))
             verdicts += seen
         assert verdicts["spoiled", True] and verdicts["spoiled", False]
 
@@ -352,25 +417,20 @@ class TestFactorCertificate:
     def test_cut_chains(self, cut):
         g = axial_function(*cut)
         with polynomial_oracle() as verdicts:
-            assert flow_up_degrees(g) is not None
+            assert full_check_degrees(g) is not None
         assert verdicts["tau", True] == len(g.vertices)
 
     @settings(max_examples=300, deadline=None)
     @given(labelled_multigraph())
     def test_labelled_multigraphs(self, g):
         with polynomial_oracle():
-            flow_up_degrees(g)
+            full_check_degrees(g)
 
     def test_seeded_multigraphs_see_both_verdicts(self):
-        """Graphs of the same shape, drawn from a seeded generator."""
-        rng = random.Random(0)
         verdicts = Counter()
-        for _ in range(100):
-            n, V = rng.randint(1, 3), rng.randint(2, 5)
-            pairs = [rng.sample(range(V), 2) for _ in range(rng.randint(0, 8))]
-            forms = [rng.randint(1, (1 << n) - 1) for _ in pairs]
+        for g in seeded_multigraphs():
             with polynomial_oracle() as seen:
-                flow_up_degrees(multigraph(n, V, pairs, forms))
+                full_check_degrees(g)
             verdicts += seen
         assert verdicts["tau", True] and verdicts["tau", False]
 
@@ -378,8 +438,73 @@ class TestFactorCertificate:
         """v0 passes, v1 fails on e3, v2 passes, then v1 and v3 fail on e3
         and no vertex is left to try."""
         with polynomial_oracle() as verdicts:
-            assert flow_up_degrees(failed_edge_graph()) is None
+            assert full_check_degrees(failed_edge_graph()) is None
         assert verdicts["tau", True] == 2 and verdicts["tau", False] == 3
+
+
+@contextmanager
+def factor_tests():
+    """Records each call of the factor test as (the first vertex of tau,
+    that is v, the edges tested, sorted, and the verdict)."""
+    calls = []
+    factor_test = gkm._congruent_on
+
+    def recorded(g, tau, edges):
+        verdict = factor_test(g, tau, edges)
+        calls.append((next(iter(tau)), sorted(edges), verdict))
+        return verdict
+
+    with mock.patch.object(gkm, "_congruent_on", recorded):
+        yield calls
+
+
+def assert_matches_full_check(g):
+    """`flow_up_degrees(g)` is the full-check certificate's result: the
+    same dict in the same order, or None.  Returns the factor tests run."""
+    want = full_check_degrees(g)
+    with factor_tests() as calls:
+        got = flow_up_degrees(g)
+    assert got == want and (got is None or list(got) == list(want))
+    return calls
+
+
+class TestEdgesTestedOnce:
+    """`flow_up_degrees` takes an edge of C_v whose ends' forms agree mod
+    its form as passed, and runs the factor test only on the others: the
+    full-check certificate's result, with less work."""
+
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_sweep(self, name):
+        calls = assert_matches_full_check(graph_of(FLOW_SWEEP[name]()))
+        # on a GKM graph every edge is congruent: no edge is tested
+        assert sum(len(edges) for _, edges, _ in calls) == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        calls = assert_matches_full_check(axial_function(*cut))
+        assert sum(len(edges) for _, edges, _ in calls) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_multigraph())
+    def test_labelled_multigraphs(self, g):
+        assert_matches_full_check(g)
+
+    def test_seeded_multigraphs(self):
+        for g in seeded_multigraphs():
+            assert_matches_full_check(g)
+
+    def test_failed_edge_graph_is_still_rejected_on_e3(self):
+        """No edge is congruent (v2 has one edge, v1 and v3 two, v0 three).
+        v0's up-face is the whole graph, and tau is 1 there: it passes the
+        factor test on every edge.  v1 fails on e3 twice, v3 once."""
+        g = failed_edge_graph()
+        assert g.congruent_edges() == frozenset()
+        calls = assert_matches_full_check(g)
+        assert [(v, edges) for v, edges, ok in calls if not ok] == [
+            ("v1", ["e3"]), ("v1", ["e3"]), ("v3", ["e3"])
+        ]
+        assert [(v, edges) for v, edges, ok in calls if ok] == [("v0", ["e0", "e1", "e2", "e3"])]
 
 
 class TestFaceRingHilbert:

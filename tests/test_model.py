@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 from conftest import MASK_READERS_SWEEP, above_oracle
+from paper_checks import facial_components
 
 from z2torus import corpus, model
 from z2torus.charfunc import CharFunction, isotropy
@@ -14,7 +15,6 @@ from z2torus.gf2 import Vec
 from z2torus.model import (
     FixedLocus,
     build_quotient,
-    facial_components,
     fixed_locus,
     formality_verdict,
 )
