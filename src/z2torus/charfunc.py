@@ -8,7 +8,9 @@ the quotient construction a closed manifold.  Axial functions on the
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
 from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, mod_line, reduce_by
@@ -156,48 +158,46 @@ def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset
     return sub, CharFunction(p.n - k, values)
 
 
-@dataclass
+# vertex -> (edge, other end, form bits) for each edge at it, edges sorted
+Ends = Mapping[str, tuple[tuple[str, str, int], ...]]
+
+
+@dataclass(frozen=True)
 class GkmGraph:
-    """1-skeleton with axial labels; edges keyed by their face id.  The
-    incidence and, once found, the congruent edges are kept, so a graph
-    with other edges or forms must be built anew."""
+    """1-skeleton with axial labels; edges keyed by their face id.  A
+    read-only value, read once when it is built: `edges` and `axial` are
+    read-only copies, `ends` gives the edges at each vertex, and
+    `incongruent` the sorted edges e = (v, w) across which the forms at v
+    and at w disagree mod alpha(e)."""
 
     n: int
     vertices: tuple[str, ...]
-    edges: dict[str, tuple[str, str]]
-    axial: dict[str, Vec]
-    _incidence: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _congruent: frozenset[str] | None = field(default=None, init=False, repr=False, compare=False)
+    edges: Mapping[str, tuple[str, str]]
+    axial: Mapping[str, Vec]
+    ends: Ends = field(init=False, repr=False, compare=False)
+    incongruent: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        inc: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            for x in dict.fromkeys(self.edges[e]):
-                inc.setdefault(x, []).append(e)
-        self._incidence = {v: tuple(es) for v, es in inc.items()}
+        edges, axial = dict(self.edges), dict(self.axial)
+        ends: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
+        for e, (a, b) in sorted(edges.items()):
+            ends.setdefault(a, []).append((e, b, axial[e].bits))
+            if b != a:
+                ends.setdefault(b, []).append((e, a, axial[e].bits))
+        at = {v: [b for _, _, b in t] for v, t in ends.items()}
+        incongruent = tuple(
+            e for e, (v, w) in sorted(edges.items())
+            if mod_line(at[v], axial[e].bits) != mod_line(at[w], axial[e].bits)
+        )
+        put = object.__setattr__  # the one write of each field
+        put(self, "edges", MappingProxyType(edges))
+        put(self, "axial", MappingProxyType(axial))
+        put(self, "ends", MappingProxyType({v: tuple(t) for v, t in ends.items()}))
+        put(self, "incongruent", incongruent)
 
     def edges_at(self, v: str) -> tuple[str, ...]:
-        """The edges at v, sorted; looked up in an incidence built once."""
-        return self._incidence.get(v, ())
-
-    def congruent_edges(self) -> frozenset[str]:
-        """The edges e = (v, w) across which the forms at v and the forms
-        at w agree mod alpha(e): found on first use and kept.
-        `_check_axial` finds them afresh, from the forms as they stand."""
-        if self._congruent is None:
-            at = {v: [self.axial[e].bits for e in es] for v, es in self._incidence.items()}
-            self._congruent = _congruent_edges(self, at)
-        return self._congruent
-
-
-def _congruent_edges(g: GkmGraph, at: dict[str, list[int]]) -> frozenset[str]:
-    """The edges whose ends' form bits `at` agree mod the edge's form."""
-    out = set()
-    for e, (v, w) in g.edges.items():
-        a = g.axial[e].bits
-        if mod_line(at[v], a) == mod_line(at[w], a):
-            out.add(e)
-    return frozenset(out)
+        """The edges at v, sorted."""
+        return tuple(e for e, _, _ in self.ends.get(v, ()))
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
@@ -237,24 +237,23 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
                 form = Vec(1, 1)
             forms[labels] = form
         axial[e] = form
-    g = GkmGraph(p.n, sk.vertices, dict(sk.edges), axial)
+    g = GkmGraph(p.n, sk.vertices, sk.edges, axial)
     _check_axial(g)
     return g
 
 
 def _check_axial(g: GkmGraph) -> None:
-    """`axial_function`'s checks on the way out, raising InputError.  The
-    congruent edges found here are kept on the graph (`congruent_edges`)."""
-    at = {v: [g.axial[e].bits for e in g.edges_at(v)] for v in g.vertices}
-    for v, forms in at.items():
+    """`axial_function`'s checks on the way out, raising InputError."""
+    for v in g.vertices:
+        forms = [b for _, _, b in g.ends[v]]
         if any(b >> g.n for b in forms):
             raise ValueError("row wider than ncols")
         if len(_top_basis(enumerate(forms))) != g.n:
             raise InputError(f"axial labels at vertex {v} do not form a basis")
-    g._congruent = congruent = _congruent_edges(g, at)
-    for e, (v, w) in sorted(g.edges.items()):
-        if e not in congruent:
-            raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
+    if g.incongruent:
+        e = g.incongruent[0]
+        v, w = g.edges[e]
+        raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
 
 
 @dataclass(frozen=True)

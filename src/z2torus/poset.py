@@ -12,11 +12,12 @@ derived object is reproducible bit for bit.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
 from math import comb
 from operator import is_
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -249,11 +250,12 @@ class FHVector:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """1-skeleton: vertices, edges keyed by face id, and health flags."""
+    """1-skeleton: vertices, edges keyed by face id, and health flags.
+    The edge mappings are read-only."""
 
     vertices: tuple[str, ...]
-    edges: dict[str, tuple[str, str]]
-    degenerate_edges: dict[str, tuple[str, ...]]
+    edges: Mapping[str, tuple[str, str]]
+    degenerate_edges: Mapping[str, tuple[str, ...]]
     n_valent: bool
     connected: bool
 
@@ -371,7 +373,7 @@ def one_skeleton(p: FacePoset) -> Skeleton:
     """Graph of vertices (codim-n faces) and edges (codim-(n-1) faces).
 
     Covers go up in codim, so the faces an edge covers are exactly the
-    vertices under it.  Kept on p: callers must not change its dicts."""
+    vertices under it.  Kept on p, so its mappings are read-only."""
     verts = tuple(p.vertices())
     edges: dict[str, tuple[str, str]] = {}
     degenerate: dict[str, tuple[str, ...]] = {}
@@ -392,7 +394,9 @@ def one_skeleton(p: FacePoset) -> Skeleton:
         and all(d == p.n for d in degree.values())
     )
     connected = count_components(verts, edges.values()) == 1
-    return Skeleton(verts, edges, degenerate, n_valent, connected)
+    return Skeleton(
+        verts, MappingProxyType(edges), MappingProxyType(degenerate), n_valent, connected
+    )
 
 
 def gorenstein_quick_checks(p: FacePoset) -> GorensteinChecks:

@@ -2,9 +2,7 @@
 
 import random
 from collections import Counter
-from contextlib import contextmanager
 from math import comb
-from unittest import mock
 
 import pytest
 import sympy
@@ -25,9 +23,9 @@ from thom_classes import (
 
 from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, GkmGraph, axial_function
+from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, Vec, _rref_rows, lowest_bit, reduce_by
+from z2torus.gf2 import Matrix, Vec, lowest_bit
 from z2torus.gkm import (
     divisible_by,
     eliminated_hilbert,
@@ -255,11 +253,11 @@ class TestFlowUp:
         assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4)
 
     def test_failed_edge_condition_falls_back(self):
-        """v0 is placed with tau = 1, and v2 with tau = x1 at v2.  v1 and v3
-        span each other's up-face, joined by e3 of form x0 + x1, where tau
-        is x0 at v1 and x1 + x2 at v3: not congruent mod x0 + x1, so
-        neither is placed.  Without that edge check the order v0, v1, v2,
-        v3 would claim dims (1, 5, 13, ...)."""
+        """v0 may be placed with tau = 1, and v2 with tau = x1 at v2.  v1
+        and v3 span each other's up-face, joined by e3 of form x0 + x1,
+        where tau is x0 at v1 and x1 + x2 at v3: not congruent mod
+        x0 + x1.  No edge is congruent, so no order is certified; the order
+        v0, v1, v2, v3, with no edge checked, would claim dims (1, 5, 13, ...)."""
         forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
         edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
         g = GkmGraph(3, ("v0", "v1", "v2", "v3"), edges,
@@ -267,11 +265,74 @@ class TestFlowUp:
         assert flow_up_degrees(g) is None
         assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4) == (1, 4, 12, 24, 40)
 
+    def test_edited_cube_falls_back_to_elimination(self):
+        """The cube with EX0Y0 labelled y + z, built anew: its edges at X0Y0
+        are incongruent, so no order is certified, and the dims are
+        elimination's."""
+        g = graph_of(corpus.cube())
+        edited = GkmGraph(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+        assert edited.incongruent
+        assert flow_up_degrees(edited) is None
+        assert equivariant_hilbert(edited, 4) == eliminated_hilbert(edited, 4) == (1, 5, 17, 37, 65)
+
     def test_edges_at_is_the_sorted_scan(self):
         g = graph_of(corpus.cut_cube_edge())
         for v in g.vertices:
             assert list(g.edges_at(v)) == sorted(e for e, (a, b) in g.edges.items() if v in (a, b))
         assert g.edges_at("nope") == ()
+
+
+def up_face(g, v, placed):
+    """The vertices and the edges of C_v, v's up-face when the vertices
+    `placed` come before it, found with a `Subgroup` per vertex."""
+    span = Subgroup(g.n, [g.axial[e] for e in g.edges_at(v) if other_end(g, e, v) not in placed])
+    face, inside, stack = {v}, set(), [v]
+    while stack:
+        w = stack.pop()
+        for e in g.edges_at(w):
+            if span.contains(g.axial[e]):
+                inside.add(e)
+                u = other_end(g, e, w)
+                if u not in face:
+                    face.add(u)
+                    stack.append(u)
+    return face, inside
+
+
+def other_end(g, e, v):
+    a, b = g.edges[e]
+    return b if a == v else a
+
+
+def polynomial_degrees(g):
+    """`flow_up_degrees` with its congruence gate replaced by tau_v's edge
+    conditions, tested on polynomials: v is placed when C_v holds no
+    placed vertex, its down-edge forms are distinct and nonzero, and
+    `thom_products` on C_v passes `satisfies_gkm` on every edge.  The
+    oracle for the certificate."""
+    placed = {}
+    remaining = list(g.vertices)
+    while remaining:
+        for v in remaining:
+            down = [g.axial[e] for e in g.edges_at(v) if other_end(g, e, v) in placed]
+            if len(set(down)) < len(down) or Vec(0, g.n) in down:
+                continue
+            face, inside = up_face(g, v, placed)
+            if not face & placed.keys() and satisfies_gkm(g, thom_products(g, face, inside), g.edges):
+                break
+        else:
+            return None
+        remaining.remove(v)
+        placed[v] = len(down)
+    return placed
+
+
+def assert_matches_polynomials(g):
+    """`flow_up_degrees(g)` is `polynomial_degrees(g)`: the same dict in
+    the same order, or None.  Returns it."""
+    got, want = flow_up_degrees(g), polynomial_degrees(g)
+    assert got == want and (got is None or list(got) == list(want))
+    return got
 
 
 def products(g, tau):
@@ -295,83 +356,20 @@ def spoiled(g, tau, face_edges):
             yield tau | {w: [factors[0] ^ g.axial[at_w[0]].bits, *factors[1:]]}
 
 
-def full_check_degrees(g):
-    """`flow_up_degrees` with the factor test `gkm._congruent_on` run on
-    every edge of each C_v, none taken as passed from the edges'
-    congruence on the whole graph: the oracle for the certificate."""
-    ends = {}
+def incongruent_oracle(g):
+    """The edges e across which the forms at the two ends differ as
+    multisets of cosets of the line {0, alpha(e)}, each end's forms found
+    by a scan of every edge."""
+    out = []
     for e in sorted(g.edges):
-        a, b = g.edges[e]
-        bits = g.axial[e].bits
-        ends.setdefault(a, []).append((e, b, bits))
-        if b != a:
-            ends.setdefault(b, []).append((e, a, bits))
-    placed = {}
-    remaining = list(g.vertices)
-    while remaining:
-        for v in remaining:
-            d = full_check_down_degree(g, v, placed, ends)
-            if d is not None:
-                break
-        else:
-            return None
-        remaining.remove(v)
-        placed[v] = d
-    return placed
-
-
-def full_check_down_degree(g, v, placed, ends):
-    down, up = [], set()
-    for _, u, b in ends.get(v, ()):
-        if u in placed:
-            down.append(b)
-        else:
-            up.add(b)
-    if len(set(down)) < len(down) or 0 in down:
-        return None
-    rows, pivots = _rref_rows(up)
-    tau = {v: []}  # vertex of C_v -> the bits of its factors
-    face_edges = set()
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        for e, u, b in ends.get(w, ()):
-            if reduce_by(rows, pivots, b):
-                tau[w].append(b)
-                continue
-            face_edges.add(e)
-            if u in placed:
-                return None
-            if u not in tau:
-                tau[u] = []
-                stack.append(u)
-    return len(down) if gkm._congruent_on(g, tau, face_edges) else None
-
-
-@contextmanager
-def polynomial_oracle():
-    """On every vertex the full-check certificate gets to, check the
-    factor test `gkm._congruent_on` against polynomials: on tau_v, the
-    polynomial test is every edge condition at C_v, built by
-    `thom_products`; on spoiled copies of tau_v, it is the edge conditions
-    on the edges of C_v.  Yields the verdicts of the factor test, keyed
-    (kind, verdict)."""
-    verdicts = Counter()
-    factor_test = gkm._congruent_on
-
-    def checked(g, tau, face_edges):
-        verdict = factor_test(g, tau, face_edges)
-        at_face = {e for w in tau for e in g.edges_at(w)}
-        assert verdict == satisfies_gkm(g, thom_products(g, tau, face_edges), at_face)
-        verdicts["tau", verdict] += 1
-        for other in spoiled(g, tau, face_edges):
-            other_verdict = factor_test(g, other, face_edges)
-            assert other_verdict == satisfies_gkm(g, products(g, other), face_edges)
-            verdicts["spoiled", other_verdict] += 1
-        return verdict
-
-    with mock.patch.object(gkm, "_congruent_on", checked):
-        yield verdicts
+        line = Subgroup(g.n, [g.axial[e]])
+        cosets = [
+            Counter(line.coset_rep(g.axial[f]) for f, ends in g.edges.items() if x in ends)
+            for x in g.edges[e]
+        ]
+        if cosets[0] != cosets[1]:
+            out.append(e)
+    return tuple(out)
 
 
 def seeded_multigraphs():
@@ -393,118 +391,111 @@ def failed_edge_graph():
 
 
 class TestFactorCertificate:
-    """The factor test on tau_v agrees with expanding it into polynomials,
-    on every vertex the full-check certificate tries."""
+    """The certificate's claim about tau_v, the product of the forms
+    leaving C_v: on a graph with no incongruent edge, tau_v multiplied out
+    meets every edge condition.  So `flow_up_degrees` gives the order of
+    `polynomial_degrees`, which tests those conditions on polynomials."""
+
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_sweep(self, name):
+        assert assert_matches_polynomials(graph_of(FLOW_SWEEP[name]())) is not None
+
+    def test_sweep_sees_both_verdicts_on_spoiled_classes(self):
+        """The polynomial test can fail: copies of each certified tau_v with
+        one factor changed meet the edge conditions of C_v or not."""
+        verdicts = Counter()
+        for build in FLOW_SWEEP.values():
+            g = graph_of(build())
+            placed = set()
+            for v in flow_up_degrees(g):
+                face, inside = up_face(g, v, placed)
+                tau = {w: [g.axial[e].bits for e in g.edges_at(w) if e not in inside] for w in face}
+                assert satisfies_gkm(g, products(g, tau), g.edges)
+                for other in spoiled(g, tau, inside):
+                    verdicts[satisfies_gkm(g, products(g, other), inside)] += 1
+                placed.add(v)
+        assert verdicts[True] and verdicts[False]
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        assert assert_matches_polynomials(axial_function(*cut)) is not None
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_multigraph())
+    def test_labelled_multigraphs(self, g):
+        if not g.incongruent:
+            assert_matches_polynomials(g)
+
+    def test_seeded_multigraphs_see_both_verdicts(self):
+        """Among the graphs with no incongruent edge, some are certified
+        and some are not, each as the polynomials say."""
+        verdicts = Counter()
+        for g in seeded_multigraphs():
+            if not g.incongruent:
+                verdicts[assert_matches_polynomials(g) is not None] += 1
+        assert verdicts[True] and verdicts[False]
+
+    def test_rejections_of_the_failed_edge_graph(self):
+        """No edge is congruent, and the polynomials agree that no order
+        exists: after v0 (tau = 1 on the whole graph) and v2, v1 and v3
+        span each other's up-face, and tau fails the condition on e3."""
+        g = failed_edge_graph()
+        assert flow_up_degrees(g) is None and polynomial_degrees(g) is None
+        for v in ("v1", "v3"):
+            face, inside = up_face(g, v, {"v0", "v2"})
+            assert (face, inside) == ({"v1", "v3"}, {"e3"})
+            tau = thom_products(g, face, inside)
+            assert not satisfies_gkm(g, tau, ["e3"])
+            assert satisfies_gkm(g, tau, ["e0", "e1", "e2"])
+
+
+class TestEdgesTestedOnce:
+    """Each edge's congruence is decided once, when the graph is built
+    (`GkmGraph.incongruent`), and `flow_up_degrees` certifies no graph
+    with an incongruent edge: those go to elimination."""
 
     @pytest.mark.parametrize("name", list(FLOW_SWEEP))
     def test_sweep(self, name):
         g = graph_of(FLOW_SWEEP[name]())
-        with polynomial_oracle() as verdicts:
-            assert full_check_degrees(g) is not None
-        # on a GKM graph every tau_v tried is a Thom class, so it passes
-        assert verdicts["tau", True] == len(g.vertices) and not verdicts["tau", False]
-
-    def test_sweep_sees_both_verdicts_on_spoiled_classes(self):
-        verdicts = Counter()
-        for build in FLOW_SWEEP.values():
-            with polynomial_oracle() as seen:
-                full_check_degrees(graph_of(build()))
-            verdicts += seen
-        assert verdicts["spoiled", True] and verdicts["spoiled", False]
+        assert g.incongruent == incongruent_oracle(g) == ()
+        assert flow_up_degrees(g) is not None
 
     @settings(max_examples=40, deadline=None)
     @given(cut_chain())
     def test_cut_chains(self, cut):
         g = axial_function(*cut)
-        with polynomial_oracle() as verdicts:
-            assert full_check_degrees(g) is not None
-        assert verdicts["tau", True] == len(g.vertices)
+        assert g.incongruent == incongruent_oracle(g) == ()
 
     @settings(max_examples=300, deadline=None)
     @given(labelled_multigraph())
     def test_labelled_multigraphs(self, g):
-        with polynomial_oracle():
-            full_check_degrees(g)
-
-    def test_seeded_multigraphs_see_both_verdicts(self):
-        verdicts = Counter()
-        for g in seeded_multigraphs():
-            with polynomial_oracle() as seen:
-                full_check_degrees(g)
-            verdicts += seen
-        assert verdicts["tau", True] and verdicts["tau", False]
-
-    def test_rejections_of_the_failed_edge_graph(self):
-        """v0 passes, v1 fails on e3, v2 passes, then v1 and v3 fail on e3
-        and no vertex is left to try."""
-        with polynomial_oracle() as verdicts:
-            assert full_check_degrees(failed_edge_graph()) is None
-        assert verdicts["tau", True] == 2 and verdicts["tau", False] == 3
-
-
-@contextmanager
-def factor_tests():
-    """Records each call of the factor test as (the first vertex of tau,
-    that is v, the edges tested, sorted, and the verdict)."""
-    calls = []
-    factor_test = gkm._congruent_on
-
-    def recorded(g, tau, edges):
-        verdict = factor_test(g, tau, edges)
-        calls.append((next(iter(tau)), sorted(edges), verdict))
-        return verdict
-
-    with mock.patch.object(gkm, "_congruent_on", recorded):
-        yield calls
-
-
-def assert_matches_full_check(g):
-    """`flow_up_degrees(g)` is the full-check certificate's result: the
-    same dict in the same order, or None.  Returns the factor tests run."""
-    want = full_check_degrees(g)
-    with factor_tests() as calls:
-        got = flow_up_degrees(g)
-    assert got == want and (got is None or list(got) == list(want))
-    return calls
-
-
-class TestEdgesTestedOnce:
-    """`flow_up_degrees` takes an edge of C_v whose ends' forms agree mod
-    its form as passed, and runs the factor test only on the others: the
-    full-check certificate's result, with less work."""
-
-    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
-    def test_sweep(self, name):
-        calls = assert_matches_full_check(graph_of(FLOW_SWEEP[name]()))
-        # on a GKM graph every edge is congruent: no edge is tested
-        assert sum(len(edges) for _, edges, _ in calls) == 0
-
-    @settings(max_examples=40, deadline=None)
-    @given(cut_chain())
-    def test_cut_chains(self, cut):
-        calls = assert_matches_full_check(axial_function(*cut))
-        assert sum(len(edges) for _, edges, _ in calls) == 0
-
-    @settings(max_examples=300, deadline=None)
-    @given(labelled_multigraph())
-    def test_labelled_multigraphs(self, g):
-        assert_matches_full_check(g)
+        assert g.incongruent == incongruent_oracle(g)
+        if g.incongruent:
+            assert flow_up_degrees(g) is None
 
     def test_seeded_multigraphs(self):
+        """Every graph with an incongruent edge gets None; some graphs with
+        none are certified, with elimination's dims."""
+        incongruent = certified = 0
         for g in seeded_multigraphs():
-            assert_matches_full_check(g)
+            assert g.incongruent == incongruent_oracle(g)
+            degrees = flow_up_degrees(g)
+            if g.incongruent:
+                incongruent += 1
+                assert degrees is None
+            elif degrees is not None:
+                certified += 1
+                assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4)
+        assert incongruent and certified
 
     def test_failed_edge_graph_is_still_rejected_on_e3(self):
-        """No edge is congruent (v2 has one edge, v1 and v3 two, v0 three).
-        v0's up-face is the whole graph, and tau is 1 there: it passes the
-        factor test on every edge.  v1 fails on e3 twice, v3 once."""
+        """No edge is congruent, e3, where tau fails, among them (v2 has one
+        edge, v1 and v3 two, v0 three): the graph goes to elimination."""
         g = failed_edge_graph()
-        assert g.congruent_edges() == frozenset()
-        calls = assert_matches_full_check(g)
-        assert [(v, edges) for v, edges, ok in calls if not ok] == [
-            ("v1", ["e3"]), ("v1", ["e3"]), ("v3", ["e3"])
-        ]
-        assert [(v, edges) for v, edges, ok in calls if ok] == [("v0", ["e0", "e1", "e2", "e3"])]
+        assert g.incongruent == incongruent_oracle(g) == ("e0", "e1", "e2", "e3")
+        assert flow_up_degrees(g) is None
+        assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4)
 
 
 class TestFaceRingHilbert:

@@ -736,6 +736,16 @@ class TestSkeleton:
         for e, ends in sk.edges.items():
             assert set(ends) == below[e] & set(p.vertices()), e
 
+    def test_kept_skeleton_is_read_only(self):
+        """The kept skeleton is shared by every caller, so its mappings
+        cannot be edited."""
+        for name in ("cube", "annulus"):
+            sk = one_skeleton(ALL_POSETS[name])
+            with pytest.raises(TypeError):
+                sk.edges["F9"] = ("a", "b")
+            with pytest.raises(TypeError):
+                sk.degenerate_edges["F9"] = ()
+
 
 class TestKept:
     """A `kept` function keeps its last result on the triangulation it is
