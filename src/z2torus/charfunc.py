@@ -112,8 +112,8 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     for v in p.vertices():
         if independent(p.facets_containing(v)):
             passed |= p._up[v]
-    for f in p.faces():
-        if passed & p._bit[f]:
+    for i, f in enumerate(p.faces()):
+        if passed & 1 << i:
             continue
         S = p.facets_containing(f)
         if not independent(S):

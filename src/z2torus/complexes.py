@@ -153,7 +153,7 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
             if cf not in p.codims:
                 wrong.append((cell, f"{kind} {cell} carried by unknown face {cf!r}"))
             elif d:
-                mine = p._bit[cf]  # fc <= cf when this bit is in fc's up-set
+                mine = 1 << up[cf].bit_length() - 1  # fc <= cf when fc's up-set has it
                 for face in base.boundary(cell):
                     j = below.get(face)
                     if j is None:

@@ -1,11 +1,13 @@
 """Built-in example instances, exercised heavily by the test suite.
 
 The JSON files under data/ are serializations of these builders; the
-builders stay the single source of truth.
+builders stay the single source of truth.  The segment, the square and
+the cube are the posets `ncube` generates, their faces renamed.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -35,15 +37,17 @@ def triangle() -> Instance:
     return Instance("triangle", poset, _lam(2, F1="10", F2="01", F3="11"), None)
 
 
+def _renamed(p: FacePoset, name: Callable[[str], str]) -> FacePoset:
+    """p with each face f renamed name(f)."""
+    return FacePoset(
+        p.n, {name(f): k for f, k in p.codims.items()}, {(name(c), name(q)) for c, q in p.covers}
+    )
+
+
 def _square_poset() -> FacePoset:
-    codims = {"Q": 0, "L": 1, "R": 1, "T": 1, "B": 1,
-              "BL": 2, "BR": 2, "TL": 2, "TR": 2}
-    covers = {
-        ("L", "Q"), ("R", "Q"), ("T", "Q"), ("B", "Q"),
-        ("BL", "B"), ("BL", "L"), ("BR", "B"), ("BR", "R"),
-        ("TL", "T"), ("TL", "L"), ("TR", "T"), ("TR", "R"),
-    }
-    return FacePoset(2, codims, covers)
+    # facets L, R at x = 0, 1 and B, T at y = 0, 1; a corner is named y first
+    x, y = {"0": "L", "1": "R", "*": ""}, {"0": "B", "1": "T", "*": ""}
+    return _renamed(ncube(2).poset, lambda w: y[w[1]] + x[w[0]] or "Q")
 
 
 def _square_triangulation(poset: FacePoset) -> CarrierComplex:
@@ -73,29 +77,12 @@ def square_klein() -> Instance:
 
 def cube() -> Instance:
     """3-cube, opposite facets equal: the model is the 3-torus."""
-    codims: dict[str, int] = {"Q": 0}
-    covers: set[tuple[str, str]] = set()
-    facets = ["X0", "X1", "Y0", "Y1", "Z0", "Z1"]
-    for F in facets:
-        codims[F] = 1
-        covers.add((F, "Q"))
-    axes = {"X": 0, "Y": 1, "Z": 2}
-    for a in range(2):
-        for b in range(2):
-            for A, B in (("X", "Y"), ("X", "Z"), ("Y", "Z")):
-                e = f"E{A}{a}{B}{b}"
-                codims[e] = 2
-                covers.add((e, f"{A}{a}"))
-                covers.add((e, f"{B}{b}"))
-    for x in range(2):
-        for y in range(2):
-            for z in range(2):
-                v = f"V{x}{y}{z}"
-                codims[v] = 3
-                covers.add((v, f"EX{x}Y{y}"))
-                covers.add((v, f"EX{x}Z{z}"))
-                covers.add((v, f"EY{y}Z{z}"))
-    poset = FacePoset(3, codims, covers)
+
+    def name(w: str) -> str:  # facet X0, edge EX0Y0, vertex V000
+        fixed = "".join(a + b for a, b in zip("XYZ", w) if b != "*")
+        return ("Q", fixed, "E" + fixed, "V" + w)[len(fixed) // 2]
+
+    poset = _renamed(ncube(3).poset, name)
     lam = _lam(3, X0="100", X1="100", Y0="010", Y1="010", Z0="001", Z1="001")
     return Instance("cube", poset, lam, None)
 
@@ -129,9 +116,7 @@ def annulus() -> Instance:
 
 def segment() -> Instance:
     """Interval, both endpoint labels 1: the model is a circle."""
-    codims = {"Q": 0, "v0": 1, "v1": 1}
-    covers = {("v0", "Q"), ("v1", "Q")}
-    poset = FacePoset(1, codims, covers)
+    poset = _renamed(ncube(1).poset, lambda w: "Q" if w == "*" else "v" + w)
     return Instance("segment", poset, _lam(1, v0="1", v1="1"), None)
 
 

@@ -180,6 +180,11 @@ def parse_instance(data: object) -> Instance:
             ):
                 errors.append(f"simplex verts {verts!r} must be a sorted list of distinct ints")
                 continue
+            if len(verts) > n + 1:  # _walk would list all its facets
+                errors.append(
+                    f"simplex {verts!r} has {len(verts)} points, more than dim + 1 = {n + 1}"
+                )
+                continue
             if any(v < 0 or v >= raw["points"] for v in verts):
                 errors.append(f"simplex {verts!r} uses points outside 0..{raw['points'] - 1}")
                 continue

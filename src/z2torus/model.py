@@ -39,9 +39,9 @@ def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     union is the fixed set of the subgroup element g."""
     if g.is_zero():
         raise InputError("g = 0 fixes everything; ask about a nonzero element")
-    hits = [f for f in p.faces() if isotropy(p, lam, f).contains(g)]
-    held = sum(p._bit[f] for f in hits)
-    maximal = [f for f in hits if p._up[f] & held == p._bit[f]]
+    hits = [(1 << i, f) for i, f in enumerate(p.faces()) if isotropy(p, lam, f).contains(g)]
+    held = sum(bit for bit, _ in hits)
+    maximal = [f for bit, f in hits if p._up[f] & held == bit]
     discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)
     return FixedLocus(tuple(maximal), discrete, len(maximal) if discrete else None)
 

@@ -58,8 +58,9 @@ def kept(fn: Callable[..., T]) -> Callable[..., T]:
 class FacePoset:
     """Graded face poset with the canonical face and cover orders and, for
     each face, the faces above it and its facets as bitmasks over the face
-    order; every containment query reads those masks.  The `kept`
-    functions keep on it the results of calls given no triangulation."""
+    order (a face's own bit is the top bit of its up-set); every containment
+    query reads those masks.  The `kept` functions keep on it the results
+    of calls given no triangulation."""
 
     def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
@@ -82,10 +83,9 @@ class FacePoset:
             parents[c].append(p)
             self._children[p].append(c)
         # bit i stands for self._order[i]; a face's parents come before it
-        self._bit = {f: 1 << i for i, f in enumerate(self._order)}
         up: dict[str, int] = {}
-        for f in self._order:
-            mask = self._bit[f]
+        for i, f in enumerate(self._order):
+            mask = 1 << i
             for q in parents[f]:
                 mask |= up[q]
             up[f] = mask
@@ -136,8 +136,9 @@ class FacePoset:
         return self._children[f]
 
     def leq(self, f: str, g: str) -> bool:
-        """True iff face f is contained in face g."""
-        return self._bit.get(g, 0) & self._up[f] != 0
+        """True iff face f is contained in face g: g's up-set is inside f's."""
+        above = self._up.get(g)
+        return above is not None and self._up[f] & above == above
 
     def facets_containing(self, f: str) -> list[str]:
         """The facets through f, sorted; a fresh list each call."""
@@ -151,7 +152,7 @@ class FacePoset:
 
     def restrict(self, f: str) -> "FacePoset":
         """Face poset of the face f itself, regraded so f has codim 0."""
-        k, bit = self.codims[f], self._bit[f]
+        k, bit = self.codims[f], 1 << self._up[f].bit_length() - 1
         codims = {g: self.codims[g] - k for g in self._order if self._up[g] & bit}
         covers = {(c, p) for (c, p) in self.covers if c in codims and p in codims}
         return FacePoset(self.n - k, codims, covers)
@@ -172,9 +173,9 @@ class FacePoset:
 class PosetReport:
     """Validation findings; empty lists mean the check passed.
 
-    has_vertex and skeleton_connected are computed from the poset on first
-    read, and [] when structural is non-empty: `sound` never needs them.
-    They read the poset's up-set masks and covers."""
+    has_vertex and skeleton_connected are read off one pass, `_components`,
+    made on first read, and are [] when structural is non-empty: `sound`
+    never needs them."""
 
     poset: FacePoset = field(repr=False, compare=False)
     structural: list[str] = field(default_factory=list)
@@ -182,22 +183,12 @@ class PosetReport:
     nice: list[str] = field(default_factory=list)
 
     @cached_property
-    def has_vertex(self) -> list[str]:
-        """The faces outside the union of the vertices' up-sets."""
+    def _components(self) -> dict[str, list[int]]:
+        """Each face's vertex components, in face order, each a mask over
+        the vertices (bit j for the j-th vertex); {} after a structural
+        finding.  A face holds no vertex iff it has no component."""
         if self.structural:
-            return []
-        p = self.poset
-        held = 0
-        for v in p.vertices():
-            held |= p._up[v]
-        return [f"face {f} contains no vertex" for f in p.faces() if not held & p._bit[f]]
-
-    @cached_property
-    def skeleton_connected(self) -> list[str]:
-        """The faces whose vertices do not form one component, each
-        component a mask over the vertices (bit j for the j-th vertex)."""
-        if self.structural:
-            return []
+            return {}
         # With no structural findings, covers step one codim, so every
         # vertex and edge below a face of dimension >= 2 lies below one of
         # its children: the face's 1-skeleton is the union of theirs, and
@@ -216,15 +207,30 @@ class PosetReport:
                 comps[f] = [vbit[a] | vbit[b]]
             else:
                 merged: list[int] = []
+                seen = 0  # the vertices of merged
                 for c in p.children(f):
                     for comp in comps[c]:
-                        for m in [m for m in merged if m & comp]:
-                            merged.remove(m)
-                            comp |= m
+                        if comp & seen:
+                            for m in [m for m in merged if m & comp]:
+                                merged.remove(m)
+                                comp |= m
                         merged.append(comp)
+                        seen |= comp
                 comps[f] = merged
+        return {f: comps[f] for f in p._order}
+
+    @cached_property
+    def has_vertex(self) -> list[str]:
+        """The faces with no vertex component: no vertex lies below them."""
+        return [f"face {f} contains no vertex" for f, c in self._components.items() if not c]
+
+    @cached_property
+    def skeleton_connected(self) -> list[str]:
+        """The faces whose vertices form more than one component."""
         return [
-            f"1-skeleton of face {f} is disconnected" for f in p.faces() if len(comps[f]) > 1
+            f"1-skeleton of face {f} is disconnected"
+            for f, c in self._components.items()
+            if len(c) > 1
         ]
 
     @property
@@ -330,7 +336,7 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
     # A face whose facet set no other face has counts once; facet sets are
     # compared only among the faces above f in `shared`.
     times = Counter(facet_mask.values())
-    shared = sum(p._bit[f] for f in p.faces() if times[facet_mask[f]] > 1)
+    shared = sum(1 << i for i, f in enumerate(p._order) if times[facet_mask[f]] > 1)
     for f in p.faces():
         size, m = up[f].bit_count(), facet_mask[f].bit_count()
         dup, sets = up[f] & shared, set()

@@ -59,6 +59,22 @@ class TestValidate:
         assert "gorenstein_quick: pseudo_manifold=false euler_ok=false" in out
         assert "mode: B points=6 simplices=24 carriers=ok" in out
 
+    def test_a_face_over_many_apart_children(self, capsys, tmp_path):
+        # a top face covering 12,000 vertices, no two joined: its children's
+        # components are merged without rescanning those merged so far
+        ids = [f"v{i}" for i in range(12000)]
+        flat = tmp_path / "flat.json"
+        flat.write_text(json.dumps({
+            "name": "flat", "dim": 1,
+            "faces": [{"id": "Q", "codim": 0}] + [{"id": v, "codim": 1} for v in ids],
+            "inclusions": [[v, "Q"] for v in ids],
+        }))
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "validate", str(flat))
+        assert time.perf_counter() - start < 10.0
+        assert rc == 1
+        assert "has_vertex=ok skeleton_connected=fail\n  - 1-skeleton of face Q is disconnected\n" in out
+
 
 class TestFormality:
     def test_triangle_line(self, capsys):
@@ -446,6 +462,33 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert rc == 1 and out == ""
         assert err == "error: triangulation points=3000000 exceeds the number of listed simplices (1)\n"
+
+    def test_simplex_past_dim_plus_one_points_is_one_error_line(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["triangulation"]["simplices"].append({"verts": [0, 1, 2, 3], "carrier": "Q"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == "error: simplex [0, 1, 2, 3] has 4 points, more than dim + 1 = 3\n"
+
+    def test_huge_simplex_is_refused_at_once(self, capsys, tmp_path):
+        # _walk would list its 4,000 facets, each missing
+        points = list(range(4000))
+        simplices = [{"verts": [i], "carrier": "Q"} for i in points]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "name": "x", "dim": 2, "faces": [{"id": "Q", "codim": 0}], "inclusions": [],
+            "triangulation": {
+                "points": len(points),
+                "simplices": simplices + [{"verts": points, "carrier": "Q"}],
+            },
+        }))
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert time.perf_counter() - start < 2.0
+        assert rc == 1 and out == ""
+        assert err == f"error: simplex {points} has 4000 points, more than dim + 1 = 3\n"
 
     def test_negative_points_is_one_error_line(self, capsys, tmp_path):
         data = json.loads(corpus.bundled_path("square_torus").read_text())

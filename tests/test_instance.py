@@ -132,3 +132,10 @@ def test_bundled_files_round_trip_byte_for_byte(path, tmp_path):
     out = tmp_path / path.name
     save_instance(load_instance(path), out)
     assert out.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", corpus.BUNDLED)
+def test_builders_write_the_bundled_files(name):
+    # the builders are the source of truth for the files under data/
+    text = instance_text(corpus.BUILDERS[name]())
+    assert text.encode() == corpus.bundled_path(name).read_bytes()

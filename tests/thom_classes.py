@@ -86,9 +86,10 @@ def join(p: FacePoset, f1: str, f2: str) -> str | None:
     """Unique minimal face containing both, if the meet below is nonempty."""
     cands = p._up[f1] & p._up[f2]
     higher = 0  # the faces strictly above some candidate
-    for g in p._order[:cands.bit_length()]:
-        if cands & p._bit[g]:
-            higher |= p._up[g] ^ p._bit[g]
+    for i, g in enumerate(p._order[:cands.bit_length()]):
+        bit = 1 << i  # bit i stands for p._order[i]
+        if cands & bit:
+            higher |= p._up[g] ^ bit
     minimal = cands & ~higher
     if minimal.bit_count() != 1:
         return None
@@ -97,11 +98,13 @@ def join(p: FacePoset, f1: str, f2: str) -> str | None:
 
 def meet_components(p: FacePoset, f1: str, f2: str) -> list[str]:
     """Maximal common subfaces (the components of the intersection)."""
-    both = p._bit[f1] | p._bit[f2]
+    i1, i2 = p._order.index(f1), p._order.index(f2)
+    both = 1 << i1 | 1 << i2  # bit i stands for p._order[i]
     # a face comes after the faces above it in the face order
-    common = [g for g in p._order[both.bit_length() - 1:] if p._up[g] & both == both]
-    held = sum(p._bit[g] for g in common)
-    return [g for g in common if p._up[g] & held == p._bit[g]]
+    last = max(i1, i2)
+    common = [(1 << i, g) for i, g in enumerate(p._order[last:], last) if p._up[g] & both == both]
+    held = sum(bit for bit, _ in common)
+    return [g for bit, g in common if p._up[g] & held == bit]
 
 
 def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsReport:
