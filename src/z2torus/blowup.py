@@ -18,10 +18,6 @@ from .gf2 import Vec
 from .poset import FacePoset, validate
 
 
-def _new_id(g: str, S: tuple[str, ...]) -> str:
-    return f"{g}|{','.join(S)}"
-
-
 @dataclass
 class CutResult:
     poset: FacePoset
@@ -32,8 +28,23 @@ class CutResult:
 
 def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     """Blow up along the face f.  Faces inside f are replaced by their
-    products with the truncated boolean lattice on the facets through f;
-    every face not inside f keeps its identity."""
+    products with the truncated boolean lattice on the facets T through f;
+    every face not inside f keeps its identity.  The new face (g, S), for
+    g inside f and S a nonempty subset of T, has the id "g|S".
+
+    Precondition: p is sound and lam independent at every face (both read
+    from the results kept on p), else InputError.  The cut is then sound
+    and its labels independent, so it is not validated again:
+    - an old face keeps its facet set, its codim and the faces above it;
+    - (g, S) lies on the facets of g minus S, plus the new facet;
+    - the new facet's label is the sum over T, a subset of g's facets, so
+      it lies in the span of g's labels but not in that of g's facets
+      minus S: the labels on (g, S) are independent as g's are;
+    - the faces above (g, S) are the (g', S') with g <= g' <= f and S'
+      containing S, and the old faces above g that miss S: a boolean
+      lattice on its facets, as for the truncation of a simple polytope
+      at a face (Davis and Januszkiewicz, 1991).
+    """
     if f not in p.codims:
         raise InputError(f"unknown face {f!r}")
     k = p.codim(f)
@@ -48,16 +59,28 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
         (below_f if p.leq(g, f) else old).append(g)
 
     subsets: list[tuple[str, ...]] = []
-    for size in range(1, k + 1):
+    for size in range(1, len(T) + 1):  # len(T) == k on a nice poset
         subsets.extend(combinations(T, size))
+    # per subset S (by position): the facet mask of S, and the positions of
+    # the subsets S + t for t in T outside S
+    where = {S: i for i, S in enumerate(subsets)}
+    s_mask = [sum(p._facet_mask[u] for u in S) for S in subsets]
+    grow = [
+        [where[tuple(u for u in T if u in S or u == t)] for t in T if t not in S]
+        for S in subsets
+    ]
 
+    # every new face id, made once: ids[g][i] is (g, subsets[i])
+    suffixes = ["|" + ",".join(S) for S in subsets]
     codims: dict[str, int] = {g: p.codim(g) for g in old}
+    ids: dict[str, list[str]] = {}
     for g in below_f:
-        for S in subsets:
-            nid = _new_id(g, S)
+        ids[g] = mine = [g + s for s in suffixes]
+        k_g = p.codim(g)
+        for nid, S in zip(mine, subsets):
             if nid in codims:
                 raise InputError(f"generated face id {nid!r} collides with an existing id")
-            codims[nid] = p.codim(g) - len(S) + 1
+            codims[nid] = k_g - len(S) + 1
 
     # the covers of the cut poset, from three rules: old covers away from f
     # stay; (g, S) sits under (g', S) for g' covering g and under (g, S + t);
@@ -69,14 +92,13 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     for h in old:
         by_facets.setdefault(p._facet_mask[h], []).append(h)
     for g in below_f:
-        for S in subsets:
-            nid = _new_id(g, S)
-            covers.extend((_new_id(c, S), nid) for c in p.children(g))
-            covers.extend(
-                (nid, _new_id(g, tuple(u for u in T if u in S or u == t)))
-                for t in T if t not in S
-            )
-            rest = p._facet_mask[g] & ~sum(p._facet_mask[u] for u in S)
+        mine = ids[g]
+        kids = [ids[c] for c in p.children(g)]
+        facets_g = p._facet_mask[g]
+        for i, nid in enumerate(mine):
+            covers.extend((kid[i], nid) for kid in kids)
+            covers.extend((nid, mine[j]) for j in grow[i])
+            rest = facets_g & ~s_mask[i]
             hits = [h for h in by_facets.get(rest, []) if p.leq(g, h)]
             if len(hits) != 1:
                 raise InputError(
@@ -84,24 +106,21 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
                     f"{p._facet_names(rest)}, wanted one"
                 )
             covers.append((nid, hits[0]))
+
+    witnesses = validate(p).witnesses() or validate_lambda(p, lam).witnesses()
+    if witnesses:
+        raise InputError(["cut input fails validation"] + witnesses)
     poset2 = FacePoset(p.n, codims, covers)
 
-    rep = validate(poset2)
-    if not rep.sound:
-        raise InputError(["cut poset fails validation"] + rep.witnesses())
-
-    new_facet = _new_id(f, T)
+    new_facet = ids[f][-1]  # (f, T): T is the last subset
     label = Vec(0, lam.n)
     for F in T:
         label = label ^ lam.vec(F)
     values = {F: lam.vec(F) for F in p.facets()}
     values[new_facet] = label
     lam2 = CharFunction(lam.n, values)
-    lrep = validate_lambda(poset2, lam2)
-    if not lrep.ok:
-        raise InputError(["cut lambda fails validation"] + lrep.witnesses())
 
     provenance: dict[str, list[str]] = {g: [g] for g in old}
     for g in below_f:
-        provenance[g] = sorted(_new_id(g, S) for S in subsets)
+        provenance[g] = sorted(ids[g])
     return CutResult(poset2, lam2, new_facet, provenance)

@@ -14,15 +14,23 @@ from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
 from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, mod_line, reduce_by
-from .poset import FacePoset, one_skeleton
+from .poset import FacePoset, kept, one_skeleton
 
 
 @dataclass(frozen=True)
 class CharFunction:
-    """Facet id -> vector in GF(2)^n."""
+    """Facet id -> vector in GF(2)^n.  A read-only value: `values` is a
+    read-only copy of the mapping it is given, every vector of width n."""
 
     n: int
-    values: dict[str, Vec]
+    values: Mapping[str, Vec]
+
+    def __post_init__(self) -> None:
+        values = dict(self.values)
+        for F, v in values.items():
+            if v.n != self.n:
+                raise ValueError(f"label of {F!r} has width {v.n}, not {self.n}")
+        object.__setattr__(self, "values", MappingProxyType(values))
 
     def vec(self, facet: str) -> Vec:
         return self.values[facet]
@@ -88,8 +96,10 @@ class LambdaReport:
         return self.missing + self.unknown + self.dependent
 
 
+@kept
 def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
-    """Check the independence condition at every face."""
+    """Check the independence condition at every face.  The report is kept
+    on p for this lam (`kept`), which is read-only, so it cannot go stale."""
     rep = LambdaReport()
     if lam.n != p.n:
         rep.dependent.append(f"lambda has width {lam.n}, poset dimension is {p.n}")
@@ -104,19 +114,21 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     if not rep.ok:
         return rep
 
-    def independent(S: list[str]) -> bool:
-        return not S or Matrix.from_vecs([lam.vec(F) for F in S]).rank() == len(S)
+    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    facet_mask = p._facet_mask
+
+    def independent(f: str) -> bool:
+        rows = [label[j] for j in bit_indices(facet_mask[f])]
+        return len(_top_basis(enumerate(rows))) == len(rows)
 
     # v <= f gives facets(f) <= facets(v), and subsets of independent sets are independent
     passed = 0  # a bitmask over the face order, as FacePoset keeps it
     for v in p.vertices():
-        if independent(p.facets_containing(v)):
+        if independent(v):
             passed |= p._up[v]
-    for i, f in enumerate(p.faces()):
-        if passed & 1 << i:
-            continue
-        S = p.facets_containing(f)
-        if not independent(S):
+    for i, f in enumerate(p._order):
+        if not passed & 1 << i and not independent(f):
+            S = p.facets_containing(f)
             rep.dependent.append(
                 f"face {f}: facet labels {[str(lam.vec(F)) for F in S]} of {S} are dependent"
             )

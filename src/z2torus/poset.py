@@ -334,9 +334,12 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
     # forces g1 <= g2: the interval is the boolean lattice on facets(f).
     # Covers step one codim, so then m = k: niceness follows, and 2^m = 2^k.
     # A face whose facet set no other face has counts once; facet sets are
-    # compared only among the faces above f in `shared`.
-    times = Counter(facet_mask.values())
-    shared = sum(1 << i for i, f in enumerate(p._order) if times[facet_mask[f]] > 1)
+    # compared only among the faces above f in `shared`.  Each facet mask
+    # is hashed once, to group the faces' indices by it.
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(p._order):
+        groups.setdefault(facet_mask[f], []).append(i)
+    shared = sum(1 << i for group in groups.values() if len(group) > 1 for i in group)
     for f in p.faces():
         size, m = up[f].bit_count(), facet_mask[f].bit_count()
         dup, sets = up[f] & shared, set()

@@ -1,22 +1,25 @@
 """Corner cuts: the new poset, the new labels, and the counting laws."""
 
+import random
 from itertools import combinations
 
 import pytest
-from conftest import above_oracle, below_oracle
+from conftest import above_oracle, apply_edit, below_oracle, change_basis, edits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import blowup_counts_check
 
-from z2torus import corpus
+from z2torus import blowup, charfunc, corpus, poset
 from z2torus.blowup import cut_face
-from z2torus.charfunc import validate_lambda
+from z2torus.charfunc import CharFunction, validate_lambda
 from z2torus.complexes import CarrierComplex, base_chain, betti_mod2, is_face_acyclic
 from z2torus.errors import InputError, PreconditionError
+from z2torus.gf2 import Matrix, Vec
 from z2torus.poset import (
     FacePoset,
     fh_vectors,
     gorenstein_quick_checks,
+    kept,
     order_complex,
     validate,
 )
@@ -255,6 +258,15 @@ def assert_cut_matches_oracle(p, lam, f):
     return cut
 
 
+def random_basis(n, rng):
+    """The images of the unit vectors under a random invertible linear
+    map of GF(2)^n, as bits."""
+    while True:
+        images = [rng.getrandbits(n) for _ in range(n)]
+        if Matrix(tuple(images), n).rank() == n:
+            return images
+
+
 SWEEP = dict(corpus.BUILDERS)
 SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (2, 3, 4)})
 
@@ -268,10 +280,18 @@ class TestCoversAgainstBruteForce:
         inst = SWEEP[name]()
         p, lam = inst.poset, inst.lam
         ok = validate(p).ok
+        images = random_basis(p.n, random.Random(name))
+        moved = change_basis(lam, images)
         for f in p.faces():
             if p.codim(f) >= 2:
                 cut = assert_cut_matches_oracle(p, lam, f)
                 assert validate(cut.poset).ok == ok, f
+                # cut_face does not validate its output: these checks are its oracle
+                assert validate_lambda(cut.poset, cut.lam).ok, f
+                other = cut_face(p, moved, f)
+                assert validate_lambda(other.poset, other.lam).ok, f
+                # the new label is a sum, so a change of basis commutes with the cut
+                assert other.lam == change_basis(cut.lam, images), f
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -279,10 +299,13 @@ class TestCoversAgainstBruteForce:
         build = data.draw(st.sampled_from([corpus.triangle, corpus.square_torus, corpus.cube]))
         inst = build()
         p, lam = inst.poset, inst.lam
+        seed = data.draw(st.integers(min_value=0, max_value=9999))
+        lam = change_basis(lam, random_basis(p.n, random.Random(seed)))
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             cuttable = [f for f in p.faces() if p.codim(f) >= 2]
             cut = assert_cut_matches_oracle(p, lam, data.draw(st.sampled_from(cuttable)))
             assert validate(cut.poset).ok
+            assert validate_lambda(cut.poset, cut.lam).ok
             p, lam = cut.poset, cut.lam
 
     @pytest.mark.parametrize(
@@ -299,3 +322,91 @@ class TestCoversAgainstBruteForce:
         covers = (set(p.covers) - drop) | set(add.values())
         with pytest.raises(InputError, match=f"p12 has {hits} faces above it on the facets \\[\\]"):
             cut_face(FacePoset(p.n, codims, covers), inst.lam, "p12")
+
+
+def lam_of(**values):
+    return CharFunction(len(next(iter(values.values()))), {
+        F: Vec.from_string(v) for F, v in values.items()
+    })
+
+
+class TestInputChecked:
+    """cut_face checks its input, from the results kept on it, and does not
+    validate the cut: a sound poset with independent labels cuts to one."""
+
+    @pytest.mark.parametrize(
+        "lam, found",
+        [
+            (lam_of(F1="10", F2="10", F3="01"),
+             "face p12: facet labels ['10', '10'] of ['F1', 'F2'] are dependent"),
+            (lam_of(F1="10", F2="01"), "facet F3 has no lambda value"),
+        ],
+    )
+    def test_bad_labels_are_refused(self, lam, found):
+        p = corpus.triangle().poset
+        with pytest.raises(InputError, match="^cut input fails validation") as err:
+            cut_face(p, lam, "p13")
+        assert err.value.messages == ["cut input fails validation", found]
+
+    def test_simplicial_finding_past_the_cover_rules_is_refused(self):
+        # a second edge e2 beside EX0Y0, on the same two facets and over
+        # the same two vertices; V111 is far from it, so the cover rules hold
+        p = corpus.cube().poset
+        codims = dict(p.codims, e2=2)
+        covers = set(p.covers) | {("e2", "X0"), ("e2", "Y0"), ("V000", "e2"), ("V001", "e2")}
+        q = FacePoset(3, codims, covers)
+        with pytest.raises(InputError, match="^cut input fails validation") as err:
+            cut_face(q, corpus.cube().lam, "V111")
+        assert err.value.messages[1:] == validate(q).simplicial != []
+
+    @pytest.mark.parametrize("name", ["triangle", "square_torus", "bigon", "cube"])
+    def test_every_cut_of_every_single_edit(self, name):
+        # on a sound edit every cut is sound with independent labels, and an
+        # unsound one is refused, by the cover rules or by the input check
+        inst = corpus.BUILDERS[name]()
+        sound = refused = 0
+        for e in edits(inst.poset):
+            p = apply_edit(inst.poset, e)
+            good = validate(p).sound
+            labels = {F: inst.lam.vec(F) for F in p.facets() if F in inst.lam.values}
+            lam = CharFunction(inst.lam.n, labels)
+            good = good and validate_lambda(p, lam).ok
+            for f in p.faces():
+                if not 2 <= p.codim(f) <= p.n:
+                    continue
+                if not good:
+                    with pytest.raises(InputError):
+                        cut_face(p, lam, f)
+                    refused += 1
+                    continue
+                cut = cut_face(p, lam, f)
+                assert validate(cut.poset).sound, (e, f)
+                assert validate_lambda(cut.poset, cut.lam).ok, (e, f)
+                sound += 1
+        assert sound and refused
+
+    def test_each_input_is_validated_once(self, monkeypatch):
+        # the checks on the input read the results kept on it: the load,
+        # and each cut of a chain, validate a poset and its labels once
+        calls = []
+
+        def counted(fn):
+            def count(*args):
+                calls.append((fn.__name__, id(args[0])))
+                return fn(*args)
+
+            return kept(count)
+
+        monkeypatch.setattr(poset, "_findings", counted(poset._findings.__wrapped__))
+        lam_check = counted(charfunc.validate_lambda.__wrapped__)
+        monkeypatch.setattr(blowup, "validate_lambda", lam_check)
+        inst = corpus.cube()
+        p, lam = inst.poset, inst.lam
+        posets = []
+        for f in ("V000", "EX1Y1", "V011"):
+            validate(p), lam_check(p, lam)  # as load_instance reads them
+            posets.append(p)
+            cut = cut_face(p, lam, f)
+            p, lam = cut.poset, cut.lam
+        want = [(name, id(q)) for q in posets for name in ("_findings", "validate_lambda")]
+        assert calls == want

@@ -88,6 +88,31 @@ class TestValidateLambda:
         rep = validate_lambda(p, lam_of(F1="00", F2="01", F3="11"))
         assert any("F1" in w for w in rep.dependent)
 
+    def test_report_is_kept_per_lambda(self):
+        # kept on the poset for this lambda object; an equal lambda that is
+        # another object computes afresh and takes over the slot
+        inst = corpus.cube()
+        p, lam = inst.poset, inst.lam
+        rep = validate_lambda(p, lam)
+        assert validate_lambda(p, lam) is rep
+        twin = CharFunction(lam.n, lam.values)
+        assert twin == lam and twin is not lam
+        again = validate_lambda(p, twin)
+        assert again is not rep and again == rep
+        assert validate_lambda(p, twin) is again
+
+    def test_lambda_is_read_only(self):
+        values = {"F1": Vec.from_string("10"), "F2": Vec.from_string("01")}
+        lam = CharFunction(2, values)
+        with pytest.raises(TypeError):
+            lam.values["F1"] = Vec.from_string("11")
+        values["F3"] = Vec.from_string("11")  # the function copied the dict
+        assert sorted(lam.values) == ["F1", "F2"]
+
+    def test_label_of_another_width_is_refused(self):
+        with pytest.raises(ValueError, match="label of 'F2' has width 3, not 2"):
+            CharFunction(2, {"F1": Vec.from_string("10"), "F2": Vec.from_string("010")})
+
 
 def lambda_oracle(p, lam):
     """validate_lambda as it was before it ranked at vertices first: one
