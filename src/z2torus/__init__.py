@@ -12,7 +12,6 @@ from .charfunc import (
     LambdaReport,
     Subgroup,
     axial_function,
-    face_restriction,
     isotropy,
     m_involution_check,
     validate_lambda,
@@ -29,8 +28,8 @@ from .complexes import (
     validate_carriers,
 )
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, dual_code
-from .gkm import equivariant_hilbert, face_ring_hilbert, satisfies_gkm
+from .gf2 import Matrix, Vec
+from .gkm import equivariant_hilbert, face_ring_hilbert
 from .instance import Instance, load_instance, parse_instance, save_instance, serialize_instance
 from .model import (
     FormalityVerdict,
@@ -73,10 +72,8 @@ __all__ = [
     "betti_mod2",
     "build_quotient",
     "cut_face",
-    "dual_code",
     "equivariant_hilbert",
     "face_acyclicity",
-    "face_restriction",
     "face_ring_hilbert",
     "facet_code",
     "fh_vectors",
@@ -92,7 +89,6 @@ __all__ = [
     "one_skeleton",
     "order_complex",
     "parse_instance",
-    "satisfies_gkm",
     "save_instance",
     "serialize_instance",
     "validate",

@@ -48,6 +48,10 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     if f not in p.codims:
         raise InputError(f"unknown face {f!r}")
     k = p.codim(f)
+    if p.n < 2:
+        raise PreconditionError(
+            f"cut face must have codimension 2 or more; dimension {p.n} has no such face"
+        )
     if not 2 <= k <= p.n:
         raise PreconditionError(
             f"cut face must have codimension in 2..{p.n}, {f} has {k}"

@@ -2,8 +2,9 @@
 
 The label of a facet is the generator of the isotropy line of its
 preimage; independence over every face is the (*)-condition that makes
-the quotient construction a closed manifold.  Axial functions on the
-1-skeleton and face restrictions are derived here as well.
+the quotient construction a closed manifold.  Isotropy groups, axial
+functions on the 1-skeleton and the m-involution check are derived here
+as well.
 """
 
 from __future__ import annotations
@@ -52,14 +53,6 @@ class Subgroup:
 
     def contains(self, v: Vec) -> bool:
         return reduce_by(self._rows, self._pivots, v.bits) == 0
-
-    def coset_rep(self, v: Vec) -> Vec:
-        """The unique member of v + G supported on non-pivot columns."""
-        return Vec(reduce_by(self._rows, self._pivots, v.bits), self.n)
-
-    def cosets(self) -> list[Vec]:
-        """All canonical coset representatives, in increasing bit order."""
-        return [Vec(bits, self.n) for bits in self.quotient()[0]]
 
     def quotient(self) -> tuple[list[int], list[int]]:
         """GF(2)^n / G on ints: the canonical coset representatives in
@@ -140,36 +133,6 @@ def isotropy(p: FacePoset, lam: CharFunction, f: str) -> Subgroup:
     return Subgroup(lam.n, [lam.vec(F) for F in p.facets_containing(f)])
 
 
-def face_restriction(p: FacePoset, lam: CharFunction, f: str) -> tuple[FacePoset, CharFunction]:
-    """The face f as an instance of its own: poset of f plus the induced
-    characteristic function in GF(2)^(n-k), read in the coordinates
-    complementary to the isotropy subgroup of f."""
-    if f not in p.codims:
-        raise InputError(f"unknown face {f!r}")
-    k = p.codim(f)
-    if k == 0:
-        return p, lam
-    sub = p.restrict(f)
-    G = isotropy(p, lam, f)
-    pivots = set(G._pivots)
-    free = [j for j in range(p.n) if j not in pivots]
-
-    def project(v: Vec) -> Vec:
-        reduced = G.coset_rep(v).bits
-        return Vec.from_bits((reduced >> j) & 1 for j in free)
-
-    mine = p._facet_mask[f]
-    values: dict[str, Vec] = {}
-    for g in sub.facets():
-        others = p._facet_names(p._facet_mask[g] & ~mine)
-        if len(others) != 1:
-            raise InputError(
-                f"face {g} of {f} lies in {len(others)} facets transverse to {f}, wanted one"
-            )
-        values[g] = project(lam.vec(others[0]))
-    return sub, CharFunction(p.n - k, values)
-
-
 # vertex -> (edge, other end, form bits) for each edge at it, edges sorted
 Ends = Mapping[str, tuple[tuple[str, str, int], ...]]
 
@@ -206,10 +169,6 @@ class GkmGraph:
         put(self, "axial", MappingProxyType(axial))
         put(self, "ends", MappingProxyType({v: tuple(t) for v, t in ends.items()}))
         put(self, "incongruent", incongruent)
-
-    def edges_at(self, v: str) -> tuple[str, ...]:
-        """The edges at v, sorted."""
-        return tuple(e for e, _, _ in self.ends.get(v, ()))
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .charfunc import CharFunction
 from .errors import PreconditionError
-from .gf2 import Matrix, Vec, dual_code
+from .gf2 import Matrix, Vec
 from .poset import FacePoset
 
 
@@ -59,7 +59,7 @@ def facet_code(p: FacePoset, lam: CharFunction) -> BinaryCode:
 def is_self_dual(code: BinaryCode) -> bool:
     """True iff the code equals its dual (canonical RREFs coincide)."""
     own = code.gen.rref()[0]
-    dual = dual_code(code.gen).rref()[0]
+    dual = code.gen.nullspace().rref()[0]
     return own == dual
 
 

@@ -6,12 +6,12 @@ the face of Q whose relative interior contains the cell's interior (its
 carrier), and gives each cell's boundary cells, every incidence being 1
 mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
 (instances may supply one, a genuine triangulation of Q), and the face
-complex, whose cells are the faces of Q themselves.
+complex, whose cells are all the faces of Q.
 
 Every mod-2 chain complex here has one form, its rows: rows[d][i] is
 the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
-(rows[0] is all 0).  `base_chain` walks a cell complex over Q once into
-its rows, kept on the triangulation or, for the face complex, the poset;
+(rows[0] is all 0).  `base_chain` walks a triangulation or the face
+complex once into its rows, kept on the triangulation or the poset;
 QuotientComplex lifts them through the isotropy gluing of a
 characteristic function; `betti_mod2` reads any rows.  `is_face_acyclic`
 runs the paper's criterion on the base rows, gathered per face by
@@ -23,7 +23,7 @@ up-set masks.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from typing import NamedTuple
@@ -73,27 +73,25 @@ class CarrierComplex:
 
 
 class FaceComplex:
-    """Faces of Q as the cells of a regular cell complex.
+    """All the faces of Q as the cells of a regular cell complex.
 
     Each face is a cell of its own dimension, carried by itself, with
     the faces it covers as its boundary.  The boolean upper intervals
     that `poset.validate` checks give every length-two interval exactly
     two middle elements, so these incidence-1 boundaries square to zero.
     The homology is that of Q's cell structure once every face's
-    boundary is a mod-2 homology sphere (see `face_acyclicity`).  `faces`
-    restricts the complex to a down-closed subset of the faces.
+    boundary is a mod-2 homology sphere (see `face_acyclicity`).
     """
 
-    def __init__(self, poset: FacePoset, faces: Iterable[str] | None = None):
+    def __init__(self, poset: FacePoset):
         self.poset = poset
-        self.faces = frozenset(poset.codims if faces is None else faces)
 
     def by_dim(self) -> list[list[str]]:
         p = self.poset
         out: list[list[str]] = [
-            [] for _ in range(max((p.dim_face(f) + 1 for f in self.faces), default=0))
+            [] for _ in range(max((p.dim_face(f) + 1 for f in p.codims), default=0))
         ]
-        for f in sorted(self.faces):
+        for f in sorted(p.codims):
             out[p.dim_face(f)].append(f)
         return out
 
@@ -104,7 +102,7 @@ class FaceComplex:
         return self.poset.children(f)
 
     def __repr__(self) -> str:
-        return f"FaceComplex(faces={len(self.faces)})"
+        return f"FaceComplex(faces={len(self.poset.codims)})"
 
 
 def _facets(sx: Simplex) -> list[Simplex]:
@@ -187,15 +185,10 @@ def _kept_chain(p: FacePoset, triangulation: CarrierComplex | None = None) -> Ba
 
 def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
     """base's chain, walked once per triangulation, kept on it, or once per
-    whole face complex, kept on its poset; a face complex restricted to
-    some faces is walked on its own.  Raises InputError when base is not
-    closed or a boundary leaves its cell's carrier."""
-    if isinstance(base, CarrierComplex):
-        chain = _kept_chain(base.poset, base)
-    elif base.faces == base.poset.codims.keys():
-        chain = _kept_chain(base.poset, None)
-    else:
-        chain = _walk(base)
+    poset for its face complex, kept on the poset.  Raises InputError when
+    base is not closed or a boundary leaves its cell's carrier."""
+    triangulation = base if isinstance(base, CarrierComplex) else None
+    chain = _kept_chain(base.poset, triangulation)
     if chain.closure or chain.wrong_carriers:
         raise InputError([*chain.closure, *chain.wrong_carriers])
     return chain

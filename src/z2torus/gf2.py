@@ -44,10 +44,6 @@ class Vec:
     n: int
 
     @staticmethod
-    def zero(n: int) -> "Vec":
-        return Vec(0, n)
-
-    @staticmethod
     def unit(n: int, i: int) -> "Vec":
         return Vec(1 << i, n)
 
@@ -77,11 +73,6 @@ class Vec:
         return Vec(self.bits ^ other.bits, self.n)
 
     __add__ = __xor__
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -183,16 +174,6 @@ class Matrix:
                 raise ValueError("row wider than ncols")
         return Matrix(rows, ncols)
 
-    @staticmethod
-    def from_vecs(vecs: Iterable[Vec]) -> "Matrix":
-        vecs = list(vecs)
-        if not vecs:
-            raise ValueError("cannot infer width from zero vectors")
-        n = vecs[0].n
-        if any(v.n != n for v in vecs):
-            raise ValueError("width mismatch")
-        return Matrix(tuple(v.bits for v in vecs), n)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -221,11 +202,6 @@ class Matrix:
 
     def __str__(self) -> str:
         return "\n".join(str(Vec(r, self.ncols)) for r in self.rows)
-
-
-def dual_code(gen: Matrix) -> Matrix:
-    """Generator matrix of the dual code (nullspace of gen)."""
-    return gen.nullspace()
 
 
 def reduce_by(rref_rows: list[int], pivots: list[int], v: int) -> int:

@@ -25,31 +25,24 @@ vertex can be placed, `eliminated_hilbert` ranks one GF(2) matrix per
 degree instead; it is also the test oracle for the closed form.  On
 the 8-cube, `axial_function` and `equivariant_hilbert(g, 16)` take
 18-31 ms together on a shared 2-vCPU x86-64 VM (best of 5 in each of 8
-fresh processes).  Polynomials remain for the public membership test
-`satisfies_gkm`, the tests' oracle.
+fresh processes).
 
-A polynomial is a frozenset of exponent tuples (coefficients are 0/1).
-Monomials are ordered graded-lexicographically, largest first, fixed
-once and for all.
+Elimination writes a polynomial as its set of exponent tuples
+(coefficients are 0/1), and orders monomials graded-lexicographically,
+largest first, fixed once and for all.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
 from itertools import combinations_with_replacement
 from math import comb
 
 from .charfunc import Ends, GkmGraph
 from .gf2 import Matrix, Vec, _rref_rows, lowest_bit, reduce_by
 
-Poly = frozenset  # of exponent tuples
 # up-edge forms -> RREF rows and pivots of their span, and form -> in span?
 Spans = dict[frozenset[int], tuple[list[int], list[int], dict[int, bool]]]
-
-
-def poly_zero() -> Poly:
-    return frozenset()
 
 
 def monomials(n: int, k: int) -> list[tuple[int, ...]]:
@@ -72,6 +65,8 @@ def _pivot_rest(alpha: Vec) -> tuple[int, list[int]]:
 
 
 def _image(m: tuple[int, ...], pivot: int, rest: list[int]) -> list[tuple[int, ...]]:
+    """The distinct monomials m maps to when the pivot goes to the sum of
+    the rest: one per way of handing each set bit of its exponent to one."""
     image = [m[:pivot] + (0,) + m[pivot + 1:]]
     e = m[pivot]
     while e:
@@ -79,33 +74,6 @@ def _image(m: tuple[int, ...], pivot: int, rest: list[int]) -> list[tuple[int, .
         e ^= bit
         image = [t[:j] + (t[j] + bit,) + t[j + 1:] for t in image for j in rest]
     return image
-
-
-def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
-    """Image of the monomial m when alpha's pivot goes to the sum of its
-    other variables: one monomial per way of handing each set bit of the
-    pivot's exponent to one of those variables.  The images are distinct,
-    so nothing cancels; none exist when alpha is a single variable."""
-    return _image(m, *_pivot_rest(alpha))
-
-
-def divisible_by(p: Poly, alpha: Vec) -> bool:
-    pivot, rest = _pivot_rest(alpha)
-    image: set[tuple[int, ...]] = set()
-    for m in p:
-        image.symmetric_difference_update(_image(m, pivot, rest))
-    return not image
-
-
-def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly], edges: Iterable[str]) -> bool:
-    """Does the vertex tuple satisfy the divisibility constraint of each
-    of the given edges?  A vertex missing from cls carries 0."""
-    zero = poly_zero()
-    for e in edges:
-        v, w = g.edges[e]
-        if not divisible_by(cls.get(v, zero) ^ cls.get(w, zero), g.axial[e]):
-            return False
-    return True
 
 
 def _certified_down_degree(

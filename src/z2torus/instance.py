@@ -160,6 +160,8 @@ def parse_instance(data: object) -> Instance:
             raise InputError("triangulation must be {points, simplices}")
         if raw["points"] < 0:
             raise InputError("triangulation points must be a non-negative integer")
+        if raw["points"] == 0 and raw["simplices"]:
+            raise InputError("triangulation has no points (points=0) for its simplices to use")
         if raw["points"] > len(raw["simplices"]):
             # every point is its own 0-simplex (validate_carriers checks closure)
             raise InputError(

@@ -113,9 +113,6 @@ class FacePoset:
         """Every face in the canonical (codim, id) order; a fresh list each call."""
         return list(self._order)
 
-    def face_key(self, f: str) -> tuple[int, str]:
-        return (self.codims[f], f)
-
     def codim(self, f: str) -> int:
         return self.codims[f]
 
@@ -149,13 +146,6 @@ class FacePoset:
         if len(tops) != 1:
             raise ValueError(f"poset has {len(tops)} codim-0 faces, wanted one")
         return tops[0]
-
-    def restrict(self, f: str) -> "FacePoset":
-        """Face poset of the face f itself, regraded so f has codim 0."""
-        k, bit = self.codims[f], 1 << self._up[f].bit_length() - 1
-        codims = {g: self.codims[g] - k for g in self._order if self._up[g] & bit}
-        covers = {(c, p) for (c, p) in self.covers if c in codims and p in codims}
-        return FacePoset(self.n - k, codims, covers)
 
     def __eq__(self, other: object) -> bool:
         return (

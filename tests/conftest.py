@@ -7,7 +7,7 @@ import pytest
 from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
-from z2torus.gf2 import Vec
+from z2torus.gf2 import Matrix, Vec
 from z2torus.poset import FacePoset
 
 
@@ -50,11 +50,22 @@ def below_oracle(p):
 
 
 def restrict_oracle(p, f):
-    """p.restrict(f) from the recursive closure: the faces below f,
-    regraded, with the covers among them."""
+    """`restrictions.restrict(p, f)` from the recursive closure: the faces
+    below f, regraded, with the covers among them."""
     keep, k = below_oracle(p)[f], p.codims[f]
     codims = {g: p.codims[g] - k for g in keep}
     return FacePoset(p.n - k, codims, {(c, q) for c, q in p.covers if c in keep and q in keep})
+
+
+def from_vecs(vecs):
+    """The matrix whose rows are vecs, all of one width."""
+    vecs = list(vecs)
+    if not vecs:
+        raise ValueError("cannot infer width from zero vectors")
+    n = vecs[0].n
+    if any(v.n != n for v in vecs):
+        raise ValueError("width mismatch")
+    return Matrix(tuple(v.bits for v in vecs), n)
 
 
 def change_basis(lam, images):

@@ -6,8 +6,10 @@ of a blow-up.
 
 from dataclasses import dataclass
 
+from restrictions import face_restriction
+
 from z2torus.blowup import CutResult, cut_face
-from z2torus.charfunc import CharFunction, _label_image, face_restriction
+from z2torus.charfunc import CharFunction, _label_image
 from z2torus.complexes import QuotientComplex
 from z2torus.gf2 import bit_indices
 from z2torus.model import formality_verdict

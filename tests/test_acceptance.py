@@ -9,11 +9,12 @@ import time
 
 import sympy
 from paper_checks import blowup_counts_check, facial_components
+from restrictions import face_restriction
 from thom_classes import check_face_ring_relations
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
-from z2torus.charfunc import axial_function, face_restriction, m_involution_check
+from z2torus.charfunc import axial_function, m_involution_check
 from z2torus.codes import facet_code, is_self_dual, min_distance
 from z2torus.complexes import _check_squares, is_face_acyclic
 from z2torus.gkm import equivariant_hilbert, face_ring_hilbert

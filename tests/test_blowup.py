@@ -8,6 +8,7 @@ from conftest import above_oracle, apply_edit, below_oracle, change_basis, edits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import blowup_counts_check
+from restrictions import restrict
 
 from z2torus import blowup, charfunc, corpus, poset
 from z2torus.blowup import cut_face
@@ -88,7 +89,7 @@ class TestCutCube:
     def test_vertex_cut_new_facet_is_a_triangle(self):
         inst = corpus.cube()
         cut = cut_face(inst.poset, inst.lam, "V000")
-        tri = cut.poset.restrict(cut.new_facet)
+        tri = restrict(cut.poset, cut.new_facet)
         assert tri.n == 2
         assert len(tri.facets()) == 3 and len(tri.vertices()) == 3
 
@@ -242,7 +243,7 @@ def containment_oracle(p, f):
         return False  # old face never sits inside a new one
 
     entries: list[tuple[str, object]] = [(g, g) for g in old]
-    for g in sorted(below_f, key=p.face_key):
+    for g in sorted(below_f, key=lambda f: (p.codims[f], f)):
         for size in range(1, len(T) + 1):
             entries += [(f"{g}|{','.join(S)}", (g, S)) for S in combinations(T, size)]
     return {ida: {idb for idb, b in entries if leq(a, b)} | {ida} for ida, a in entries}

@@ -13,7 +13,7 @@ from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.complexes import (
     FaceComplex,
-    base_chain,
+    _walk,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
@@ -28,6 +28,23 @@ CW_CORPUS = [name for name in corpus.BUILDERS if name != "annulus"]
 
 def by_dim(p, faces):
     return sorted(faces, key=lambda f: (p.dim_face(f), f))
+
+
+class FaceSubcomplex(FaceComplex):
+    """The cells of p's face complex among `faces`, a down-closed set.
+    Walk it with `_walk`: `base_chain` would hand it the chain kept on p,
+    that of the whole face complex."""
+
+    def __init__(self, p, faces):
+        super().__init__(p)
+        self.faces = frozenset(faces)
+
+    def by_dim(self):
+        p = self.poset
+        out = [[] for _ in range(max((p.dim_face(f) + 1 for f in self.faces), default=0))]
+        for f in sorted(self.faces):
+            out[p.dim_face(f)].append(f)
+        return out
 
 
 def gate_failures(p):
@@ -45,7 +62,7 @@ def sphere_failures(p):
         d = p.dim_face(f)
         if d == 0:
             continue
-        b = reduced(betti_mod2(base_chain(FaceComplex(p, below[f] - {f})).rows))
+        b = reduced(betti_mod2(_walk(FaceSubcomplex(p, below[f] - {f})).rows))
         if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
             failing.append(f)
     return failing
@@ -131,8 +148,8 @@ def test_gate_rejects_the_annulus_poset():
 
 def test_face_complex_of_the_cube_boundary_is_a_sphere():
     p = corpus.cube().poset
-    boundary = FaceComplex(p, set(p.codims) - {"Q"})
-    rows = base_chain(boundary).rows
+    boundary = FaceSubcomplex(p, set(p.codims) - {"Q"})
+    rows = _walk(boundary).rows
     assert tuple(map(len, rows)) == (8, 12, 6)
     assert betti_mod2(rows) == (1, 0, 1)
     cells = FaceComplex(p)

@@ -226,6 +226,26 @@ class TestBlowup:
         )
         assert rc == 1 and "unknown face" in err
 
+    @pytest.mark.parametrize("name", ["segment", "point"])
+    def test_below_dimension_two_no_face_can_be_cut(self, capsys, tmp_path, name):
+        small = tmp_path / f"{name}.json"
+        if name == "segment":
+            save_instance(corpus.segment(), small)
+        else:
+            small.write_text(json.dumps({"name": "x", "dim": 0, "faces": [{"id": "Q", "codim": 0}],
+                                         "inclusions": [], "lambda": {}}))
+        inst = load_instance(small)
+        for face in inst.poset.faces():
+            rc, out, err = run(
+                capsys, "blowup", str(small), "--face", face, "--out", str(tmp_path / "x.json")
+            )
+            assert rc == 2 and out == ""
+            assert err == (
+                "error: cut face must have codimension 2 or more; "
+                f"dimension {inst.poset.n} has no such face\n"
+            )
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestReport:
     @pytest.mark.parametrize("name", list(corpus.BUNDLED))
@@ -498,6 +518,15 @@ class TestMalformedInput:
         rc, out, err = run(capsys, "validate", str(bad))
         assert rc == 1 and out == ""
         assert err == "error: triangulation points must be a non-negative integer\n"
+
+    def test_zero_points_with_simplices_is_one_error_line(self, capsys, tmp_path):
+        data = json.loads(corpus.bundled_path("square_torus").read_text())
+        data["triangulation"]["points"] = 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc, out, err = run(capsys, "validate", str(bad))
+        assert rc == 1 and out == ""
+        assert err == "error: triangulation has no points (points=0) for its simplices to use\n"
 
     def test_non_utf8_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from conftest import from_vecs
 
 from z2torus import corpus
 from z2torus.codes import BinaryCode, facet_code, is_self_dual, min_distance
@@ -142,6 +143,6 @@ class TestSelfDuality:
         assert code.dim * 2 == code.length
 
     def test_self_orthogonal_but_not_self_dual(self):
-        gen = Matrix.from_vecs([Vec.from_string("1111")])
+        gen = from_vecs([Vec.from_string("1111")])
         code = BinaryCode(4, gen, ("F",), ("a", "b", "c", "d"))
         assert not is_self_dual(code)

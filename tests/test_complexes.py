@@ -403,19 +403,11 @@ class TestLift:
         assert base_chain(FaceComplex(inst.poset)) is base_chain(FaceComplex(inst.poset))
         assert base_chain(FaceComplex(inst.poset)) is not chain
 
-    def test_a_restricted_face_complex_gets_its_own_chain(self):
-        p = corpus.cube().poset
-        whole = base_chain(FaceComplex(p))
-        kept = len(p._kept)
-        chain = base_chain(FaceComplex(p, set(p.codims) - {"Q"}))
-        assert [len(level) for level in chain.cells] == [8, 12, 6]
-        assert [len(level) for level in whole.cells] == [8, 12, 6, 1]
-        assert len(p._kept) == kept and base_chain(FaceComplex(p)) is whole
-
     def test_a_face_complex_that_is_not_closed_is_refused(self):
-        inst = corpus.triangle()
-        with pytest.raises(InputError, match="face Q misses facet F1"):
-            QuotientComplex(FaceComplex(inst.poset, {"Q", "F2", "F3", "p12", "p13", "p23"}), inst.lam)
+        # Q covers the vertex v across a codim jump: the face complex has no 1-cell
+        p = FacePoset(2, {"Q": 0, "v": 2}, {("v", "Q")})
+        with pytest.raises(InputError, match="face Q misses facet v"):
+            QuotientComplex(FaceComplex(p), CharFunction(2, {}))
 
 
 class TestCarried:

@@ -3,6 +3,7 @@
 from itertools import combinations
 
 import pytest
+from conftest import from_vecs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from z2torus.gf2 import (
     Vec,
     _span_basis,
     chain_ranks,
-    dual_code,
     lowest_bit,
     reduce_by,
 )
@@ -41,8 +41,8 @@ class TestVec:
         assert (a.bits & a.bits).bit_count() % 2 == 0
         assert a.bits.bit_count() == 2
         assert a.support() == [0, 1]
-        assert a[0] == 1 and a[2] == 0
-        assert not a.is_zero() and Vec.zero(4).is_zero()
+        assert a.to_bits()[0] == 1 and a.to_bits()[2] == 0
+        assert not a.is_zero() and Vec(0, 4).is_zero()
 
     def test_unit(self):
         assert str(Vec.unit(3, 1)) == "010"
@@ -62,13 +62,13 @@ class TestVec:
 
 class TestRref:
     def test_two_rows(self):
-        m = Matrix.from_vecs([Vec.from_string("11"), Vec.from_string("01")])
+        m = from_vecs([Vec.from_string("11"), Vec.from_string("01")])
         r, pivots = m.rref()
         assert [str(Vec(x, r.ncols)) for x in r.rows] == ["10", "01"]
         assert pivots == (0, 1)
 
     def test_three_columns(self):
-        m = Matrix.from_vecs([Vec.from_string("111"), Vec.from_string("110")])
+        m = from_vecs([Vec.from_string("111"), Vec.from_string("110")])
         r, pivots = m.rref()
         assert [str(Vec(x, r.ncols)) for x in r.rows] == ["110", "001"]
         assert pivots == (0, 2)
@@ -85,13 +85,13 @@ class TestRref:
 
 class TestNullspaceAndDual:
     def test_single_row(self):
-        m = Matrix.from_vecs([Vec.from_string("11")])
+        m = from_vecs([Vec.from_string("11")])
         null = m.nullspace()
         assert [str(Vec(x, null.ncols)) for x in null.rows] == ["11"]
 
     def test_repetition_code_dual(self):
-        gen = Matrix.from_vecs([Vec.from_string("1111")])
-        d = dual_code(gen)
+        gen = from_vecs([Vec.from_string("1111")])
+        d = gen.nullspace()
         assert d.nrows == 3
         assert all((r & Vec.from_string("1111").bits).bit_count() % 2 == 0 for r in d.rows)
 
@@ -147,7 +147,7 @@ def test_nullspace_is_the_whole_kernel(rows):
 @given(rows_strategy)
 def test_dual_of_dual_is_the_row_space(rows):
     m = Matrix.from_rows(rows, 8)
-    assert dual_code(dual_code(m)).rref()[0] == m.rref()[0]
+    assert m.nullspace().nullspace().rref()[0] == m.rref()[0]
 
 
 @settings(deadline=None, max_examples=100)

@@ -6,17 +6,23 @@ from math import comb
 
 import pytest
 import sympy
-from conftest import above_oracle, below_oracle, change_basis
+from conftest import above_oracle, below_oracle, change_basis, from_vecs
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from restrictions import coset_rep
 from thom_classes import (
     check_face_ring_relations,
+    divisible_by,
+    edges_at,
     join,
     meet_components,
     poly_linear,
     poly_mul,
     poly_one,
     poly_var,
+    poly_zero,
+    satisfies_gkm,
+    substitute,
     thom_products,
     thom_restriction,
 )
@@ -27,15 +33,11 @@ from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec, lowest_bit
 from z2torus.gkm import (
-    divisible_by,
     eliminated_hilbert,
     equivariant_hilbert,
     face_ring_hilbert,
     flow_up_degrees,
     monomials,
-    poly_zero,
-    satisfies_gkm,
-    substitute,
 )
 from z2torus.model import formality_verdict
 from z2torus.poset import fh_vectors, one_skeleton
@@ -278,18 +280,18 @@ class TestFlowUp:
     def test_edges_at_is_the_sorted_scan(self):
         g = graph_of(corpus.cut_cube_edge())
         for v in g.vertices:
-            assert list(g.edges_at(v)) == sorted(e for e, (a, b) in g.edges.items() if v in (a, b))
-        assert g.edges_at("nope") == ()
+            assert list(edges_at(g, v)) == sorted(e for e, (a, b) in g.edges.items() if v in (a, b))
+        assert edges_at(g, "nope") == ()
 
 
 def up_face(g, v, placed):
     """The vertices and the edges of C_v, v's up-face when the vertices
     `placed` come before it, found with a `Subgroup` per vertex."""
-    span = Subgroup(g.n, [g.axial[e] for e in g.edges_at(v) if other_end(g, e, v) not in placed])
+    span = Subgroup(g.n, [g.axial[e] for e in edges_at(g, v) if other_end(g, e, v) not in placed])
     face, inside, stack = {v}, set(), [v]
     while stack:
         w = stack.pop()
-        for e in g.edges_at(w):
+        for e in edges_at(g, w):
             if span.contains(g.axial[e]):
                 inside.add(e)
                 u = other_end(g, e, w)
@@ -314,7 +316,7 @@ def polynomial_degrees(g):
     remaining = list(g.vertices)
     while remaining:
         for v in remaining:
-            down = [g.axial[e] for e in g.edges_at(v) if other_end(g, e, v) in placed]
+            down = [g.axial[e] for e in edges_at(g, v) if other_end(g, e, v) in placed]
             if len(set(down)) < len(down) or Vec(0, g.n) in down:
                 continue
             face, inside = up_face(g, v, placed)
@@ -351,7 +353,7 @@ def spoiled(g, tau, face_edges):
     e the first edge of C_v at w: still congruent across e, not always
     across w's other edges of C_v."""
     for w, factors in tau.items():
-        at_w = [e for e in g.edges_at(w) if e in face_edges]
+        at_w = [e for e in edges_at(g, w) if e in face_edges]
         if factors and at_w:
             yield tau | {w: [factors[0] ^ g.axial[at_w[0]].bits, *factors[1:]]}
 
@@ -364,7 +366,7 @@ def incongruent_oracle(g):
     for e in sorted(g.edges):
         line = Subgroup(g.n, [g.axial[e]])
         cosets = [
-            Counter(line.coset_rep(g.axial[f]) for f, ends in g.edges.items() if x in ends)
+            Counter(coset_rep(line, g.axial[f]) for f, ends in g.edges.items() if x in ends)
             for x in g.edges[e]
         ]
         if cosets[0] != cosets[1]:
@@ -409,7 +411,9 @@ class TestFactorCertificate:
             placed = set()
             for v in flow_up_degrees(g):
                 face, inside = up_face(g, v, placed)
-                tau = {w: [g.axial[e].bits for e in g.edges_at(w) if e not in inside] for w in face}
+                tau = {
+                    w: [g.axial[e].bits for e in edges_at(g, w) if e not in inside] for w in face
+                }
                 assert satisfies_gkm(g, products(g, tau), g.edges)
                 for other in spoiled(g, tau, inside):
                     verdicts[satisfies_gkm(g, products(g, other), inside)] += 1
@@ -582,7 +586,7 @@ def meet_oracle(p, above, below, f1, f2):
     """meet_components as it read the down- and up-sets, here those of
     the recursive closure."""
     common = below[f1] & below[f2]
-    return sorted((g for g in common if above[g] & common == {g}), key=p.face_key)
+    return sorted((g for g in common if above[g] & common == {g}), key=lambda f: (p.codims[f], f))
 
 
 class TestRelations:
@@ -624,7 +628,7 @@ def per_edge_axial(p, lam):
     for e in sorted(one_skeleton(p).edges):
         S = p.facets_containing(e)
         if S:
-            null = Matrix.from_vecs([lam.vec(F) for F in S]).nullspace()
+            null = from_vecs([lam.vec(F) for F in S]).nullspace()
             if null.nrows != 1:
                 raise InputError(
                     f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"

@@ -30,7 +30,9 @@ def oracle_dict(inst):
     out = {
         "name": inst.name,
         "dim": p.n,
-        "faces": [{"id": f, "codim": p.codim(f)} for f in sorted(p.codims, key=p.face_key)],
+        "faces": [
+            {"id": f, "codim": p.codim(f)} for f in sorted(p.codims, key=lambda f: (p.codims[f], f))
+        ],
         "inclusions": sorted([c, q] for c, q in p.covers),
     }
     if inst.lam is not None:

@@ -109,7 +109,7 @@ def fixed_locus_oracle(p, lam, g, above):
     """fixed_locus as it read the up-sets, here those of the recursive
     closure: the hits with no other hit above them."""
     hits = {f for f in p.faces() if isotropy(p, lam, f).contains(g)}
-    maximal = sorted((f for f in hits if above[f] & hits == {f}), key=p.face_key)
+    maximal = sorted((f for f in hits if above[f] & hits == {f}), key=lambda f: (p.codims[f], f))
     discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)
     return FixedLocus(tuple(maximal), discrete, len(maximal) if discrete else None)
 
@@ -153,7 +153,7 @@ class TestFixedSets:
     def test_zero_element_rejected(self):
         inst = corpus.cube()
         with pytest.raises(InputError):
-            fixed_locus(inst.poset, inst.lam, Vec.zero(3))
+            fixed_locus(inst.poset, inst.lam, Vec(0, 3))
 
 
 class TestFacialComponents:

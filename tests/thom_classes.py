@@ -1,9 +1,13 @@
-"""Thom classes of faces and the face-ring relations they satisfy.
+"""Polynomials, the GKM membership test, Thom classes of faces and the
+face-ring relations they satisfy.
 
-Test oracles for the GKM layer: each face carries the class whose
+Test oracles for the GKM layer: a vertex tuple of polynomials is a
+class when the difference across each edge is divisible by the edge's
+axial form (`satisfies_gkm`); each face carries the class whose
 restriction to a vertex of the face is the product of the axial forms
 of the edges leaving it, and these classes multiply as the face ring
-says.  Checked vertexwise, as polynomials.
+says.  Checked vertexwise, as polynomials.  A polynomial is a frozenset
+of exponent tuples (coefficients are 0/1).
 """
 
 from collections.abc import Container, Iterable
@@ -12,8 +16,45 @@ from dataclasses import dataclass, field
 from z2torus.charfunc import CharFunction, GkmGraph, axial_function
 from z2torus.errors import InputError
 from z2torus.gf2 import Vec
-from z2torus.gkm import Poly, poly_zero
+from z2torus.gkm import _image, _pivot_rest
 from z2torus.poset import FacePoset
+
+Poly = frozenset  # of exponent tuples
+
+
+def edges_at(g: GkmGraph, v: str) -> tuple[str, ...]:
+    """The edges at v, sorted."""
+    return tuple(e for e, _, _ in g.ends.get(v, ()))
+
+
+def poly_zero() -> Poly:
+    return frozenset()
+
+
+def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
+    """Image of the monomial m when alpha's pivot goes to the sum of its
+    other variables (`gkm._image`); none exist when alpha is a single
+    variable and the pivot's exponent is not 0."""
+    return _image(m, *_pivot_rest(alpha))
+
+
+def divisible_by(p: Poly, alpha: Vec) -> bool:
+    pivot, rest = _pivot_rest(alpha)
+    image: set[tuple[int, ...]] = set()
+    for m in p:
+        image.symmetric_difference_update(_image(m, pivot, rest))
+    return not image
+
+
+def satisfies_gkm(g: GkmGraph, cls: dict[str, Poly], edges: Iterable[str]) -> bool:
+    """Does the vertex tuple satisfy the divisibility constraint of each
+    of the given edges?  A vertex missing from cls carries 0."""
+    zero = poly_zero()
+    for e in edges:
+        v, w = g.edges[e]
+        if not divisible_by(cls.get(v, zero) ^ cls.get(w, zero), g.axial[e]):
+            return False
+    return True
 
 
 def poly_one(n: int) -> Poly:
@@ -45,7 +86,7 @@ def thom_products(g: GkmGraph, face: Iterable[str], inside: Container[str]) -> d
     out: dict[str, Poly] = {}
     for w in face:
         poly = poly_one(g.n)
-        for e in g.edges_at(w):
+        for e in edges_at(g, w):
             if e not in inside:
                 poly = poly_mul(poly, poly_linear(g.axial[e]))
         out[w] = poly
@@ -66,7 +107,7 @@ def thom_restriction(
     inside = {e for e in graph.edges if p.leq(e, f)}
     face = [v for v in graph.vertices if p.leq(v, f)]
     for v in face:
-        transverse = sum(e not in inside for e in graph.edges_at(v))
+        transverse = sum(e not in inside for e in edges_at(graph, v))
         if transverse != k:
             raise InputError(f"vertex {v} of {f} has {transverse} transverse edges, wanted {k}")
     return {v: poly_zero() for v in graph.vertices} | thom_products(graph, face, inside)
@@ -141,7 +182,7 @@ def check_face_ring_relations(p: FacePoset, lam: CharFunction) -> RelationsRepor
         for v in graph.vertices:
             acc = poly_zero()
             for F in p.facets():
-                if lam.vec(F)[j]:
+                if lam.vec(F).bits >> j & 1:
                     acc ^= thom[F][v]
             if acc != t:
                 rep.linearity_failures.append(
