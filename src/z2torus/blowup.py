@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .charfunc import CharFunction, validate_lambda
+from .charfunc import CharFunction, require_valid
 from .errors import InputError, PreconditionError
 from .gf2 import Vec
-from .poset import FacePoset, validate
+from .poset import FacePoset
 
 
 @dataclass
@@ -32,9 +32,12 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     every face not inside f keeps its identity.  The new face (g, S), for
     g inside f and S a nonempty subset of T, has the id "g|S".
 
-    Precondition: p is sound and lam independent at every face (both read
-    from the results kept on p), else InputError.  The cut is then sound
-    and its labels independent, so it is not validated again:
+    Precondition: p is sound and lam independent at every face
+    (`require_valid`, before any work), else InputError.  The upper
+    interval of each g inside f is then boolean on g's facets, so for
+    each S exactly one face above g lies on the facets of g minus S; it
+    misses part of T, so it is old.  The cut is sound and its labels
+    independent, so it is not validated again:
     - an old face keeps its facet set, its codim and the faces above it;
     - (g, S) lies on the facets of g minus S, plus the new facet;
     - the new facet's label is the sum over T, a subset of g's facets, so
@@ -56,6 +59,7 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
         raise PreconditionError(
             f"cut face must have codimension in 2..{p.n}, {f} has {k}"
         )
+    require_valid(p, lam, "cut")
     T = tuple(p.facets_containing(f))
     old: list[str] = []
     below_f: list[str] = []
@@ -63,7 +67,7 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
         (below_f if p.leq(g, f) else old).append(g)
 
     subsets: list[tuple[str, ...]] = []
-    for size in range(1, len(T) + 1):  # len(T) == k on a nice poset
+    for size in range(1, len(T) + 1):
         subsets.extend(combinations(T, size))
     # per subset S (by position): the facet mask of S, and the positions of
     # the subsets S + t for t in T outside S
@@ -103,17 +107,8 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
             covers.extend((kid[i], nid) for kid in kids)
             covers.extend((nid, mine[j]) for j in grow[i])
             rest = facets_g & ~s_mask[i]
-            hits = [h for h in by_facets.get(rest, []) if p.leq(g, h)]
-            if len(hits) != 1:
-                raise InputError(
-                    f"face {g} has {len(hits)} faces above it on the facets "
-                    f"{p._facet_names(rest)}, wanted one"
-                )
-            covers.append((nid, hits[0]))
+            covers.append((nid, next(h for h in by_facets[rest] if p.leq(g, h))))
 
-    witnesses = validate(p).witnesses() or validate_lambda(p, lam).witnesses()
-    if witnesses:
-        raise InputError(["cut input fails validation"] + witnesses)
     poset2 = FacePoset(p.n, codims, covers)
 
     new_facet = ids[f][-1]  # (f, T): T is the last subset

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
 from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, mod_line, reduce_by
-from .poset import FacePoset, kept, one_skeleton
+from .poset import FacePoset, kept, one_skeleton, validate
 
 
 @dataclass(frozen=True)
@@ -128,6 +128,15 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     return rep
 
 
+def require_valid(p: FacePoset, lam: CharFunction, what: str) -> None:
+    """Raise InputError, "<what> input fails validation" and the findings,
+    unless p is sound and lam independent at every face, both read from
+    the results kept on p.  Its callers check nothing more on the way."""
+    witnesses = validate(p).witnesses() or validate_lambda(p, lam).witnesses()
+    if witnesses:
+        raise InputError([f"{what} input fails validation"] + witnesses)
+
+
 def isotropy(p: FacePoset, lam: CharFunction, f: str) -> Subgroup:
     """Isotropy subgroup of the face f: span of its facets' labels."""
     return Subgroup(lam.n, [lam.vec(F) for F in p.facets_containing(f)])
@@ -177,9 +186,21 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
     It depends only on those labels, so one nullspace is solved per
     facet-label set and the edges with that set share its form.
 
-    Verified on the way out: the labels at each vertex form a basis, and
-    across each edge the two vertex label multisets agree mod alpha(e).
+    Precondition: p is sound and lam independent at every face
+    (`require_valid`), else InputError.  The graph is then a GKM graph by
+    construction, so it is not checked on the way out:
+    - the n edges at a vertex v each lie on all but one of v's n facets,
+      each missing a different one; v's labels are a basis, so the forms
+      at v are its dual basis;
+    - let e = (v, w) lie on the facets S, v on S + {A} and w on S + {B}.
+      For s in S, the edges at v and at w that drop s both have forms
+      that are 1 on lam(s) and 0 on the rest of lam(S), so their sum
+      vanishes on lam(S) and is 0 or alpha(e): no edge is incongruent
+      (Guillemin and Zara, 2001);
+    - an edge's n - 1 labels are independent, so its nullspace is one
+      line; at n = 1 the edge is Q, on no facet, and its form is 1.
     """
+    require_valid(p, lam, "gkm")
     sk = one_skeleton(p)
     if not (sk.n_valent and sk.connected):
         raise PreconditionError(
@@ -194,37 +215,9 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
         labels = tuple(sorted(label[j] for j in bit_indices(p._facet_mask[e])))
         form = forms.get(labels)
         if form is None:
-            if labels:
-                null = Matrix(labels, lam.n).nullspace()
-                if null.nrows != 1:
-                    raise InputError(
-                        f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"
-                    )
-                form = Vec(null.rows[0], p.n)
-            elif p.n != 1:
-                raise InputError(f"edge {e} lies in no facet but n = {p.n}")
-            else:
-                # only for n = 1, where the edge is Q itself and nothing constrains it
-                form = Vec(1, 1)
-            forms[labels] = form
+            form = forms[labels] = Vec(Matrix(labels, p.n).nullspace().rows[0], p.n)
         axial[e] = form
-    g = GkmGraph(p.n, sk.vertices, sk.edges, axial)
-    _check_axial(g)
-    return g
-
-
-def _check_axial(g: GkmGraph) -> None:
-    """`axial_function`'s checks on the way out, raising InputError."""
-    for v in g.vertices:
-        forms = [b for _, _, b in g.ends[v]]
-        if any(b >> g.n for b in forms):
-            raise ValueError("row wider than ncols")
-        if len(_top_basis(enumerate(forms))) != g.n:
-            raise InputError(f"axial labels at vertex {v} do not form a basis")
-    if g.incongruent:
-        e = g.incongruent[0]
-        v, w = g.edges[e]
-        raise InputError(f"axial labels at {v} and {w} do not agree mod alpha({e})")
+    return GkmGraph(p.n, sk.vertices, sk.edges, axial)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
 (rows[0] is all 0).  `base_chain` walks a triangulation or the face
 complex once into its rows, kept on the triangulation or the poset;
 QuotientComplex lifts them through the isotropy gluing of a
-characteristic function; `betti_mod2` reads any rows.  `is_face_acyclic`
-runs the paper's criterion on the base rows, gathered per face by
-`_carried`, which `validate_carriers` shares; on the face complex the
-criterion is the CW gate.  The walk and the gather read the poset's
-up-set masks.
+characteristic function; `betti_mod2` reads and checks any rows.
+`is_face_acyclic` runs the paper's criterion on the base rows, gathered
+per face by `_carried`, which `validate_carriers` shares; on the face
+complex the criterion is the CW gate.  The walk and the gather read the
+poset's up-set masks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .charfunc import CharFunction, isotropy
 from .errors import InputError, PreconditionError
 from .gf2 import bit_indices, chain_ranks
-from .poset import FacePoset, kept
+from .poset import FacePoset, kept, validate
 
 Simplex = tuple[int, ...]
 
@@ -129,10 +129,12 @@ class BaseChain(NamedTuple):
 
 
 def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
-    """Walk base once: each cell's carrier and boundary row, the closure and
-    carrier-monotonicity findings, and, when there are none, boundary² = 0,
-    which raises ValueError when it fails.  A carrier is tested against its
-    cell's with a bit of the poset's up-set masks `p._up`."""
+    """Walk base once: each cell's carrier and boundary row, and the closure
+    and carrier-monotonicity findings.  A carrier is tested against its
+    cell's with a bit of the poset's up-set masks `p._up`.  Boundary² = 0
+    is not checked: on a closed triangulation the boundary of the boundary
+    of a simplex lists each codim-2 face twice, and on the face complex of
+    a sound poset every length-two interval has two middle faces."""
     p = base.poset
     up = p._up
     kind = "simplex" if isinstance(base, CarrierComplex) else "face"
@@ -165,8 +167,6 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
                     bits |= 1 << j
             out.append(bits)
         rows.append(tuple(out))
-    if not (closure or wrong):
-        _check_squares(rows)
 
     def in_order(found: list[tuple[Hashable, str]]) -> tuple[str, ...]:
         return tuple(line for _, line in sorted(found, key=lambda x: x[0]))
@@ -186,11 +186,14 @@ def _kept_chain(p: FacePoset, triangulation: CarrierComplex | None = None) -> Ba
 def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
     """base's chain, walked once per triangulation, kept on it, or once per
     poset for its face complex, kept on the poset.  Raises InputError when
-    base is not closed or a boundary leaves its cell's carrier."""
+    base is not closed, a boundary leaves its cell's carrier, or, for the
+    face complex, the poset is not sound (read from its kept findings)."""
     triangulation = base if isinstance(base, CarrierComplex) else None
     chain = _kept_chain(base.poset, triangulation)
     if chain.closure or chain.wrong_carriers:
         raise InputError([*chain.closure, *chain.wrong_carriers])
+    if triangulation is None and not validate(base.poset).sound:
+        raise InputError(validate(base.poset).witnesses())
     return chain
 
 
@@ -206,17 +209,18 @@ class QuotientComplex:
     d-cells and rows[d] their boundaries, in the module's row form.
 
     The rows are lifted from base's chain (`base_chain`), where closure,
-    carriers and boundary² = 0 were checked once: the row of (c, g) is
-    the XOR of (c', rep(g + G_f')) over the cells c' in the row of c, f'
-    being the carrier of c'.  Boundary² = 0 on the model follows from the
-    base's.  Take c' in the boundary of c and c'' in that of c', with
-    carriers f'' <= f' <= f.  A smaller face lies in more facets, so
+    carriers and, for the face complex, soundness were checked once: the
+    row of (c, g) is the XOR of (c', rep(g + G_f')) over the cells c' in
+    the row of c, f' being the carrier of c'.  Boundary² = 0 on the model
+    follows from the base's, which holds by construction (see `_walk`).
+    Take c' in the boundary of c and c'' in that of c', with carriers
+    f'' <= f' <= f.  A smaller face lies in more facets, so
     G_f <= G_f' <= G_f'', and coset drops compose:
     rep(rep(g + G_f') + G_f'') = rep(g + G_f'').  Every path from (c, g)
     down to c'' thus ends at the one cell (c'', rep(g + G_f'')), and the
     coefficient of (c'', h) in the boundary² of (c, g) is 0 or the number
     of paths from c to c'' in base, which is even as boundary² = 0 there.
-    The tests check the models as well.
+    The tests check the bases and the models.
     """
 
     def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from paper_checks import blowup_counts_check
 from restrictions import restrict
 
-from z2torus import blowup, charfunc, corpus, poset
+from z2torus import charfunc, corpus, poset
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction, validate_lambda
 from z2torus.complexes import CarrierComplex, base_chain, betti_mod2, is_face_acyclic
@@ -317,12 +317,17 @@ class TestCoversAgainstBruteForce:
         ],
     )
     def test_one_old_face_above_each_new_face(self, drop, add, hits):
+        # without one old face above (p12, S) on the facets of p12 minus S
+        # the poset is not sound, and the input check refuses it first
         inst = corpus.triangle()
         p = inst.poset
         codims = dict(p.codims) | {g: 0 for g in add}
         covers = (set(p.covers) - drop) | set(add.values())
-        with pytest.raises(InputError, match=f"p12 has {hits} faces above it on the facets \\[\\]"):
-            cut_face(FacePoset(p.n, codims, covers), inst.lam, "p12")
+        q = FacePoset(p.n, codims, covers)
+        assert sum(q.leq("p12", h) for h in q.faces() if not q.facets_containing(h)) == hits
+        with pytest.raises(InputError) as err:
+            cut_face(q, inst.lam, "p12")
+        assert err.value.messages == ["cut input fails validation"] + validate(q).witnesses()
 
 
 def lam_of(**values):
@@ -351,7 +356,8 @@ class TestInputChecked:
 
     def test_simplicial_finding_past_the_cover_rules_is_refused(self):
         # a second edge e2 beside EX0Y0, on the same two facets and over
-        # the same two vertices; V111 is far from it, so the cover rules hold
+        # the same two vertices; V111 is far from it, so only the input
+        # check, which runs before the cut, sees it
         p = corpus.cube().poset
         codims = dict(p.codims, e2=2)
         covers = set(p.covers) | {("e2", "X0"), ("e2", "Y0"), ("V000", "e2"), ("V001", "e2")}
@@ -363,7 +369,7 @@ class TestInputChecked:
     @pytest.mark.parametrize("name", ["triangle", "square_torus", "bigon", "cube"])
     def test_every_cut_of_every_single_edit(self, name):
         # on a sound edit every cut is sound with independent labels, and an
-        # unsound one is refused, by the cover rules or by the input check
+        # unsound one is refused by the input check
         inst = corpus.BUILDERS[name]()
         sound = refused = 0
         for e in edits(inst.poset):
@@ -376,7 +382,7 @@ class TestInputChecked:
                 if not 2 <= p.codim(f) <= p.n:
                     continue
                 if not good:
-                    with pytest.raises(InputError):
+                    with pytest.raises(InputError, match="^cut input fails validation"):
                         cut_face(p, lam, f)
                     refused += 1
                     continue
@@ -400,7 +406,7 @@ class TestInputChecked:
 
         monkeypatch.setattr(poset, "_findings", counted(poset._findings.__wrapped__))
         lam_check = counted(charfunc.validate_lambda.__wrapped__)
-        monkeypatch.setattr(blowup, "validate_lambda", lam_check)
+        monkeypatch.setattr(charfunc, "validate_lambda", lam_check)
         inst = corpus.cube()
         p, lam = inst.poset, inst.lam
         posets = []

@@ -11,14 +11,17 @@ from paper_checks import facial_components
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
+from z2torus.charfunc import CharFunction
 from z2torus.complexes import (
     FaceComplex,
+    QuotientComplex,
     _walk,
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
 )
-from z2torus.errors import PreconditionError
+from z2torus.errors import InputError, PreconditionError
+from z2torus.gf2 import Vec
 from z2torus.instance import parse_instance
 from z2torus.model import build_quotient, formality_verdict
 from z2torus.poset import FacePoset, order_complex, validate
@@ -177,7 +180,19 @@ def test_gate_names_five_faces_by_dimension_and_counts_the_rest():
 
 
 def test_gate_checks_that_boundaries_square_to_zero():
-    # v < E < Q with no second middle face: the boundary of Q's boundary is v
+    # v < E < Q with no second middle face: the boundary of Q's boundary is
+    # v.  Only a sound poset's face complex squares to zero, so the chain is
+    # refused with validate's findings, which name v, before it is read.
     p = FacePoset(2, {"Q": 0, "E": 1, "v": 2}, {("v", "E"), ("E", "Q")})
-    with pytest.raises(ValueError, match="composite"):
-        is_face_acyclic(FaceComplex(p))
+    found = validate(p).witnesses()
+    assert found and all(line.startswith("face v") for line in found)
+    lam = CharFunction(2, {"E": Vec.from_string("10")})
+    for refused in (
+        lambda: is_face_acyclic(FaceComplex(p)),
+        lambda: face_acyclicity(p),
+        lambda: formality_verdict(p, lam),
+        lambda: QuotientComplex(FaceComplex(p), lam),
+    ):
+        with pytest.raises(InputError) as err:
+            refused()
+        assert err.value.messages == found

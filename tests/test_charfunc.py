@@ -22,7 +22,6 @@ from z2torus.charfunc import (
     GkmGraph,
     LambdaReport,
     Subgroup,
-    _check_axial,
     axial_function,
     isotropy,
     m_involution_check,
@@ -30,6 +29,7 @@ from z2torus.charfunc import (
 )
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec, mod_line
+from z2torus.gkm import eliminated_hilbert, equivariant_hilbert, flow_up_degrees
 from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import FacePoset, validate
 
@@ -343,21 +343,29 @@ class TestAxialFunction:
             axial_function(inst.poset, inst.lam)
 
     def test_non_basis_at_vertex(self):
+        # refused before any form is solved, with validate_lambda's findings
         p = corpus.square_torus().poset
         bad = lam_of(L="10", B="10", R="01", T="01")
-        with pytest.raises(InputError, match="basis"):
+        with pytest.raises(InputError) as err:
             axial_function(p, bad)
+        assert err.value.messages == [
+            "gkm input fails validation",
+            "face BL: facet labels ['10', '10'] of ['B', 'L'] are dependent",
+            "face TR: facet labels ['01', '01'] of ['R', 'T'] are dependent",
+        ]
 
     def test_one_edited_label_breaks_the_congruence(self):
         """EX0Y0 runs in the z direction; labelled y + z instead, the labels
         at its ends still form bases, but across the x edge at one end they
-        read {0, y, y + z} and {0, y, z} mod x."""
+        read {0, y, y + z} and {0, y, z} mod x.  The graph names both x
+        edges, gets no flow-up basis, and its dims come from elimination."""
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
-        _check_axial(g)
+        assert g.incongruent == ()
         g = GkmGraph(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
-        with pytest.raises(InputError, match="do not agree mod alpha"):
-            _check_axial(g)
+        assert g.incongruent == ("EY0Z0", "EY0Z1")
+        assert flow_up_degrees(g) is None
+        assert equivariant_hilbert(g, 6) == eliminated_hilbert(g, 6)
 
     def test_graph_is_read_only(self):
         """Edges and forms are read-only copies: a graph cannot be edited
@@ -378,7 +386,8 @@ class TestAxialFunction:
         """K4 with x0, x1, x2 on the edges at v0 and the same forms on the
         opposite edges is a GKM graph.  With v2v3 (e5) relabelled x0 + x1,
         the forms at each vertex are still a basis and still agree across
-        e5, but not across v0v3 (e2) and v1v2 (e3): e2 is named."""
+        e5, but not across v0v3 (e2) and v1v2 (e3): both are named, and
+        the dims come from elimination."""
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
         edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
 
@@ -387,13 +396,11 @@ class TestAxialFunction:
             return GkmGraph(3, ("v0", "v1", "v2", "v3"), edges, axial)
 
         g = k4([1, 2, 4, 4, 2, 1])
-        _check_axial(g)
         assert g.incongruent == ()
         g = k4([1, 2, 4, 4, 2, 3])
         assert g.incongruent == ("e2", "e3")
-        want = r"^axial labels at v0 and v3 do not agree mod alpha\(e2\)$"
-        with pytest.raises(InputError, match=want):
-            _check_axial(g)
+        assert flow_up_degrees(g) is None
+        assert equivariant_hilbert(g, 6) == eliminated_hilbert(g, 6)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -29,7 +29,7 @@ from thom_classes import (
 
 from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function
+from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec, lowest_bit
 from z2torus.gkm import (
@@ -659,35 +659,55 @@ def cube_in_a_random_basis(draw):
     return inst.poset, change_basis(inst.lam, images)
 
 
+def assert_gkm_graph(g):
+    """What `axial_function` does not check on the graph it returns: the
+    forms at each vertex are a basis, and no edge is incongruent."""
+    assert g.incongruent == ()
+    for v in g.vertices:
+        assert Matrix(tuple(b for _, _, b in g.ends[v]), g.n).rank() == g.n, v
+
+
 class TestAxialSharing:
-    """One nullspace per facet-label set gives the forms, and the errors,
-    of one nullspace per edge."""
+    """One nullspace per facet-label set gives the forms of one nullspace
+    per edge, on graphs that are GKM by construction."""
 
     @pytest.mark.parametrize("name", list(AXIAL_SWEEP))
     def test_sweep(self, name):
         inst = AXIAL_SWEEP[name]()
-        assert axial_function(inst.poset, inst.lam).axial == per_edge_axial(inst.poset, inst.lam)
+        g = axial_function(inst.poset, inst.lam)
+        assert g.axial == per_edge_axial(inst.poset, inst.lam)
+        assert_gkm_graph(g)
 
     @settings(max_examples=40, deadline=None)
     @given(cut_chain())
     def test_cut_chains(self, cut):
-        assert axial_function(*cut).axial == per_edge_axial(*cut)
+        g = axial_function(*cut)
+        assert g.axial == per_edge_axial(*cut)
+        assert_gkm_graph(g)
 
     @settings(max_examples=60, deadline=None)
     @given(cube_in_a_random_basis())
     def test_random_label_bases(self, case):
-        assert axial_function(*case).axial == per_edge_axial(*case)
+        g = axial_function(*case)
+        assert g.axial == per_edge_axial(*case)
+        assert_gkm_graph(g)
 
     def test_shared_dependent_label_set_names_the_first_edge(self):
         """Y1 labelled like X0 and X1: EX0Y1 and EX1Y1 both lie in two
-        facets labelled 100, after EX0Y0 has been solved."""
+        facets labelled 100, after EX0Y0 has been solved.  axial_function
+        refuses the labels with validate_lambda's findings before it
+        solves a form; the per-edge oracle names EX0Y1."""
         inst = corpus.cube()
         values = dict(inst.lam.values) | {"Y1": Vec.from_string("100")}
         lam = CharFunction(3, values)
+        with pytest.raises(InputError) as err:
+            axial_function(inst.poset, lam)
+        found = validate_lambda(inst.poset, lam).witnesses()
+        assert found[0] == "face EX0Y1: facet labels ['100', '100'] of ['X0', 'Y1'] are dependent"
+        assert err.value.messages == ["gkm input fails validation"] + found
         want = "^edge EX0Y1: functional not unique, nullspace has dimension 2$"
-        for solve in (axial_function, per_edge_axial):
-            with pytest.raises(InputError, match=want):
-                solve(inst.poset, lam)
+        with pytest.raises(InputError, match=want):
+            per_edge_axial(inst.poset, lam)
 
 
 class TestGkmWarning:

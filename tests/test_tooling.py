@@ -74,6 +74,7 @@ NEVER_ENTERED = {
     "complexes.CarrierReport.witnesses": ERROR,
     "complexes.FaceComplex.__repr__": DUNDER,
     "complexes.QuotientComplex.cell_count": PERFBENCH,
+    "complexes._check_squares": PERFBENCH,  # read only by betti_mod2
     "complexes.betti_mod2": PERFBENCH,
     "corpus._lam": CORPUS,
     "corpus._renamed": CORPUS,
@@ -95,6 +96,7 @@ NEVER_ENTERED = {
     "corpus.triangle": CORPUS,
     "errors.InputError.__init__": ERROR,
     "gf2.Matrix.__str__": DUNDER,
+    "gf2.Matrix.nrows": PERFBENCH,  # read by perfbench/tracer.py
     "gf2.Vec.__repr__": DUNDER,
     "gf2.Vec.support": ELIMINATION,
     "gf2.Vec.unit": CORPUS,
