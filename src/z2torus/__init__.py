@@ -20,7 +20,6 @@ from .codes import BinaryCode, facet_code, is_self_dual, min_distance
 from .complexes import (
     AcyclicityReport,
     CarrierComplex,
-    FaceComplex,
     QuotientComplex,
     betti_mod2,
     face_acyclicity,
@@ -56,7 +55,6 @@ __all__ = [
     "CharFunction",
     "CutResult",
     "FHVector",
-    "FaceComplex",
     "FacePoset",
     "FormalityVerdict",
     "GkmGraph",

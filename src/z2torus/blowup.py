@@ -23,7 +23,6 @@ class CutResult:
     poset: FacePoset
     lam: CharFunction
     new_facet: str
-    provenance: dict[str, list[str]]
 
 
 def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
@@ -119,7 +118,4 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     values[new_facet] = label
     lam2 = CharFunction(lam.n, values)
 
-    provenance: dict[str, list[str]] = {g: [g] for g in old}
-    for g in below_f:
-        provenance[g] = sorted(ids[g])
-    return CutResult(poset2, lam2, new_facet, provenance)
+    return CutResult(poset2, lam2, new_facet)

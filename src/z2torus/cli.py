@@ -69,13 +69,13 @@ def frag_hvector(inst: Instance) -> Fragment:
 
 def frag_betti(inst: Instance) -> Fragment:
     _need_lambda(inst)
-    v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+    v = formality_verdict(inst.base, inst.lam)
     return [f"mode={v.mode} betti={v.betti} sum={v.sum_betti}"], 0
 
 
 def frag_formality(inst: Instance) -> Fragment:
     _need_lambda(inst)
-    v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+    v = formality_verdict(inst.base, inst.lam)
     crit = ("" if v.mode == "B" else "surrogate-") + _b(v.criterion)
     lines = [
         f"fixed_points={v.n_vertices} betti={v.betti} h={v.h} "
@@ -106,7 +106,7 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
     lines = [
         f"equivariant_dims={eq} face_ring_dims={fr} max_deg={max_deg} match={_b(eq == fr)}"
     ]
-    v = formality_verdict(p, inst.lam, inst.triangulation)
+    v = formality_verdict(inst.base, inst.lam)
     if not v.hsiang:
         lines.append(
             "warning: model not formal; equivariant dims are the restriction image only"
@@ -117,14 +117,14 @@ def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
 def frag_code(inst: Instance) -> Fragment:
     _need_lambda(inst)
     p = inst.poset
-    acyclic = face_acyclicity(p, inst.triangulation).verdict
+    acyclic = face_acyclicity(inst.base).verdict
     inv = m_involution_check(p, inst.lam, acyclic)
     if inv.exists:
         lines = [f"m_involution=true g={inv.g}"]
     else:
         lines = [f"m_involution=false ({'; '.join(inv.reasons)})"]
     try:
-        code = facet_code(p, inst.lam)
+        code = facet_code(p)
     except PreconditionError as exc:
         lines.append(f"code: skipped ({exc})")
         return lines, 2

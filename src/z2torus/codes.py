@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charfunc import CharFunction
 from .errors import PreconditionError
 from .gf2 import Matrix, Vec
 from .poset import FacePoset
@@ -31,7 +30,7 @@ class BinaryCode:
         return [str(Vec(r, self.length)) for r in self.gen.rows]
 
 
-def facet_code(p: FacePoset, lam: CharFunction) -> BinaryCode:
+def facet_code(p: FacePoset) -> BinaryCode:
     """Code generated by facet-vertex incidence vectors.
 
     Caller is responsible for the m-involution existing (that is what

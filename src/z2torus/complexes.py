@@ -6,18 +6,19 @@ the face of Q whose relative interior contains the cell's interior (its
 carrier), and gives each cell's boundary cells, every incidence being 1
 mod 2.  Two kinds exist: a carrier complex, whose cells are simplices
 (instances may supply one, a genuine triangulation of Q), and the face
-complex, whose cells are all the faces of Q.
+poset itself, whose cells are all the faces of Q (`FacePoset`).  Every
+function over a cell complex takes it first, and `poset.kept` keeps its
+results there.
 
 Every mod-2 chain complex here has one form, its rows: rows[d][i] is
 the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
-(rows[0] is all 0).  `base_chain` walks a triangulation or the face
-complex once into its rows, kept on the triangulation or the poset;
-QuotientComplex lifts them through the isotropy gluing of a
-characteristic function; `betti_mod2` reads and checks any rows.
-`is_face_acyclic` runs the paper's criterion on the base rows, gathered
-per face by `_carried`, which `validate_carriers` shares; on the face
-complex the criterion is the CW gate.  The walk and the gather read the
-poset's up-set masks.
+(rows[0] is all 0).  `base_chain` walks a triangulation or the poset
+once into its rows, kept on it; QuotientComplex lifts them through the
+isotropy gluing of a characteristic function; `betti_mod2` reads and
+checks any rows.  `is_face_acyclic` runs the paper's criterion on the
+base rows, gathered per face by `_carried`, which `validate_carriers`
+shares; on the poset the criterion is the CW gate.  The walk and the
+gather read the poset's up-set masks.
 """
 
 from __future__ import annotations
@@ -72,39 +73,6 @@ class CarrierComplex:
         return f"CarrierComplex(points={self.n_points}, simplices={len(self.simplices)})"
 
 
-class FaceComplex:
-    """All the faces of Q as the cells of a regular cell complex.
-
-    Each face is a cell of its own dimension, carried by itself, with
-    the faces it covers as its boundary.  The boolean upper intervals
-    that `poset.validate` checks give every length-two interval exactly
-    two middle elements, so these incidence-1 boundaries square to zero.
-    The homology is that of Q's cell structure once every face's
-    boundary is a mod-2 homology sphere (see `face_acyclicity`).
-    """
-
-    def __init__(self, poset: FacePoset):
-        self.poset = poset
-
-    def by_dim(self) -> list[list[str]]:
-        p = self.poset
-        out: list[list[str]] = [
-            [] for _ in range(max((p.dim_face(f) + 1 for f in p.codims), default=0))
-        ]
-        for f in sorted(p.codims):
-            out[p.dim_face(f)].append(f)
-        return out
-
-    def carrier(self, f: str) -> str:
-        return f
-
-    def boundary(self, f: str) -> list[str]:
-        return self.poset.children(f)
-
-    def __repr__(self) -> str:
-        return f"FaceComplex(faces={len(self.poset.codims)})"
-
-
 def _facets(sx: Simplex) -> list[Simplex]:
     return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
@@ -128,13 +96,13 @@ class BaseChain(NamedTuple):
     wrong_carriers: tuple[str, ...] = ()
 
 
-def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
+def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
     """Walk base once: each cell's carrier and boundary row, and the closure
     and carrier-monotonicity findings.  A carrier is tested against its
     cell's with a bit of the poset's up-set masks `p._up`.  Boundary² = 0
     is not checked: on a closed triangulation the boundary of the boundary
-    of a simplex lists each codim-2 face twice, and on the face complex of
-    a sound poset every length-two interval has two middle faces."""
+    of a simplex lists each codim-2 face twice, and in a sound poset every
+    length-two interval has two middle faces."""
     p = base.poset
     up = p._up
     kind = "simplex" if isinstance(base, CarrierComplex) else "face"
@@ -178,29 +146,27 @@ def _walk(base: CarrierComplex | FaceComplex) -> BaseChain:
 
 
 @kept
-def _kept_chain(p: FacePoset, triangulation: CarrierComplex | None = None) -> BaseChain:
-    """The walk of a triangulation of p, or of p's whole face complex."""
-    return _walk(FaceComplex(p) if triangulation is None else triangulation)
+def _kept_chain(base: CarrierComplex | FacePoset) -> BaseChain:
+    """The walk of base, kept on it."""
+    return _walk(base)
 
 
-def base_chain(base: CarrierComplex | FaceComplex) -> BaseChain:
-    """base's chain, walked once per triangulation, kept on it, or once per
-    poset for its face complex, kept on the poset.  Raises InputError when
+def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
+    """base's chain, walked once and kept on base.  Raises InputError when
     base is not closed, a boundary leaves its cell's carrier, or, for the
-    face complex, the poset is not sound (read from its kept findings)."""
-    triangulation = base if isinstance(base, CarrierComplex) else None
-    chain = _kept_chain(base.poset, triangulation)
+    poset, it is not sound (read from its kept findings)."""
+    chain = _kept_chain(base)
     if chain.closure or chain.wrong_carriers:
         raise InputError([*chain.closure, *chain.wrong_carriers])
-    if triangulation is None and not validate(base.poset).sound:
-        raise InputError(validate(base.poset).witnesses())
+    if base is base.poset and not validate(base).sound:
+        raise InputError(validate(base).witnesses())
     return chain
 
 
 class QuotientComplex:
     """Mod-2 chain complex of (base x GF(2)^n) / isotropy.
 
-    `base` is a CarrierComplex or a FaceComplex, and lam a characteristic
+    `base` is a CarrierComplex or a FacePoset, and lam a characteristic
     function.  (x, g) ~ (x, g') whenever g - g' lies in the isotropy
     subgroup of the carrier of x: a cell with carrier f becomes one cell
     per coset of G_f, written (cell, canonical coset representative).
@@ -209,7 +175,7 @@ class QuotientComplex:
     d-cells and rows[d] their boundaries, in the module's row form.
 
     The rows are lifted from base's chain (`base_chain`), where closure,
-    carriers and, for the face complex, soundness were checked once: the
+    carriers and, for the poset, soundness were checked once: the
     row of (c, g) is the XOR of (c', rep(g + G_f')) over the cells c' in
     the row of c, f' being the carrier of c'.  Boundary² = 0 on the model
     follows from the base's, which holds by construction (see `_walk`).
@@ -223,7 +189,7 @@ class QuotientComplex:
     The tests check the bases and the models.
     """
 
-    def __init__(self, base: CarrierComplex | FaceComplex, lam: CharFunction):
+    def __init__(self, base: CarrierComplex | FacePoset, lam: CharFunction):
         self.base = base
         self.lam = lam
         self.n = lam.n
@@ -395,11 +361,11 @@ def _carried(
         yield f, sub
 
 
-def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
+def is_face_acyclic(base: CarrierComplex | FacePoset) -> AcyclicityReport:
     """Is every face's subcomplex, the cells carried inside it, mod-2 acyclic?
 
     Each face's subcomplex is a set of rows of base's one chain complex
-    (`_carried`), read at its own size.  On the face complex this is the
+    (`_carried`), read at its own size.  On the poset this is the
     CW gate (Bjorner, "Posets, regular CW complexes and Bruhat order",
     1984): for f of dimension d >= 1 the boundary of the cell f is a
     (d-1)-cycle of f's boundary, which has no d-cells to bound it, so the
@@ -418,14 +384,14 @@ def is_face_acyclic(base: CarrierComplex | FaceComplex) -> AcyclicityReport:
 
 
 @kept
-def face_acyclicity(p: FacePoset, triangulation: CarrierComplex | None = None) -> AcyclicityReport:
-    """The criterion on a triangulation (mode B), kept on it, or on the face
-    complex as the CW gate of mode A, kept on p, whose failure raises
+def face_acyclicity(base: CarrierComplex | FacePoset) -> AcyclicityReport:
+    """The criterion on base, kept on it: on a triangulation (mode B), or on
+    the poset as the CW gate of mode A, whose failure raises
     PreconditionError on every call, as a call that raises keeps nothing."""
-    if triangulation is not None:
-        return is_face_acyclic(triangulation)
-    rep = is_face_acyclic(FaceComplex(p))
-    failing = sorted((p.dim_face(f), f) for f, b in rep.per_face.items() if any(b))
+    rep = is_face_acyclic(base)
+    if isinstance(base, CarrierComplex):
+        return rep
+    failing = sorted((base.dim_face(f), f) for f, b in rep.per_face.items() if any(b))
     if failing:
         named = ", ".join(f for _, f in failing[:5])
         more = f" and {len(failing) - 5} more" if len(failing) > 5 else ""
@@ -460,7 +426,7 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     """
     rep = CarrierReport()
     p = c.poset
-    chain = _kept_chain(p, c)  # the closure and carrier findings come from its walk
+    chain = _kept_chain(c)  # the closure and carrier findings come from its walk
     rep.closure += chain.closure
     rep.carriers += chain.wrong_carriers
     used = {v for sx in c.simplices for v in sx}

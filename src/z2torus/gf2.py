@@ -14,8 +14,9 @@ Two pivot rules, each where it pays:
 - Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`,
   `mod_line`) pivot on the lowest-index nonzero column, so reduced row
   echelon form is the canonical one, with rows ordered by pivot column.
-  Codes and coset representatives print these rows, so their rule stays
-  fixed.
+  Canonical is what they need: `codes.is_self_dual` compares two spans
+  by their forms, and a coset representative is one fixed element of
+  its coset.  Any fixed rule would do; no command prints these rows.
 """
 
 from __future__ import annotations

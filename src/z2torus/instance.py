@@ -58,6 +58,12 @@ class Instance:
     lam: CharFunction | None
     triangulation: CarrierComplex | None
 
+    @property
+    def base(self) -> CarrierComplex | FacePoset:
+        """The cell complex the model is built on: the triangulation in
+        mode B, else the poset."""
+        return self.poset if self.triangulation is None else self.triangulation
+
 
 def parse_instance(data: object) -> Instance:
     errors: list[str] = []

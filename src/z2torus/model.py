@@ -3,11 +3,11 @@
 Given a cell complex over Q and a characteristic function, the model
 is Q x GF(2)^n with (q, g) ~ (q, g') whenever g - g' lies in the
 isotropy subgroup of the carrier of q (complexes.QuotientComplex).  In
-mode B the cells are the simplices of the given triangulation.  In
-mode A they are the faces of Q themselves, one cell per (face, coset of
-its isotropy group): the small-cover cell structure of Davis and
-Januszkiewicz ("Convex polytopes, Coxeter orbifolds and torus actions",
-1991), valid once the face poset passes the CW gate.  Its mod-2
+mode B the cell complex is the given triangulation, and the cells are
+its simplices.  In mode A it is the face poset itself, one cell per
+(face, coset of its isotropy group): the small-cover cell structure of
+Davis and Januszkiewicz ("Convex polytopes, Coxeter orbifolds and torus
+actions", 1991), valid once the face poset passes the CW gate.  Its mod-2
 homology is the ground truth the closed-form criteria are compared
 against.
 """
@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charfunc import CharFunction, isotropy
-from .complexes import CarrierComplex, FaceComplex, QuotientComplex, face_acyclicity
+from .charfunc import CharFunction, isotropy, require_valid
+from .complexes import CarrierComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
 from .gf2 import Vec
 from .poset import FacePoset, fh_vectors, kept
 
 
-def build_quotient(c: CarrierComplex | FaceComplex, lam: CharFunction) -> QuotientComplex:
+def build_quotient(c: CarrierComplex | FacePoset, lam: CharFunction) -> QuotientComplex:
     return QuotientComplex(c, lam)
 
 
@@ -36,7 +36,12 @@ class FixedLocus:
 
 def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     """Maximal faces whose isotropy contains g; the preimage of their
-    union is the fixed set of the subgroup element g."""
+    union is the fixed set of the subgroup element g.  Raises InputError
+    unless p and lam pass validation (`require_valid`) and g has lam's
+    width."""
+    require_valid(p, lam, "fixed-locus")
+    if g.n != lam.n:
+        raise InputError(f"g has {g.n} bits, lambda has width {lam.n}")
     if g.is_zero():
         raise InputError("g = 0 fixes everything; ask about a nonzero element")
     hits = [(1 << i, f) for i, f in enumerate(p.faces()) if isotropy(p, lam, f).contains(g)]
@@ -61,23 +66,25 @@ class FormalityVerdict:
 
 
 @kept
-def formality_verdict(
-    p: FacePoset, lam: CharFunction, triangulation: CarrierComplex | None = None
-) -> FormalityVerdict:
-    """The three formality tests and their mutual consistency.
+def formality_verdict(base: CarrierComplex | FacePoset, lam: CharFunction) -> FormalityVerdict:
+    """The three formality tests on the model over base and their mutual
+    consistency: mode B on a triangulation, mode A on the poset itself.
 
     hsiang: total mod-2 Betti number of the model equals the number of
     fixed points (the lower bound is attained).
     criterion: every face subcomplex is mod-2 acyclic (`face_acyclicity`).
-    In mode A the same check on the face complex is the CW gate, which
-    raises PreconditionError when it fails, so there it holds once the
-    model exists.  The mode label travels with the verdict.
+    In mode A the same check on the poset is the CW gate, which raises
+    PreconditionError when it fails, so there it holds once the model
+    exists.  The mode label travels with the verdict.
     h_identity: Betti vector equals the h-vector.
-    The verdict is kept with lam on the triangulation, or on p in mode A,
-    until a call for another lam takes its place; its model is not kept.
+    Raises InputError unless the poset and lam pass validation
+    (`require_valid`).  The verdict is kept with lam on base until a call
+    for another lam takes its place; its model is not kept.
     """
-    mode, base = ("A", FaceComplex(p)) if triangulation is None else ("B", triangulation)
-    acyc = face_acyclicity(p, triangulation)
+    p = base.poset
+    require_valid(p, lam, "model")
+    mode = "B" if isinstance(base, CarrierComplex) else "A"
+    acyc = face_acyclicity(base)
     q = build_quotient(base, lam)
     criterion, witnesses = acyc.verdict, tuple(acyc.witnesses())
     betti = q.betti()

@@ -28,28 +28,21 @@ T = TypeVar("T")
 
 
 def kept(fn: Callable[..., T]) -> Callable[..., T]:
-    """Keep fn's last result on the object it describes: the call's last
-    argument when that keeps results too (a triangulation), else its first
-    (the poset).  Trailing None arguments are dropped first, so f(p, lam)
-    and f(p, lam, None) share the result.  It is kept with the call's other
-    arguments, held strongly and compared by identity; a call with any
-    other objects computes afresh and takes over fn's one slot.  Those
-    arguments and the result never refer to their owner (a poset does not
-    refer to its triangulations), so a dropped owner is freed at once.  A
-    call that raises keeps nothing.  Callers share the result and must not
-    change it.  Arguments are passed by position only."""
+    """Keep fn's last result on its first argument, the object it describes
+    (a poset, or a triangulation), with the call's other arguments, held
+    strongly and compared by identity; a call with any other objects
+    computes afresh and takes over fn's one slot.  Those arguments and the
+    result never refer to their owner (a poset does not refer to its
+    triangulations), so a dropped owner is freed at once.  A call that
+    raises keeps nothing.  Callers share the result and must not change
+    it.  Arguments are passed by position only, and fn has no defaults: a
+    default would give one result two slots."""
 
     @wraps(fn)
-    def keep(*args: Any) -> T:
-        while args[-1] is None:
-            args = args[:-1]
-        if hasattr(args[-1], "_kept"):  # a triangulation, or the poset alone
-            owner, rest = args[-1], args[:-1]
-        else:
-            owner, rest = args[0], args[1:]
+    def keep(owner: Any, *rest: Any) -> T:
         slot = owner._kept.get(fn)
         if slot is None or len(slot[0]) != len(rest) or not all(map(is_, slot[0], rest)):
-            slot = owner._kept[fn] = (rest, fn(*args))
+            slot = owner._kept[fn] = (rest, fn(owner, *rest))
         return slot[1]
 
     return keep
@@ -59,8 +52,17 @@ class FacePoset:
     """Graded face poset with the canonical face and cover orders and, for
     each face, the faces above it and its facets as bitmasks over the face
     order (a face's own bit is the top bit of its up-set); every containment
-    query reads those masks.  The `kept` functions keep on it the results
-    of calls given no triangulation."""
+    query reads those masks.  The `kept` functions keep their results on it.
+
+    It is also its own face complex, the cell complex over Q of mode A, as
+    a `complexes.CarrierComplex` is that of mode B: each face is a cell of
+    its own dimension, carried by itself, with the faces it covers as its
+    boundary.  The boolean upper intervals that `validate` checks give
+    every length-two interval exactly two middle elements, so these
+    incidence-1 boundaries square to zero.  The homology is that of Q's
+    cell structure once every face's boundary is a mod-2 homology sphere
+    (see `complexes.face_acyclicity`).
+    """
 
     def __init__(self, n: int, codims: dict[str, int], covers: Iterable[tuple[str, str]]):
         if n < 0:
@@ -131,6 +133,19 @@ class FacePoset:
     def children(self, f: str) -> list[str]:
         """The faces f covers: its faces of one dimension less."""
         return self._children[f]
+
+    boundary = children
+
+    @property
+    def poset(self) -> FacePoset:
+        return self
+
+    def carrier(self, f: str) -> str:
+        return f
+
+    def by_dim(self) -> list[list[str]]:
+        """The faces by dimension, each level in id order."""
+        return [self.faces_of_codim(self.n - d) for d in range(self.n + 1)]
 
     def leq(self, f: str, g: str) -> bool:
         """True iff face f is contained in face g: g's up-set is inside f's."""

@@ -96,7 +96,7 @@ def test_03_three_torus_over_the_cube():
         assert q.betti() == (1, 3, 3, 1)
         assert q.betti() == fh_vectors(inst.poset).h
         assert len(inst.poset.vertices()) == 8
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert (code.length, code.dim, min_distance(code)) == (8, 4, 4)
         assert is_self_dual(code)
     print(f"\nACCEPTANCE 3: PASS (cube: Betti (1,3,3,1), 8 fixed, "
@@ -109,7 +109,7 @@ def test_04_gkm_dimensions_match_the_face_ring():
                  "cut_triangle", "cut_cube_vertex")
         for name in names:
             inst = corpus.BUILDERS[name]()
-            v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+            v = formality_verdict(inst.base, inst.lam)
             assert v.hsiang, name
             max_deg = inst.poset.n + 2
             eq = equivariant_hilbert(axial_function(inst.poset, inst.lam), max_deg)
@@ -140,7 +140,7 @@ def test_06_annulus_negative_instance():
         assert len(inst.poset.vertices()) == 0
         c, q = model_of(inst)
         assert sum(q.betti()) == 4
-        v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+        v = formality_verdict(inst.base, inst.lam)
         assert not v.hsiang and not v.criterion and v.hsiang == v.criterion
         assert facial_components(q, "F1") == 2
     print(f"\nACCEPTANCE 6: PASS (annulus: not face-acyclic, 0 fixed, sum 4, "
@@ -195,7 +195,7 @@ def test_09_face_restrictions_of_formal_instances_are_formal():
         checked = 0
         for name in FORMAL_CORPUS:
             inst = corpus.BUILDERS[name]()
-            v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+            v = formality_verdict(inst.base, inst.lam)
             assert v.hsiang and v.agree, name
             for f in inst.poset.faces():
                 sub, lam2 = face_restriction(inst.poset, inst.lam, f)

@@ -451,11 +451,12 @@ M_INVOLUTION_SWEEP = dict(corpus.BUILDERS)
 M_INVOLUTION_SWEEP.update({f"ncube({n})": lambda n=n: corpus.ncube(n) for n in (1, 2, 3, 4)})
 
 
-def assert_matches_brute_force(p, lam, tri):
+def assert_matches_brute_force(base, lam):
     """Every nonzero g of GF(2)^n through `fixed_locus`: the check reports
     an m-involution iff some g fixes a discrete set of sum b_i points,
     and the g it reports is one of them."""
-    verdict = formality_verdict(p, lam, tri)
+    p = base.poset
+    verdict = formality_verdict(base, lam)
     fixing = []
     for bits in range(1, 1 << p.n):
         loc = fixed_locus(p, lam, Vec(bits, p.n))
@@ -473,13 +474,13 @@ class TestMInvolutionAgainstBruteForce:
     @pytest.mark.parametrize("name", list(M_INVOLUTION_SWEEP))
     def test_sweep(self, name):
         inst = M_INVOLUTION_SWEEP[name]()
-        assert_matches_brute_force(inst.poset, inst.lam, inst.triangulation)
+        assert_matches_brute_force(inst.base, inst.lam)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_cut_chains_and_label_bases(self, data):
         inst = M_INVOLUTION_SWEEP[data.draw(st.sampled_from(sorted(M_INVOLUTION_SWEEP)))]()
-        p, lam, tri = inst.poset, inst.lam, inst.triangulation
+        p, lam, base = inst.poset, inst.lam, inst.base
         # a permutation of the basis, then transvections e_i -> e_i + e_j:
         # together they generate every invertible change of basis
         images = [1 << i for i in data.draw(st.permutations(range(p.n)))]
@@ -493,8 +494,8 @@ class TestMInvolutionAgainstBruteForce:
             if not cuttable:
                 break
             cut = cut_face(p, lam, data.draw(st.sampled_from(cuttable)))
-            p, lam, tri = cut.poset, cut.lam, None
-        assert_matches_brute_force(p, lam, tri)
+            p, lam, base = cut.poset, cut.lam, cut.poset
+        assert_matches_brute_force(base, lam)
 
 
 class TestColoringClasses:

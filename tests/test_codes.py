@@ -26,14 +26,14 @@ def brute_min_weight(rows, length):
 class TestCube:
     def test_parameters(self):
         inst = corpus.cube()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.length == 8 and code.dim == 4
         assert min_distance(code) == 4
         assert is_self_dual(code)
 
     def test_rows_are_incidence_vectors(self):
         inst = corpus.cube()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.facets == ("X0", "X1", "Y0", "Y1", "Z0", "Z1")
         assert code.coordinates == tuple(inst.poset.vertices())
         assert code.rows() == [
@@ -48,35 +48,35 @@ class TestCube:
     def test_generators_have_even_weight(self):
         # self-orthogonal codes have even-weight generators
         inst = corpus.cube()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert all(r.bit_count() % 2 == 0 for r in code.gen.rows)
 
     def test_all_ones_is_a_codeword(self):
         # opposite facets partition the vertices, so each color class
         # sums to the all-ones vector
         inst = corpus.cube()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.gen.rows[0] ^ code.gen.rows[1] == (1 << 8) - 1
 
 
 class TestSmallCodes:
     def test_triangle(self):
         inst = corpus.triangle()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.length == 3 and code.dim == 2
         assert min_distance(code) == 2
         assert not is_self_dual(code)
 
     def test_square(self):
         inst = corpus.square_torus()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.length == 4 and code.dim == 3
         assert min_distance(code) == 2
         assert not is_self_dual(code)
 
     def test_segment(self):
         inst = corpus.segment()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.length == 2 and code.dim == 2
         assert code.rows() == ["10", "01"]
         assert min_distance(code) == 1
@@ -85,7 +85,7 @@ class TestSmallCodes:
     def test_cut_cube_is_not_self_dual(self):
         # ten vertices, odd ambient structure: verified, not assumed
         inst = corpus.cut_cube_vertex()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         assert code.length == 10
         assert not is_self_dual(code)
 
@@ -94,7 +94,7 @@ class TestGuards:
     def test_no_vertices(self):
         inst = corpus.annulus()
         with pytest.raises(PreconditionError, match="no vertices"):
-            facet_code(inst.poset, inst.lam)
+            facet_code(inst.poset)
 
     def test_zero_code(self):
         code = BinaryCode(4, Matrix.from_rows([0], 4), ("F",), ("a", "b", "c", "d"))
@@ -125,7 +125,7 @@ class TestMinDistance:
     def test_corpus_codes_agree_with_brute_force(self):
         for name in ("triangle", "square_torus", "cube", "segment", "bigon"):
             inst = corpus.BUILDERS[name]()
-            code = facet_code(inst.poset, inst.lam)
+            code = facet_code(inst.poset)
             assert min_distance(code) == brute_min_weight(
                 list(code.gen.rows), code.length
             ), name
@@ -135,7 +135,7 @@ class TestSelfDuality:
     def test_definition(self):
         # C = C^perp demands dim = length/2 and pairwise orthogonality
         inst = corpus.cube()
-        code = facet_code(inst.poset, inst.lam)
+        code = facet_code(inst.poset)
         rows = code.gen.rows
         for a in rows:
             for b in rows:

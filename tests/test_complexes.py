@@ -14,7 +14,6 @@ from z2torus.charfunc import CharFunction, isotropy
 from z2torus.complexes import (
     CarrierComplex,
     CarrierReport,
-    FaceComplex,
     QuotientComplex,
     _carried,
     _check_squares,
@@ -63,8 +62,8 @@ def assert_ranks_match_the_oracle(levels):
 
 def bases(p, triangulation=None):
     """The complexes over p that models are built on: the order complex,
-    the triangulation if there is one, and the face complex when its CW
-    gate passes."""
+    the triangulation if there is one, and p itself, its face complex,
+    when its CW gate passes."""
     out = [order_complex(p)]
     if triangulation is not None:
         out.append(triangulation)
@@ -72,7 +71,7 @@ def bases(p, triangulation=None):
         face_acyclicity(p)
     except PreconditionError:
         return out
-    return out + [FaceComplex(p)]
+    return out + [p]
 
 
 def models(inst):
@@ -275,7 +274,7 @@ def gathered_chains(p):
     """The chains `_carried` reads on p: its face complex's, when the walk
     has findings or its boundary squares to zero, and its order complex's,
     when p has one top face."""
-    chain = _walk(FaceComplex(p))
+    chain = _walk(p)
     try:
         if not (chain.closure or chain.wrong_carriers):
             _check_squares(chain.rows)
@@ -360,8 +359,8 @@ class TestChainRanks:
     @given(st.data())
     def test_random_cut_chains(self, data):
         p, lam = cut_chain(data)
-        assert_ranks_match_the_oracle(QuotientComplex(FaceComplex(p), lam).rows)
-        assert_ranks_match_the_oracle(base_chain(FaceComplex(p)).rows)
+        assert_ranks_match_the_oracle(QuotientComplex(p, lam).rows)
+        assert_ranks_match_the_oracle(base_chain(p).rows)
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -384,7 +383,7 @@ class TestLift:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_ncubes(self, n):
         inst = corpus.ncube(n)
-        assert_lift_matches_the_walk(FaceComplex(inst.poset), inst.lam)
+        assert_lift_matches_the_walk(inst.poset, inst.lam)
         if n <= 4:  # the barycentric 5-cube model has about 1.1M cells
             assert_lift_matches_the_walk(order_complex(inst.poset), inst.lam)
 
@@ -412,14 +411,14 @@ class TestLift:
         chain = base_chain(inst.triangulation)
         assert base_chain(inst.triangulation) is chain
         assert validate_carriers(inst.triangulation).ok and base_chain(inst.triangulation) is chain
-        assert base_chain(FaceComplex(inst.poset)) is base_chain(FaceComplex(inst.poset))
-        assert base_chain(FaceComplex(inst.poset)) is not chain
+        assert base_chain(inst.poset) is base_chain(inst.poset)
+        assert base_chain(inst.poset) is not chain
 
     def test_a_face_complex_that_is_not_closed_is_refused(self):
         # Q covers the vertex v across a codim jump: the face complex has no 1-cell
         p = FacePoset(2, {"Q": 0, "v": 2}, {("v", "Q")})
         with pytest.raises(InputError, match="face Q misses facet v"):
-            QuotientComplex(FaceComplex(p), CharFunction(2, {}))
+            QuotientComplex(p, CharFunction(2, {}))
 
 
 class TestCarried:
@@ -439,7 +438,7 @@ class TestCarried:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_ncubes(self, n):
         p = corpus.ncube(n).poset
-        assert_carried_matches_oracle(squared(base_chain(FaceComplex(p))), p)
+        assert_carried_matches_oracle(squared(base_chain(p)), p)
 
     @pytest.mark.parametrize("name", ["ncube(2)", "ncube(3)"])
     def test_barycentric_cubes(self, name):

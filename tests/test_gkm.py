@@ -718,5 +718,5 @@ class TestGkmWarning:
 
     def test_nonformal_flag_reaches_the_verdict(self):
         inst = corpus.annulus()
-        v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+        v = formality_verdict(inst.base, inst.lam)
         assert not v.hsiang

@@ -8,7 +8,7 @@ from conftest import MASK_READERS_SWEEP, above_oracle
 from paper_checks import facial_components
 
 from z2torus import corpus, model
-from z2torus.charfunc import CharFunction, isotropy
+from z2torus.charfunc import CharFunction, isotropy, validate_lambda
 from z2torus.complexes import CarrierComplex, face_acyclicity
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
@@ -155,6 +155,20 @@ class TestFixedSets:
         with pytest.raises(InputError):
             fixed_locus(inst.poset, inst.lam, Vec(0, 3))
 
+    def test_labels_that_fail_validation_are_refused(self):
+        p = corpus.cube().poset
+        lam = CharFunction(3, {F: Vec.from_string("100") for F in p.facets()})
+        with pytest.raises(InputError) as err:
+            fixed_locus(p, lam, Vec.from_string("100"))
+        assert err.value.messages == ["fixed-locus input fails validation"] + (
+            validate_lambda(p, lam).witnesses()
+        )
+
+    def test_an_element_of_another_width_is_refused(self):
+        inst = corpus.cube()
+        with pytest.raises(InputError, match="^g has 4 bits, lambda has width 3$"):
+            fixed_locus(inst.poset, inst.lam, Vec.from_string("1000"))
+
 
 class TestFacialComponents:
     def test_annulus_facet_preimage_has_two_components(self):
@@ -172,6 +186,22 @@ class TestFacialComponents:
 
 
 class TestFormalityVerdict:
+    def test_labels_that_fail_validation_get_no_verdict(self):
+        # each verdict would read as a counterexample, on input outside the theorem
+        cube, torus = corpus.cube(), corpus.square_torus()
+        p = cube.poset
+        cases = [
+            (p, CharFunction(3, {F: Vec.from_string("100") for F in p.facets()})),
+            (p, CharFunction(2, {F: Vec(v.bits & 3, 2) for F, v in cube.lam.values.items()})),
+            (torus.triangulation, CharFunction(2, {F: Vec.from_string("10") for F in "LRTB"})),
+        ]
+        for base, lam in cases:
+            found = validate_lambda(base.poset, lam).witnesses()
+            assert found
+            with pytest.raises(InputError) as err:
+                formality_verdict(base, lam)
+            assert err.value.messages == ["model input fails validation"] + found
+
     def test_triangle(self):
         inst = corpus.triangle()
         v = formality_verdict(inst.poset, inst.lam)
@@ -181,7 +211,7 @@ class TestFormalityVerdict:
 
     def test_annulus(self):
         inst = corpus.annulus()
-        v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+        v = formality_verdict(inst.base, inst.lam)
         assert v.mode == "B"
         assert not v.hsiang and not v.criterion and not v.h_identity
         assert v.agree
@@ -191,13 +221,13 @@ class TestFormalityVerdict:
     def test_mode_b_corpus_coherence(self):
         for name in ("square_torus", "square_klein", "annulus", "cut_triangle"):
             inst = corpus.BUILDERS[name]()
-            v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+            v = formality_verdict(inst.base, inst.lam)
             assert v.hsiang == v.criterion, name
 
     def test_hsiang_inequality_corpus_wide(self):
         for name, build in corpus.BUILDERS.items():
             inst = build()
-            v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+            v = formality_verdict(inst.base, inst.lam)
             assert v.n_vertices <= v.sum_betti, name
 
 
@@ -207,41 +237,36 @@ def labels(n, **values):
 
 class TestKeptOnThePoset:
     """formality_verdict, face_acyclicity, validate and fh_vectors keep their
-    last result on the triangulation they are given, or else on the poset,
-    with the labelling it was computed for.  Each kept result must equal the
+    last result on the cell complex they are given first, a triangulation
+    or the poset, with the labelling it was computed for.  Each kept result must equal the
     same computation on a freshly loaded copy, whatever was asked of the
     poset before."""
 
     def test_each_labelling_and_triangulation_gets_its_own_verdict(self):
         inst = corpus.bundled("square_torus")
         klein = corpus.bundled("square_klein").lam  # the same facets L, R, T, B
-        combos = [(lam, tri) for lam in (inst.lam, klein) for tri in (inst.triangulation, None)]
+        bases = (inst.triangulation, inst.poset)
+        combos = [(lam, base) for lam in (inst.lam, klein) for base in bases]
 
-        def fresh(lam, tri):
+        def fresh(lam, base):
             copy = corpus.bundled("square_torus")
             fresh_lam = copy.lam if lam is inst.lam else corpus.bundled("square_klein").lam
-            return formality_verdict(
-                copy.poset, fresh_lam, copy.triangulation if tri is not None else None
-            )
+            return formality_verdict(copy.poset if base is inst.poset else copy.triangulation, fresh_lam)
 
-        want = [fresh(lam, tri) for lam, tri in combos]
+        want = [fresh(lam, base) for lam, base in combos]
         assert [v.mode for v in want] == ["B", "A", "B", "A"]
         for order in (combos, combos[::-1], combos):
-            got = {(id(lam), id(tri)): formality_verdict(inst.poset, lam, tri) for lam, tri in order}
-            assert [got[id(lam), id(tri)] for lam, tri in combos] == want
-        # a default and an explicit None name the same triangulation
-        assert formality_verdict(inst.poset, inst.lam) is formality_verdict(
-            inst.poset, inst.lam, None
-        )
+            got = {(id(lam), id(base)): formality_verdict(base, lam) for lam, base in order}
+            assert [got[id(lam), id(base)] for lam, base in combos] == want
         # one slot per function: a verdict for a second labelling takes the
         # first one's place, so the first labelling is then freed at once
-        for tri in (inst.triangulation, None):
+        for base in bases:
             first = corpus.bundled("square_torus").lam
-            assert formality_verdict(inst.poset, first, tri) == fresh(inst.lam, tri)
+            assert formality_verdict(base, first) == fresh(inst.lam, base)
             gone = weakref.ref(first)
             gc.disable()
             try:
-                assert formality_verdict(inst.poset, klein, tri) == fresh(klein, tri)
+                assert formality_verdict(base, klein) == fresh(klein, base)
                 del first
                 assert gone() is None
             finally:
@@ -256,10 +281,10 @@ class TestKeptOnThePoset:
         want = []
         for v in values:
             copy = corpus.annulus()
-            want.append(formality_verdict(copy.poset, labels(2, **v), copy.triangulation))
+            want.append(formality_verdict(copy.base, labels(2, **v)))
         assert [w.betti for w in want] == [(2, 4, 2), (1, 2, 1)]
         got = [
-            formality_verdict(inst.poset, labels(2, **values[i % 2]), inst.triangulation)
+            formality_verdict(inst.base, labels(2, **values[i % 2]))
             for i in range(8)
         ]
         assert got == want * 4
@@ -271,7 +296,7 @@ class TestKeptOnThePoset:
                 face_acyclicity(inst.poset)
             with pytest.raises(PreconditionError, match="mode A needs a CW poset"):
                 formality_verdict(inst.poset, inst.lam)
-        v = formality_verdict(inst.poset, inst.lam, inst.triangulation)
+        v = formality_verdict(inst.base, inst.lam)
         assert v.mode == "B" and v.sum_betti == 4
 
     def test_validate_and_fh_vectors_match_a_fresh_copy(self):
@@ -290,13 +315,13 @@ class TestKeptOnThePoset:
         # garbage cycle outlives them; an instance's triangulation refers to
         # its poset
         inst = corpus.BUILDERS[name]()
-        p, lam, tri = inst.poset, inst.lam, inst.triangulation
-        validate(p).ok, fh_vectors(p), face_acyclicity(p, tri), formality_verdict(p, lam, tri)
+        p, lam, tri, base = inst.poset, inst.lam, inst.triangulation, inst.base
+        validate(p).ok, fh_vectors(p), face_acyclicity(base), formality_verdict(base, lam)
         gone = [weakref.ref(x) for x in (p, lam, tri) if x is not None]
         assert len(gone) == (2 if name == "cube" else 3)
         gc.disable()
         try:
-            del inst, p, lam, tri
+            del inst, p, lam, tri, base
             assert [ref() for ref in gone] == [None] * len(gone)
         finally:
             gc.enable()

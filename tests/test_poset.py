@@ -768,21 +768,21 @@ class TestSkeleton:
 
 
 class TestKept:
-    """A `kept` function keeps its last result on the triangulation it is
-    given, else on the poset, with the other arguments by identity."""
+    """A `kept` function keeps its last result on its first argument, the
+    poset or a triangulation, with the other arguments by identity."""
 
     def test_one_slot_per_function(self):
         calls = []
 
         @poset.kept
-        def f(p, a, b=None):
+        def f(p, a, b):
             calls.append((a, b))
             return [a, b]
 
         p, a, b = corpus.triangle().poset, object(), object()
-        got = f(p, a)
-        assert f(p, a, None) is got and calls == [(a, None)]
-        assert f(p, a, b) == [a, b] and f(p, a) == [a, None] and len(calls) == 3
+        got = f(p, a, b)
+        assert f(p, a, b) is got and calls == [(a, b)]
+        assert f(p, a, None) == [a, None] and f(p, a, b) == [a, b] and len(calls) == 3
         assert list(p._kept) == [f.__wrapped__]
 
     def test_a_triangulations_chain_gate_and_verdict_are_kept_on_it(self):
@@ -790,7 +790,7 @@ class TestKept:
         # is freed at once, with no garbage cycle
         inst = corpus.square_torus()
         p, lam, tri = inst.poset, inst.lam, inst.triangulation
-        want = formality_verdict(p, lam, tri)
+        want = formality_verdict(tri, lam)
         assert validate_carriers(tri).ok
         before = dict(p._kept)
         on_tri = {f.__wrapped__ for f in (complexes._kept_chain, face_acyclicity, formality_verdict)}
@@ -799,7 +799,7 @@ class TestKept:
         try:
             for _ in range(50):
                 c = CarrierComplex(p, tri.n_points, tri.simplices)
-                assert validate_carriers(c).ok and formality_verdict(p, lam, c) == want
+                assert validate_carriers(c).ok and formality_verdict(c, lam) == want
                 assert set(c._kept) == on_tri
                 gone = weakref.ref(c)
                 del c
@@ -808,7 +808,7 @@ class TestKept:
             gc.enable()
         assert p._kept.keys() == before.keys()
         assert all(p._kept[f] is slot for f, slot in before.items())
-        assert formality_verdict(p, lam, tri) is want
+        assert formality_verdict(tri, lam) is want
 
 
 class TestDualAndGorenstein:

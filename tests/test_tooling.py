@@ -58,6 +58,31 @@ def test_export_list_matches_the_imports():
         getattr(z2torus, name)
 
 
+# a kept result's owner: the poset, or a triangulation
+KEPT_OWNERS = {"FacePoset", "CarrierComplex", "CarrierComplex | FacePoset", "FacePoset | CarrierComplex"}
+
+
+def test_every_kept_function_keeps_on_a_first_argument_with_no_defaults():
+    # `kept` keeps a result on the call's first argument and compares the
+    # rest by identity, one slot per function: a defaulted parameter would
+    # give one result two slots, f(p, a) and f(p, a, default)
+    found = {}
+    for path in sorted(Path(z2torus.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and any(
+                ast.unparse(d) == "kept" for d in node.decorator_list
+            ):
+                args = node.args
+                first = (args.posonlyargs + args.args)[0].annotation
+                found[f"{path.stem}.{node.name}"] = (
+                    ast.unparse(first) if first else None,
+                    bool(args.defaults or any(args.kw_defaults)),
+                )
+    assert {"complexes.face_acyclicity", "model.formality_verdict"} <= found.keys()
+    for name, (owner, defaults) in found.items():
+        assert owner in KEPT_OWNERS and not defaults, name
+
+
 # Why each function of the package that no command enters may stay there.
 # "A test uses it" is no reason: such code belongs in tests/.
 PERFBENCH = "held by perfbench/"
@@ -72,7 +97,6 @@ NEVER_ENTERED = {
     "charfunc.Subgroup.rank": DUNDER,  # read only by Subgroup.__repr__
     "complexes.CarrierComplex.__repr__": DUNDER,
     "complexes.CarrierReport.witnesses": ERROR,
-    "complexes.FaceComplex.__repr__": DUNDER,
     "complexes.QuotientComplex.cell_count": PERFBENCH,
     "complexes._check_squares": PERFBENCH,  # read only by betti_mod2
     "complexes.betti_mod2": PERFBENCH,
