@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, mod_line, reduce_by
+from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, reduce_by
 from .poset import FacePoset, kept, one_skeleton, validate
 
 
@@ -150,16 +150,17 @@ Ends = Mapping[str, tuple[tuple[str, str, int], ...]]
 class GkmGraph:
     """1-skeleton with axial labels; edges keyed by their face id.  A
     read-only value, read once when it is built: `edges` and `axial` are
-    read-only copies, `ends` gives the edges at each vertex, and
-    `incongruent` the sorted edges e = (v, w) across which the forms at v
-    and at w disagree mod alpha(e)."""
+    read-only copies, and `ends` gives the edges at each vertex.  The
+    builder states `incongruent`, the sorted edges e = (v, w) across
+    which the forms at v and at w disagree mod alpha(e): `axial_function`
+    proves there are none, so nothing scans for them here."""
 
     n: int
     vertices: tuple[str, ...]
     edges: Mapping[str, tuple[str, str]]
     axial: Mapping[str, Vec]
+    incongruent: tuple[str, ...]
     ends: Ends = field(init=False, repr=False, compare=False)
-    incongruent: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         edges, axial = dict(self.edges), dict(self.axial)
@@ -168,16 +169,10 @@ class GkmGraph:
             ends.setdefault(a, []).append((e, b, axial[e].bits))
             if b != a:
                 ends.setdefault(b, []).append((e, a, axial[e].bits))
-        at = {v: [b for _, _, b in t] for v, t in ends.items()}
-        incongruent = tuple(
-            e for e, (v, w) in sorted(edges.items())
-            if mod_line(at[v], axial[e].bits) != mod_line(at[w], axial[e].bits)
-        )
         put = object.__setattr__  # the one write of each field
         put(self, "edges", MappingProxyType(edges))
         put(self, "axial", MappingProxyType(axial))
         put(self, "ends", MappingProxyType({v: tuple(t) for v, t in ends.items()}))
-        put(self, "incongruent", incongruent)
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
@@ -188,7 +183,8 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
 
     Precondition: p is sound and lam independent at every face
     (`require_valid`), else InputError.  The graph is then a GKM graph by
-    construction, so it is not checked on the way out:
+    construction, so it is not checked on the way out, and it is built
+    with `incongruent` = ():
     - the n edges at a vertex v each lie on all but one of v's n facets,
       each missing a different one; v's labels are a basis, so the forms
       at v are its dual basis;
@@ -217,7 +213,7 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
         if form is None:
             form = forms[labels] = Vec(Matrix(labels, p.n).nullspace().rows[0], p.n)
         axial[e] = form
-    return GkmGraph(p.n, sk.vertices, sk.edges, axial)
+    return GkmGraph(p.n, sk.vertices, sk.edges, axial, ())
 
 
 @dataclass(frozen=True)

@@ -141,14 +141,11 @@ def frag_code(inst: Instance) -> Fragment:
 
 def frag_fixed_locus(inst: Instance, bits: str) -> Fragment:
     _need_lambda(inst)
-    p = inst.poset
     try:
         g = Vec.from_string(bits)
     except ValueError as exc:
         raise InputError(f"bad --g value {bits!r}: {exc}")
-    if g.n != p.n:
-        raise InputError(f"--g has {g.n} bits, instance dimension is {p.n}")
-    loc = fixed_locus(p, inst.lam, g)
+    loc = fixed_locus(inst.poset, inst.lam, g)
     faces = ",".join(loc.faces) if loc.faces else "(none)"
     count = str(loc.size) if loc.size is not None else "none"
     return [f"g={g} faces={faces} discrete={_b(loc.discrete)} count={count}"], 0

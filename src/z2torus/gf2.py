@@ -11,12 +11,14 @@ Two pivot rules, each where it pays:
   pivot of a reduced boundary one degree up (Chen and Kerber,
   "Persistent homology computation with a twist", 2011; Bauer, Kerber,
   Reininghaus and Wagner, "PHAT", 2017).
-- Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`,
-  `mod_line`) pivot on the lowest-index nonzero column, so reduced row
-  echelon form is the canonical one, with rows ordered by pivot column.
-  Canonical is what they need: `codes.is_self_dual` compares two spans
-  by their forms, and a coset representative is one fixed element of
-  its coset.  Any fixed rule would do; no command prints these rows.
+- Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`)
+  pivot on the lowest-index nonzero column, so reduced row echelon form
+  is the canonical one, with rows ordered by pivot column.  Canonical is
+  what they need: `codes.is_self_dual` compares two spans by their
+  forms, and a coset representative is one fixed element of its coset.
+  Any fixed rule would do; no command prints these rows.  A membership
+  test needs less: `in_span` reduces through the unsorted, unreduced
+  basis `_span_basis` keys by lowest set bit.
 """
 
 from __future__ import annotations
@@ -102,6 +104,20 @@ def _span_basis(rows: Iterable[int]) -> dict[int, int]:
                 break
             row ^= r
     return by_pivot
+
+
+def in_span(by_pivot: dict[int, int], v: int) -> bool:
+    """Is v in the span of the `_span_basis` rows by_pivot?  Each step
+    clears v's lowest set bit with the row of that pivot, which changes
+    only higher bits, or finds no such row.  The pivots are distinct, so
+    a sum of rows has its lowest set bit at the least of their pivots:
+    with no row there, v is outside the span."""
+    while v:
+        r = by_pivot.get(lowest_bit(v))
+        if r is None:
+            return False
+        v ^= r
+    return True
 
 
 def _top_basis(cells: Iterable[tuple[int, int]], skip: Container[int] = ()) -> dict[int, int]:
@@ -215,11 +231,3 @@ def reduce_by(rref_rows: list[int], pivots: list[int], v: int) -> int:
         if (v >> p) & 1:
             v ^= r
     return v
-
-
-def mod_line(forms: Iterable[int], a: int) -> list[int]:
-    """The forms modulo the line {0, a}, as sorted canonical
-    representatives: `reduce_by` against the one-row basis [a], which is
-    one bit test, since a form holding a's lowest set bit gets a added."""
-    low = a & -a
-    return sorted([b ^ a if b & low else b for b in forms])

@@ -14,8 +14,10 @@ graph alone: a vertex v is placed once the up-face C_v (the component
 through v of the edges whose form lies in the span of v's up-edge
 forms) holds no placed vertex, and its down-edge forms are pairwise
 distinct.  It does so only on a graph with no incongruent edge (one
-across which the forms at its two ends disagree mod its form), such as
-every graph `axial_function` returns.  On such a graph the class tau_v
+across which the forms at its two ends disagree mod its form).  A
+graph's builder states those edges (`GkmGraph.incongruent`), and
+`axial_function` states none, as its graphs have none by construction,
+so no graph is scanned for them.  On a graph with none, the class tau_v
 (the product of the forms leaving C_v at each vertex of C_v, zero
 elsewhere) meets every edge condition (`flow_up_degrees` says why), so
 nothing is tested on it.  Then the module is free on the tau_v, and
@@ -24,8 +26,9 @@ of v's down-edges: no matrix is built.  On any other graph, or when no
 vertex can be placed, `eliminated_hilbert` ranks one GF(2) matrix per
 degree instead; it is also the test oracle for the closed form.  On
 the 8-cube, `axial_function` and `equivariant_hilbert(g, 16)` take
-18-31 ms together on a shared 2-vCPU x86-64 VM (best of 5 in each of 8
-fresh processes).
+10-17 ms together on a shared 2-vCPU x86-64 VM (best of 5 in each of 8
+fresh processes, after one call that keeps the poset's validation and
+1-skeleton).
 
 Elimination writes a polynomial as its set of exponent tuples
 (coefficients are 0/1), and orders monomials graded-lexicographically,
@@ -39,10 +42,10 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .charfunc import Ends, GkmGraph
-from .gf2 import Matrix, Vec, _rref_rows, lowest_bit, reduce_by
+from .gf2 import Matrix, Vec, _span_basis, in_span, lowest_bit
 
-# up-edge forms -> RREF rows and pivots of their span, and form -> in span?
-Spans = dict[frozenset[int], tuple[list[int], list[int], dict[int, bool]]]
+# up-edge forms -> a basis of their span by pivot, and form -> in span?
+Spans = dict[frozenset[int], tuple[dict[int, int], dict[int, bool]]]
 
 
 def monomials(n: int, k: int) -> list[tuple[int, ...]]:
@@ -93,16 +96,16 @@ def _certified_down_degree(
         return None
     key = frozenset(up)
     if key not in spans:
-        spans[key] = (*_rref_rows(up), {})
-    rows, pivots, in_span = spans[key]
+        spans[key] = (_span_basis(up), {})
+    basis, memo = spans[key]
     face = {v}  # the vertices of C_v
     stack = [v]
     while stack:
         w = stack.pop()
         for _, u, b in ends[w]:
-            inside = in_span.get(b)
+            inside = memo.get(b)
             if inside is None:
-                inside = in_span[b] = reduce_by(rows, pivots, b) == 0
+                inside = memo[b] = in_span(basis, b)
             if not inside:
                 continue
             if u in placed:
@@ -116,10 +119,12 @@ def _certified_down_degree(
 def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     """Down-degree d_v of every vertex, in a certified flow-up order, or
     None when some edge of g is incongruent or at some step no remaining
-    vertex can be placed.  The graph's `ends` are walked, and the span of
-    a vertex's up-edge forms is reduced once per distinct set of them
-    (`spans`), with a memo of the forms found in it: vertices with the
-    same up-edge forms share both.
+    vertex can be placed.  The graph's `ends` are walked, and a basis of
+    the span of a vertex's up-edge forms is found once per distinct set
+    of them (`spans`, keyed by pivot for `in_span`), with a memo of the
+    forms found in it: vertices with the same up-edge forms share both.
+    Which edges are incongruent is read off the graph, whose builder
+    states them.
 
     Why the tau_v then give a basis of the GKM module M over
     R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition

@@ -9,6 +9,7 @@ from conftest import (
     from_vecs,
     restrict_oracle,
 )
+from gkm_graphs import hand_built, mod_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import coloring_classes
@@ -19,7 +20,6 @@ from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
-    GkmGraph,
     LambdaReport,
     Subgroup,
     axial_function,
@@ -28,7 +28,7 @@ from z2torus.charfunc import (
     validate_lambda,
 )
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Vec, mod_line
+from z2torus.gf2 import Vec
 from z2torus.gkm import eliminated_hilbert, equivariant_hilbert, flow_up_degrees
 from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import FacePoset, validate
@@ -362,14 +362,14 @@ class TestAxialFunction:
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
         assert g.incongruent == ()
-        g = GkmGraph(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+        g = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
         assert g.incongruent == ("EY0Z0", "EY0Z1")
         assert flow_up_degrees(g) is None
         assert equivariant_hilbert(g, 6) == eliminated_hilbert(g, 6)
 
     def test_graph_is_read_only(self):
         """Edges and forms are read-only copies: a graph cannot be edited
-        after its incongruent edges are found, nor through the dicts it
+        after its incongruent edges are stated, nor through the dicts it
         was built from."""
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
@@ -378,7 +378,7 @@ class TestAxialFunction:
         with pytest.raises(TypeError):
             g.edges["EX0Y0"] = ("V000", "V111")
         edges, axial = dict(g.edges), dict(g.axial)
-        built = GkmGraph(g.n, g.vertices, edges, axial)
+        built = hand_built(g.n, g.vertices, edges, axial)
         axial["EX0Y0"] = Vec.from_string("011")
         assert built.axial["EX0Y0"] == g.axial["EX0Y0"] and built.incongruent == ()
 
@@ -393,7 +393,7 @@ class TestAxialFunction:
 
         def k4(forms):
             axial = {f"e{i}": Vec(bits, 3) for i, bits in enumerate(forms)}
-            return GkmGraph(3, ("v0", "v1", "v2", "v3"), edges, axial)
+            return hand_built(3, ("v0", "v1", "v2", "v3"), edges, axial)
 
         g = k4([1, 2, 4, 4, 2, 1])
         assert g.incongruent == ()

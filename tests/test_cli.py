@@ -177,8 +177,9 @@ class TestFixedLocus:
         assert rc == 1 and "error:" in err
 
     def test_wrong_width(self, capsys):
-        rc, _, err = run(capsys, "fixed-locus", bundled("cube"), "--g", "10")
-        assert rc == 1 and "3" in err
+        rc, out, err = run(capsys, "fixed-locus", bundled("cube"), "--g", "10")
+        assert rc == 1 and out == ""
+        assert err == "error: g has 2 bits, lambda has width 3\n"
 
     @pytest.mark.parametrize("g", ["\u0661\u0660\u0660", "1\u0660\u0661", "\uff11\uff10\uff10"])
     def test_only_ascii_bits(self, capsys, g):

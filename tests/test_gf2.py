@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from z2torus.gf2 import (
     Matrix,
     Vec,
+    _rref_rows,
     _span_basis,
     chain_ranks,
+    in_span,
     lowest_bit,
     reduce_by,
 )
@@ -157,6 +159,36 @@ def test_reduce_by_lands_in_the_coset(rows, v):
     red = reduce_by(list(r.rows), list(pivots), v)
     assert red ^ v in span(rows)
     assert all((red >> p) & 1 == 0 for p in pivots)
+
+
+@st.composite
+def rows_and_vector(draw):
+    """Rows with dependent ones (sums of others), repeats and zeros among
+    them, in a drawn order, and a vector that is often a sum of rows."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    word = st.integers(min_value=0, max_value=(1 << n) - 1)
+    rows = draw(st.lists(word, max_size=5))
+    if rows:
+        picks = st.lists(st.integers(min_value=0, max_value=len(rows) - 1), max_size=3)
+        for pick in draw(st.lists(picks, max_size=3)):
+            rows.append(selected_sum(rows, sum(1 << j for j in pick)))
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += [0] * draw(st.integers(min_value=0, max_value=2))
+    rows = draw(st.permutations(rows))
+    v = draw(word)
+    if rows and draw(st.booleans()):
+        v = selected_sum(rows, draw(st.integers(min_value=0, max_value=(1 << len(rows)) - 1)))
+    return rows, v
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows_and_vector())
+def test_in_span_matches_the_reduced_basis(rows_v):
+    """`in_span` on the unreduced basis says what `reduce_by` says on the
+    canonical one, and what enumerating the span says."""
+    rows, v = rows_v
+    expect = reduce_by(*_rref_rows(rows), v) == 0
+    assert in_span(_span_basis(rows), v) == expect == (v in span(rows))
 
 
 def test_min_weight_agrees_with_combinations():

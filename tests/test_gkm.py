@@ -7,6 +7,7 @@ from math import comb
 import pytest
 import sympy
 from conftest import above_oracle, below_oracle, change_basis, from_vecs
+from gkm_graphs import hand_built, incongruent_edges
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from restrictions import coset_rep
@@ -29,7 +30,7 @@ from thom_classes import (
 
 from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function, validate_lambda
+from z2torus.charfunc import CharFunction, Subgroup, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec, lowest_bit
 from z2torus.gkm import (
@@ -202,7 +203,7 @@ def multigraph(n, V, pairs, forms):
     """Vertices v0..v{V-1}, edge ei joining pairs[i] with form bits forms[i]."""
     edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
     axial = {f"e{i}": Vec(bits, n) for i, bits in enumerate(forms)}
-    return GkmGraph(n, tuple(f"v{i}" for i in range(V)), edges, axial)
+    return hand_built(n, tuple(f"v{i}" for i in range(V)), edges, axial)
 
 
 def assert_matches_elimination(g, max_deg):
@@ -241,7 +242,7 @@ class TestFlowUp:
         {(f, g) : x0 | f - g}, of dimension (k + 1) + k in degree k; a
         certificate that skipped the distinctness check would give 2k."""
         x0 = Vec.from_string("10")
-        g = GkmGraph(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
+        g = hand_built(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
         assert flow_up_degrees(g) is None
         want = tuple(2 * k + 1 for k in range(7))
         assert eliminated_hilbert(g, 6) == want
@@ -262,8 +263,8 @@ class TestFlowUp:
         v0, v1, v2, v3, with no edge checked, would claim dims (1, 5, 13, ...)."""
         forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
         edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
-        g = GkmGraph(3, ("v0", "v1", "v2", "v3"), edges,
-                     {e: Vec.from_string(f) for e, f in forms.items()})
+        g = hand_built(3, ("v0", "v1", "v2", "v3"), edges,
+                       {e: Vec.from_string(f) for e, f in forms.items()})
         assert flow_up_degrees(g) is None
         assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4) == (1, 4, 12, 24, 40)
 
@@ -272,7 +273,7 @@ class TestFlowUp:
         are incongruent, so no order is certified, and the dims are
         elimination's."""
         g = graph_of(corpus.cube())
-        edited = GkmGraph(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+        edited = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
         assert edited.incongruent
         assert flow_up_degrees(edited) is None
         assert equivariant_hilbert(edited, 4) == eliminated_hilbert(edited, 4) == (1, 5, 17, 37, 65)
@@ -388,8 +389,8 @@ def failed_edge_graph():
     """The graph of `TestFlowUp.test_failed_edge_condition_falls_back`."""
     forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
     edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
-    return GkmGraph(3, ("v0", "v1", "v2", "v3"), edges,
-                    {e: Vec.from_string(f) for e, f in forms.items()})
+    return hand_built(3, ("v0", "v1", "v2", "v3"), edges,
+                      {e: Vec.from_string(f) for e, f in forms.items()})
 
 
 class TestFactorCertificate:
@@ -455,14 +456,18 @@ class TestFactorCertificate:
 
 
 class TestEdgesTestedOnce:
-    """Each edge's congruence is decided once, when the graph is built
-    (`GkmGraph.incongruent`), and `flow_up_degrees` certifies no graph
-    with an incongruent edge: those go to elimination."""
+    """Each graph's incongruent edges are stated once, when it is built
+    (`GkmGraph.incongruent`): `axial_function` states none, and a graph
+    built by hand gets those `incongruent_edges` finds.  On
+    `axial_function`'s graphs both that scan and the oracle find none.
+    `flow_up_degrees` certifies no graph with an incongruent edge: those
+    go to elimination."""
 
     @pytest.mark.parametrize("name", list(FLOW_SWEEP))
     def test_sweep(self, name):
         g = graph_of(FLOW_SWEEP[name]())
         assert g.incongruent == incongruent_oracle(g) == ()
+        assert incongruent_edges(g.edges, g.axial) == ()
         assert flow_up_degrees(g) is not None
 
     @settings(max_examples=40, deadline=None)
@@ -470,6 +475,7 @@ class TestEdgesTestedOnce:
     def test_cut_chains(self, cut):
         g = axial_function(*cut)
         assert g.incongruent == incongruent_oracle(g) == ()
+        assert incongruent_edges(g.edges, g.axial) == ()
 
     @settings(max_examples=300, deadline=None)
     @given(labelled_multigraph())
