@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .gf2 import Matrix, Vec
+from .gf2 import Matrix, Vec, _top_basis
 from .poset import FacePoset
 
 
@@ -56,16 +56,20 @@ def facet_code(p: FacePoset) -> BinaryCode:
 
 
 def is_self_dual(code: BinaryCode) -> bool:
-    """True iff the code equals its dual (canonical RREFs coincide)."""
-    own = code.gen.rref()[0]
-    dual = code.gen.nullspace().rref()[0]
-    return own == dual
+    """True iff the code equals its dual, by the definition: C lies in
+    C^perp when every two generator rows (each row with itself too) meet
+    evenly, and C^perp has dimension length - dim C, so the two are equal
+    exactly when also 2 dim C = length."""
+    rows = code.gen.rows
+    return 2 * code.dim == code.length and all(
+        (a & b).bit_count() % 2 == 0 for i, a in enumerate(rows) for b in rows[i:]
+    )
 
 
 def min_distance(code: BinaryCode) -> int:
     """Minimum weight over all nonzero codewords, by exhaustive
     enumeration of the row space (Gray-code order)."""
-    basis = code.gen.rref()[0].rows
+    basis = list(_top_basis(enumerate(code.gen.rows)).values())
     dim = len(basis)
     if dim == 0:
         raise PreconditionError("zero code has no minimum distance")

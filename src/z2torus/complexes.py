@@ -105,7 +105,7 @@ def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
     length-two interval has two middle faces."""
     p = base.poset
     up = p._up
-    kind = "simplex" if isinstance(base, CarrierComplex) else "face"
+    kind = "face" if base is p else "simplex"
     levels = base.by_dim()
     carriers = [[base.carrier(cell) for cell in level] for level in levels]
     closure: list[tuple[Hashable, str]] = []
@@ -389,7 +389,7 @@ def face_acyclicity(base: CarrierComplex | FacePoset) -> AcyclicityReport:
     the poset as the CW gate of mode A, whose failure raises
     PreconditionError on every call, as a call that raises keeps nothing."""
     rep = is_face_acyclic(base)
-    if isinstance(base, CarrierComplex):
+    if base is not base.poset:
         return rep
     failing = sorted((base.dim_face(f), f) for f, b in rep.per_face.items() if any(b))
     if failing:

@@ -4,32 +4,23 @@ A vector in GF(2)^n is an int whose bit i is coordinate i, so row
 operations are single big-int XORs (word-parallel under the hood).
 No column permutations, ever.
 
-Two pivot rules, each where it pays:
-- Ranks (`Matrix.rank`, `chain_ranks`) pivot on the highest set bit,
-  read in O(1) as `row.bit_length() - 1`.  `chain_ranks` also clears:
-  it works from the top degree down and skips every cell that is the
-  pivot of a reduced boundary one degree up (Chen and Kerber,
-  "Persistent homology computation with a twist", 2011; Bauer, Kerber,
-  Reininghaus and Wagner, "PHAT", 2017).
-- Echelon forms (`_rref_rows`, `Matrix.rref`, `nullspace`, `reduce_by`)
-  pivot on the lowest-index nonzero column, so reduced row echelon form
-  is the canonical one, with rows ordered by pivot column.  Canonical is
-  what they need: `codes.is_self_dual` compares two spans by their
-  forms, and a coset representative is one fixed element of its coset.
-  Any fixed rule would do; no command prints these rows.  A membership
-  test needs less: `in_span` reduces through the unsorted, unreduced
-  basis `_span_basis` keys by lowest set bit.
+One pivot rule: a row's pivot is its highest set bit, read in O(1) as
+`row.bit_length() - 1`, and every basis is the one `_top_basis` builds,
+keyed by pivot.  Ranks (`Matrix.rank`, `chain_ranks`) count its rows.
+`chain_ranks` also clears: it works from the top degree down and skips
+every cell that is the pivot of a reduced boundary one degree up (Chen
+and Kerber, "Persistent homology computation with a twist", 2011;
+Bauer, Kerber, Reininghaus and Wagner, "PHAT", 2017).  `in_span` tests
+membership against the unreduced basis.  Echelon forms (`_rref_rows`,
+`nullspace`, `reduce_by`) reduce it: each pivot column is cleared from
+every other row, which makes the form canonical, with rows ordered by
+pivot column, and a coset representative one fixed element of its coset.
 """
 
 from __future__ import annotations
 
 from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-
-
-def lowest_bit(x: int) -> int:
-    """Index of the lowest set bit of a nonzero int."""
-    return (x & -x).bit_length() - 1
 
 
 def bit_indices(x: int) -> Iterator[int]:
@@ -93,33 +84,6 @@ class Vec:
         return f"Vec({str(self)!r})"
 
 
-def _span_basis(rows: Iterable[int]) -> dict[int, int]:
-    """XOR basis keyed by pivot column (lowest set bit of each basis row)."""
-    by_pivot: dict[int, int] = {}
-    for row in rows:
-        while row:
-            r = by_pivot.get(lowest_bit(row))
-            if r is None:
-                by_pivot[lowest_bit(row)] = row
-                break
-            row ^= r
-    return by_pivot
-
-
-def in_span(by_pivot: dict[int, int], v: int) -> bool:
-    """Is v in the span of the `_span_basis` rows by_pivot?  Each step
-    clears v's lowest set bit with the row of that pivot, which changes
-    only higher bits, or finds no such row.  The pivots are distinct, so
-    a sum of rows has its lowest set bit at the least of their pivots:
-    with no row there, v is outside the span."""
-    while v:
-        r = by_pivot.get(lowest_bit(v))
-        if r is None:
-            return False
-        v ^= r
-    return True
-
-
 def _top_basis(cells: Iterable[tuple[int, int]], skip: Container[int] = ()) -> dict[int, int]:
     """XOR basis keyed by pivot column (highest set bit of each basis row)
     of the rows of (index, row) pairs, leaving out the indices in skip."""
@@ -135,6 +99,20 @@ def _top_basis(cells: Iterable[tuple[int, int]], skip: Container[int] = ()) -> d
                 break
             row ^= r
     return by_pivot
+
+
+def in_span(by_pivot: dict[int, int], v: int) -> bool:
+    """Is v in the span of the `_top_basis` rows by_pivot?  Each step
+    clears v's highest set bit with the row of that pivot, which changes
+    only lower bits, or finds no such row.  The pivots are distinct, so
+    a sum of rows has its highest set bit at the greatest of their
+    pivots: with no row there, v is outside the span."""
+    while v:
+        r = by_pivot.get(v.bit_length() - 1)
+        if r is None:
+            return False
+        v ^= r
+    return True
 
 
 def chain_ranks(levels: Sequence[Iterable[tuple[int, int]]]) -> list[int]:
@@ -163,16 +141,19 @@ def chain_ranks(levels: Sequence[Iterable[tuple[int, int]]]) -> list[int]:
 
 
 def _rref_rows(rows: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Canonical RREF of int rows.  Returns (nonzero rows by pivot, pivots)."""
-    by_pivot = _span_basis(rows)
+    """Canonical RREF of int rows: the `_top_basis` rows with each pivot
+    column cleared from every other row.  Returns (nonzero rows by pivot,
+    pivots), pivots increasing."""
+    by_pivot = _top_basis(enumerate(rows))
     pivots = sorted(by_pivot)
-    # back-substitute, highest pivot first, so pivot columns are cleared
-    for i in range(len(pivots) - 1, -1, -1):
-        row = by_pivot[pivots[i]]
-        for q in pivots[i + 1 :]:
+    # a row holds bits only below its pivot: back-substitute lowest pivot
+    # first, so each row clears its lower pivots with rows already reduced
+    for i, p in enumerate(pivots):
+        row = by_pivot[p]
+        for q in pivots[:i]:
             if (row >> q) & 1:
                 row ^= by_pivot[q]
-        by_pivot[pivots[i]] = row
+        by_pivot[p] = row
     return [by_pivot[p] for p in pivots], pivots
 
 
@@ -197,10 +178,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_top_basis(enumerate(self.rows)))
-
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref_rows(self.rows)
-        return Matrix(tuple(rows), self.ncols), tuple(pivots)
 
     def nullspace(self) -> "Matrix":
         """Basis of {v : every row r has r.v = 0}, one row per free column."""

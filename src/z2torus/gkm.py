@@ -3,7 +3,7 @@
 Classes are tuples of polynomials in GF(2)[r_1..r_n], one per vertex,
 with the difference across each edge divisible by the edge's axial
 linear form alpha.  A polynomial is divisible by alpha iff it vanishes
-when the pivot of alpha (its lowest variable) is replaced by the sum s
+when the pivot of alpha (its highest variable) is replaced by the sum s
 of alpha's other variables.  Over GF(2), Frobenius gives
 s^e = prod over the bits 2^b of e of (sum of x_j^(2^b) over x_j in s),
 so a monomial's image is a closed-form set of distinct monomials.
@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .charfunc import Ends, GkmGraph
-from .gf2 import Matrix, Vec, _span_basis, in_span, lowest_bit
+from .gf2 import Matrix, Vec, _top_basis, in_span
 
 # up-edge forms -> a basis of their span by pivot, and form -> in span?
 Spans = dict[frozenset[int], tuple[dict[int, int], dict[int, bool]]]
@@ -62,8 +62,8 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
 
 
 def _pivot_rest(alpha: Vec) -> tuple[int, list[int]]:
-    """alpha's pivot (its lowest variable) and its other variables."""
-    pivot = lowest_bit(alpha.bits)
+    """alpha's pivot (its highest variable) and its other variables."""
+    pivot = alpha.bits.bit_length() - 1
     return pivot, [j for j in alpha.support() if j != pivot]
 
 
@@ -96,7 +96,7 @@ def _certified_down_degree(
         return None
     key = frozenset(up)
     if key not in spans:
-        spans[key] = (_span_basis(up), {})
+        spans[key] = (_top_basis(enumerate(up)), {})
     basis, memo = spans[key]
     face = {v}  # the vertices of C_v
     stack = [v]

@@ -83,7 +83,7 @@ def formality_verdict(base: CarrierComplex | FacePoset, lam: CharFunction) -> Fo
     """
     p = base.poset
     require_valid(p, lam, "model")
-    mode = "B" if isinstance(base, CarrierComplex) else "A"
+    mode = "A" if base is p else "B"
     acyc = face_acyclicity(base)
     q = build_quotient(base, lam)
     criterion, witnesses = acyc.verdict, tuple(acyc.witnesses())

@@ -57,6 +57,28 @@ def restrict_oracle(p, f):
     return FacePoset(p.n - k, codims, {(c, q) for c, q in p.covers if c in keep and q in keep})
 
 
+def span(rows):
+    """Every sum of the int rows, by enumeration."""
+    out = {0}
+    for r in rows:
+        out |= {x ^ r for x in out}
+    return out
+
+
+def lowest_bit_basis(rows):
+    """XOR basis keyed by pivot column, the lowest set bit of each basis
+    row: a rank oracle independent of the package's highest-bit rule."""
+    by_pivot = {}
+    for row in rows:
+        while row:
+            low = (row & -row).bit_length() - 1
+            if low not in by_pivot:
+                by_pivot[low] = row
+                break
+            row ^= by_pivot[low]
+    return by_pivot
+
+
 def from_vecs(vecs):
     """The matrix whose rows are vecs, all of one width."""
     vecs = list(vecs)

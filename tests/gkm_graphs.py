@@ -15,9 +15,9 @@ from z2torus.gf2 import Vec
 def mod_line(forms: Iterable[int], a: int) -> list[int]:
     """The forms modulo the line {0, a}, as sorted canonical
     representatives: `reduce_by` against the one-row basis [a], which is
-    one bit test, since a form holding a's lowest set bit gets a added."""
-    low = a & -a
-    return sorted([b ^ a if b & low else b for b in forms])
+    one bit test, since a form holding a's highest set bit gets a added."""
+    top = 1 << a.bit_length() >> 1
+    return sorted([b ^ a if b & top else b for b in forms])
 
 
 def incongruent_edges(

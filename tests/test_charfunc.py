@@ -45,8 +45,8 @@ class TestSubgroup:
         assert g.rank == 1
         assert g.contains(Vec.from_string("11"))
         assert not g.contains(Vec.from_string("10"))
-        assert str(coset_rep(g, Vec.from_string("10"))) == "01"
-        assert [str(v) for v in cosets(g)] == ["00", "01"]
+        assert str(coset_rep(g, Vec.from_string("01"))) == "10"
+        assert [str(v) for v in cosets(g)] == ["00", "10"]
 
     def test_full_and_trivial(self):
         full = Subgroup(2, [Vec.from_string("10"), Vec.from_string("01")])

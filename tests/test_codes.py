@@ -3,7 +3,9 @@
 from itertools import combinations
 
 import pytest
-from conftest import from_vecs
+from conftest import from_vecs, span
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z2torus import corpus
 from z2torus.codes import BinaryCode, facet_code, is_self_dual, min_distance
@@ -21,6 +23,29 @@ def brute_min_weight(rows, length):
             if acc and (best is None or acc.bit_count() < best):
                 best = acc.bit_count()
     return best
+
+
+def brute_self_dual(rows, length):
+    """C == C^perp, both enumerated: the span of rows, and every word of
+    the given length meeting each row evenly."""
+    dual = {x for x in range(1 << length) if all((x & r).bit_count() % 2 == 0 for r in rows)}
+    return span(rows) == dual
+
+
+@st.composite
+def generator_rows(draw):
+    """A length of at most 8 and rows of it, zero and repeated rows among
+    them.  Half the time the rows span a self-dual code, k copies of
+    {00, 11} on shuffled coordinates, so that both verdicts occur."""
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 8))
+        return length, draw(st.lists(st.integers(0, (1 << length) - 1), max_size=6))
+    k = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(2 * k)))
+    pairs = [1 << order[2 * i] | 1 << order[2 * i + 1] for i in range(k)]
+    sums = draw(st.lists(st.integers(0, (1 << k) - 1), max_size=3))  # 0 and one pair too
+    rows = pairs + [sum(p for j, p in enumerate(pairs) if m >> j & 1) for m in sums]
+    return 2 * k, draw(st.permutations(rows))
 
 
 class TestCube:
@@ -146,3 +171,18 @@ class TestSelfDuality:
         gen = from_vecs([Vec.from_string("1111")])
         code = BinaryCode(4, gen, ("F",), ("a", "b", "c", "d"))
         assert not is_self_dual(code)
+
+    @settings(deadline=None, max_examples=300)
+    @given(generator_rows())
+    def test_matches_the_enumerated_dual(self, case):
+        length, rows = case
+        code = BinaryCode(length, Matrix.from_rows(rows, length), (), ())
+        assert is_self_dual(code) == brute_self_dual(rows, length)
+
+    def test_cube_codes_match_the_enumerated_dual(self):
+        # the n-cube's facet code is the Reed-Muller code RM(1, n), self-dual
+        # only at n = 3; at n = 1 it is all of GF(2)^2
+        for n in range(1, 5):
+            code = facet_code(corpus.ncube(n).poset)
+            want = brute_self_dual(list(code.gen.rows), code.length)
+            assert is_self_dual(code) == want == (n == 3), n

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from conftest import apply_edit, below_oracle, edits, reduced
+from conftest import apply_edit, below_oracle, edits, lowest_bit_basis, reduced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from z2torus.complexes import (
     validate_carriers,
 )
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Vec, _span_basis, chain_ranks
+from z2torus.gf2 import Vec, chain_ranks
 from z2torus.poset import FacePoset, order_complex
 
 POINT_POSET = FacePoset(0, {"Q": 0}, set())
@@ -57,7 +57,7 @@ def rebuilt_acyclicity(c):
 def assert_ranks_match_the_oracle(levels):
     """chain_ranks against the lowest-bit basis rank, degree by degree."""
     ranks = chain_ranks([list(enumerate(rows)) for rows in levels])
-    assert ranks == [len(_span_basis(rows)) for rows in levels]
+    assert ranks == [len(lowest_bit_basis(rows)) for rows in levels]
 
 
 def bases(p, triangulation=None):

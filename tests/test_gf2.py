@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from conftest import from_vecs
+from conftest import from_vecs, lowest_bit_basis, span
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,19 +11,11 @@ from z2torus.gf2 import (
     Matrix,
     Vec,
     _rref_rows,
-    _span_basis,
+    _top_basis,
     chain_ranks,
     in_span,
-    lowest_bit,
     reduce_by,
 )
-
-
-def span(rows: list[int]) -> set[int]:
-    out = {0}
-    for r in rows:
-        out |= {x ^ r for x in out}
-    return out
 
 
 class TestVec:
@@ -64,25 +56,23 @@ class TestVec:
 
 class TestRref:
     def test_two_rows(self):
-        m = from_vecs([Vec.from_string("11"), Vec.from_string("01")])
-        r, pivots = m.rref()
-        assert [str(Vec(x, r.ncols)) for x in r.rows] == ["10", "01"]
-        assert pivots == (0, 1)
+        rows, pivots = _rref_rows(v.bits for v in [Vec.from_string("11"), Vec.from_string("01")])
+        assert [str(Vec(x, 2)) for x in rows] == ["10", "01"]
+        assert pivots == [0, 1]
 
     def test_three_columns(self):
-        m = from_vecs([Vec.from_string("111"), Vec.from_string("110")])
-        r, pivots = m.rref()
-        assert [str(Vec(x, r.ncols)) for x in r.rows] == ["110", "001"]
-        assert pivots == (0, 2)
+        rows, pivots = _rref_rows(v.bits for v in [Vec.from_string("111"), Vec.from_string("110")])
+        assert [str(Vec(x, 3)) for x in rows] == ["110", "001"]
+        assert pivots == [1, 2]
 
     def test_rank_and_duplicates(self):
         m = Matrix.from_rows([0b11, 0b11, 0], 2)
         assert m.rank() == 1
-        assert m.rref()[0].rows == (0b11,)
+        assert _rref_rows(m.rows)[0] == [0b11]
 
     def test_zero_matrix(self):
         assert Matrix.from_rows([0, 0, 0], 4).rank() == 0
-        assert Matrix.from_rows([], 0).rref() == (Matrix.from_rows([], 0), ())
+        assert _rref_rows([0, 0, 0]) == _rref_rows([]) == ([], [])
 
 
 class TestNullspaceAndDual:
@@ -104,12 +94,9 @@ class TestNullspaceAndDual:
 
 class TestOps:
     def test_reduce_by_membership(self):
-        rows, pivots = Matrix.from_rows([0b011, 0b110], 3).rref()
-        assert reduce_by(list(rows.rows), list(pivots), 0b011 ^ 0b110) == 0
-        assert reduce_by(list(rows.rows), list(pivots), 0b111) != 0
-
-    def test_lowest_bit(self):
-        assert lowest_bit(0b1010100) == 2
+        rows, pivots = _rref_rows([0b011, 0b110])
+        assert reduce_by(rows, pivots, 0b011 ^ 0b110) == 0
+        assert reduce_by(rows, pivots, 0b111) != 0
 
 
 rows_strategy = st.lists(st.integers(min_value=0, max_value=255), min_size=0, max_size=6)
@@ -124,15 +111,16 @@ def test_rank_is_log_of_span(rows):
 @settings(deadline=None, max_examples=200)
 @given(rows_strategy)
 def test_rref_preserves_span_and_is_canonical(rows):
-    m = Matrix.from_rows(rows, 8)
-    r, pivots = m.rref()
-    assert span(list(r.rows)) == span(rows)
-    assert len(pivots) == m.rank()
-    # pivot columns are 1 in their own row and 0 in every other row
+    r, pivots = _rref_rows(rows)
+    assert span(r) == span(rows)
+    assert len(pivots) == Matrix.from_rows(rows, 8).rank()
+    assert pivots == sorted(pivots)
+    # each pivot is its row's highest set bit, 0 in every other row
     for i, p in enumerate(pivots):
-        for j, row in enumerate(r.rows):
+        assert r[i].bit_length() - 1 == p
+        for j, row in enumerate(r):
             assert (row >> p) & 1 == (1 if i == j else 0)
-    assert r.rref()[0] == r
+    assert _rref_rows(r) == (r, pivots)
 
 
 @settings(deadline=None, max_examples=200)
@@ -149,14 +137,14 @@ def test_nullspace_is_the_whole_kernel(rows):
 @given(rows_strategy)
 def test_dual_of_dual_is_the_row_space(rows):
     m = Matrix.from_rows(rows, 8)
-    assert m.nullspace().nullspace().rref()[0] == m.rref()[0]
+    assert _rref_rows(m.nullspace().nullspace().rows) == _rref_rows(rows)
 
 
 @settings(deadline=None, max_examples=100)
 @given(rows_strategy, st.integers(min_value=0, max_value=255))
 def test_reduce_by_lands_in_the_coset(rows, v):
-    r, pivots = Matrix.from_rows(rows, 8).rref()
-    red = reduce_by(list(r.rows), list(pivots), v)
+    r, pivots = _rref_rows(rows)
+    red = reduce_by(r, pivots, v)
     assert red ^ v in span(rows)
     assert all((red >> p) & 1 == 0 for p in pivots)
 
@@ -188,7 +176,7 @@ def test_in_span_matches_the_reduced_basis(rows_v):
     canonical one, and what enumerating the span says."""
     rows, v = rows_v
     expect = reduce_by(*_rref_rows(rows), v) == 0
-    assert in_span(_span_basis(rows), v) == expect == (v in span(rows))
+    assert in_span(_top_basis(enumerate(rows)), v) == expect == (v in span(rows))
 
 
 def test_min_weight_agrees_with_combinations():
@@ -220,7 +208,7 @@ def selected_sum(rows, mask: int) -> int:
 
 def lowest_bit_ranks(levels: list[list[int]]) -> list[int]:
     """The oracle: each degree's rank from the lowest-bit basis, no clearing."""
-    return [len(_span_basis(rows)) for rows in levels]
+    return [len(lowest_bit_basis(rows)) for rows in levels]
 
 
 @st.composite

@@ -32,7 +32,7 @@ from z2torus import corpus, gkm
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction, Subgroup, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, Vec, lowest_bit
+from z2torus.gf2 import Matrix, Vec
 from z2torus.gkm import (
     eliminated_hilbert,
     equivariant_hilbert,
@@ -95,8 +95,9 @@ def sympy_divides(p, alpha):
 
 
 def substitute_by_expansion(m, alpha):
-    """Reference: multiply out (sum of alpha's other variables)^e with poly_mul."""
-    pivot = lowest_bit(alpha.bits)
+    """Reference: multiply out (sum of alpha's other variables)^e with
+    poly_mul, alpha's highest variable being the one replaced."""
+    pivot = alpha.bits.bit_length() - 1
     rest = poly_linear(alpha) ^ poly_var(alpha.n, pivot)
     out = frozenset({m[:pivot] + (0,) + m[pivot + 1 :]})
     for _ in range(m[pivot]):
