@@ -9,6 +9,7 @@ self-duality is checked per instance, never assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .gf2 import Matrix, Vec, _top_basis
@@ -22,9 +23,15 @@ class BinaryCode:
     facets: tuple[str, ...]
     coordinates: tuple[str, ...]  # vertices, canonical order
 
+    @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """The generator rows reduced once, by `_top_basis`: one row per
+        pivot, so the code's dimension is their count."""
+        return tuple(_top_basis(enumerate(self.gen.rows)).values())
+
     @property
     def dim(self) -> int:
-        return self.gen.rank()
+        return len(self.basis)
 
     def rows(self) -> list[str]:
         return [str(Vec(r, self.length)) for r in self.gen.rows]
@@ -69,7 +76,7 @@ def is_self_dual(code: BinaryCode) -> bool:
 def min_distance(code: BinaryCode) -> int:
     """Minimum weight over all nonzero codewords, by exhaustive
     enumeration of the row space (Gray-code order)."""
-    basis = list(_top_basis(enumerate(code.gen.rows)).values())
+    basis = code.basis
     dim = len(basis)
     if dim == 0:
         raise PreconditionError("zero code has no minimum distance")

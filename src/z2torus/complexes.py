@@ -13,20 +13,23 @@ results there.
 Every mod-2 chain complex here has one form, its rows: rows[d][i] is
 the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
 (rows[0] is all 0).  `base_chain` walks a triangulation or the poset
-once into its rows, kept on it; QuotientComplex lifts them through the
-isotropy gluing of a characteristic function; `betti_mod2` reads and
-checks any rows.  `is_face_acyclic` runs the paper's criterion on the
-base rows, gathered per face by `_carried`, which `validate_carriers`
-shares; on the poset the criterion is the CW gate.  The walk and the
-gather read the poset's up-set masks.
+once into its rows and each cell's facet indices, kept on it;
+QuotientComplex lifts them through the isotropy gluing of a
+characteristic function; `betti_mod2` reads and checks any rows.
+`is_face_acyclic` runs the paper's criterion on the base rows, gathered
+per face by `_carried`, which `validate_carriers` shares; on the poset
+the criterion is the CW gate.  The walk and the gather read the poset's
+up-set masks.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
+from itertools import combinations
+from operator import lt
 from typing import NamedTuple
 
 from .charfunc import CharFunction, isotropy
@@ -47,34 +50,28 @@ class CarrierComplex:
         # the results `poset.kept` keeps on this triangulation
         self._kept: dict[Callable[..., object], tuple[tuple[object, ...], object]] = {}
         for sx in simplices:
-            if not sx or list(sx) != sorted(set(sx)):
+            if not sx or not all(map(lt, sx, sx[1:])):  # sorted and distinct
                 raise ValueError(f"simplex {sx} is not a nonempty sorted vertex tuple")
             if not (0 <= sx[0] and sx[-1] < n_points):
                 raise ValueError(f"simplex {sx} uses points outside 0..{n_points - 1}")
 
-    def dim(self) -> int:
-        return max((len(sx) - 1 for sx in self.simplices), default=-1)
-
     def by_dim(self) -> list[list[Simplex]]:
-        out: list[list[Simplex]] = [[] for _ in range(self.dim() + 1)]
+        """The simplices by dimension, each level sorted, up to the top one."""
+        levels: defaultdict[int, list[Simplex]] = defaultdict(list)  # by vertex count
         for sx in self.simplices:
-            out[len(sx) - 1].append(sx)
-        for level in out:
-            level.sort()
-        return out
+            levels[len(sx)].append(sx)
+        return [sorted(levels[k]) for k in range(1, max(levels, default=0) + 1)]
 
     def carrier(self, sx: Simplex) -> str:
         return self.simplices[sx]
 
     def boundary(self, sx: Simplex) -> list[Simplex]:
-        return _facets(sx)
+        """sx's facets, the one without sx[0] first: `combinations` lists
+        them the other way round."""
+        return list(combinations(sx, len(sx) - 1))[::-1]
 
     def __repr__(self) -> str:
         return f"CarrierComplex(points={self.n_points}, simplices={len(self.simplices)})"
-
-
-def _facets(sx: Simplex) -> list[Simplex]:
-    return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
 
 class BaseChain(NamedTuple):
@@ -82,47 +79,55 @@ class BaseChain(NamedTuple):
 
     cells[d] lists the d-cells in `by_dim` order, carriers[d] their
     carrier faces, and rows[d] their boundaries as bits over the indices
-    of the (d-1)-cells (rows[0] is all 0).  closure and wrong_carriers
-    are the walk's findings in sorted cell order, with the wording of
-    `validate_carriers`; when there are any, the rows leave those cells'
-    missing facets out and nothing may read them.  It holds only cells,
-    face ids and ints, so keeping it on its owner makes no cycle.
+    of the (d-1)-cells (rows[0] is all 0); facets[d][i] lists the set bits
+    of rows[d][i], in boundary order, as the walk found them.  closure and
+    wrong_carriers are the walk's findings in sorted cell order, with the
+    wording of `validate_carriers`; when there are any, the rows and
+    facets leave those cells' missing facets out and nothing may read them.  It holds
+    only cells, face ids and ints, so keeping it on its owner makes no
+    cycle.
     """
 
     cells: tuple[tuple[Hashable, ...], ...]
     carriers: tuple[tuple[str, ...], ...]
     rows: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[tuple[int, ...], ...], ...]
     closure: tuple[str, ...] = ()
     wrong_carriers: tuple[str, ...] = ()
 
 
 def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
-    """Walk base once: each cell's carrier and boundary row, and the closure
-    and carrier-monotonicity findings.  A carrier is tested against its
-    cell's with a bit of the poset's up-set masks `p._up`.  Boundary² = 0
+    """Walk base once: each cell's carrier, boundary row and facet indices,
+    and the closure and carrier-monotonicity findings.  Its cells are the
+    poset's faces in mode A, else simplices.  A carrier is tested against
+    its cell's with a bit of the poset's up-set masks `p._up`.  Boundary² = 0
     is not checked: on a closed triangulation the boundary of the boundary
     of a simplex lists each codim-2 face twice, and in a sound poset every
     length-two interval has two middle faces."""
     p = base.poset
     up = p._up
     kind = "face" if base is p else "simplex"
+    boundary = base.boundary
     levels = base.by_dim()
     carriers = [[base.carrier(cell) for cell in level] for level in levels]
     closure: list[tuple[Hashable, str]] = []
     wrong: list[tuple[Hashable, str]] = []
     rows: list[tuple[int, ...]] = []
+    facets: list[tuple[tuple[int, ...], ...]] = []
     index: dict[Hashable, int] = {}
     for d, level in enumerate(levels):
         below, index = index, {cell: i for i, cell in enumerate(level)}
         under = carriers[d - 1] if d else []
         out = []
+        listed = []
         for cell, cf in zip(level, carriers[d]):
             bits = 0
+            js = []
             if cf not in p.codims:
                 wrong.append((cell, f"{kind} {cell} carried by unknown face {cf!r}"))
             elif d:
                 mine = 1 << up[cf].bit_length() - 1  # fc <= cf when fc's up-set has it
-                for face in base.boundary(cell):
+                for face in boundary(cell):
                     j = below.get(face)
                     if j is None:
                         closure.append((cell, f"{kind} {cell} misses facet {face}"))
@@ -133,14 +138,17 @@ def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
                             (cell, f"carrier of {face} ({fc}) not inside carrier of {cell} ({cf})")
                         )
                     bits |= 1 << j
+                    js.append(j)
             out.append(bits)
+            listed.append(tuple(js))
         rows.append(tuple(out))
+        facets.append(tuple(listed))
 
     def in_order(found: list[tuple[Hashable, str]]) -> tuple[str, ...]:
         return tuple(line for _, line in sorted(found, key=lambda x: x[0]))
 
     return BaseChain(
-        tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(rows),
+        tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(rows), tuple(facets),
         in_order(closure), in_order(wrong),
     )
 
@@ -154,7 +162,10 @@ def _kept_chain(base: CarrierComplex | FacePoset) -> BaseChain:
 def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     """base's chain, walked once and kept on base.  Raises InputError when
     base is not closed, a boundary leaves its cell's carrier, or, for the
-    poset, it is not sound (read from its kept findings)."""
+    poset, it is not sound (read from its kept findings), and TypeError
+    when base is neither of the two cell complexes over Q."""
+    if not isinstance(base, (FacePoset, CarrierComplex)):
+        raise TypeError(f"a base is a FacePoset or a CarrierComplex, not {type(base).__name__}")
     chain = _kept_chain(base)
     if chain.closure or chain.wrong_carriers:
         raise InputError([*chain.closure, *chain.wrong_carriers])
@@ -240,10 +251,10 @@ def _lift(
     for d in range(1, len(cells)):
         first, below = firsts[d - 1], groups[d - 1]
         out_rows: list[int] = []
-        for mine, row in zip(groups[d], chain.rows[d]):
+        for mine, js in zip(groups[d], chain.facets[d]):
             reps = quotients[mine][0]
             targets = []  # (index of face's first coset, drop)
-            for j in bit_indices(row):
+            for j in js:
                 key = (mine, below[j])
                 drop = drops.get(key)
                 if drop is None:
@@ -429,15 +440,14 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
     chain = _kept_chain(c)  # the closure and carrier findings come from its walk
     rep.closure += chain.closure
     rep.carriers += chain.wrong_carriers
-    used = {v for sx in c.simplices for v in sx}
+    used = set(iter_chain.from_iterable(c.simplices))
     for v in range(c.n_points):
         if v not in used:
             rep.carriers.append(f"point {v} appears in no simplex")
     if not rep.ok:
         return rep
 
-    # each simplex's facets, as indices one degree down, listed once
-    facets = [[list(bit_indices(row)) for row in level] for level in chain.rows]
+    facets = chain.facets  # each simplex's, as the walk listed them
     for f, sub in _carried(chain, p):
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")

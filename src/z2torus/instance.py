@@ -5,9 +5,12 @@ Keys: "name", "dim", "faces" [{"id","codim"}], "inclusions"
 "lambda" {facet: [n bits]}, optional "triangulation" {"points": count,
 "simplices": [{"verts": [...], "carrier": id}]} listing every simplex
 of every dimension.  Parsing returns a fully validated Instance or
-raises InputError carrying all witnesses found.  Files are written in
-the layout of json.dumps(indent=1), byte for byte, with keys in the
-order above.
+raises InputError carrying all witnesses found.  Each entry is checked
+once, by exact JSON type (`type(x) is int`, so true is not an int) and
+by whole-list tests run in C, such as a simplex's verts being strictly
+increasing; the poset, lambda and carrier checks then trust those
+types.  Files are written in the layout of json.dumps(indent=1), byte
+for byte, with keys in the order above.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import lt
 from pathlib import Path
 
 from .charfunc import CharFunction, validate_lambda
@@ -24,13 +28,13 @@ from .gf2 import Vec
 from .poset import FacePoset, validate
 
 TOP_KEYS = {"name", "dim", "faces", "inclusions", "lambda", "triangulation"}
+FACE_KEYS = {"id", "codim"}
+TRIANGULATION_KEYS = {"points", "simplices"}
+SIMPLEX_KEYS = {"verts", "carrier"}
+INT = {int}  # a list holds only JSON integers when its set of types is inside this
+BITS = {0, 1}
 MAX_DIM = 64  # poset.fh_vectors is super-quadratic in dim
 MAX_DEG = 4 * MAX_DIM  # gkm --max-deg: twice its largest default, 2 * MAX_DIM
-
-
-def _is_int(x: object) -> bool:
-    """A JSON integer; bool is an int subclass in Python but not here."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _not_unicode(strings: Iterable[str]) -> list[str]:
@@ -67,7 +71,7 @@ class Instance:
 
 def parse_instance(data: object) -> Instance:
     errors: list[str] = []
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise InputError("instance must be a JSON object")
     for key in data:
         if key not in TOP_KEYS:
@@ -80,24 +84,24 @@ def parse_instance(data: object) -> Instance:
 
     name = data["name"]
     n = data["dim"]
-    if not isinstance(name, str):
+    if type(name) is not str:
         errors.append("name must be a string")
-    if not _is_int(n) or n < 0:
+    if type(n) is not int or n < 0:
         errors.append("dim must be a non-negative integer")
     elif n > MAX_DIM:
         errors.append(f"dim {n} exceeds the maximum {MAX_DIM}")
     for key in ("faces", "inclusions"):
-        if not isinstance(data[key], list):
+        if type(data[key]) is not list:
             errors.append(f"{key} must be a list")
     if errors:
         raise InputError(errors)
     codims: dict[str, int] = {}
     for entry in data["faces"]:
-        if not isinstance(entry, dict) or set(entry) != {"id", "codim"}:
+        if type(entry) is not dict or entry.keys() != FACE_KEYS:
             errors.append(f"face entry {entry!r} must be {{id, codim}}")
             continue
         fid, k = entry["id"], entry["codim"]
-        if not isinstance(fid, str) or not _is_int(k):
+        if type(fid) is not str or type(k) is not int:
             errors.append(f"face entry {entry!r} has wrong types")
             continue
         if fid in codims:
@@ -106,19 +110,20 @@ def parse_instance(data: object) -> Instance:
     covers: dict[tuple[str, str], None] = {}  # the file's order, duplicates collapsed
     unknown: list[str] = []  # the endpoints that are not face ids
     for pair in data["inclusions"]:
-        if not (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and isinstance(pair[0], str)
-            and isinstance(pair[1], str)
+        if (
+            type(pair) is not list
+            or len(pair) != 2
+            or type(pair[0]) is not str
+            or type(pair[1]) is not str
         ):
             errors.append(f"inclusion {pair!r} must be [child, parent]")
             continue
         child, parent = pair
-        for x in (child, parent):
-            if x not in codims:
-                errors.append(f"inclusion {pair!r} names unknown face {x!r}")
-                unknown.append(x)
+        if child not in codims or parent not in codims:
+            for x in pair:
+                if x not in codims:
+                    errors.append(f"inclusion {pair!r} names unknown face {x!r}")
+                    unknown.append(x)
         covers[(child, parent)] = None
     # the other endpoints, and the carriers, name face ids: checking these covers them
     errors.extend(_not_unicode([name, *codims, *unknown]))
@@ -136,13 +141,16 @@ def parse_instance(data: object) -> Instance:
     lam = None
     if "lambda" in data:
         raw = data["lambda"]
-        if not isinstance(raw, dict):
+        if type(raw) is not dict:
             raise InputError("lambda must be an object mapping facet to bit list")
         errors.extend(_not_unicode(raw))
         values: dict[str, Vec] = {}
         for fid, bits in sorted(raw.items()):
-            if not isinstance(bits, list) or len(bits) != n or any(
-                not _is_int(b) or b not in (0, 1) for b in bits
+            if (
+                type(bits) is not list
+                or len(bits) != n
+                or not INT >= set(map(type, bits))
+                or not BITS >= set(bits)
             ):
                 errors.append(f"lambda[{fid!r}] must be a list of {n} bits")
                 continue
@@ -158,33 +166,35 @@ def parse_instance(data: object) -> Instance:
     if "triangulation" in data:
         raw = data["triangulation"]
         if (
-            not isinstance(raw, dict)
-            or set(raw) != {"points", "simplices"}
-            or not _is_int(raw["points"])
-            or not isinstance(raw["simplices"], list)
+            type(raw) is not dict
+            or raw.keys() != TRIANGULATION_KEYS
+            or type(raw["points"]) is not int
+            or type(raw["simplices"]) is not list
         ):
             raise InputError("triangulation must be {points, simplices}")
-        if raw["points"] < 0:
+        points, entries = raw["points"], raw["simplices"]
+        if points < 0:
             raise InputError("triangulation points must be a non-negative integer")
-        if raw["points"] == 0 and raw["simplices"]:
+        if points == 0 and entries:
             raise InputError("triangulation has no points (points=0) for its simplices to use")
-        if raw["points"] > len(raw["simplices"]):
+        if points > len(entries):
             # every point is its own 0-simplex (validate_carriers checks closure)
             raise InputError(
-                f"triangulation points={raw['points']} exceeds the number of "
-                f"listed simplices ({len(raw['simplices'])})"
+                f"triangulation points={points} exceeds the number of "
+                f"listed simplices ({len(entries)})"
             )
         simplices: dict[tuple[int, ...], str] = {}
-        for entry in raw["simplices"]:
-            if not isinstance(entry, dict) or set(entry) != {"verts", "carrier"}:
+        for entry in entries:
+            if type(entry) is not dict or entry.keys() != SIMPLEX_KEYS:
                 errors.append(f"simplex entry {entry!r} must be {{verts, carrier}}")
                 continue
             verts, carrier = entry["verts"], entry["carrier"]
+            # ints, then strictly increasing: sorted and distinct
             if (
-                not isinstance(verts, list)
+                type(verts) is not list
                 or not verts
-                or any(not _is_int(v) for v in verts)
-                or sorted(set(verts)) != verts
+                or not INT >= set(map(type, verts))
+                or not all(map(lt, verts, verts[1:]))
             ):
                 errors.append(f"simplex verts {verts!r} must be a sorted list of distinct ints")
                 continue
@@ -193,19 +203,19 @@ def parse_instance(data: object) -> Instance:
                     f"simplex {verts!r} has {len(verts)} points, more than dim + 1 = {n + 1}"
                 )
                 continue
-            if any(v < 0 or v >= raw["points"] for v in verts):
-                errors.append(f"simplex {verts!r} uses points outside 0..{raw['points'] - 1}")
+            if verts[0] < 0 or verts[-1] >= points:
+                errors.append(f"simplex {verts!r} uses points outside 0..{points - 1}")
                 continue
             key = tuple(verts)
             if key in simplices:
                 errors.append(f"simplex {verts!r} listed twice")
-            if not isinstance(carrier, str) or carrier not in codims:
+            if type(carrier) is not str or carrier not in codims:
                 errors.append(f"simplex {verts!r} carried by unknown face {carrier!r}")
                 continue
             simplices[key] = carrier
         if errors:
             raise InputError(errors)
-        tri = CarrierComplex(poset, raw["points"], simplices)
+        tri = CarrierComplex(poset, points, simplices)
         crep = validate_carriers(tri)
         if not crep.ok:
             raise InputError(crep.witnesses())
@@ -253,10 +263,11 @@ def instance_text(inst: Instance) -> str:
     an indent runs CPython's pure-Python encoder, so this writes the
     layout itself and leaves only the strings to the C encoder."""
     p = inst.poset
+    ids = {f: _str(f) for f in p.faces()}  # each id rendered once, in face order
     # a face and an inclusion have fixed layouts, each written by one format
     face, cover = '{\n   "id": %s,\n   "codim": %s\n  }', "[\n   %s,\n   %s\n  ]"
-    faces = [face % (_str(f), p.codims[f]) for f in p.faces()]
-    covers = [cover % (_str(c), _str(q)) for c, q in p.covers]
+    faces = [face % (i, p.codims[f]) for f, i in ids.items()]
+    covers = [cover % (ids[c], ids[q]) for c, q in p.covers]
     top = [
         ("name", _str(inst.name)),
         ("dim", str(p.n)),
@@ -272,7 +283,7 @@ def instance_text(inst: Instance) -> str:
         simplices = []
         for sx in sorted(tri.simplices, key=lambda s: (len(s), s)):
             verts = _array([str(v) for v in sx], 4)
-            simplices.append(_object([("verts", verts), ("carrier", _str(tri.simplices[sx]))], 3))
+            simplices.append(_object([("verts", verts), ("carrier", ids[tri.simplices[sx]])], 3))
         fields = [("points", str(tri.n_points)), ("simplices", _array(simplices, 2))]
         top.append(("triangulation", _object(fields, 1)))
     return _object(top, 0) + "\n"

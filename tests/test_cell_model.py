@@ -35,7 +35,8 @@ def by_dim(p, faces):
 
 class FaceSubcomplex:
     """The cells of p's face complex among `faces`, a down-closed set.  It
-    keeps no results, so `base_chain` refuses it: walk it with `_walk`."""
+    is neither a FacePoset nor a CarrierComplex, so `base_chain` refuses
+    it: walk it with `_walk`."""
 
     def __init__(self, p, faces):
         self.poset = p
@@ -167,7 +168,9 @@ def test_base_chain_refuses_a_face_subcomplex():
     # it would otherwise be handed the chain kept on p, the whole face complex's
     p = corpus.cube().poset
     base_chain(p)
-    with pytest.raises(AttributeError, match="_kept"):
+    with pytest.raises(
+        TypeError, match="^a base is a FacePoset or a CarrierComplex, not FaceSubcomplex$"
+    ):
         base_chain(FaceSubcomplex(p, set(p.codims) - {"Q"}))
 
 

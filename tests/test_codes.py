@@ -7,10 +7,11 @@ from conftest import from_vecs, span
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z2torus import corpus
+from z2torus import cli, codes, corpus
 from z2torus.codes import BinaryCode, facet_code, is_self_dual, min_distance
 from z2torus.errors import PreconditionError
 from z2torus.gf2 import Matrix, Vec
+from z2torus.instance import save_instance
 
 
 def brute_min_weight(rows, length):
@@ -186,3 +187,27 @@ class TestSelfDuality:
             code = facet_code(corpus.ncube(n).poset)
             want = brute_self_dual(list(code.gen.rows), code.length)
             assert is_self_dual(code) == want == (n == 3), n
+
+
+def test_one_code_command_reduces_the_generator_rows_once(tmp_path, capsys, monkeypatch):
+    # dim, self-duality's dimension test and min_distance read one basis
+    path = tmp_path / "cube8.json"
+    save_instance(corpus.ncube(8), path)
+    gen = list(facet_code(corpus.ncube(8).poset).gen.rows)
+    reductions = []
+    rank, top_basis = Matrix.rank, codes._top_basis
+
+    def counted_rank(m):
+        reductions.append(list(m.rows) == gen)
+        return rank(m)
+
+    def counted_top_basis(cells, skip=()):
+        cells = list(cells)
+        reductions.append([row for _, row in cells] == gen)
+        return top_basis(cells, skip)
+
+    monkeypatch.setattr(Matrix, "rank", counted_rank)
+    monkeypatch.setattr(codes, "_top_basis", counted_top_basis)
+    assert cli.main(["code", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "[256,9,128] self_dual=false"
+    assert reductions.count(True) == 1

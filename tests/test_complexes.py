@@ -18,7 +18,6 @@ from z2torus.complexes import (
     _carried,
     _check_squares,
     _drop_positions,
-    _facets,
     _walk,
     base_chain,
     betti_mod2,
@@ -31,6 +30,12 @@ from z2torus.gf2 import Vec, chain_ranks
 from z2torus.poset import FacePoset, order_complex
 
 POINT_POSET = FacePoset(0, {"Q": 0}, set())
+
+
+def facets_of(sx):
+    """sx's facets by slicing, the one without sx[0] first: the oracle for
+    `CarrierComplex.boundary`."""
+    return [sx[:i] + sx[i + 1 :] for i in range(len(sx))]
 
 
 def face_subcomplex(c, f):
@@ -132,12 +137,17 @@ def squared(chain):
 
 def assert_lift_matches_the_walk(base, lam):
     """The lifted model equals the walked one row for row, and its
-    boundary and base's square to zero, which the program does not check."""
+    boundary and base's square to zero, which the program does not check.
+    The facet indices the lift reads are the set bits of base's rows."""
     q = QuotientComplex(base, lam)
     cells, rows = walked_quotient(base, lam)
     assert q.cells == cells
     assert [list(level) for level in q.rows] == rows
-    squared(base_chain(base))
+    chain = squared(base_chain(base))
+    assert [[sorted(js) for js in level] for level in chain.facets] == [
+        [[j for j in range(row.bit_length()) if row >> j & 1] for row in level]
+        for level in chain.rows
+    ]
     _check_squares(q.rows)
 
 
@@ -168,7 +178,7 @@ def carriers_oracle(c):
         if cf not in p.codims:
             rep.carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
             continue
-        for tau in _facets(sx) if len(sx) >= 2 else ():
+        for tau in facets_of(sx) if len(sx) >= 2 else ():
             if tau not in c.simplices:
                 rep.closure.append(f"simplex {sx} misses facet {tau}")
             elif c.simplices[tau] in p.codims and not p.leq(c.simplices[tau], cf):
@@ -191,7 +201,7 @@ def carriers_oracle(c):
             )
         cofaces = {sx: 0 for sx in sub}
         for sx in sub:
-            for tau in _facets(sx) if len(sx) >= 2 else ():
+            for tau in facets_of(sx) if len(sx) >= 2 else ():
                 cofaces[tau] += 1
         rep.face_strata += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
@@ -485,8 +495,13 @@ class TestCarrierComplex:
 
     def test_dim_and_levels(self):
         tri = corpus.square_torus().triangulation
-        assert tri.dim() == 2
         assert [len(level) for level in tri.by_dim()] == [4, 5, 2]
+        assert all(level == sorted(level) for level in tri.by_dim())
+
+    def test_boundary_lists_facets_in_vertex_order(self):
+        tri = corpus.square_torus().triangulation
+        for sx in [(0,), (0, 1), (0, 1, 3), (2, 5, 7, 9)]:
+            assert tri.boundary(sx) == facets_of(sx)
 
 
 class TestFaceSubcomplex:

@@ -1,4 +1,5 @@
-"""The instance writer against json.dumps(indent=1), byte for byte."""
+"""The instance writer against json.dumps(indent=1), byte for byte, and
+the parser's entry checks against the per-entry oracle."""
 
 import json
 import tempfile
@@ -7,14 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from parse_oracle import parse_instance_oracle
 
 from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
+from z2torus.errors import InputError
 from z2torus.instance import (
     Instance,
     instance_text,
     load_instance,
+    parse_instance,
     save_instance,
     serialize_instance,
 )
@@ -141,3 +145,147 @@ def test_builders_write_the_bundled_files(name):
     # the builders are the source of truth for the files under data/
     text = instance_text(corpus.BUILDERS[name]())
     assert text.encode() == corpus.bundled_path(name).read_bytes()
+
+
+# JSON values that are no id, codim, vertex or list of them
+SCALARS = [True, False, 1.0, -0.5, 1e300, None, "0", ""]
+JUNK = [*SCALARS, [], [0], [[0]], [True], {}, {"id": "Q"}]
+
+
+def malformed(data, draw):
+    """One edit of a serialised instance's faces, inclusions, simplices or
+    lambda: an entry replaced by junk, a key dropped or added, a field
+    given junk, a key renamed, an id or carrier made unknown or repeated,
+    or a simplex's verts given junk, a bool or a float, a wrong order, a
+    repeated, negative or too large point, or too many points.  It edits
+    only entries that no earlier edit made malformed."""
+    kinds = ["face", "inclusion"]
+    if "triangulation" in data:
+        kinds += ["simplex", "verts"]
+    if "lambda" in data:
+        kinds.append("lambda")
+    kind = draw(st.sampled_from(kinds))
+    junk = draw(st.sampled_from(SCALARS) | st.sampled_from(JUNK))  # a bool one time in five
+    if kind == "lambda":
+        whole = [F for F, bits in data["lambda"].items() if type(bits) is list and len(bits) > 1]
+        if not whole:
+            return
+        facet = draw(st.sampled_from(sorted(whole)))
+        bits = list(data["lambda"][facet])
+        edit = draw(st.sampled_from(["junk", "bit", "length"]))
+        if edit == "junk":
+            bits = junk
+        elif edit == "bit":
+            j = draw(st.integers(0, len(bits) - 1))
+            bits[j] = draw(st.sampled_from([2, -1, True, False, 1.0]))
+        else:
+            bits.append(0)
+        data["lambda"][facet] = bits
+        return
+    if kind == "inclusion":
+        pairs = data["inclusions"]
+        whole = [i for i, pair in enumerate(pairs) if type(pair) is list and len(pair) == 2]
+        if not whole:
+            return
+        i = draw(st.sampled_from(whole))
+        pair = list(pairs[i])
+        edit = draw(st.sampled_from(["junk", "short", "long", "end", "unknown"]))
+        if edit == "junk":
+            pair = junk
+        elif edit == "short":
+            pair = pair[:1]
+        elif edit == "long":
+            pair.append(pair[0])
+        else:
+            pair[draw(st.integers(0, 1))] = junk if edit == "end" else "nowhere"
+        pairs[i] = pair
+        return
+    entries = data["faces"] if kind == "face" else data["triangulation"]["simplices"]
+    keys = ["id", "codim"] if kind == "face" else ["verts", "carrier"]
+    whole = [
+        i for i, entry in enumerate(entries)
+        if type(entry) is dict and list(entry) == keys
+        and (kind == "face" or type(entry["verts"]) is list and entry["verts"])
+        and (kind != "verts" or all(type(v) is int for v in entry["verts"]))
+    ]
+    if not whole:
+        return
+    i = draw(st.sampled_from(whole))
+    entry = dict(entries[i])
+    if kind == "verts":
+        verts = list(entry["verts"])
+        points = data["triangulation"]["points"]
+        edit = draw(st.sampled_from(
+            ["junk", "empty", "insert", "bool", "float", "swap", "repeat", "negative", "past",
+             "long"]
+        ))
+        if edit == "junk":
+            verts = junk
+        elif edit == "bool":  # in order, and equal to a point as a Python int
+            if verts[0] > 1:
+                verts.insert(0, True)
+            else:
+                verts[0] = bool(verts[0])
+        elif edit == "float":
+            j = draw(st.integers(0, len(verts) - 1))
+            verts[j] = float(verts[j])
+        elif edit == "empty":
+            verts = []
+        elif edit == "insert":
+            verts.insert(draw(st.integers(0, len(verts))), draw(st.sampled_from(SCALARS)))
+        elif edit == "swap" and len(verts) > 1:
+            j = draw(st.integers(0, len(verts) - 2))
+            verts[j], verts[j + 1] = verts[j + 1], verts[j]
+        elif edit == "repeat":
+            j = draw(st.integers(0, len(verts) - 1))
+            verts.insert(j, verts[j])
+        elif edit == "negative":
+            verts[0] = -1 - verts[0]
+        elif edit == "past":
+            verts[-1] = points + draw(st.integers(0, 2))
+        elif edit == "long":
+            verts += range(verts[-1] + 1, verts[-1] + 1 + data["dim"] + 1)
+        entry["verts"] = verts
+    else:
+        edit = draw(st.sampled_from(
+            ["junk", "drop", "extra", "rename", "field", "unknown", "repeat"]
+        ))
+        if edit == "junk":
+            entry = junk
+        elif edit == "drop":
+            del entry[draw(st.sampled_from(keys))]
+        elif edit == "rename":  # two keys, one of them wrong
+            entry["extra"] = entry.pop(draw(st.sampled_from(keys)))
+        elif edit == "extra":
+            entry["extra"] = junk
+        elif edit == "field":
+            entry[draw(st.sampled_from(keys))] = junk
+        elif edit == "unknown":
+            entry[keys[kind != "face"]] = "nowhere"  # an id, or a carrier
+        else:
+            other = entries[draw(st.sampled_from(whole))]
+            entry[keys[0]] = other[keys[0]]  # an id, or verts, listed twice
+    entries[i] = entry
+
+
+def parsed(parse, data):
+    """The instance file parse makes of data, or its InputError's messages."""
+    try:
+        return instance_text(parse(data))
+    except InputError as exc:
+        return exc.messages
+
+
+class TestEntryChecksAgainstTheOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_malformed_entries_get_the_oracles_witnesses(self, data):
+        name = data.draw(st.sampled_from(
+            ["square_torus", "annulus", "cut_triangle", "triangle", "cube_barycentric"]
+        ))
+        text = instance_text(INSTANCES[name]())
+        mutated = json.loads(text)
+        for _ in range(data.draw(st.integers(1, 4))):
+            malformed(mutated, data.draw)
+        mutated = json.loads(json.dumps(mutated))  # values json.loads produces
+        assert parsed(parse_instance, mutated) == parsed(parse_instance_oracle, mutated)
