@@ -20,16 +20,27 @@ characteristic function; `betti_mod2` reads and checks any rows.
 per face by `_carried`, which `validate_carriers` shares; on the poset
 the criterion is the CW gate.  The walk and the gather read the poset's
 up-set masks.
+
+The gate and the model read a triangulation's chain reduced within
+carriers (`reduced_chain`, kept on it): pairs of cells with one carrier,
+one in the other's boundary, are eliminated over GF(2), which leaves
+about one cell per face on a barycentric subdivision.  Both cells of a
+pair lie in the same faces' subcomplexes, and each face's subcomplex is
+closed, so the elimination is one of each subcomplex too and every
+face's Betti numbers stay.  Both cells have one isotropy group, so the
+pair lifts to one pair per coset and the model's Betti numbers stay.
+The walk's closure and carrier findings and `validate_carriers` read
+the whole chain; the poset's chain has one cell per carrier already.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from itertools import combinations
-from operator import lt
 from typing import NamedTuple
 
 from .charfunc import CharFunction, isotropy
@@ -41,7 +52,10 @@ Simplex = tuple[int, ...]
 
 
 class CarrierComplex:
-    """Simplicial complex with a carrier face label on every simplex."""
+    """Simplicial complex with a carrier face label on every simplex.  Each
+    simplex is a nonempty sorted tuple of distinct points in
+    0..n_points - 1, as `instance.parse_instance` checks; it is not
+    checked again here."""
 
     def __init__(self, poset: FacePoset, n_points: int, simplices: dict[Simplex, str]):
         self.poset = poset
@@ -49,11 +63,6 @@ class CarrierComplex:
         self.simplices = dict(simplices)
         # the results `poset.kept` keeps on this triangulation
         self._kept: dict[Callable[..., object], tuple[tuple[object, ...], object]] = {}
-        for sx in simplices:
-            if not sx or not all(map(lt, sx, sx[1:])):  # sorted and distinct
-                raise ValueError(f"simplex {sx} is not a nonempty sorted vertex tuple")
-            if not (0 <= sx[0] and sx[-1] < n_points):
-                raise ValueError(f"simplex {sx} uses points outside 0..{n_points - 1}")
 
     def by_dim(self) -> list[list[Simplex]]:
         """The simplices by dimension, each level sorted, up to the top one."""
@@ -174,6 +183,145 @@ def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     return chain
 
 
+def reduced_chain(base: CarrierComplex | FacePoset) -> BaseChain:
+    """base's chain reduced within carriers (`_reduce`), kept on base; the
+    gate and the model read it.  The poset's chain is already reduced,
+    each face being its carrier's only cell, and comes back as it is.
+    Raises as `base_chain` does."""
+    chain = base_chain(base)
+    return chain if base is base.poset else _kept_reduction(base)
+
+
+@kept
+def _kept_reduction(base: CarrierComplex | FacePoset) -> BaseChain:
+    """The reduction of base's walked chain, kept on it."""
+    return _reduce(_kept_chain(base), base.poset)
+
+
+def _reduce(chain: BaseChain, p: FacePoset) -> BaseChain:
+    """chain with pairs of cells of one carrier eliminated over GF(2).
+
+    A pair (a, b) has a in the boundary of b.  Every other cell c with a
+    in its boundary gets the boundary of b added, and b leaves the rows
+    one degree up (Kaczynski, Mrozek and Slusarek, "Homology computation
+    by reduction of chain complexes", 1998).  The carriers go smallest
+    faces first; within one, b pairs with a when a is the only cell of
+    the carrier left in b's boundary, and when no such b is left the
+    lowest-degree cell left is kept, critical (Mrozek and Batko,
+    "Coreduction homology algorithm", 2009).  A carrier also keeps one
+    cell of its top degree, so every face's subcomplex keeps its
+    dimension; on a triangulation that `validate_carriers` passes the
+    face's top cells are a relative cycle and some would stay anyway.
+
+    Every cell has one number here, its index plus the number of cells
+    of lower degree, so numbers ascend with the degree.  Cells of carriers
+    not yet reached read their boundary through image[c], the critical
+    cells of one degree that cell c now stands for: itself when kept, the
+    rest of b's boundary for a, nothing for b.  The rows of the cells
+    carried by the face being reduced are kept up to date instead, with
+    each left cell's cofaces there and each cell's count of left cells in
+    its row.  The critical cells keep their order, and facets lists their
+    rows' bits in ascending order."""
+    first = [0]  # each degree's first number
+    for level in chain.cells:
+        first.append(first[-1] + len(level))
+    facets = [js for level in chain.facets for js in level]
+    degree = [d for d, level in enumerate(chain.cells) for _ in level]
+    nothing: set[int] = set()  # shared, never changed
+    image = [nothing] * first[-1]  # each is set as its carrier is reached
+    rows: list[set[int] | None] = [None] * first[-1]  # None once paired or not yet reached
+    count = [0] * first[-1]
+    by_carrier: dict[str, list[int]] = {}  # each carrier's cells, in ascending order
+    for d, level in enumerate(chain.carriers):
+        for c, g in enumerate(level, first[d]):
+            by_carrier.setdefault(g, []).append(c)
+    for g in reversed(p._order):
+        mine = by_carrier.get(g)
+        if mine is None:
+            continue
+        for c in mine:
+            image[c] = {c}
+        for c in mine:
+            row: set[int] = set()
+            d = degree[c]
+            if d:
+                shift = first[d - 1]
+                for j in facets[c]:
+                    row ^= image[shift + j]
+            rows[c] = row
+        if len(mine) == 1:  # it stays
+            continue
+        left = set(mine)
+        cofaces: dict[int, list[int]] = {}
+        free = []  # cells with one left cell in their row, first found first
+        for c in mine:
+            inside = rows[c] & left
+            for a in inside:
+                cofaces.setdefault(a, []).append(c)
+            count[c] = len(inside)
+            if count[c] == 1:
+                free.append(c)
+        top = degree[mine[-1]]
+        tops = len(mine) - bisect_left(mine, first[top])
+        k = 0
+        while left:
+            while k < len(free):
+                b = free[k]
+                k += 1
+                if b not in left or count[b] != 1:
+                    continue
+                if degree[b] == top:
+                    if tops == 1:
+                        continue
+                    tops -= 1
+                boundary = rows[b]
+                (a,) = boundary & left
+                left.discard(a)
+                left.discard(b)
+                rows[a] = rows[b] = None
+                for c in cofaces[a]:
+                    row = rows[c]
+                    if row is None:  # b, or a cell paired before
+                        continue
+                    row ^= boundary
+                    if c in left:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            free.append(c)
+                for c in cofaces.get(b, ()):
+                    row = rows[c]
+                    if row is None:
+                        continue
+                    row.discard(b)
+                    if c in left:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            free.append(c)
+                boundary.discard(a)
+                image[a] = boundary
+                image[b] = nothing
+            if left:
+                critical = min(left)  # of the lowest degree left
+                left.discard(critical)
+                for c in cofaces.get(critical, ()):
+                    if c in left:
+                        count[c] -= 1
+                        if count[c] == 1:
+                            free.append(c)
+
+    cells, carriers, out_rows, out_facets = [], [], [], []
+    number: dict[int, int] = {}  # a critical cell's index in the reduced chain
+    for d, level in enumerate(chain.cells):
+        stay = [c for c in range(first[d], first[d + 1]) if rows[c] is not None]
+        below, number = number, {c: k for k, c in enumerate(stay)}
+        cells.append(tuple(level[c - first[d]] for c in stay))
+        carriers.append(tuple(chain.carriers[d][c - first[d]] for c in stay))
+        listed = tuple(tuple(sorted(below[a] for a in rows[c])) for c in stay)
+        out_facets.append(listed)
+        out_rows.append(tuple(sum(1 << j for j in js) for js in listed))
+    return BaseChain(tuple(cells), tuple(carriers), tuple(out_rows), tuple(out_facets))
+
+
 class QuotientComplex:
     """Mod-2 chain complex of (base x GF(2)^n) / isotropy.
 
@@ -185,10 +333,18 @@ class QuotientComplex:
     groups, and coincident images cancel mod 2.  cells[d] lists the
     d-cells and rows[d] their boundaries, in the module's row form.
 
-    The rows are lifted from base's chain (`base_chain`), where closure,
-    carriers and, for the poset, soundness were checked once: the
-    row of (c, g) is the XOR of (c', rep(g + G_f')) over the cells c' in
-    the row of c, f' being the carrier of c'.  Boundary² = 0 on the model
+    The rows are lifted from base's chain reduced within carriers
+    (`reduced_chain`), whose walk checked closure, carriers and, for the
+    poset, soundness once: the row of (c, g) is the XOR of
+    (c', rep(g + G_f')) over the cells c' in the row of c, f' being the
+    carrier of c'.  On a triangulation the cells are the critical
+    simplices of the reduction, not all of them.  The model is the one
+    over the whole triangulation reduced by the lifted pairs: a pair
+    (a, b) with carrier f lifts to the pairs ((a, g), (b, g)), one per
+    coset g of G_f, since (a, rep(g + G_f)) = (a, g) lies in the boundary
+    of (b, g), and adding b's boundary to a coface's lifts to adding
+    (b, g)'s, as coset drops compose (below).  So its Betti numbers are
+    those of the whole simplicial model.  Boundary² = 0 on the model
     follows from the base's, which holds by construction (see `_walk`).
     Take c' in the boundary of c and c'' in that of c', with carriers
     f'' <= f' <= f.  A smaller face lies in more facets, so
@@ -204,7 +360,7 @@ class QuotientComplex:
         self.base = base
         self.lam = lam
         self.n = lam.n
-        self.cells, self.rows = _lift(base_chain(base), base.poset, lam)
+        self.cells, self.rows = _lift(reduced_chain(base), base.poset, lam)
 
     def betti(self) -> tuple[int, ...]:
         """Unreduced mod-2 Betti numbers, padded to length n+1."""
@@ -375,17 +531,23 @@ def _carried(
 def is_face_acyclic(base: CarrierComplex | FacePoset) -> AcyclicityReport:
     """Is every face's subcomplex, the cells carried inside it, mod-2 acyclic?
 
-    Each face's subcomplex is a set of rows of base's one chain complex
-    (`_carried`), read at its own size.  On the poset this is the
+    Each face's subcomplex is a set of rows of base's chain reduced
+    within carriers (`reduced_chain`, `_carried`), read at its own size;
+    the reduction keeps each face's Betti numbers.  On the poset this is the
     CW gate (Bjorner, "Posets, regular CW complexes and Bruhat order",
     1984): for f of dimension d >= 1 the boundary of the cell f is a
     (d-1)-cycle of f's boundary, which has no d-cells to bound it, so the
     faces below f are acyclic exactly when f's boundary has the mod-2
     homology of S^(d-1).
     """
+    return _acyclicity(reduced_chain(base), base.poset)
+
+
+def _acyclicity(chain: BaseChain, p: FacePoset) -> AcyclicityReport:
+    """Each face's reduced Betti numbers, read off its rows in chain."""
     per_face: dict[str, tuple[int, ...]] = {}
     empty: list[str] = []
-    for f, sub in _carried(base_chain(base), base.poset):
+    for f, sub in _carried(chain, p):
         if not sub:
             empty.append(f)
             continue

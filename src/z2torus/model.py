@@ -4,7 +4,8 @@ Given a cell complex over Q and a characteristic function, the model
 is Q x GF(2)^n with (q, g) ~ (q, g') whenever g - g' lies in the
 isotropy subgroup of the carrier of q (complexes.QuotientComplex).  In
 mode B the cell complex is the given triangulation, and the cells are
-its simplices.  In mode A it is the face poset itself, one cell per
+the simplices left critical by its reduction within carriers, which
+keeps the homology (complexes.reduced_chain).  In mode A it is the face poset itself, one cell per
 (face, coset of its isotropy group): the small-cover cell structure of
 Davis and Januszkiewicz ("Convex polytopes, Coxeter orbifolds and torus
 actions", 1991), valid once the face poset passes the CW gate.  Its mod-2

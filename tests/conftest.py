@@ -1,6 +1,8 @@
 """Instances and helpers shared by several test modules."""
 
+import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +10,7 @@ from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
 from z2torus.gf2 import Matrix, Vec
+from z2torus.instance import instance_text
 from z2torus.poset import FacePoset
 
 
@@ -168,4 +171,57 @@ def split_annulus_data():
         "inclusions": [[e, "Q"] for e in edges]
         + [[v, e] for e, ends in edges.items() for v in ends],
         "lambda": {"A1": [1, 0], "A2": [0, 1], "B1": [1, 0], "B2": [0, 1]},
+    }
+
+
+@pytest.fixture
+def mobius_square_data():
+    """The square with torus labels, its triangulation a Moebius band.
+
+    The 5-vertex Moebius band (triangles {i, i+1, i+2} mod 5) has the
+    boundary circle 0-2-4-1-3; the corners are 0, 2, 4, 1 and the point 3
+    lies on the left edge.  Every carrier check passes, but Q's subcomplex
+    has reduced mod-2 Betti numbers (0, 1, 0): the criterion fails while
+    the 1-skeleton, the square's, is a GKM graph.
+    """
+    carriers = {
+        (0,): "BL", (2,): "BR", (4,): "TR", (1,): "TL", (3,): "L",
+        (0, 2): "B", (2, 4): "R", (1, 4): "T", (1, 3): "L", (0, 3): "L",
+        (0, 1): "Q", (1, 2): "Q", (2, 3): "Q", (3, 4): "Q", (0, 4): "Q",
+        (0, 1, 2): "Q", (1, 2, 3): "Q", (2, 3, 4): "Q", (0, 3, 4): "Q", (0, 1, 4): "Q",
+    }
+    data = json.loads(instance_text(corpus.square_torus()))
+    data["name"] = "square_mobius"
+    data["triangulation"] = {
+        "points": 5,
+        "simplices": [{"verts": list(sx), "carrier": f} for sx, f in carriers.items()],
+    }
+    return data
+
+
+@pytest.fixture
+def rp2_dual_data():
+    """Q dual to the 6-vertex RP^2: a face per simplex s of RP^2_6, of
+    codim |s|, reversed, and a top face.  Its poset and labels pass
+    validation and its 1-skeleton is a GKM graph, but the boundary of Q
+    is RP^2, so the CW gate fails at Q alone."""
+    triangles = [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+                 (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)]
+    simplices = sorted(
+        {s for t in triangles for k in (1, 2, 3) for s in combinations(t, k)},
+        key=lambda s: (len(s), s),
+    )
+
+    def name(s):
+        return "s" + "".join(map(str, s))
+
+    labels = ["001", "010", "011", "101", "110", "100"]  # a basis at every vertex
+    return {
+        "name": "rp2_dual",
+        "dim": 3,
+        "faces": [{"id": "Q", "codim": 0}] + [{"id": name(s), "codim": len(s)} for s in simplices],
+        "inclusions": [[name((v,)), "Q"] for v in range(6)]
+        + [[name(t), name(s)] for s in simplices for t in simplices
+           if len(t) == len(s) + 1 and set(s) < set(t)],
+        "lambda": {name((v,)): [int(b) for b in labels[v]] for v in range(6)},
     }

@@ -10,22 +10,31 @@ from restrictions import face_restriction
 
 from z2torus.blowup import CutResult, cut_face
 from z2torus.charfunc import CharFunction, _label_image
-from z2torus.complexes import QuotientComplex
+from z2torus.complexes import CarrierComplex, _lift, base_chain
 from z2torus.gf2 import bit_indices
 from z2torus.model import formality_verdict
 from z2torus.poset import FacePoset, count_components
 
 
-def facial_components(q: QuotientComplex, f: str) -> int:
-    """Connected components of the preimage of the face f in the model."""
-    p = q.base.poset
-    inside = [[p.leq(q.base.carrier(cell), f) for cell, _ in cells] for cells in q.cells]
+def simplicial_model(base: CarrierComplex | FacePoset, lam: CharFunction):
+    """The cells and boundary rows of the model over every cell of base:
+    the lift of base's walked chain, where `QuotientComplex` lifts the
+    chain reduced within carriers."""
+    return _lift(base_chain(base), base.poset, lam)
+
+
+def facial_components(base: CarrierComplex | FacePoset, lam: CharFunction, f: str) -> int:
+    """Connected components of the preimage of the face f in the model
+    over every cell of base."""
+    p = base.poset
+    model_cells, rows = simplicial_model(base, lam)
+    inside = [[p.leq(base.carrier(cell), f) for cell, _ in cells] for cells in model_cells]
     cells = [(d, i) for d, flags in enumerate(inside) for i, ok in enumerate(flags) if ok]
     # the boundary cells of a cell inside f are inside f too
     pairs = (
         ((d, i), (d - 1, j))
-        for d in range(1, len(q.cells))
-        for i, row in enumerate(q.rows[d])
+        for d in range(1, len(model_cells))
+        for i, row in enumerate(rows[d])
         if inside[d][i]
         for j in bit_indices(row)
     )

@@ -142,7 +142,7 @@ def test_06_annulus_negative_instance():
         assert sum(q.betti()) == 4
         v = formality_verdict(inst.base, inst.lam)
         assert not v.hsiang and not v.criterion and v.hsiang == v.criterion
-        assert facial_components(q, "F1") == 2
+        assert facial_components(c, inst.lam, "F1") == 2
     print(f"\nACCEPTANCE 6: PASS (annulus: not face-acyclic, 0 fixed, sum 4, "
           f"verdicts agree, facet preimage has 2 components; {clk.elapsed:.2f}s)")
 

@@ -135,9 +135,10 @@ def test_cut_chains_match_the_order_complex(data):
 @pytest.mark.parametrize("name", CW_CORPUS)
 def test_facial_components_agree_on_both_cell_complexes(name):
     inst = corpus.BUILDERS[name]()
-    cells, simplices = face_model(inst.poset, inst.lam), oracle(inst.poset, inst.lam)
-    for f in inst.poset.faces():
-        assert facial_components(cells, f) == facial_components(simplices, f), f
+    p, lam = inst.poset, inst.lam
+    simplices = order_complex(p)
+    for f in p.faces():
+        assert facial_components(p, lam, f) == facial_components(simplices, lam, f), f
 
 
 @pytest.mark.parametrize("n", [4, 5])

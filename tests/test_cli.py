@@ -281,9 +281,11 @@ class TestReport:
             _, out, _ = run(capsys, cmd, bundled(name))
             parts.append(out)
         # every subcommand loads its own instance, so each computes afresh;
-        # mode B walks its triangulation while loading, to validate the carriers
+        # mode B walks its triangulation while loading, to validate the
+        # carriers; gkm and code read the gate, and only betti and
+        # formality build the model
         walks = 6 if name == "square_klein" else 4
-        assert calls == {"is_face_acyclic": 4, "build_quotient": 3, "_walk": walks}
+        assert calls == {"is_face_acyclic": 4, "build_quotient": 2, "_walk": walks}
         calls.clear()
         rc, whole, _ = run(capsys, "report", bundled(name))
         # the loader, the gate and the model share one walk of the base complex
@@ -409,6 +411,31 @@ class TestParseErrors:
         bad.write_text(json.dumps(data))
         rc, _, err = run(capsys, "validate", str(bad))
         assert rc == 1 and "p23" in err
+
+
+class TestGkmWarning:
+    def test_the_warning_reads_the_criterion_and_builds_no_model(
+        self, capsys, monkeypatch, tmp_path, mobius_square_data
+    ):
+        path = tmp_path / "mobius.json"
+        path.write_text(json.dumps(mobius_square_data))
+
+        def no_model(*args):
+            raise AssertionError("gkm lifted a model")
+
+        with monkeypatch.context() as m:
+            m.setattr(complexes, "_lift", no_model)
+            rc, out, err = run(capsys, "gkm", str(path))
+        assert rc == 0 and err == ""
+        assert out.splitlines() == [
+            "equivariant_dims=(1, 4, 8, 12, 16) face_ring_dims=(1, 4, 8, 12, 16) "
+            "max_deg=4 match=true",
+            "warning: criterion fails; by the paper's theorem the model is not formal, "
+            "so equivariant dims are the restriction image only",
+        ]
+        rc, whole, _ = run(capsys, "report", str(path))
+        assert rc == 0 and out in whole
+        assert "hsiang=false criterion=false h_identity=false agree=true" in whole
 
 
 class TestOutOfMemory:
@@ -776,6 +803,26 @@ class TestModeAGate:
         rc, out, err = run(capsys, "validate", str(f))
         assert rc == 1 and "skeleton_connected=fail" in out
         rc, out, err = run(capsys, "report", str(f))
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: mode A needs a CW poset, where the boundary of every face is a mod-2 "
+            "homology sphere; it fails at Q; supply a triangulation to use mode B\n"
+        )
+
+
+    def test_gkm_stops_at_the_gate_without_a_model(self, capsys, monkeypatch, tmp_path,
+                                                   rp2_dual_data):
+        # the labels pass and the 1-skeleton is a GKM graph, so gkm reaches the gate
+        f = tmp_path / "rp2_dual.json"
+        f.write_text(json.dumps(rp2_dual_data))
+        rc, out, _ = run(capsys, "validate", str(f))
+        assert rc == 0 and "lambda: ok" in out
+
+        def no_model(*args):
+            raise AssertionError("gkm lifted a model")
+
+        monkeypatch.setattr(complexes, "_lift", no_model)
+        rc, out, err = run(capsys, "gkm", str(f))
         assert rc == 2 and out == ""
         assert err == (
             "error: mode A needs a CW poset, where the boundary of every face is a mod-2 "

@@ -289,3 +289,21 @@ class TestEntryChecksAgainstTheOracle:
             malformed(mutated, data.draw)
         mutated = json.loads(json.dumps(mutated))  # values json.loads produces
         assert parsed(parse_instance, mutated) == parsed(parse_instance_oracle, mutated)
+
+
+class TestSimplexEntries:
+    """The parser refuses a simplex that is not a nonempty sorted tuple of
+    distinct points in range; `CarrierComplex` trusts what it passes."""
+
+    @pytest.mark.parametrize("verts, witness", [
+        ([1, 0], "simplex verts [1, 0] must be a sorted list of distinct ints"),
+        ([0, 0], "simplex verts [0, 0] must be a sorted list of distinct ints"),
+        ([0, 5], "simplex [0, 5] uses points outside 0..3"),
+        ([], "simplex verts [] must be a sorted list of distinct ints"),
+    ], ids=["unsorted", "repeated", "out_of_range", "empty"])
+    def test_refused_with_its_witness(self, verts, witness):
+        data = json.loads(instance_text(corpus.square_torus()))
+        data["triangulation"]["simplices"].append({"verts": verts, "carrier": "Q"})
+        with pytest.raises(InputError) as err:
+            parse_instance(data)
+        assert err.value.messages == [witness]

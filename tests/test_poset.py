@@ -793,7 +793,11 @@ class TestKept:
         want = formality_verdict(tri, lam)
         assert validate_carriers(tri).ok
         before = dict(p._kept)
-        on_tri = {f.__wrapped__ for f in (complexes._kept_chain, face_acyclicity, formality_verdict)}
+        on_tri = {
+            f.__wrapped__
+            for f in (complexes._kept_chain, complexes._kept_reduction, face_acyclicity,
+                      formality_verdict)
+        }
         assert set(tri._kept) == on_tri
         gc.disable()
         try:

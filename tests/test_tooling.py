@@ -1,6 +1,6 @@
 """The pytest configuration itself: a failing test must not end the run;
 the package's export list; and a guard that the package holds only what
-a command runs."""
+a command runs, with the stages each subcommand enters."""
 
 import ast
 import contextlib
@@ -13,7 +13,7 @@ from pathlib import Path
 from types import CodeType
 
 import z2torus
-from z2torus import cli, corpus
+from z2torus import charfunc, cli, codes, complexes, corpus, model
 from z2torus.instance import Instance, save_instance
 from z2torus.poset import order_complex
 
@@ -188,18 +188,45 @@ def command_runs(tmp_path):
     return runs
 
 
+# The stages each subcommand enters on the runs of `command_runs`: a
+# command that starts to pay for a stage it does not print fails here.
+STAGES = {
+    "_lift": complexes._lift,  # the model
+    "_reduce": complexes._reduce,  # a triangulation's chain, reduced within carriers
+    "is_face_acyclic": complexes.is_face_acyclic,  # the gate
+    "axial_function": charfunc.axial_function,
+    "facet_code": codes.facet_code,
+    "fixed_locus": model.fixed_locus,
+}
+MODEL = {"_lift", "_reduce", "is_face_acyclic"}
+ENTERED_STAGES = {
+    "validate": set(),
+    "hvector": set(),
+    "betti": MODEL,
+    "formality": MODEL,
+    "gkm": {"_reduce", "is_face_acyclic", "axial_function"},
+    "code": {"_reduce", "is_face_acyclic", "facet_code"},
+    "report": MODEL | {"axial_function", "facet_code"},
+    "fixed-locus": {"fixed_locus"},
+    "blowup": set(),
+}
+
+
 def test_every_package_function_a_command_skips_is_pinned(tmp_path):
     runs = command_runs(tmp_path)
-    assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+    assert {argv[0] for argv in runs} == set(cli.COMMANDS) == ENTERED_STAGES.keys()
     cli.build_parser.cache_clear()  # so the parser is built under the profiler
     entered = set()
-
-    def record(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
+    stages = {fn.__code__: name for name, fn in STAGES.items()}
+    by_command = {cmd: set() for cmd in ENTERED_STAGES}
     before = sys.getprofile()
     for argv in runs:
+        ran = set()
+
+        def record(frame, event, arg):
+            if event == "call":
+                ran.add(frame.f_code)
+
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             sys.setprofile(record)
             try:
@@ -207,6 +234,9 @@ def test_every_package_function_a_command_skips_is_pinned(tmp_path):
             finally:
                 sys.setprofile(before)
         assert rc in (0, 1, 2), argv
+        entered |= ran
+        by_command[argv[0]] |= {stages[c] for c in ran if c in stages}
+    assert by_command == ENTERED_STAGES
     seen = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in entered}
     functions = package_functions()
     never = {name for key, name in functions.items() if key not in seen}
