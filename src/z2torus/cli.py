@@ -88,15 +88,7 @@ def frag_formality(inst: Instance) -> Fragment:
     return lines, 0
 
 
-def frag_gkm(
-    inst: Instance, max_deg: int | None = None, criterion: bool | None = None
-) -> Fragment:
-    """The GKM dimensions against the face ring's, and a warning when the
-    paper's criterion fails: then the model is not formal and the GKM
-    dimensions count only the image of the restriction to the fixed
-    points.  The criterion is `criterion` when the caller has it, else the
-    gate on the instance's base (`face_acyclicity`), which builds no
-    model; in mode A a failing gate raises PreconditionError."""
+def frag_gkm(inst: Instance, max_deg: int | None = None) -> Fragment:
     _need_lambda(inst)
     p = inst.poset
     if max_deg is None:
@@ -114,12 +106,10 @@ def frag_gkm(
     lines = [
         f"equivariant_dims={eq} face_ring_dims={fr} max_deg={max_deg} match={_b(eq == fr)}"
     ]
-    if criterion is None:
-        criterion = face_acyclicity(inst.base).verdict
-    if not criterion:
+    v = formality_verdict(inst.base, inst.lam)
+    if not v.hsiang:
         lines.append(
-            "warning: criterion fails; by the paper's theorem the model is not formal, "
-            "so equivariant dims are the restriction image only"
+            "warning: model not formal; equivariant dims are the restriction image only"
         )
     return lines, 0
 
@@ -177,19 +167,11 @@ def frag_blowup(inst: Instance, face: str, out: str) -> Fragment:
 def frag_report(inst: Instance) -> Fragment:
     lines: list[str] = []
     rc = 0
-    for frag in (frag_validate, frag_hvector, frag_betti, frag_formality, _gkm_in_report, frag_code):
+    for frag in (frag_validate, frag_hvector, frag_betti, frag_formality, frag_gkm, frag_code):
         part, part_rc = frag(inst)
         lines.extend(part)
         rc = max(rc, part_rc)
     return lines, rc
-
-
-def _gkm_in_report(inst: Instance) -> Fragment:
-    """The gkm fragment of a report, its criterion read off the verdict
-    that the betti and formality fragments have kept on the base: the
-    same value as the gate's, at no cost.  The frozen benchmark checks
-    (`perfbench/test_checks.py`) count three verdict calls per report."""
-    return frag_gkm(inst, None, formality_verdict(inst.base, inst.lam).criterion)
 
 
 COMMANDS: dict[str, Callable[[Instance, argparse.Namespace], Fragment]] = {

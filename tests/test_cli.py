@@ -281,11 +281,9 @@ class TestReport:
             _, out, _ = run(capsys, cmd, bundled(name))
             parts.append(out)
         # every subcommand loads its own instance, so each computes afresh;
-        # mode B walks its triangulation while loading, to validate the
-        # carriers; gkm and code read the gate, and only betti and
-        # formality build the model
+        # mode B walks its triangulation while loading, to validate the carriers
         walks = 6 if name == "square_klein" else 4
-        assert calls == {"is_face_acyclic": 4, "build_quotient": 2, "_walk": walks}
+        assert calls == {"is_face_acyclic": 4, "build_quotient": 3, "_walk": walks}
         calls.clear()
         rc, whole, _ = run(capsys, "report", bundled(name))
         # the loader, the gate and the model share one walk of the base complex
@@ -414,24 +412,15 @@ class TestParseErrors:
 
 
 class TestGkmWarning:
-    def test_the_warning_reads_the_criterion_and_builds_no_model(
-        self, capsys, monkeypatch, tmp_path, mobius_square_data
-    ):
+    def test_the_warning_follows_the_model(self, capsys, tmp_path, mobius_square_data):
         path = tmp_path / "mobius.json"
         path.write_text(json.dumps(mobius_square_data))
-
-        def no_model(*args):
-            raise AssertionError("gkm lifted a model")
-
-        with monkeypatch.context() as m:
-            m.setattr(complexes, "_lift", no_model)
-            rc, out, err = run(capsys, "gkm", str(path))
+        rc, out, err = run(capsys, "gkm", str(path))
         assert rc == 0 and err == ""
         assert out.splitlines() == [
             "equivariant_dims=(1, 4, 8, 12, 16) face_ring_dims=(1, 4, 8, 12, 16) "
             "max_deg=4 match=true",
-            "warning: criterion fails; by the paper's theorem the model is not formal, "
-            "so equivariant dims are the restriction image only",
+            "warning: model not formal; equivariant dims are the restriction image only",
         ]
         rc, whole, _ = run(capsys, "report", str(path))
         assert rc == 0 and out in whole

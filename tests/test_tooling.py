@@ -204,7 +204,7 @@ ENTERED_STAGES = {
     "hvector": set(),
     "betti": MODEL,
     "formality": MODEL,
-    "gkm": {"_reduce", "is_face_acyclic", "axial_function"},
+    "gkm": MODEL | {"axial_function"},
     "code": {"_reduce", "is_face_acyclic", "facet_code"},
     "report": MODEL | {"axial_function", "facet_code"},
     "fixed-locus": {"fixed_locus"},
