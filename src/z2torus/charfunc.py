@@ -142,18 +142,23 @@ def isotropy(p: FacePoset, lam: CharFunction, f: str) -> Subgroup:
     return Subgroup(lam.n, [lam.vec(F) for F in p.facets_containing(f)])
 
 
-# vertex -> (edge, other end, form bits) for each edge at it, edges sorted
-Ends = Mapping[str, tuple[tuple[str, str, int], ...]]
+# by vertex position: (edge, other end's position, form bits) for each
+# edge at it, edges sorted
+Ends = tuple[tuple[tuple[str, int, int], ...], ...]
 
 
 @dataclass(frozen=True)
 class GkmGraph:
     """1-skeleton with axial labels; edges keyed by their face id.  A
     read-only value, read once when it is built: `edges` and `axial` are
-    read-only copies, and `ends` gives the edges at each vertex.  The
-    builder states `incongruent`, the sorted edges e = (v, w) across
-    which the forms at v and at w disagree mod alpha(e): `axial_function`
-    proves there are none, so nothing scans for them here."""
+    read-only copies, and `ends[i]` gives the edges at `vertices[i]`, each
+    with the position of its other end.  The builder states
+    `incongruent`, the sorted edges e = (v, w) across which the forms at
+    v and at w disagree mod alpha(e): `axial_function` proves there are
+    none, so nothing scans for them here.  A graph is refused, with
+    ValueError naming the first offender, if a vertex is repeated, the
+    keys of `axial` are not those of `edges`, an edge's form is not of
+    width n or an edge ends outside `vertices`."""
 
     n: int
     vertices: tuple[str, ...]
@@ -164,22 +169,53 @@ class GkmGraph:
 
     def __post_init__(self) -> None:
         edges, axial = dict(self.edges), dict(self.axial)
-        ends: dict[str, list[tuple[str, str, int]]] = {v: [] for v in self.vertices}
+        index: dict[str, int] = {}  # vertex -> position
+        for i, v in enumerate(self.vertices):
+            if index.setdefault(v, i) != i:
+                raise ValueError(f"vertex {v!r} is repeated")
+        if axial.keys() != edges.keys():
+            e = min(axial.keys() ^ edges.keys())
+            what = "has no form" if e in edges else "has a form but is not an edge"
+            raise ValueError(f"{e!r} {what}")
+        ends: list[list[tuple[str, int, int]]] = [[] for _ in self.vertices]
         for e, (a, b) in sorted(edges.items()):
-            ends.setdefault(a, []).append((e, b, axial[e].bits))
-            if b != a:
-                ends.setdefault(b, []).append((e, a, axial[e].bits))
+            form = axial[e]
+            if form.n != self.n:
+                raise ValueError(f"form of {e!r} has width {form.n}, not {self.n}")
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                raise ValueError(f"edge {e!r} ends at {a if i is None else b!r}, not a vertex")
+            ends[i].append((e, j, form.bits))
+            if j != i:
+                ends[j].append((e, i, form.bits))
         put = object.__setattr__  # the one write of each field
         put(self, "edges", MappingProxyType(edges))
         put(self, "axial", MappingProxyType(axial))
-        put(self, "ends", MappingProxyType({v: tuple(t) for v, t in ends.items()}))
+        put(self, "ends", tuple(map(tuple, ends)))
+
+
+def _dual_basis(labels: tuple[int, ...], n: int) -> dict[int, Vec]:
+    """label -> the form that is 1 on it and 0 on the other labels, for a
+    basis `labels` of GF(2)^n, from one `_rref_rows` of the rows
+    label << n | 1 << k.  The label columns are all pivots, so row i of
+    the echelon form is 1 << (n + i) | c_i, with e_i the sum of the
+    labels[k] over the bits k of c_i: the c_i are the rows of the inverse
+    C of the matrix L of labels.  The form of labels[k] is column k of C,
+    as L C = I."""
+    rows, _ = _rref_rows(label << n | 1 << k for k, label in enumerate(labels))
+    return {
+        label: Vec(sum((row >> k & 1) << i for i, row in enumerate(rows)), n)
+        for k, label in enumerate(labels)
+    }
 
 
 def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
     """Axial function on the 1-skeleton: alpha(e) is the unique nonzero
     functional vanishing on the labels of the n-1 facets containing e.
-    It depends only on those labels, so one nullspace is solved per
-    facet-label set and the edges with that set share its form.
+    At an end v of e, that is the dual vector of the label of the one
+    facet through v that misses e, so one inversion is made per vertex
+    label set (`_dual_basis`), shared by the vertices with that set, and
+    each edge, taken in sorted order, reads its form at its first end.
 
     Precondition: p is sound and lam independent at every face
     (`require_valid`), else InputError.  The graph is then a GKM graph by
@@ -187,14 +223,15 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
     with `incongruent` = ():
     - the n edges at a vertex v each lie on all but one of v's n facets,
       each missing a different one; v's labels are a basis, so the forms
-      at v are its dual basis;
+      at v are its dual basis, and the facet e misses at v is the one
+      bit of v's facet mask outside e's (p is nice);
     - let e = (v, w) lie on the facets S, v on S + {A} and w on S + {B}.
       For s in S, the edges at v and at w that drop s both have forms
       that are 1 on lam(s) and 0 on the rest of lam(S), so their sum
       vanishes on lam(S) and is 0 or alpha(e): no edge is incongruent
       (Guillemin and Zara, 2001);
-    - an edge's n - 1 labels are independent, so its nullspace is one
-      line; at n = 1 the edge is Q, on no facet, and its form is 1.
+    - at n = 1 the edge is Q, on no facet, each vertex is a facet, and
+      the form is 1.
     """
     require_valid(p, lam, "gkm")
     sk = one_skeleton(p)
@@ -205,14 +242,19 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
             f"degenerate_edges={sorted(sk.degenerate_edges)})"
         )
     label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
-    forms: dict[tuple[int, ...], Vec] = {}  # sorted facet labels -> form
+    mask = p._facet_mask
+    duals: dict[tuple[int, ...], dict[int, Vec]] = {}  # sorted labels -> dual basis
+    dual: dict[str, dict[int, Vec]] = {}  # vertex -> its labels' dual basis
+    for v in sk.vertices:
+        labels = tuple(sorted(label[j] for j in bit_indices(mask[v])))
+        basis = duals.get(labels)
+        if basis is None:
+            basis = duals[labels] = _dual_basis(labels, p.n)
+        dual[v] = basis
     axial: dict[str, Vec] = {}
-    for e in sorted(sk.edges):
-        labels = tuple(sorted(label[j] for j in bit_indices(p._facet_mask[e])))
-        form = forms.get(labels)
-        if form is None:
-            form = forms[labels] = Vec(Matrix(labels, p.n).nullspace().rows[0], p.n)
-        axial[e] = form
+    for e, (v, _) in sorted(sk.edges.items()):
+        missed = (mask[v] & ~mask[e]).bit_length() - 1
+        axial[e] = dual[v][label[missed]]
     return GkmGraph(p.n, sk.vertices, sk.edges, axial, ())
 
 

@@ -12,9 +12,10 @@ every cell that is the pivot of a reduced boundary one degree up (Chen
 and Kerber, "Persistent homology computation with a twist", 2011;
 Bauer, Kerber, Reininghaus and Wagner, "PHAT", 2017).  `in_span` tests
 membership against the unreduced basis.  Echelon forms (`_rref_rows`,
-`nullspace`, `reduce_by`) reduce it: each pivot column is cleared from
-every other row, which makes the form canonical, with rows ordered by
-pivot column, and a coset representative one fixed element of its coset.
+so `reduce_by` and the dual bases of `charfunc.axial_function`) reduce
+it: each pivot column is cleared from every other row, which makes the
+form canonical, with rows ordered by pivot column, and a coset
+representative one fixed element of its coset.
 """
 
 from __future__ import annotations
@@ -178,21 +179,6 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_top_basis(enumerate(self.rows)))
-
-    def nullspace(self) -> "Matrix":
-        """Basis of {v : every row r has r.v = 0}, one row per free column."""
-        rows, pivots = _rref_rows(self.rows)
-        pivot_set = set(pivots)
-        basis = []
-        for j in range(self.ncols):
-            if j in pivot_set:
-                continue
-            v = 1 << j
-            for p, r in zip(pivots, rows):
-                if (r >> j) & 1:
-                    v |= 1 << p
-            basis.append(v)
-        return Matrix(tuple(basis), self.ncols)
 
     def __str__(self) -> str:
         return "\n".join(str(Vec(r, self.ncols)) for r in self.rows)

@@ -26,7 +26,7 @@ of v's down-edges: no matrix is built.  On any other graph, or when no
 vertex can be placed, `eliminated_hilbert` ranks one GF(2) matrix per
 degree instead; it is also the test oracle for the closed form.  On
 the 8-cube, `axial_function` and `equivariant_hilbert(g, 16)` take
-10-17 ms together on a shared 2-vCPU x86-64 VM (best of 5 in each of 8
+6-10 ms together on a shared 2-vCPU x86-64 VM (best of 5 in each of 8
 fresh processes, after one call that keeps the poset's validation and
 1-skeleton).
 
@@ -80,15 +80,17 @@ def _image(m: tuple[int, ...], pivot: int, rest: list[int]) -> list[tuple[int, .
 
 
 def _certified_down_degree(
-    v: str, placed: dict[str, int], ends: Ends, spans: Spans
+    i: int, placed: list[bool], seen: list[int], stamp: int, ends: Ends, spans: Spans
 ) -> int | None:
-    """The number d_v of v's down-edges (those to placed vertices) if v may
-    come next, else None.  Checked: v's up-face C_v holds no placed
-    vertex, and the down-edge forms are nonzero and pairwise distinct."""
+    """The number d_v of v's down-edges (those to placed vertices) if v,
+    the vertex at position i, may come next, else None.  Checked: v's
+    up-face C_v holds no placed vertex, and the down-edge forms are
+    nonzero and pairwise distinct.  The search marks the vertices of C_v
+    with its own stamp in `seen`."""
     down: list[int] = []
     up: set[int] = set()
-    for _, u, b in ends[v]:
-        if u in placed:
+    for _, j, b in ends[i]:
+        if placed[j]:
             down.append(b)
         else:
             up.add(b)
@@ -98,33 +100,38 @@ def _certified_down_degree(
     if key not in spans:
         spans[key] = (_top_basis(enumerate(up)), {})
     basis, memo = spans[key]
-    face = {v}  # the vertices of C_v
-    stack = [v]
+    seen[i] = stamp
+    stack = [i]
     while stack:
         w = stack.pop()
-        for _, u, b in ends[w]:
+        for _, j, b in ends[w]:
+            if seen[j] == stamp:  # in C_v already, so not placed
+                continue
             inside = memo.get(b)
             if inside is None:
                 inside = memo[b] = in_span(basis, b)
             if not inside:
                 continue
-            if u in placed:
+            if placed[j]:
                 return None
-            if u not in face:
-                face.add(u)
-                stack.append(u)
+            seen[j] = stamp
+            stack.append(j)
     return len(down)
 
 
 def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     """Down-degree d_v of every vertex, in a certified flow-up order, or
     None when some edge of g is incongruent or at some step no remaining
-    vertex can be placed.  The graph's `ends` are walked, and a basis of
-    the span of a vertex's up-edge forms is found once per distinct set
-    of them (`spans`, keyed by pivot for `in_span`), with a memo of the
-    forms found in it: vertices with the same up-edge forms share both.
-    Which edges are incongruent is read off the graph, whose builder
-    states them.
+    vertex can be placed.  The graph's `ends` are walked by vertex
+    position: which vertices are placed is a list of flags, and each
+    search for an up-face marks its vertices with a stamp of its own in
+    one list, so nothing is hashed but the forms.  A basis of the span of
+    a vertex's up-edge forms is found once per distinct set of them
+    (`spans`, keyed by pivot for `in_span`), with a memo of the forms
+    found in it: vertices with the same up-edge forms share both.  The
+    vertices are tried and placed in the order of `g.vertices`, and the
+    returned dict lists them in the order placed.  Which edges are
+    incongruent is read off the graph, whose builder states them.
 
     Why the tau_v then give a basis of the GKM module M over
     R = GF(2)[r_1..r_n].  Each tau_v lies in M (every edge condition
@@ -155,18 +162,24 @@ def flow_up_degrees(g: GkmGraph) -> dict[str, int] | None:
     if g.incongruent:
         return None
     spans: Spans = {}
-    placed: dict[str, int] = {}
-    remaining = list(g.vertices)
+    V = len(g.vertices)
+    placed = [False] * V  # by vertex position
+    seen = [0] * V  # the stamp of the last search to reach each vertex
+    degrees: dict[str, int] = {}
+    remaining = list(range(V))
+    stamp = 0
     while remaining:
-        for v in remaining:
-            d = _certified_down_degree(v, placed, g.ends, spans)
+        for i in remaining:
+            stamp += 1
+            d = _certified_down_degree(i, placed, seen, stamp, g.ends, spans)
             if d is not None:
                 break
         else:
             return None
-        remaining.remove(v)
-        placed[v] = d
-    return placed
+        remaining.remove(i)
+        placed[i] = True
+        degrees[g.vertices[i]] = d
+    return degrees
 
 
 def equivariant_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:

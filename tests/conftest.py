@@ -9,7 +9,7 @@ import pytest
 from z2torus import corpus
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
-from z2torus.gf2 import Matrix, Vec
+from z2torus.gf2 import Matrix, Vec, _rref_rows
 from z2torus.instance import instance_text
 from z2torus.poset import FacePoset
 
@@ -91,6 +91,23 @@ def from_vecs(vecs):
     if any(v.n != n for v in vecs):
         raise ValueError("width mismatch")
     return Matrix(tuple(v.bits for v in vecs), n)
+
+
+def nullspace(rows, ncols):
+    """A basis of {v : every row r has r.v = 0} in GF(2)^ncols, as int
+    rows, one per free column of the `_rref_rows` echelon form."""
+    reduced_rows, pivots = _rref_rows(rows)
+    pivot_set = set(pivots)
+    basis = []
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        v = 1 << j
+        for p, r in zip(pivots, reduced_rows):
+            if (r >> j) & 1:
+                v |= 1 << p
+        basis.append(v)
+    return basis
 
 
 def change_basis(lam, images):

@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 import sympy
-from conftest import above_oracle, below_oracle, change_basis, from_vecs
-from gkm_graphs import hand_built, incongruent_edges
+from conftest import above_oracle, below_oracle, change_basis, nullspace
+from conftest import cut_chain as seeded_cut_chain
+from gkm_graphs import hand_built, incongruent_edges, named_flow_up_degrees
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from restrictions import coset_rep
@@ -28,9 +29,9 @@ from thom_classes import (
     thom_restriction,
 )
 
-from z2torus import corpus, gkm
+from z2torus import charfunc, corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, Subgroup, axial_function, validate_lambda
+from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec
 from z2torus.gkm import (
@@ -630,17 +631,17 @@ class TestRelations:
 
 def per_edge_axial(p, lam):
     """axial_function's forms solved one nullspace per edge, with its
-    errors: the oracle for one nullspace per facet-label set."""
+    errors: the oracle for one inversion per vertex label set."""
     axial = {}
     for e in sorted(one_skeleton(p).edges):
         S = p.facets_containing(e)
         if S:
-            null = from_vecs([lam.vec(F) for F in S]).nullspace()
-            if null.nrows != 1:
+            null = nullspace([lam.vec(F).bits for F in S], p.n)
+            if len(null) != 1:
                 raise InputError(
-                    f"edge {e}: functional not unique, nullspace has dimension {null.nrows}"
+                    f"edge {e}: functional not unique, nullspace has dimension {len(null)}"
                 )
-            axial[e] = Vec(null.rows[0], p.n)
+            axial[e] = Vec(null[0], p.n)
         elif p.n != 1:
             raise InputError(f"edge {e} lies in no facet but n = {p.n}")
         else:
@@ -670,8 +671,8 @@ def assert_gkm_graph(g):
     """What `axial_function` does not check on the graph it returns: the
     forms at each vertex are a basis, and no edge is incongruent."""
     assert g.incongruent == ()
-    for v in g.vertices:
-        assert Matrix(tuple(b for _, _, b in g.ends[v]), g.n).rank() == g.n, v
+    for v, at_v in zip(g.vertices, g.ends):
+        assert Matrix(tuple(b for _, _, b in at_v), g.n).rank() == g.n, v
 
 
 class TestAxialSharing:
@@ -715,6 +716,121 @@ class TestAxialSharing:
         want = "^edge EX0Y1: functional not unique, nullspace has dimension 2$"
         with pytest.raises(InputError, match=want):
             per_edge_axial(inst.poset, lam)
+
+
+def vertex_label_sets(p, lam):
+    """The distinct sets of facet labels at the vertices of p."""
+    return {frozenset(lam.vec(F).bits for F in p.facets_containing(v)) for v in p.vertices()}
+
+
+def count_inversions(monkeypatch):
+    """The list that gets one entry per `_rref_rows` call charfunc makes."""
+    calls = []
+    real = charfunc._rref_rows
+
+    def counted(rows):
+        calls.append(None)
+        return real(rows)
+
+    monkeypatch.setattr(charfunc, "_rref_rows", counted)
+    return calls
+
+
+class TestOneInversionPerLabelSet:
+    """`axial_function` inverts one label matrix per distinct vertex label
+    set; `TestAxialSharing` checks the forms that come of it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_coordinate_cube_inverts_once(self, n, monkeypatch):
+        inst = corpus.ncube(n)
+        calls = count_inversions(monkeypatch)
+        axial_function(inst.poset, inst.lam)
+        assert len(calls) == 1
+
+    def test_seeded_cut_chains(self, monkeypatch):
+        calls = count_inversions(monkeypatch)
+        sizes = set()
+        for seed, build in enumerate([corpus.cube, lambda: corpus.ncube(4)] * 5):
+            inst = build()
+            for p, lam in seeded_cut_chain(inst.poset, inst.lam, seed):
+                calls.clear()
+                axial_function(p, lam)
+                assert len(calls) == len(vertex_label_sets(p, lam))
+                sizes.add(len(calls))
+        assert max(sizes) > 2  # the cuts bring new label sets
+
+
+def assert_same_order(g):
+    """`flow_up_degrees(g)` is `named_flow_up_degrees(g)`: the same dict
+    in the same order, or None.  Returns it."""
+    got, want = flow_up_degrees(g), named_flow_up_degrees(g)
+    assert got == want and (got is None or list(got) == list(want))
+    return got
+
+
+def repeated_form_graphs():
+    """The two-edge graph with one form twice, and the edited cube."""
+    x0 = Vec.from_string("10")
+    yield hand_built(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
+    g = graph_of(corpus.cube())
+    yield hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+
+
+class TestFlowUpOrder:
+    """The search on vertex positions places the vertices of the search
+    on names, in its order, and refuses the same graphs."""
+
+    @pytest.mark.parametrize("name", list(FLOW_SWEEP))
+    def test_sweep(self, name):
+        assert assert_same_order(graph_of(FLOW_SWEEP[name]())) is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(cut_chain())
+    def test_cut_chains(self, cut):
+        assert assert_same_order(axial_function(*cut)) is not None
+
+    def test_seeded_cut_chains(self):
+        for seed in range(10):
+            inst = corpus.ncube(4)
+            for p, lam in seeded_cut_chain(inst.poset, inst.lam, seed):
+                assert assert_same_order(axial_function(p, lam)) is not None
+
+    def test_seeded_multigraphs(self):
+        verdicts = Counter(assert_same_order(g) is not None for g in seeded_multigraphs())
+        assert verdicts[True] and verdicts[False]
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_multigraph())
+    def test_labelled_multigraphs(self, g):
+        assert_same_order(g)
+
+    def test_refused_graphs(self):
+        for g in [failed_edge_graph(), *repeated_form_graphs()]:
+            assert assert_same_order(g) is None
+
+
+class TestGraphRefusals:
+    """`GkmGraph` refuses a malformed graph and names the first offender."""
+
+    def test_repeated_vertex(self):
+        with pytest.raises(ValueError, match="^vertex 'a' is repeated$"):
+            GkmGraph(2, ("a", "a"), {}, {}, ())
+
+    def test_edge_end_outside_the_vertices(self):
+        with pytest.raises(ValueError, match="^edge 'e' ends at 'b', not a vertex$"):
+            GkmGraph(1, ("a",), {"e": ("a", "b")}, {"e": Vec(1, 1)}, ())
+        with pytest.raises(ValueError, match="^edge 'e' ends at 'c', not a vertex$"):
+            GkmGraph(1, ("a", "b"), {"e": ("c", "b")}, {"e": Vec(1, 1)}, ())
+
+    def test_form_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="^form of 'e' has width 2, not 1$"):
+            GkmGraph(1, ("a", "b"), {"e": ("a", "b")}, {"e": Vec(1, 2)}, ())
+
+    def test_axial_keys_are_the_edges(self):
+        with pytest.raises(ValueError, match="^'e2' has no form$"):
+            GkmGraph(1, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": Vec(1, 1)}, ())
+        with pytest.raises(ValueError, match="^'e0' has a form but is not an edge$"):
+            GkmGraph(1, ("a", "b"), {"e1": ("a", "b")}, {"e0": Vec(1, 1), "e1": Vec(1, 1)}, ())
 
 
 class TestGkmWarning:

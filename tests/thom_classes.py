@@ -23,8 +23,10 @@ Poly = frozenset  # of exponent tuples
 
 
 def edges_at(g: GkmGraph, v: str) -> tuple[str, ...]:
-    """The edges at v, sorted."""
-    return tuple(e for e, _, _ in g.ends.get(v, ()))
+    """The edges at v, sorted; none when v is not a vertex."""
+    if v not in g.vertices:
+        return ()
+    return tuple(e for e, _, _ in g.ends[g.vertices.index(v)])
 
 
 def poly_zero() -> Poly:
