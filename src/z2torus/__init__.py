@@ -10,9 +10,7 @@ from .charfunc import (
     CharFunction,
     GkmGraph,
     LambdaReport,
-    Subgroup,
     axial_function,
-    isotropy,
     m_involution_check,
     validate_lambda,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "Matrix",
     "PreconditionError",
     "QuotientComplex",
-    "Subgroup",
     "Vec",
     "axial_function",
     "betti_mod2",
@@ -80,7 +77,6 @@ __all__ = [
     "gorenstein_quick_checks",
     "is_face_acyclic",
     "is_self_dual",
-    "isotropy",
     "load_instance",
     "m_involution_check",
     "min_distance",

@@ -2,9 +2,10 @@
 
 The label of a facet is the generator of the isotropy line of its
 preimage; independence over every face is the (*)-condition that makes
-the quotient construction a closed manifold.  Isotropy groups, axial
-functions on the 1-skeleton and the m-involution check are derived here
-as well.
+the quotient construction a closed manifold.  Axial functions on the
+1-skeleton and the m-involution check are derived here as well; a
+face's isotropy group, the span of its facets' labels, is read as label
+ints where it is used (`complexes._quotient`, `model.fixed_locus`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import InputError, PreconditionError
-from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices, reduce_by
+from .gf2 import Matrix, Vec, _rref_rows, _top_basis, bit_indices
 from .poset import FacePoset, kept, one_skeleton, validate
 
 
@@ -35,44 +36,6 @@ class CharFunction:
 
     def vec(self, facet: str) -> Vec:
         return self.values[facet]
-
-
-class Subgroup:
-    """Subgroup of GF(2)^n given by spanning vectors; canonical coset reps."""
-
-    def __init__(self, n: int, gens: list[Vec]):
-        self.n = n
-        for v in gens:
-            if v.n != n:
-                raise ValueError("generator width mismatch")
-        self._rows, self._pivots = _rref_rows(v.bits for v in gens)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def contains(self, v: Vec) -> bool:
-        return reduce_by(self._rows, self._pivots, v.bits) == 0
-
-    def quotient(self) -> tuple[list[int], list[int]]:
-        """GF(2)^n / G on ints: the canonical coset representatives in
-        increasing order, and for each unit vector e_i the position of
-        rep(e_i + G) among them.  A rep's position is its bits read on the
-        non-pivot columns, so g -> position of rep(g + G) is linear: the
-        XOR of the positions of g's unit vectors."""
-        pivots = set(self._pivots)
-        free = [j for j in range(self.n) if j not in pivots]
-        reps = [0]
-        for j in free:
-            reps += [r | 1 << j for r in reps]
-        positions = []
-        for i in range(self.n):
-            rep = reduce_by(self._rows, self._pivots, 1 << i)
-            positions.append(sum(1 << k for k, j in enumerate(free) if rep >> j & 1))
-        return reps, positions
-
-    def __repr__(self) -> str:
-        return f"Subgroup(rank={self.rank} of GF(2)^{self.n})"
 
 
 @dataclass
@@ -135,11 +98,6 @@ def require_valid(p: FacePoset, lam: CharFunction, what: str) -> None:
     witnesses = validate(p).witnesses() or validate_lambda(p, lam).witnesses()
     if witnesses:
         raise InputError([f"{what} input fails validation"] + witnesses)
-
-
-def isotropy(p: FacePoset, lam: CharFunction, f: str) -> Subgroup:
-    """Isotropy subgroup of the face f: span of its facets' labels."""
-    return Subgroup(lam.n, [lam.vec(F) for F in p.facets_containing(f)])
 
 
 # by vertex position: (edge, other end's position, form bits) for each

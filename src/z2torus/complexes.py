@@ -10,15 +10,17 @@ poset itself, whose cells are all the faces of Q (`FacePoset`).  Every
 function over a cell complex takes it first, and `poset.kept` keeps its
 results there.
 
-Every mod-2 chain complex here has one form, its rows: rows[d][i] is
-the boundary of d-cell i as an int, bit j standing for (d-1)-cell j
-(rows[0] is all 0).  `base_chain` walks a triangulation or the poset
-once into its rows and each cell's facet indices, kept on it;
-QuotientComplex lifts them through the isotropy gluing of a
-characteristic function; `betti_mod2` reads and checks any rows.
-`is_face_acyclic` runs the paper's criterion on the base rows, gathered
-per face by `_carried`, which `validate_carriers` shares; on the poset
-the criterion is the CW gate.  The walk and the gather read the poset's
+A base chain has one form, its facet lists: facets[d][i] holds the
+indices of the (d-1)-cells in the boundary of d-cell i.  `base_chain`
+walks a triangulation or the poset once into them, kept on it.  A chain
+complex whose ranks are taken has one form, its rows: rows[d][i] is the
+boundary of d-cell i as an int, bit j standing for (d-1)-cell j
+(rows[0] is all 0).  QuotientComplex lifts a base chain into rows
+through the isotropy gluing of a characteristic function (`_quotient`);
+`betti_mod2` reads and checks any rows.  `is_face_acyclic` runs the
+paper's criterion on the base chain, gathered per face into rows by
+`_carried`, which `validate_carriers` shares; on the poset the
+criterion is the CW gate.  The walk and the gather read the poset's
 up-set masks.
 
 The gate and the model read a triangulation's chain reduced within
@@ -37,15 +39,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from itertools import combinations
 from typing import NamedTuple
 
-from .charfunc import CharFunction, isotropy
+from .charfunc import CharFunction
 from .errors import InputError, PreconditionError
-from .gf2 import bit_indices, chain_ranks
+from .gf2 import _rref_rows, bit_indices, chain_ranks
 from .poset import FacePoset, kept, validate
 
 Simplex = tuple[int, ...]
@@ -87,27 +89,25 @@ class BaseChain(NamedTuple):
     """The cellular chain complex of a cell complex over Q, from one walk.
 
     cells[d] lists the d-cells in `by_dim` order, carriers[d] their
-    carrier faces, and rows[d] their boundaries as bits over the indices
-    of the (d-1)-cells (rows[0] is all 0); facets[d][i] lists the set bits
-    of rows[d][i], in boundary order, as the walk found them.  closure and
-    wrong_carriers are the walk's findings in sorted cell order, with the
-    wording of `validate_carriers`; when there are any, the rows and
-    facets leave those cells' missing facets out and nothing may read them.  It holds
-    only cells, face ids and ints, so keeping it on its owner makes no
-    cycle.
+    carrier faces, and facets[d][i] the indices of the (d-1)-cells in the
+    boundary of d-cell i, in boundary order, as the walk found them
+    (facets[0] is all empty).  closure and wrong_carriers are the walk's
+    findings in sorted cell order, with the wording of
+    `validate_carriers`; when there are any, the facets leave those cells'
+    missing facets out and nothing may read them.  It holds only cells,
+    face ids and ints, so keeping it on its owner makes no cycle.
     """
 
     cells: tuple[tuple[Hashable, ...], ...]
     carriers: tuple[tuple[str, ...], ...]
-    rows: tuple[tuple[int, ...], ...]
     facets: tuple[tuple[tuple[int, ...], ...], ...]
     closure: tuple[str, ...] = ()
     wrong_carriers: tuple[str, ...] = ()
 
 
 def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
-    """Walk base once: each cell's carrier, boundary row and facet indices,
-    and the closure and carrier-monotonicity findings.  Its cells are the
+    """Walk base once: each cell's carrier and facet indices, and the
+    closure and carrier-monotonicity findings.  Its cells are the
     poset's faces in mode A, else simplices.  A carrier is tested against
     its cell's with a bit of the poset's up-set masks `p._up`.  Boundary² = 0
     is not checked: on a closed triangulation the boundary of the boundary
@@ -121,16 +121,13 @@ def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
     carriers = [[base.carrier(cell) for cell in level] for level in levels]
     closure: list[tuple[Hashable, str]] = []
     wrong: list[tuple[Hashable, str]] = []
-    rows: list[tuple[int, ...]] = []
     facets: list[tuple[tuple[int, ...], ...]] = []
     index: dict[Hashable, int] = {}
     for d, level in enumerate(levels):
         below, index = index, {cell: i for i, cell in enumerate(level)}
         under = carriers[d - 1] if d else []
-        out = []
         listed = []
         for cell, cf in zip(level, carriers[d]):
-            bits = 0
             js = []
             if cf not in p.codims:
                 wrong.append((cell, f"{kind} {cell} carried by unknown face {cf!r}"))
@@ -146,18 +143,15 @@ def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
                         wrong.append(
                             (cell, f"carrier of {face} ({fc}) not inside carrier of {cell} ({cf})")
                         )
-                    bits |= 1 << j
                     js.append(j)
-            out.append(bits)
             listed.append(tuple(js))
-        rows.append(tuple(out))
         facets.append(tuple(listed))
 
     def in_order(found: list[tuple[Hashable, str]]) -> tuple[str, ...]:
         return tuple(line for _, line in sorted(found, key=lambda x: x[0]))
 
     return BaseChain(
-        tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(rows), tuple(facets),
+        tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(facets),
         in_order(closure), in_order(wrong),
     )
 
@@ -172,9 +166,7 @@ def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     """base's chain, walked once and kept on base.  Raises InputError when
     base is not closed, a boundary leaves its cell's carrier, or, for the
     poset, it is not sound (read from its kept findings), and TypeError
-    when base is neither of the two cell complexes over Q."""
-    if not isinstance(base, (FacePoset, CarrierComplex)):
-        raise TypeError(f"a base is a FacePoset or a CarrierComplex, not {type(base).__name__}")
+    (from `kept`) when base is neither of the two cell complexes over Q."""
     chain = _kept_chain(base)
     if chain.closure or chain.wrong_carriers:
         raise InputError([*chain.closure, *chain.wrong_carriers])
@@ -183,19 +175,14 @@ def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     return chain
 
 
+@kept
 def reduced_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     """base's chain reduced within carriers (`_reduce`), kept on base; the
     gate and the model read it.  The poset's chain is already reduced,
     each face being its carrier's only cell, and comes back as it is.
     Raises as `base_chain` does."""
     chain = base_chain(base)
-    return chain if base is base.poset else _kept_reduction(base)
-
-
-@kept
-def _kept_reduction(base: CarrierComplex | FacePoset) -> BaseChain:
-    """The reduction of base's walked chain, kept on it."""
-    return _reduce(_kept_chain(base), base.poset)
+    return chain if base is base.poset else _reduce(chain, base.poset)
 
 
 def _reduce(chain: BaseChain, p: FacePoset) -> BaseChain:
@@ -221,7 +208,7 @@ def _reduce(chain: BaseChain, p: FacePoset) -> BaseChain:
     carried by the face being reduced are kept up to date instead, with
     each left cell's cofaces there and each cell's count of left cells in
     its row.  The critical cells keep their order, and facets lists their
-    rows' bits in ascending order."""
+    boundaries' cells in ascending order."""
     first = [0]  # each degree's first number
     for level in chain.cells:
         first.append(first[-1] + len(level))
@@ -309,17 +296,15 @@ def _reduce(chain: BaseChain, p: FacePoset) -> BaseChain:
                         if count[c] == 1:
                             free.append(c)
 
-    cells, carriers, out_rows, out_facets = [], [], [], []
+    cells, carriers, out_facets = [], [], []
     number: dict[int, int] = {}  # a critical cell's index in the reduced chain
     for d, level in enumerate(chain.cells):
         stay = [c for c in range(first[d], first[d + 1]) if rows[c] is not None]
         below, number = number, {c: k for k, c in enumerate(stay)}
         cells.append(tuple(level[c - first[d]] for c in stay))
         carriers.append(tuple(chain.carriers[d][c - first[d]] for c in stay))
-        listed = tuple(tuple(sorted(below[a] for a in rows[c])) for c in stay)
-        out_facets.append(listed)
-        out_rows.append(tuple(sum(1 << j for j in js) for js in listed))
-    return BaseChain(tuple(cells), tuple(carriers), tuple(out_rows), tuple(out_facets))
+        out_facets.append(tuple(tuple(sorted(below[a] for a in rows[c])) for c in stay))
+    return BaseChain(tuple(cells), tuple(carriers), tuple(out_facets))
 
 
 class QuotientComplex:
@@ -336,8 +321,8 @@ class QuotientComplex:
     The rows are lifted from base's chain reduced within carriers
     (`reduced_chain`), whose walk checked closure, carriers and, for the
     poset, soundness once: the row of (c, g) is the XOR of
-    (c', rep(g + G_f')) over the cells c' in the row of c, f' being the
-    carrier of c'.  On a triangulation the cells are the critical
+    (c', rep(g + G_f')) over the cells c' in the boundary of c, f' being
+    the carrier of c'.  On a triangulation the cells are the critical
     simplices of the reduction, not all of them.  The model is the one
     over the whole triangulation reduced by the lifted pairs: a pair
     (a, b) with carrier f lifts to the pairs ((a, g), (b, g)), one per
@@ -375,10 +360,9 @@ def _lift(
     chain: BaseChain, p: FacePoset, lam: CharFunction
 ) -> tuple[list[list[tuple[Hashable, int]]], tuple[tuple[int, ...], ...]]:
     """The cells and boundary rows of the quotient model over chain."""
-    # GF(2)^n / G_f as `Subgroup.quotient` gives it: the coset reps, and
-    # the images of the unit vectors under g -> position of rep(g + G_f).
-    # group[f] indexes the quotients; carriers with the same labels, read
-    # off their facet masks, share one.
+    # GF(2)^n / G_f as `_quotient` gives it; group[f] indexes the
+    # quotients, and carriers with the same labels, read off their facet
+    # masks, share one.
     quotients: list[tuple[list[int], list[int]]] = []
     by_labels: dict[frozenset[int], int] = {}
     group: dict[str, int] = {}
@@ -387,7 +371,7 @@ def _lift(
         labels = frozenset(label[j] for j in bit_indices(p._facet_mask[f]))
         if labels not in by_labels:
             by_labels[labels] = len(quotients)
-            quotients.append(isotropy(p, lam, f).quotient())
+            quotients.append(_quotient(labels, lam.n))
         group[f] = by_labels[labels]
     groups = [[group[f] for f in level] for level in chain.carriers]
 
@@ -423,6 +407,29 @@ def _lift(
                 out_rows.append(bits)
         rows.append(tuple(out_rows))
     return cells, tuple(rows)
+
+
+def _quotient(labels: Iterable[int], n: int) -> tuple[list[int], list[int]]:
+    """GF(2)^n / G for G the span of the labels, as ints: the canonical
+    coset representatives in increasing order, and for each unit vector
+    e_i the position of rep(e_i + G) among them.  The reps are the vectors
+    on the free columns, those that are not pivots of G's `_rref_rows`
+    form.  rep(e_i + G) is e_i for a free column i, and the echelon row of
+    pivot i without its pivot bit otherwise, as that row's other bits are
+    all free.  A rep's position is its bits read on the free columns, so
+    g -> position of rep(g + G) is linear: the XOR of the positions of
+    g's unit vectors."""
+    rows, pivots = _rref_rows(labels)
+    row_of = dict(zip(pivots, rows))
+    free = [j for j in range(n) if j not in row_of]
+    reps = [0]
+    for j in free:
+        reps += [r | 1 << j for r in reps]
+    positions = []
+    for i in range(n):
+        rep = row_of.get(i, 0) ^ 1 << i
+        positions.append(sum(1 << k for k, j in enumerate(free) if rep >> j & 1))
+    return reps, positions
 
 
 def _drop_positions(reps: list[int], images: list[int]) -> list[int]:
@@ -498,16 +505,19 @@ def _carried(
 ) -> Iterator[tuple[str, list[list[tuple[int, int]]]]]:
     """Each face f of p, in `p.faces()` order, with its subcomplex: the
     cells of chain carried inside f, per degree up to the subcomplex's
-    dimension, as (index in degree, boundary row) pairs.  Each carrier's
-    pairs are handed to the faces above it, the bits of its up-set mask
-    `p._up`, and a face's lists are joined when it is yielded, so the
-    pairs within a degree follow the carriers, not the indices.  A
-    boundary never leaves its cell's carrier, so the subcomplex is
-    closed."""
+    dimension, as (index in degree, boundary row) pairs, each cell's row
+    built once from its facet indices.  Each carrier's pairs are handed
+    to the faces above it, the bits of its up-set mask `p._up`, and a
+    face's lists are joined when it is yielded, so the pairs within a
+    degree follow the carriers, not the indices.  A boundary never leaves
+    its cell's carrier, so the subcomplex is closed."""
     # carrier -> (degree, its pairs), for the degrees the carrier holds cells in
     by_carrier: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
-    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
-        for i, (carrier, row) in enumerate(zip(carriers, level)):
+    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.facets)):
+        for i, (carrier, js) in enumerate(zip(carriers, level)):
+            row = 0
+            for j in js:
+                row |= 1 << j
             by_dim = by_carrier.setdefault(carrier, [])
             if not by_dim or by_dim[-1][0] != d:
                 by_dim.append((d, []))

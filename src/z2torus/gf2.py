@@ -12,10 +12,10 @@ every cell that is the pivot of a reduced boundary one degree up (Chen
 and Kerber, "Persistent homology computation with a twist", 2011;
 Bauer, Kerber, Reininghaus and Wagner, "PHAT", 2017).  `in_span` tests
 membership against the unreduced basis.  Echelon forms (`_rref_rows`,
-so `reduce_by` and the dual bases of `charfunc.axial_function`) reduce
-it: each pivot column is cleared from every other row, which makes the
-form canonical, with rows ordered by pivot column, and a coset
-representative one fixed element of its coset.
+so the isotropy quotients of `complexes._quotient` and the dual bases of
+`charfunc.axial_function`) reduce it: each pivot column is cleared from
+every other row, which makes the form canonical, with rows ordered by
+pivot column.
 """
 
 from __future__ import annotations
@@ -183,14 +183,3 @@ class Matrix:
     def __str__(self) -> str:
         return "\n".join(str(Vec(r, self.ncols)) for r in self.rows)
 
-
-def reduce_by(rref_rows: list[int], pivots: list[int], v: int) -> int:
-    """Clear the pivot coordinates of v against an RREF basis.
-
-    The result is the canonical representative of v modulo the row span:
-    it is zero exactly when v lies in the span.
-    """
-    for p, r in zip(pivots, rref_rows):
-        if (v >> p) & 1:
-            v ^= r
-    return v

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charfunc import CharFunction, isotropy, require_valid
+from .charfunc import CharFunction, require_valid
 from .complexes import CarrierComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
-from .gf2 import Vec
+from .gf2 import Vec, _top_basis, bit_indices, in_span
 from .poset import FacePoset, fh_vectors, kept
 
 
@@ -37,15 +37,21 @@ class FixedLocus:
 
 def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     """Maximal faces whose isotropy contains g; the preimage of their
-    union is the fixed set of the subgroup element g.  Raises InputError
-    unless p and lam pass validation (`require_valid`) and g has lam's
-    width."""
+    union is the fixed set of the subgroup element g.  A face's isotropy
+    group is the span of its facets' labels, read as ints off its facet
+    mask.  Raises InputError unless p and lam pass validation
+    (`require_valid`) and g has lam's width."""
     require_valid(p, lam, "fixed-locus")
     if g.n != lam.n:
         raise InputError(f"g has {g.n} bits, lambda has width {lam.n}")
     if g.is_zero():
         raise InputError("g = 0 fixes everything; ask about a nonzero element")
-    hits = [(1 << i, f) for i, f in enumerate(p.faces()) if isotropy(p, lam, f).contains(g)]
+    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    hits = [
+        (1 << i, f)
+        for i, f in enumerate(p.faces())
+        if in_span(_top_basis(enumerate(label[j] for j in bit_indices(p._facet_mask[f]))), g.bits)
+    ]
     held = sum(bit for bit, _ in hits)
     maximal = [f for bit, f in hits if p._up[f] & held == bit]
     discrete = bool(maximal) and all(p.codim(f) == p.n for f in maximal)

@@ -36,13 +36,20 @@ def kept(fn: Callable[..., T]) -> Callable[..., T]:
     triangulations), so a dropped owner is freed at once.  A call that
     raises keeps nothing.  Callers share the result and must not change
     it.  Arguments are passed by position only, and fn has no defaults: a
-    default would give one result two slots."""
+    default would give one result two slots.  An owner with no slots, one
+    that is neither a poset nor a triangulation, raises TypeError."""
 
     @wraps(fn)
     def keep(owner: Any, *rest: Any) -> T:
-        slot = owner._kept.get(fn)
+        try:
+            slots = owner._kept
+        except AttributeError:
+            raise TypeError(
+                f"a base is a FacePoset or a CarrierComplex, not {type(owner).__name__}"
+            ) from None
+        slot = slots.get(fn)
         if slot is None or len(slot[0]) != len(rest) or not all(map(is_, slot[0], rest)):
-            slot = owner._kept[fn] = (rest, fn(owner, *rest))
+            slot = slots[fn] = (rest, fn(owner, *rest))
         return slot[1]
 
     return keep

@@ -110,6 +110,12 @@ def nullspace(rows, ncols):
     return basis
 
 
+def rows(chain):
+    """A base chain's boundaries as int rows, bit j standing for
+    (d-1)-cell j: the form `betti_mod2` and `_check_squares` read."""
+    return tuple(tuple(sum(1 << j for j in js) for js in level) for level in chain.facets)
+
+
 def change_basis(lam, images):
     """lam followed by the linear map sending unit vector i to images[i]."""
     def apply(v):

@@ -4,7 +4,7 @@ CW gate that guards it."""
 from math import comb
 
 import pytest
-from conftest import below_oracle, reduced
+from conftest import below_oracle, reduced, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import facial_components
@@ -19,6 +19,7 @@ from z2torus.complexes import (
     betti_mod2,
     face_acyclicity,
     is_face_acyclic,
+    reduced_chain,
 )
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
@@ -71,7 +72,7 @@ def sphere_failures(p):
         d = p.dim_face(f)
         if d == 0:
             continue
-        b = reduced(betti_mod2(_walk(FaceSubcomplex(p, below[f] - {f})).rows))
+        b = reduced(betti_mod2(rows(_walk(FaceSubcomplex(p, below[f] - {f})))))
         if b + (0,) * (d - len(b)) != (0,) * (d - 1) + (1,):
             failing.append(f)
     return failing
@@ -159,9 +160,9 @@ def test_gate_rejects_the_annulus_poset():
 def test_face_complex_of_the_cube_boundary_is_a_sphere():
     p = corpus.cube().poset
     boundary = FaceSubcomplex(p, set(p.codims) - {"Q"})
-    rows = _walk(boundary).rows
-    assert tuple(map(len, rows)) == (8, 12, 6)
-    assert betti_mod2(rows) == (1, 0, 1)
+    boundary_rows = rows(_walk(boundary))
+    assert tuple(map(len, boundary_rows)) == (8, 12, 6)
+    assert betti_mod2(boundary_rows) == (1, 0, 1)
     assert [len(level) for level in p.by_dim()] == [8, 12, 6, 1]
 
 
@@ -173,6 +174,28 @@ def test_base_chain_refuses_a_face_subcomplex():
         TypeError, match="^a base is a FacePoset or a CarrierComplex, not FaceSubcomplex$"
     ):
         base_chain(FaceSubcomplex(p, set(p.codims) - {"Q"}))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        base_chain,
+        reduced_chain,
+        is_face_acyclic,
+        face_acyclicity,
+        lambda base: formality_verdict(base, corpus.cube().lam),
+    ],
+    ids=["base_chain", "reduced_chain", "is_face_acyclic", "face_acyclicity", "formality_verdict"],
+)
+def test_an_entry_point_refuses_what_is_not_a_base(entry):
+    # `kept` refuses the first argument before anything reads it
+    p = corpus.cube().poset
+    for base in ("x", FaceSubcomplex(p, set(p.codims) - {"Q"})):
+        name = type(base).__name__
+        with pytest.raises(
+            TypeError, match=f"^a base is a FacePoset or a CarrierComplex, not {name}$"
+        ):
+            entry(base)
 
 
 def test_gate_rejects_the_split_annulus_at_q_alone(split_annulus_data):

@@ -13,7 +13,7 @@ from gkm_graphs import hand_built, mod_line
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import coloring_classes
-from restrictions import coset_rep, cosets, face_restriction
+from restrictions import Subgroup, coset_rep, cosets, face_restriction, isotropy
 from thom_classes import edges_at
 
 from z2torus import corpus
@@ -21,12 +21,11 @@ from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
     LambdaReport,
-    Subgroup,
     axial_function,
-    isotropy,
     m_involution_check,
     validate_lambda,
 )
+from z2torus.complexes import _quotient
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
 from z2torus.gkm import eliminated_hilbert, equivariant_hilbert, flow_up_degrees
@@ -40,26 +39,40 @@ def lam_of(**values):
 
 
 class TestSubgroup:
+    """The `Subgroup` oracle, and the quotient `complexes._quotient` reads
+    off label ints in its place."""
+
     def test_coset_reps(self):
         g = Subgroup(2, [Vec.from_string("11")])
         assert g.rank == 1
         assert g.contains(Vec.from_string("11"))
         assert not g.contains(Vec.from_string("10"))
         assert str(coset_rep(g, Vec.from_string("01"))) == "10"
-        assert [str(v) for v in cosets(g)] == ["00", "10"]
+        reps, positions = _quotient([Vec.from_string("11").bits], 2)
+        assert [str(Vec(r, 2)) for r in reps] == ["00", "10"]
+        assert positions == [1, 1]  # e_0 and e_1 both lie in the coset of 10
 
     def test_full_and_trivial(self):
-        full = Subgroup(2, [Vec.from_string("10"), Vec.from_string("01")])
-        assert cosets(full) == [Vec(0, 2)]
-        trivial = Subgroup(2, [])
-        assert len(cosets(trivial)) == 4
+        full = [Vec.from_string("10").bits, Vec.from_string("01").bits]
+        assert _quotient(full, 2) == ([0], [0, 0])
+        assert _quotient([], 2) == ([0b00, 0b01, 0b10, 0b11], [1, 2])
 
     def test_rep_is_constant_on_cosets(self):
         g = Subgroup(3, [Vec.from_string("110"), Vec.from_string("011")])
+        _, positions = _quotient([Vec.from_string("110").bits, Vec.from_string("011").bits], 3)
+
+        def position(v):
+            out = 0
+            for i in range(3):
+                if v.bits >> i & 1:
+                    out ^= positions[i]
+            return out
+
         for v in (Vec.from_string("100"), Vec.from_string("010")):
             for h in ("110", "011", "101"):
                 shifted = v ^ Vec.from_string(h)
                 assert coset_rep(g, shifted) == coset_rep(g, v)
+                assert position(shifted) == position(v)
 
 
 class TestValidateLambda:

@@ -4,14 +4,15 @@ import functools
 import random
 
 import pytest
-from conftest import apply_edit, below_oracle, edits, lowest_bit_basis, reduced
+from conftest import apply_edit, below_oracle, edits, lowest_bit_basis, reduced, rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from paper_checks import simplicial_model
+from restrictions import Subgroup, isotropy
 
 from z2torus import complexes, corpus
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, isotropy
+from z2torus.charfunc import CharFunction
 from z2torus.complexes import (
     CarrierComplex,
     CarrierReport,
@@ -20,6 +21,7 @@ from z2torus.complexes import (
     _carried,
     _check_squares,
     _drop_positions,
+    _quotient,
     _reduce,
     _walk,
     base_chain,
@@ -59,7 +61,7 @@ def rebuilt_acyclicity(c):
     for f in c.poset.faces():
         sub = face_subcomplex(c, f)
         if sub.simplices:
-            per_face[f] = reduced(betti_mod2(base_chain(sub).rows))
+            per_face[f] = reduced(betti_mod2(rows(base_chain(sub))))
         else:
             empty.append(f)
     return per_face, empty
@@ -141,24 +143,26 @@ def padded(b, length):
 def squared(chain):
     """chain, once its boundary is checked to square to zero, which the
     program trusts of a closed triangulation and a sound face complex."""
-    _check_squares(chain.rows)
+    _check_squares(rows(chain))
     return chain
 
 
 def assert_lift_matches_the_walk(base, lam):
     """The lift of base's whole chain equals the walked model row for row,
     and its boundary and base's square to zero, which the program does not
-    check.  The facet indices the lift reads are the set bits of base's
-    rows.  The model, lifted from the reduced chain, has its Betti numbers."""
+    check.  The facet indices the lift reads are those of each cell's
+    boundary, in boundary order.  The model, lifted from the reduced
+    chain, has its Betti numbers."""
     chain = squared(base_chain(base))
     got_cells, got_rows = simplicial_model(base, lam)
-    cells, rows = walked_quotient(base, lam)
+    cells, want_rows = walked_quotient(base, lam)
     assert got_cells == cells
-    assert [list(level) for level in got_rows] == rows
-    assert [[sorted(js) for js in level] for level in chain.facets] == [
-        [[j for j in range(row.bit_length()) if row >> j & 1] for row in level]
-        for level in chain.rows
-    ]
+    assert [list(level) for level in got_rows] == want_rows
+    for d in range(1, len(chain.cells)):
+        index = {cell: j for j, cell in enumerate(chain.cells[d - 1])}
+        assert [list(js) for js in chain.facets[d]] == [
+            [index[face] for face in base.boundary(cell)] for cell in chain.cells[d]
+        ]
     q = QuotientComplex(base, lam)
     _check_squares(q.rows)
     assert q.betti() == padded(betti_mod2(got_rows), lam.n + 1)
@@ -270,13 +274,13 @@ def carried_oracle(chain, p):
     closure: each face with, per degree up to its subcomplex's dimension,
     the set of (index, row) pairs of the cells whose carrier is below f."""
     by_carrier = {}
-    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.rows)):
+    for d, (carriers, level) in enumerate(zip(chain.carriers, rows(chain))):
         for i, (carrier, row) in enumerate(zip(carriers, level)):
             by_carrier.setdefault(carrier, []).append((d, i, row))
     below = below_oracle(p)
     out = []
     for f in p.faces():
-        sub = [set() for _ in chain.rows]
+        sub = [set() for _ in rows(chain)]
         for g in below[f]:
             for d, i, row in by_carrier.get(g, ()):
                 sub[d].add((i, row))
@@ -300,7 +304,7 @@ def gathered_chains(p):
     chain = _walk(p)
     try:
         if not (chain.closure or chain.wrong_carriers):
-            _check_squares(chain.rows)
+            _check_squares(rows(chain))
     except ValueError:
         pass
     else:
@@ -312,17 +316,17 @@ def gathered_chains(p):
 class TestHomology:
     def test_circle(self):
         c = plain(close_down([(0, 1), (1, 2), (0, 2)]), 3)
-        b = betti_mod2(base_chain(c).rows)
+        b = betti_mod2(rows(base_chain(c)))
         assert b == (1, 1)
         assert reduced(b) == (0, 1)
 
     def test_two_points(self):
         c = plain([(0,), (1,)], 2)
-        assert betti_mod2(base_chain(c).rows) == (2,)
+        assert betti_mod2(rows(base_chain(c))) == (2,)
 
     def test_filled_triangle(self):
         c = plain(close_down([(0, 1, 2)]), 3)
-        assert betti_mod2(base_chain(c).rows) == (1, 0, 0)
+        assert betti_mod2(rows(base_chain(c))) == (1, 0, 0)
 
     def test_octahedron_boundary_is_a_sphere(self):
         # vertices 0/1 = poles, 2,3,4,5 = equator square
@@ -331,7 +335,7 @@ class TestHomology:
             tops.append(tuple(sorted((0, a, b))))
             tops.append(tuple(sorted((1, a, b))))
         c = plain(close_down(tops), 6)
-        assert betti_mod2(base_chain(c).rows) == (1, 0, 1)
+        assert betti_mod2(rows(base_chain(c))) == (1, 0, 1)
 
     def test_projective_plane(self):
         # 6-vertex triangulation (antipodal icosahedron quotient);
@@ -346,12 +350,12 @@ class TestHomology:
         for e in edges:
             cofaces = [t for t in tops if set(e) <= set(t)]
             assert len(cofaces) == 2, e
-        assert betti_mod2(base_chain(c).rows) == (1, 1, 1)
+        assert betti_mod2(rows(base_chain(c))) == (1, 1, 1)
 
     def test_empty_complex(self):
-        rows = base_chain(CarrierComplex(POINT_POSET, 0, {})).rows
-        assert rows == ()
-        assert betti_mod2(rows) == ()
+        empty = rows(base_chain(CarrierComplex(POINT_POSET, 0, {})))
+        assert empty == ()
+        assert betti_mod2(empty) == ()
 
     def test_closure_failure(self):
         c = CarrierComplex(POINT_POSET, 2, {(0, 1): "Q", (0,): "Q"})
@@ -383,7 +387,7 @@ class TestChainRanks:
     def test_random_cut_chains(self, data):
         p, lam = cut_chain(data)
         assert_ranks_match_the_oracle(QuotientComplex(p, lam).rows)
-        assert_ranks_match_the_oracle(base_chain(p).rows)
+        assert_ranks_match_the_oracle(rows(base_chain(p)))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -451,13 +455,51 @@ def assert_reduction_keeps_every_answer(base, lam=None):
     model's Betti numbers."""
     p = base.poset
     chain = base_chain(base)
-    _check_squares(reduced_chain(base).rows)
+    _check_squares(rows(reduced_chain(base)))
     want, got = _acyclicity(chain, p), is_face_acyclic(base)
     assert list(got.per_face.items()) == list(want.per_face.items())
     assert got.empty_faces == want.empty_faces and got.witnesses() == want.witnesses()
     if lam is not None:
-        _, rows = simplicial_model(base, lam)
-        assert QuotientComplex(base, lam).betti() == padded(betti_mod2(rows), lam.n + 1)
+        _, model_rows = simplicial_model(base, lam)
+        assert QuotientComplex(base, lam).betti() == padded(betti_mod2(model_rows), lam.n + 1)
+
+
+def assert_quotient_matches_the_oracle(labels, n):
+    """`_quotient` on the label ints gives the `Subgroup` oracle's reps and
+    positions."""
+    assert _quotient(labels, n) == Subgroup(n, [Vec(a, n) for a in labels]).quotient(), labels
+
+
+class TestQuotient:
+    """GF(2)^n / G read off label ints, against the `Subgroup` oracle."""
+
+    def test_empty_repeated_and_dependent_generators(self):
+        for n in range(10):
+            top = (1 << n) - 1
+            assert_quotient_matches_the_oracle([], n)
+            assert_quotient_matches_the_oracle([top, top], n)
+            assert_quotient_matches_the_oracle([1 << i for i in range(n)], n)
+            if n >= 2:
+                assert_quotient_matches_the_oracle([1, top, top ^ 1, 0], n)
+
+    def test_seeded_generator_lists(self):
+        rng = random.Random(3035)
+        for n in range(10):
+            for _ in range(300):
+                labels = [rng.randrange(1 << n) for _ in range(rng.randrange(n + 3))]
+                if len(labels) >= 2 and rng.random() < 0.5:
+                    labels += [rng.choice(labels), labels[0] ^ labels[1]]
+                assert_quotient_matches_the_oracle(labels, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_generator_lists(self, data):
+        n = data.draw(st.integers(0, 9))
+        labels = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+        if labels:
+            pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+            labels += [a ^ b for a, b in data.draw(st.lists(pairs, max_size=4))]
+        assert_quotient_matches_the_oracle(labels, n)
 
 
 class TestReduction:
@@ -633,12 +675,12 @@ class TestFaceSubcomplex:
         sub = face_subcomplex(tri, "B")
         assert sub.n_points == 2
         assert set(sub.simplices) == {(0,), (1,), (0, 1)}
-        assert betti_mod2(base_chain(sub).rows) == (1, 0)
+        assert betti_mod2(rows(base_chain(sub))) == (1, 0)
 
     def test_annulus_facet_is_a_circle(self):
         tri = corpus.annulus().triangulation
         sub = face_subcomplex(tri, "F1")
-        assert betti_mod2(base_chain(sub).rows) == (1, 1)
+        assert betti_mod2(rows(base_chain(sub))) == (1, 1)
 
 
 class TestFaceAcyclicity:

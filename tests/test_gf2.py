@@ -6,6 +6,7 @@ import pytest
 from conftest import lowest_bit_basis, nullspace, span
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from restrictions import reduce_by
 
 from z2torus.gf2 import (
     Matrix,
@@ -14,7 +15,6 @@ from z2torus.gf2 import (
     _top_basis,
     chain_ranks,
     in_span,
-    reduce_by,
 )
 
 

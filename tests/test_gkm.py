@@ -11,7 +11,7 @@ from conftest import cut_chain as seeded_cut_chain
 from gkm_graphs import hand_built, incongruent_edges, named_flow_up_degrees
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from restrictions import coset_rep
+from restrictions import Subgroup, coset_rep
 from thom_classes import (
     check_face_ring_relations,
     divisible_by,
@@ -31,7 +31,7 @@ from thom_classes import (
 
 from z2torus import charfunc, corpus, gkm
 from z2torus.blowup import cut_face
-from z2torus.charfunc import CharFunction, GkmGraph, Subgroup, axial_function, validate_lambda
+from z2torus.charfunc import CharFunction, GkmGraph, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Matrix, Vec
 from z2torus.gkm import (

@@ -6,9 +6,10 @@ import weakref
 import pytest
 from conftest import MASK_READERS_SWEEP, above_oracle
 from paper_checks import facial_components, simplicial_model
+from restrictions import isotropy
 
 from z2torus import corpus, model
-from z2torus.charfunc import CharFunction, isotropy, validate_lambda
+from z2torus.charfunc import CharFunction, validate_lambda
 from z2torus.complexes import CarrierComplex, face_acyclicity
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec

@@ -93,8 +93,6 @@ DUNDER = "__repr__ / __str__ / __eq__"
 ERROR = "error path only"
 
 NEVER_ENTERED = {
-    "charfunc.Subgroup.__repr__": DUNDER,
-    "charfunc.Subgroup.rank": DUNDER,  # read only by Subgroup.__repr__
     "complexes.CarrierComplex.__repr__": DUNDER,
     "complexes.CarrierReport.witnesses": ERROR,
     "complexes.QuotientComplex.cell_count": PERFBENCH,
