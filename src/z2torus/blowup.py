@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .charfunc import CharFunction, require_valid
+from .charfunc import CharFunction, facet_labels, require_valid
 from .errors import InputError, PreconditionError
-from .gf2 import Vec
+from .gf2 import Vec, bit_indices
 from .poset import FacePoset
 
 
@@ -111,11 +111,12 @@ def cut_face(p: FacePoset, lam: CharFunction, f: str) -> CutResult:
     poset2 = FacePoset(p.n, codims, covers)
 
     new_facet = ids[f][-1]  # (f, T): T is the last subset
-    label = Vec(0, lam.n)
-    for F in T:
-        label = label ^ lam.vec(F)
+    labels = facet_labels(p, lam)
+    label = 0  # the sum over T, the facets of f's facet mask
+    for j in bit_indices(p._facet_mask[f]):
+        label ^= labels[j]
     values = {F: lam.vec(F) for F in p.facets()}
-    values[new_facet] = label
+    values[new_facet] = Vec(label, lam.n)
     lam2 = CharFunction(lam.n, values)
 
     return CutResult(poset2, lam2, new_facet)

@@ -3,9 +3,13 @@
 The label of a facet is the generator of the isotropy line of its
 preimage; independence over every face is the (*)-condition that makes
 the quotient construction a closed manifold.  Axial functions on the
-1-skeleton and the m-involution check are derived here as well; a
-face's isotropy group, the span of its facets' labels, is read as label
-ints where it is used (`complexes._quotient`, `model.fixed_locus`).
+1-skeleton and the m-involution check are derived here as well.  Labels
+are parsed and printed as `Vec`s, and read everywhere else as ints by
+facet index, bit j of a facet mask standing for label j: `facet_labels`
+binds them once per poset and labelling, and every reader shares that
+tuple, this module's and those that read a face's isotropy group, the
+span of its facets' labels (`complexes._lift`, `model.fixed_locus`), or
+sum them (`blowup.cut_face`).  Axial forms are ints of width n.
 """
 
 from __future__ import annotations
@@ -53,6 +57,14 @@ class LambdaReport:
 
 
 @kept
+def facet_labels(p: FacePoset, lam: CharFunction) -> tuple[int, ...]:
+    """lam's labels as ints in facet-index order, kept on p for this lam
+    (`kept`): entry j is the label of the facet of bit j of a facet mask.
+    lam must label every facet of p."""
+    return tuple(lam.vec(F).bits for F in p._facet_ids)
+
+
+@kept
 def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     """Check the independence condition at every face.  The report is kept
     on p for this lam (`kept`), which is read-only, so it cannot go stale."""
@@ -70,7 +82,7 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     if not rep.ok:
         return rep
 
-    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    label = facet_labels(p, lam)
     facet_mask = p._facet_mask
 
     def independent(f: str) -> bool:
@@ -100,8 +112,8 @@ def require_valid(p: FacePoset, lam: CharFunction, what: str) -> None:
         raise InputError([f"{what} input fails validation"] + witnesses)
 
 
-# by vertex position: (edge, other end's position, form bits) for each
-# edge at it, edges sorted
+# by vertex position: (edge, other end's position, form) for each edge
+# at it, edges sorted
 Ends = tuple[tuple[tuple[str, int, int], ...], ...]
 
 
@@ -116,12 +128,13 @@ class GkmGraph:
     none, so nothing scans for them here.  A graph is refused, with
     ValueError naming the first offender, if a vertex is repeated, the
     keys of `axial` are not those of `edges`, an edge's form is not of
-    width n or an edge ends outside `vertices`."""
+    width n (a bit at or above n) or an edge ends outside `vertices`.
+    A form is an int, bit i its coefficient of r_(i+1)."""
 
     n: int
     vertices: tuple[str, ...]
     edges: Mapping[str, tuple[str, str]]
-    axial: Mapping[str, Vec]
+    axial: Mapping[str, int]
     incongruent: tuple[str, ...]
     ends: Ends = field(init=False, repr=False, compare=False)
 
@@ -138,21 +151,21 @@ class GkmGraph:
         ends: list[list[tuple[str, int, int]]] = [[] for _ in self.vertices]
         for e, (a, b) in sorted(edges.items()):
             form = axial[e]
-            if form.n != self.n:
-                raise ValueError(f"form of {e!r} has width {form.n}, not {self.n}")
+            if form >> self.n:
+                raise ValueError(f"form of {e!r} has bits beyond width {self.n}")
             i, j = index.get(a), index.get(b)
             if i is None or j is None:
                 raise ValueError(f"edge {e!r} ends at {a if i is None else b!r}, not a vertex")
-            ends[i].append((e, j, form.bits))
+            ends[i].append((e, j, form))
             if j != i:
-                ends[j].append((e, i, form.bits))
+                ends[j].append((e, i, form))
         put = object.__setattr__  # the one write of each field
         put(self, "edges", MappingProxyType(edges))
         put(self, "axial", MappingProxyType(axial))
         put(self, "ends", tuple(map(tuple, ends)))
 
 
-def _dual_basis(labels: tuple[int, ...], n: int) -> dict[int, Vec]:
+def _dual_basis(labels: tuple[int, ...], n: int) -> dict[int, int]:
     """label -> the form that is 1 on it and 0 on the other labels, for a
     basis `labels` of GF(2)^n, from one `_rref_rows` of the rows
     label << n | 1 << k.  The label columns are all pivots, so row i of
@@ -162,7 +175,7 @@ def _dual_basis(labels: tuple[int, ...], n: int) -> dict[int, Vec]:
     as L C = I."""
     rows, _ = _rref_rows(label << n | 1 << k for k, label in enumerate(labels))
     return {
-        label: Vec(sum((row >> k & 1) << i for i, row in enumerate(rows)), n)
+        label: sum((row >> k & 1) << i for i, row in enumerate(rows))
         for k, label in enumerate(labels)
     }
 
@@ -199,17 +212,17 @@ def axial_function(p: FacePoset, lam: CharFunction) -> GkmGraph:
             f"(n_valent={sk.n_valent}, connected={sk.connected}, "
             f"degenerate_edges={sorted(sk.degenerate_edges)})"
         )
-    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    label = facet_labels(p, lam)
     mask = p._facet_mask
-    duals: dict[tuple[int, ...], dict[int, Vec]] = {}  # sorted labels -> dual basis
-    dual: dict[str, dict[int, Vec]] = {}  # vertex -> its labels' dual basis
+    duals: dict[tuple[int, ...], dict[int, int]] = {}  # sorted labels -> dual basis
+    dual: dict[str, dict[int, int]] = {}  # vertex -> its labels' dual basis
     for v in sk.vertices:
         labels = tuple(sorted(label[j] for j in bit_indices(mask[v])))
         basis = duals.get(labels)
         if basis is None:
             basis = duals[labels] = _dual_basis(labels, p.n)
         dual[v] = basis
-    axial: dict[str, Vec] = {}
+    axial: dict[str, int] = {}
     for e, (v, _) in sorted(sk.edges.items()):
         missed = (mask[v] & ~mask[e]).bit_length() - 1
         axial[e] = dual[v][label[missed]]
@@ -224,9 +237,9 @@ class MInvolution:
 
 
 def _label_image(p: FacePoset, lam: CharFunction) -> tuple[list[int], int]:
-    """The distinct facet labels, as sorted bits, and the rank of their span;
+    """The distinct facet labels, as sorted ints, and the rank of their span;
     they form a basis of GF(2)^n iff len(image) == rank == n."""
-    image = sorted({v.bits for v in lam.values.values()})
+    image = sorted(set(facet_labels(p, lam)))
     return image, Matrix.from_rows(image, max(p.n, 1)).rank()
 
 
@@ -254,7 +267,11 @@ def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> M
     share its n - 1 facets, so the one facet each has beyond them carry
     equal labels, and the two ends have the same label set.  On a
     connected 1-skeleton where every facet has a vertex, the label image
-    is then that one basis."""
+    is then that one basis.
+
+    Raises InputError unless p and lam pass validation (`require_valid`),
+    as the label image is read off `facet_labels`."""
+    require_valid(p, lam, "code")
     image, rank = _label_image(p, lam)
     reasons = []
     if p.n == 0:
@@ -268,7 +285,7 @@ def m_involution_check(p: FacePoset, lam: CharFunction, face_acyclic: bool) -> M
         reasons.append("instance is not face-acyclic")
     if reasons:
         return MInvolution(False, None, tuple(reasons))
-    g = Vec(0, p.n)
-    for bits in image:
-        g = g ^ Vec(bits, p.n)
-    return MInvolution(True, g)
+    g = 0
+    for label in image:
+        g ^= label
+    return MInvolution(True, Vec(g, p.n))

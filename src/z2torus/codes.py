@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import PreconditionError
-from .gf2 import Matrix, Vec, _top_basis
+from .gf2 import Vec, _top_basis
 from .poset import FacePoset
 
 
 @dataclass(frozen=True)
 class BinaryCode:
     length: int
-    gen: Matrix  # one row per facet, as given (not reduced)
+    gen: tuple[int, ...]  # one row per facet, as given (not reduced)
     facets: tuple[str, ...]
     coordinates: tuple[str, ...]  # vertices, canonical order
 
@@ -27,14 +27,14 @@ class BinaryCode:
     def basis(self) -> tuple[int, ...]:
         """The generator rows reduced once, by `_top_basis`: one row per
         pivot, so the code's dimension is their count."""
-        return tuple(_top_basis(enumerate(self.gen.rows)).values())
+        return tuple(_top_basis(enumerate(self.gen)).values())
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def rows(self) -> list[str]:
-        return [str(Vec(r, self.length)) for r in self.gen.rows]
+        return [str(Vec(r, self.length)) for r in self.gen]
 
 
 def facet_code(p: FacePoset) -> BinaryCode:
@@ -54,12 +54,7 @@ def facet_code(p: FacePoset) -> BinaryCode:
             if p.leq(v, F):
                 bits |= 1 << vindex[v]
         rows.append(bits)
-    return BinaryCode(
-        len(vertices),
-        Matrix.from_rows(rows, len(vertices)),
-        tuple(p.facets()),
-        tuple(vertices),
-    )
+    return BinaryCode(len(vertices), tuple(rows), tuple(p.facets()), tuple(vertices))
 
 
 def is_self_dual(code: BinaryCode) -> bool:
@@ -67,7 +62,7 @@ def is_self_dual(code: BinaryCode) -> bool:
     C^perp when every two generator rows (each row with itself too) meet
     evenly, and C^perp has dimension length - dim C, so the two are equal
     exactly when also 2 dim C = length."""
-    rows = code.gen.rows
+    rows = code.gen
     return 2 * code.dim == code.length and all(
         (a & b).bit_count() % 2 == 0 for i, a in enumerate(rows) for b in rows[i:]
     )

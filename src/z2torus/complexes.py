@@ -18,10 +18,12 @@ boundary of d-cell i as an int, bit j standing for (d-1)-cell j
 (rows[0] is all 0).  QuotientComplex lifts a base chain into rows
 through the isotropy gluing of a characteristic function (`_quotient`);
 `betti_mod2` reads and checks any rows.  `is_face_acyclic` runs the
-paper's criterion on the base chain, gathered per face into rows by
-`_carried`, which `validate_carriers` shares; on the poset the
-criterion is the CW gate.  The walk and the gather read the poset's
-up-set masks.
+paper's criterion on the base chain: `_carried` hands each face, per
+degree, the entries its caller gives for the cells carried inside it.
+The criterion gives each cell's (index, row) pair, built once, and
+ranks each face's rows; `validate_carriers` gives indices and reads the
+facet lists, so it builds no rows.  On the poset the criterion is the
+CW gate.  The walk and the gather read the poset's up-set masks.
 
 The gate and the model read a triangulation's chain reduced within
 carriers (`reduced_chain`, kept on it): pairs of cells with one carrier,
@@ -43,14 +45,15 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
-from .charfunc import CharFunction
+from .charfunc import CharFunction, facet_labels
 from .errors import InputError, PreconditionError
 from .gf2 import _rref_rows, bit_indices, chain_ranks
 from .poset import FacePoset, kept, validate
 
 Simplex = tuple[int, ...]
+T = TypeVar("T")
 
 
 class CarrierComplex:
@@ -366,7 +369,7 @@ def _lift(
     quotients: list[tuple[list[int], list[int]]] = []
     by_labels: dict[frozenset[int], int] = {}
     group: dict[str, int] = {}
-    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    label = facet_labels(p, lam)
     for f in dict.fromkeys(f for level in chain.carriers for f in level):
         labels = frozenset(label[j] for j in bit_indices(p._facet_mask[f]))
         if labels not in by_labels:
@@ -501,28 +504,26 @@ class AcyclicityReport:
 
 
 def _carried(
-    chain: BaseChain, p: FacePoset
-) -> Iterator[tuple[str, list[list[tuple[int, int]]]]]:
+    chain: BaseChain, p: FacePoset, cells: Sequence[Sequence[T]]
+) -> Iterator[tuple[str, list[list[T]]]]:
     """Each face f of p, in `p.faces()` order, with its subcomplex: the
-    cells of chain carried inside f, per degree up to the subcomplex's
-    dimension, as (index in degree, boundary row) pairs, each cell's row
-    built once from its facet indices.  Each carrier's pairs are handed
-    to the faces above it, the bits of its up-set mask `p._up`, and a
-    face's lists are joined when it is yielded, so the pairs within a
-    degree follow the carriers, not the indices.  A boundary never leaves
-    its cell's carrier, so the subcomplex is closed."""
-    # carrier -> (degree, its pairs), for the degrees the carrier holds cells in
-    by_carrier: dict[str, list[tuple[int, list[tuple[int, int]]]]] = {}
-    for d, (carriers, level) in enumerate(zip(chain.carriers, chain.facets)):
-        for i, (carrier, js) in enumerate(zip(carriers, level)):
-            row = 0
-            for j in js:
-                row |= 1 << j
+    entries cells[d][i] of the cells i of chain carried inside f, per
+    degree d up to the subcomplex's dimension.  The carrier checks hand
+    out indices, the criterion (index, row) pairs built once per cell.
+    Each carrier's entries are handed to the faces above it, the bits of
+    its up-set mask `p._up`, and a face's lists are joined when it is
+    yielded, so the entries within a degree follow the carriers, not the
+    indices.  A boundary never leaves its cell's carrier, so the
+    subcomplex is closed."""
+    # carrier -> (degree, its entries), for the degrees the carrier holds cells in
+    by_carrier: dict[str, list[tuple[int, list[T]]]] = {}
+    for d, (carriers, level) in enumerate(zip(chain.carriers, cells)):
+        for carrier, entry in zip(carriers, level):
             by_dim = by_carrier.setdefault(carrier, [])
             if not by_dim or by_dim[-1][0] != d:
                 by_dim.append((d, []))
-            by_dim[-1][1].append((i, row))
-    held: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in p._order]  # by face bit
+            by_dim[-1][1].append(entry)
+    held: list[list[tuple[int, list[T]]]] = [[] for _ in p._order]  # by face bit
     for g, by_dim in by_carrier.items():
         up = p._up[g]
         while up:
@@ -530,11 +531,11 @@ def _carried(
             up ^= 1 << k
             held[k] += by_dim
     for f, pieces in zip(p._order, held):
-        sub: list[list[tuple[int, int]]] = []
-        for d, pairs in pieces:
+        sub: list[list[T]] = []
+        for d, entries in pieces:
             while len(sub) <= d:
                 sub.append([])
-            sub[d] += pairs
+            sub[d] += entries
         yield f, sub
 
 
@@ -554,10 +555,19 @@ def is_face_acyclic(base: CarrierComplex | FacePoset) -> AcyclicityReport:
 
 
 def _acyclicity(chain: BaseChain, p: FacePoset) -> AcyclicityReport:
-    """Each face's reduced Betti numbers, read off its rows in chain."""
+    """Each face's reduced Betti numbers, read off its rows in chain, each
+    cell's row built once from its facet list."""
+    pairs: list[list[tuple[int, int]]] = []  # per degree, each cell's (index, row)
+    for level in chain.facets:
+        pairs.append([])
+        for i, js in enumerate(level):
+            row = 0
+            for j in js:
+                row |= 1 << j
+            pairs[-1].append((i, row))
     per_face: dict[str, tuple[int, ...]] = {}
     empty: list[str] = []
-    for f, sub in _carried(chain, p):
+    for f, sub in _carried(chain, p, pairs):
         if not sub:
             empty.append(f)
             continue
@@ -620,7 +630,7 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
         return rep
 
     facets = chain.facets  # each simplex's, as the walk listed them
-    for f, sub in _carried(chain, p):
+    for f, sub in _carried(chain, p, [range(len(level)) for level in facets]):
         if not sub:
             rep.face_strata.append(f"face {f} carries no simplex")
             continue
@@ -631,17 +641,17 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
             )
         # cofaces[k][i]: the (k+1)-simplices of the subcomplex on its k-simplex i
         cofaces = [
-            Counter(iter_chain.from_iterable(facets[k][i] for i, _ in level))
+            Counter(iter_chain.from_iterable(facets[k][i] for i in level))
             for k, level in enumerate(sub[1:], 1)
         ]
         rep.face_strata += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
             for sx in sorted(
-                chain.cells[k][i] for k in range(d) for i, _ in sub[k] if not cofaces[k][i]
+                chain.cells[k][i] for k in range(d) for i in sub[k] if not cofaces[k][i]
             )
         ]
         walls = []
-        for i, _ in sub[d - 1] if d else ():  # the walls, the (d-1)-simplices
+        for i in sub[d - 1] if d else ():  # the walls, the (d-1)-simplices
             want = 2 if chain.carriers[d - 1][i] == f else 1
             if cofaces[d - 1][i] != want:
                 walls.append((chain.cells[d - 1][i], cofaces[d - 1][i], want))

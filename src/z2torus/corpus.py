@@ -175,7 +175,7 @@ def ncube(n: int) -> Instance:
         if ch == "*"
         for b in "01"
     }
-    labels = {w: Vec.unit(n, w.index(w.strip("*"))) for w in words if codims[w] == 1}
+    labels = {w: Vec(1 << w.index(w.strip("*")), n) for w in words if codims[w] == 1}
     return Instance(f"cube{n}", FacePoset(n, codims, covers), CharFunction(n, labels), None)
 
 

@@ -2,15 +2,19 @@
 
 A vector in GF(2)^n is an int whose bit i is coordinate i, so row
 operations are single big-int XORs (word-parallel under the hood).
-No column permutations, ever.
+No column permutations, ever.  `Vec` pairs such an int with its width
+where bit strings are parsed or printed, and nowhere else.
 
 One pivot rule: a row's pivot is its highest set bit, read in O(1) as
 `row.bit_length() - 1`, and every basis is the one `_top_basis` builds,
-keyed by pivot.  Ranks (`Matrix.rank`, `chain_ranks`) count its rows.
-`chain_ranks` also clears: it works from the top degree down and skips
-every cell that is the pivot of a reduced boundary one degree up (Chen
-and Kerber, "Persistent homology computation with a twist", 2011;
-Bauer, Kerber, Reininghaus and Wagner, "PHAT", 2017).  `in_span` tests
+keyed by pivot.  Ranks count its rows: `chain_ranks` those of chain
+complexes, and `Matrix.rank` those of the label image
+(`charfunc._label_image`) and of GKM elimination
+(`gkm.eliminated_hilbert`).  `chain_ranks` also clears: it works from
+the top degree down and skips every cell that is the pivot of a reduced
+boundary one degree up (Chen and Kerber, "Persistent homology
+computation with a twist", 2011; Bauer, Kerber, Reininghaus and Wagner,
+"PHAT", 2017).  `in_span` tests
 membership against the unreduced basis.  Echelon forms (`_rref_rows`,
 so the isotropy quotients of `complexes._quotient` and the dual bases of
 `charfunc.axial_function`) reduce it: each pivot column is cleared from
@@ -39,10 +43,6 @@ class Vec:
     n: int
 
     @staticmethod
-    def unit(n: int, i: int) -> "Vec":
-        return Vec(1 << i, n)
-
-    @staticmethod
     def from_bits(coords: Iterable[int]) -> "Vec":
         coords = list(coords)
         bits = 0
@@ -61,19 +61,6 @@ class Vec:
     def __post_init__(self) -> None:
         if self.n < 0 or self.bits >> self.n:
             raise ValueError(f"bits 0b{self.bits:b} do not fit in width {self.n}")
-
-    def __xor__(self, other: "Vec") -> "Vec":
-        if other.n != self.n:
-            raise ValueError("width mismatch")
-        return Vec(self.bits ^ other.bits, self.n)
-
-    __add__ = __xor__
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    def support(self) -> list[int]:
-        return list(bit_indices(self.bits))
 
     def to_bits(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.n)]
@@ -179,7 +166,3 @@ class Matrix:
 
     def rank(self) -> int:
         return len(_top_basis(enumerate(self.rows)))
-
-    def __str__(self) -> str:
-        return "\n".join(str(Vec(r, self.ncols)) for r in self.rows)
-

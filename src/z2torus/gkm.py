@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .charfunc import Ends, GkmGraph
-from .gf2 import Matrix, Vec, _top_basis, in_span
+from .gf2 import Matrix, _top_basis, bit_indices, in_span
 
 # up-edge forms -> a basis of their span by pivot, and form -> in span?
 Spans = dict[frozenset[int], tuple[dict[int, int], dict[int, bool]]]
@@ -61,10 +61,10 @@ def monomials(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(mons, reverse=True)
 
 
-def _pivot_rest(alpha: Vec) -> tuple[int, list[int]]:
+def _pivot_rest(alpha: int) -> tuple[int, list[int]]:
     """alpha's pivot (its highest variable) and its other variables."""
-    pivot = alpha.bits.bit_length() - 1
-    return pivot, [j for j in alpha.support() if j != pivot]
+    pivot = alpha.bit_length() - 1
+    return pivot, [j for j in bit_indices(alpha) if j != pivot]
 
 
 def _image(m: tuple[int, ...], pivot: int, rest: list[int]) -> list[tuple[int, ...]]:
@@ -201,7 +201,7 @@ def eliminated_hilbert(g: GkmGraph, max_deg: int) -> tuple[int, ...]:
     for k in range(max_deg + 1):
         mons = monomials(n, k)
         M = len(mons)
-        images: dict[Vec, list[list[tuple[int, ...]]]] = {}  # per form, per monomial
+        images: dict[int, list[list[tuple[int, ...]]]] = {}  # per form, per monomial
         rows: list[int] = []
         for e in sorted(g.edges):
             v, w = g.edges[e]

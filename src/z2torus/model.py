@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .charfunc import CharFunction, require_valid
+from .charfunc import CharFunction, facet_labels, require_valid
 from .complexes import CarrierComplex, QuotientComplex, face_acyclicity
 from .errors import InputError
 from .gf2 import Vec, _top_basis, bit_indices, in_span
@@ -38,15 +38,16 @@ class FixedLocus:
 def fixed_locus(p: FacePoset, lam: CharFunction, g: Vec) -> FixedLocus:
     """Maximal faces whose isotropy contains g; the preimage of their
     union is the fixed set of the subgroup element g.  A face's isotropy
-    group is the span of its facets' labels, read as ints off its facet
-    mask.  Raises InputError unless p and lam pass validation
-    (`require_valid`) and g has lam's width."""
+    group is the span of its facets' labels, the `facet_labels` ints its
+    facet mask selects.  g is parsed with its width, which must be lam's;
+    it is read as an int.  Raises InputError unless p and lam pass
+    validation (`require_valid`) and g has lam's width."""
     require_valid(p, lam, "fixed-locus")
     if g.n != lam.n:
         raise InputError(f"g has {g.n} bits, lambda has width {lam.n}")
-    if g.is_zero():
+    if not g.bits:
         raise InputError("g = 0 fixes everything; ask about a nonzero element")
-    label = [lam.vec(F).bits for F in p._facet_ids]  # by facet index
+    label = facet_labels(p, lam)
     hits = [
         (1 << i, f)
         for i, f in enumerate(p.faces())

@@ -18,7 +18,7 @@ from functools import cached_property, wraps
 from math import comb
 from operator import is_
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar, get_type_hints
 
 if TYPE_CHECKING:  # pragma: no cover
     from .complexes import CarrierComplex
@@ -36,20 +36,25 @@ def kept(fn: Callable[..., T]) -> Callable[..., T]:
     triangulations), so a dropped owner is freed at once.  A call that
     raises keeps nothing.  Callers share the result and must not change
     it.  Arguments are passed by position only, and fn has no defaults: a
-    default would give one result two slots.  An owner with no slots, one
-    that is neither a poset nor a triangulation, raises TypeError."""
+    default would give one result two slots.  The owner's type is fn's
+    annotation of its first parameter, its first annotation, read on the
+    first call: any other owner raises TypeError naming what fn takes."""
+    owners: Any = None
 
     @wraps(fn)
     def keep(owner: Any, *rest: Any) -> T:
-        try:
-            slots = owner._kept
-        except AttributeError:
-            raise TypeError(
-                f"a base is a FacePoset or a CarrierComplex, not {type(owner).__name__}"
-            ) from None
-        slot = slots.get(fn)
+        nonlocal owners
+        if owners is None:
+            owners = next(iter(get_type_hints(fn).values()))
+        if not isinstance(owner, owners):
+            wanted = (
+                "a poset is a FacePoset" if owners is FacePoset
+                else "a base is a FacePoset or a CarrierComplex"
+            )
+            raise TypeError(f"{wanted}, not {type(owner).__name__}")
+        slot = owner._kept.get(fn)
         if slot is None or len(slot[0]) != len(rest) or not all(map(is_, slot[0], rest)):
-            slot = slots[fn] = (rest, fn(owner, *rest))
+            slot = owner._kept[fn] = (rest, fn(owner, *rest))
         return slot[1]
 
     return keep

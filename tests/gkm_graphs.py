@@ -13,7 +13,7 @@ positions.
 from collections.abc import Iterable, Mapping
 
 from z2torus.charfunc import GkmGraph
-from z2torus.gf2 import Vec, _top_basis, in_span
+from z2torus.gf2 import _top_basis, in_span
 
 
 def mod_line(forms: Iterable[int], a: int) -> list[int]:
@@ -25,18 +25,18 @@ def mod_line(forms: Iterable[int], a: int) -> list[int]:
 
 
 def incongruent_edges(
-    edges: Mapping[str, tuple[str, str]], axial: Mapping[str, Vec]
+    edges: Mapping[str, tuple[str, str]], axial: Mapping[str, int]
 ) -> tuple[str, ...]:
     """The sorted edges e = (v, w) across which the forms at v and at w
     disagree mod alpha(e): two `mod_line` sorts per edge."""
     at: dict[str, list[int]] = {}
     for e, (a, b) in edges.items():
-        at.setdefault(a, []).append(axial[e].bits)
+        at.setdefault(a, []).append(axial[e])
         if b != a:
-            at.setdefault(b, []).append(axial[e].bits)
+            at.setdefault(b, []).append(axial[e])
     return tuple(
         e for e, (v, w) in sorted(edges.items())
-        if mod_line(at[v], axial[e].bits) != mod_line(at[w], axial[e].bits)
+        if mod_line(at[v], axial[e]) != mod_line(at[w], axial[e])
     )
 
 
@@ -44,14 +44,14 @@ def hand_built(
     n: int,
     vertices: tuple[str, ...],
     edges: Mapping[str, tuple[str, str]],
-    axial: Mapping[str, Vec],
+    axial: Mapping[str, int],
 ) -> GkmGraph:
     """The graph with these edges and forms, its incongruent edges found
     by the scan."""
     return GkmGraph(n, vertices, edges, axial, incongruent_edges(edges, axial))
 
 
-# vertex -> (edge, other end, form bits) for each edge at it, edges sorted
+# vertex -> (edge, other end, form) for each edge at it, edges sorted
 NamedEnds = dict[str, list[tuple[str, str, int]]]
 
 
@@ -59,9 +59,9 @@ def named_ends(g: GkmGraph) -> NamedEnds:
     """The edges at each vertex, keyed by the vertex's name."""
     ends: NamedEnds = {v: [] for v in g.vertices}
     for e, (a, b) in sorted(g.edges.items()):
-        ends[a].append((e, b, g.axial[e].bits))
+        ends[a].append((e, b, g.axial[e]))
         if b != a:
-            ends[b].append((e, a, g.axial[e].bits))
+            ends[b].append((e, a, g.axial[e]))
     return ends
 
 

@@ -1,5 +1,6 @@
 """Corner cuts: the new poset, the new labels, and the counting laws."""
 
+import functools
 import random
 from itertools import combinations
 
@@ -403,6 +404,7 @@ class TestInputChecked:
         calls = []
 
         def counted(fn):
+            @functools.wraps(fn)  # `kept` reads fn's owner annotation
             def count(*args):
                 calls.append((fn.__name__, id(args[0])))
                 return fn(*args)

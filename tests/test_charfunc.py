@@ -1,5 +1,9 @@
 """Characteristic functions, isotropy, axial functions, involutions."""
 
+import contextlib
+import io
+import sys
+
 import pytest
 from conftest import (
     MASK_READERS_SWEEP,
@@ -16,12 +20,13 @@ from paper_checks import coloring_classes
 from restrictions import Subgroup, coset_rep, cosets, face_restriction, isotropy
 from thom_classes import edges_at
 
-from z2torus import corpus
+from z2torus import blowup, charfunc, cli, complexes, corpus, model
 from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
     LambdaReport,
     axial_function,
+    facet_labels,
     m_involution_check,
     validate_lambda,
 )
@@ -29,6 +34,7 @@ from z2torus.complexes import _quotient
 from z2torus.errors import InputError, PreconditionError
 from z2torus.gf2 import Vec
 from z2torus.gkm import eliminated_hilbert, equivariant_hilbert, flow_up_degrees
+from z2torus.instance import Instance, save_instance
 from z2torus.model import fixed_locus, formality_verdict
 from z2torus.poset import FacePoset, validate
 
@@ -70,7 +76,7 @@ class TestSubgroup:
 
         for v in (Vec.from_string("100"), Vec.from_string("010")):
             for h in ("110", "011", "101"):
-                shifted = v ^ Vec.from_string(h)
+                shifted = Vec(v.bits ^ Vec.from_string(h).bits, 3)
                 assert coset_rep(g, shifted) == coset_rep(g, v)
                 assert position(shifted) == position(v)
 
@@ -129,6 +135,78 @@ class TestValidateLambda:
             CharFunction(2, {"F1": Vec.from_string("10"), "F2": Vec.from_string("010")})
 
 
+class TestFacetLabels:
+    """The labels as ints by facet index, bound once per poset and
+    labelling and shared by every reader."""
+
+    @pytest.mark.parametrize("name", sorted(MASK_READERS_SWEEP))
+    def test_entry_j_is_the_label_of_facet_bit_j(self, name):
+        p, lam = MASK_READERS_SWEEP[name]
+        labels = facet_labels(p, lam)
+        assert facet_labels(p, lam) is labels
+        for f in p.faces():
+            mask = p._facet_mask[f]
+            want = sorted(lam.vec(F).bits for F in p.facets_containing(f))
+            assert sorted(labels[j] for j in range(len(labels)) if mask >> j & 1) == want
+
+    # the readers of facet_labels, by the module each looks it up in
+    READERS = {
+        charfunc: {"validate_lambda", "axial_function", "_label_image"},
+        complexes: {"_lift"},
+        model: {"fixed_locus"},
+        blowup: {"cut_face"},
+    }
+
+    def test_every_command_binds_them_once(self, tmp_path, monkeypatch):
+        """The body behind `facet_labels` runs once per (poset, labelling)
+        in each command, and every reader gets that one tuple."""
+        cube4 = tmp_path / "cube4.json"
+        save_instance(corpus.ncube(4), cube4)
+        cube5 = corpus.ncube(5)
+        cut = cut_face(cube5.poset, cube5.lam, "00000")
+        cut5 = tmp_path / "cut5.json"
+        save_instance(Instance("cut5", cut.poset, cut.lam, None), cut5)
+        runs = {
+            ("report", str(cube4)): {"validate_lambda", "_lift", "axial_function", "_label_image"},
+            ("gkm", str(cut5)): {"validate_lambda", "axial_function", "_lift"},
+            ("fixed-locus", str(cube4), "--g", "1111"): {"validate_lambda", "fixed_locus"},
+            ("blowup", str(cube4), "--face", "0000", "--out", str(tmp_path / "out.json")): {
+                "validate_lambda", "cut_face"
+            },
+        }
+        real, body = charfunc.facet_labels, charfunc.facet_labels.__wrapped__.__code__
+        got = []  # (reader, poset, labelling, tuple) per call
+
+        def spy(p, lam):
+            labels = real(p, lam)
+            got.append((sys._getframe(1).f_code.co_name, p, lam, labels))
+            return labels
+
+        assert set().union(*runs.values()) == set().union(*self.READERS.values())
+        for module in self.READERS:
+            monkeypatch.setattr(module, "facet_labels", spy)
+        before = sys.getprofile()
+        for argv, readers in runs.items():
+            got.clear()
+            bodies = []
+
+            def record(frame, event, arg):
+                if event == "call" and frame.f_code is body:
+                    bodies.append(frame.f_locals["p"])
+
+            with contextlib.redirect_stdout(io.StringIO()):
+                sys.setprofile(record)
+                try:
+                    rc = cli.main(list(argv))
+                finally:
+                    sys.setprofile(before)
+            assert rc == 0, argv
+            assert {reader for reader, *_ in got} == readers, argv
+            p, lam, labels = got[0][1:]
+            assert all(q is p and mu is lam and t is labels for _, q, mu, t in got), argv
+            assert bodies == [p], argv
+
+
 def lambda_oracle(p, lam):
     """validate_lambda as it was before it ranked at vertices first: one
     rank per face that lies in a facet."""
@@ -178,7 +256,7 @@ def label_edits(lam):
                 yield a, lam.vec(b)
             for c in facets:
                 if b <= c:
-                    yield a, lam.vec(b) ^ lam.vec(c)
+                    yield a, Vec(lam.vec(b).bits ^ lam.vec(c).bits, lam.n)
 
 
 def relabel(lam, facet, vec):
@@ -231,7 +309,8 @@ class TestValidateLambdaAgainstOracle:
         facets = sorted(lam.values)
         if facets and data.draw(st.booleans()):
             a, b, c = (data.draw(st.sampled_from(facets)) for _ in range(3))
-            vec = lam.vec(b) if data.draw(st.booleans()) else lam.vec(b) ^ lam.vec(c)
+            bits = lam.vec(b).bits ^ (0 if data.draw(st.booleans()) else lam.vec(c).bits)
+            vec = Vec(bits, lam.n)
             assert_lambda_matches_oracle(p, relabel(lam, a, vec))
 
 
@@ -331,15 +410,15 @@ class TestAxialFunction:
     def test_triangle_oracle(self):
         inst = corpus.triangle()
         g = axial_function(inst.poset, inst.lam)
-        assert str(g.axial["F1"]) == "01"
-        assert str(g.axial["F2"]) == "10"
-        assert str(g.axial["F3"]) == "11"
+        assert g.axial["F1"] == Vec.from_string("01").bits
+        assert g.axial["F2"] == Vec.from_string("10").bits
+        assert g.axial["F3"] == Vec.from_string("11").bits
 
     def test_cube_axial_matches_transverse_direction(self):
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
         # the edge EX0Y0 runs in the z direction
-        assert str(g.axial["EX0Y0"]) == "001"
+        assert g.axial["EX0Y0"] == Vec.from_string("001").bits
         assert len(g.edges) == 12
         for v in g.vertices:
             assert len(edges_at(g, v)) == 3
@@ -348,7 +427,7 @@ class TestAxialFunction:
         inst = corpus.segment()
         g = axial_function(inst.poset, inst.lam)
         assert list(g.edges) == ["Q"]
-        assert str(g.axial["Q"]) == "1"
+        assert g.axial["Q"] == 1
 
     def test_annulus_precondition(self):
         inst = corpus.annulus()
@@ -375,7 +454,7 @@ class TestAxialFunction:
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
         assert g.incongruent == ()
-        g = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+        g = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011").bits})
         assert g.incongruent == ("EY0Z0", "EY0Z1")
         assert flow_up_degrees(g) is None
         assert equivariant_hilbert(g, 6) == eliminated_hilbert(g, 6)
@@ -387,12 +466,12 @@ class TestAxialFunction:
         inst = corpus.cube()
         g = axial_function(inst.poset, inst.lam)
         with pytest.raises(TypeError):
-            g.axial["EX0Y0"] = Vec.from_string("011")
+            g.axial["EX0Y0"] = Vec.from_string("011").bits
         with pytest.raises(TypeError):
             g.edges["EX0Y0"] = ("V000", "V111")
         edges, axial = dict(g.edges), dict(g.axial)
         built = hand_built(g.n, g.vertices, edges, axial)
-        axial["EX0Y0"] = Vec.from_string("011")
+        axial["EX0Y0"] = Vec.from_string("011").bits
         assert built.axial["EX0Y0"] == g.axial["EX0Y0"] and built.incongruent == ()
 
     def test_hand_built_disagreement_names_the_first_edge(self):
@@ -405,7 +484,7 @@ class TestAxialFunction:
         edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
 
         def k4(forms):
-            axial = {f"e{i}": Vec(bits, 3) for i, bits in enumerate(forms)}
+            axial = {f"e{i}": form for i, form in enumerate(forms)}
             return hand_built(3, ("v0", "v1", "v2", "v3"), edges, axial)
 
         g = k4([1, 2, 4, 4, 2, 1])
@@ -435,6 +514,18 @@ class TestMInvolution:
         inst = corpus.square_torus()
         res = m_involution_check(inst.poset, inst.lam, face_acyclic=True)
         assert res.exists and str(res.g) == "11"
+
+    def test_labels_that_fail_validation_are_refused(self):
+        # the label image is read off facet_labels, which needs every facet
+        p = corpus.triangle().poset
+        dependent = "face p12: facet labels ['10', '10'] of ['F1', 'F2'] are dependent"
+        for lam, finding in [
+            (lam_of(F1="10", F2="01"), "facet F3 has no lambda value"),
+            (lam_of(F1="10", F2="10", F3="01"), dependent),
+        ]:
+            with pytest.raises(InputError) as err:
+                m_involution_check(p, lam, face_acyclic=True)
+            assert err.value.messages == ["code input fails validation", finding]
 
     def test_triangle_image_too_big(self):
         inst = corpus.triangle()

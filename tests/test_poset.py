@@ -776,7 +776,7 @@ class TestKept:
         calls = []
 
         @poset.kept
-        def f(p, a, b):
+        def f(p: poset.FacePoset, a, b):
             calls.append((a, b))
             return [a, b]
 

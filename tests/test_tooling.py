@@ -12,6 +12,8 @@ from inspect import CO_NEWLOCALS
 from pathlib import Path
 from types import CodeType
 
+import pytest
+
 import z2torus
 from z2torus import charfunc, cli, codes, complexes, corpus, model
 from z2torus.instance import Instance, save_instance
@@ -62,10 +64,10 @@ def test_export_list_matches_the_imports():
 KEPT_OWNERS = {"FacePoset", "CarrierComplex", "CarrierComplex | FacePoset", "FacePoset | CarrierComplex"}
 
 
-def test_every_kept_function_keeps_on_a_first_argument_with_no_defaults():
-    # `kept` keeps a result on the call's first argument and compares the
-    # rest by identity, one slot per function: a defaulted parameter would
-    # give one result two slots, f(p, a) and f(p, a, default)
+def kept_functions():
+    """Each `kept` function of the package by its dotted name: its first
+    parameter's annotation, its number of parameters, and whether any has
+    a default."""
     found = {}
     for path in sorted(Path(z2torus.__file__).resolve().parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -73,14 +75,43 @@ def test_every_kept_function_keeps_on_a_first_argument_with_no_defaults():
                 ast.unparse(d) == "kept" for d in node.decorator_list
             ):
                 args = node.args
-                first = (args.posonlyargs + args.args)[0].annotation
+                params = args.posonlyargs + args.args
                 found[f"{path.stem}.{node.name}"] = (
-                    ast.unparse(first) if first else None,
+                    ast.unparse(params[0].annotation) if params[0].annotation else None,
+                    len(params),
                     bool(args.defaults or any(args.kw_defaults)),
                 )
-    assert {"complexes.face_acyclicity", "model.formality_verdict"} <= found.keys()
-    for name, (owner, defaults) in found.items():
+    return found
+
+
+KEPT = kept_functions()
+
+
+def test_every_kept_function_keeps_on_a_first_argument_with_no_defaults():
+    # `kept` keeps a result on the call's first argument and compares the
+    # rest by identity, one slot per function: a defaulted parameter would
+    # give one result two slots, f(p, a) and f(p, a, default)
+    assert {"complexes.face_acyclicity", "model.formality_verdict"} <= KEPT.keys()
+    for name, (owner, _, defaults) in KEPT.items():
         assert owner in KEPT_OWNERS and not defaults, name
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (owner, *_) in KEPT.items() if owner == "FacePoset"))
+def test_a_poset_only_kept_function_refuses_a_triangulation(name):
+    # `kept` reads the owner's type off the first parameter's annotation,
+    # so the poset's functions refuse a triangulation before they run
+    inst = corpus.square_torus()
+    module, fn = name.split(".")
+    _, nargs, _ = KEPT[name]
+    with pytest.raises(TypeError, match="^a poset is a FacePoset, not CarrierComplex$"):
+        getattr(getattr(z2torus, module), fn)(inst.triangulation, *[inst.lam] * (nargs - 1))
+    assert inst.triangulation._kept == {}
+
+
+def test_validate_refuses_a_triangulation():
+    # validate reads its findings through the poset-only `_findings`
+    with pytest.raises(TypeError, match="^a poset is a FacePoset, not CarrierComplex$"):
+        z2torus.validate(corpus.square_torus().triangulation)
 
 
 # Why each function of the package that no command enters may stay there.
@@ -117,11 +148,8 @@ NEVER_ENTERED = {
     "corpus.square_torus": CORPUS,
     "corpus.triangle": CORPUS,
     "errors.InputError.__init__": ERROR,
-    "gf2.Matrix.__str__": DUNDER,
     "gf2.Matrix.nrows": PERFBENCH,  # read by perfbench/tracer.py
     "gf2.Vec.__repr__": DUNDER,
-    "gf2.Vec.support": ELIMINATION,
-    "gf2.Vec.unit": CORPUS,
     "gkm._image": ELIMINATION,
     "gkm._pivot_rest": ELIMINATION,
     "gkm.eliminated_hilbert": ELIMINATION,

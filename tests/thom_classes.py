@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from z2torus.charfunc import CharFunction, GkmGraph, axial_function
 from z2torus.errors import InputError
-from z2torus.gf2 import Vec
+from z2torus.gf2 import bit_indices
 from z2torus.gkm import _image, _pivot_rest
 from z2torus.poset import FacePoset
 
@@ -33,14 +33,14 @@ def poly_zero() -> Poly:
     return frozenset()
 
 
-def substitute(m: tuple[int, ...], alpha: Vec) -> list[tuple[int, ...]]:
+def substitute(m: tuple[int, ...], alpha: int) -> list[tuple[int, ...]]:
     """Image of the monomial m when alpha's pivot goes to the sum of its
     other variables (`gkm._image`); none exist when alpha is a single
     variable and the pivot's exponent is not 0."""
     return _image(m, *_pivot_rest(alpha))
 
 
-def divisible_by(p: Poly, alpha: Vec) -> bool:
+def divisible_by(p: Poly, alpha: int) -> bool:
     pivot, rest = _pivot_rest(alpha)
     image: set[tuple[int, ...]] = set()
     for m in p:
@@ -67,9 +67,9 @@ def poly_var(n: int, i: int) -> Poly:
     return frozenset({tuple(1 if j == i else 0 for j in range(n))})
 
 
-def poly_linear(v: Vec) -> Poly:
-    """The linear form with coefficient vector v."""
-    return frozenset(tuple(1 if j == i else 0 for j in range(v.n)) for i in v.support())
+def poly_linear(n: int, form: int) -> Poly:
+    """The linear form in n variables with coefficients the bits of form."""
+    return frozenset(tuple(1 if j == i else 0 for j in range(n)) for i in bit_indices(form))
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -90,7 +90,7 @@ def thom_products(g: GkmGraph, face: Iterable[str], inside: Container[str]) -> d
         poly = poly_one(g.n)
         for e in edges_at(g, w):
             if e not in inside:
-                poly = poly_mul(poly, poly_linear(g.axial[e]))
+                poly = poly_mul(poly, poly_linear(g.n, g.axial[e]))
         out[w] = poly
     return out
 
