@@ -9,7 +9,6 @@ from .blowup import CutResult, cut_face
 from .charfunc import (
     CharFunction,
     GkmGraph,
-    LambdaReport,
     axial_function,
     m_involution_check,
     validate_lambda,
@@ -58,7 +57,6 @@ __all__ = [
     "GkmGraph",
     "InputError",
     "Instance",
-    "LambdaReport",
     "Matrix",
     "PreconditionError",
     "QuotientComplex",

@@ -10,6 +10,8 @@ binds them once per poset and labelling, and every reader shares that
 tuple, this module's and those that read a face's isotropy group, the
 span of its facets' labels (`complexes._lift`, `model.fixed_locus`), or
 sum them (`blowup.cut_face`).  Axial forms are ints of width n.
+`validate_lambda` returns the witness lines it finds, [] when the labels
+pass, kept on the poset for the labelling it checked.
 """
 
 from __future__ import annotations
@@ -42,20 +44,6 @@ class CharFunction:
         return self.values[facet]
 
 
-@dataclass
-class LambdaReport:
-    missing: list[str] = field(default_factory=list)
-    unknown: list[str] = field(default_factory=list)
-    dependent: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.missing or self.unknown or self.dependent)
-
-    def witnesses(self) -> list[str]:
-        return self.missing + self.unknown + self.dependent
-
-
 @kept
 def facet_labels(p: FacePoset, lam: CharFunction) -> tuple[int, ...]:
     """lam's labels as ints in facet-index order, kept on p for this lam
@@ -65,22 +53,18 @@ def facet_labels(p: FacePoset, lam: CharFunction) -> tuple[int, ...]:
 
 
 @kept
-def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
-    """Check the independence condition at every face.  The report is kept
-    on p for this lam (`kept`), which is read-only, so it cannot go stale."""
-    rep = LambdaReport()
+def validate_lambda(p: FacePoset, lam: CharFunction) -> list[str]:
+    """Check that lam labels exactly the facets of p and is independent at
+    every face: the missing findings, then the unknown ones, then the
+    dependent ones; [] when lam passes.  Kept on p for this lam (`kept`),
+    which is read-only, so it cannot go stale; callers share the list."""
     if lam.n != p.n:
-        rep.dependent.append(f"lambda has width {lam.n}, poset dimension is {p.n}")
-        return rep
+        return [f"lambda has width {lam.n}, poset dimension is {p.n}"]
     facets = set(p.facets())
-    for F in sorted(facets):
-        if F not in lam.values:
-            rep.missing.append(f"facet {F} has no lambda value")
-    for F in sorted(lam.values):
-        if F not in facets:
-            rep.unknown.append(f"lambda value for non-facet {F!r}")
-    if not rep.ok:
-        return rep
+    found = [f"facet {F} has no lambda value" for F in sorted(facets) if F not in lam.values]
+    found += [f"lambda value for non-facet {F!r}" for F in sorted(lam.values) if F not in facets]
+    if found:
+        return found
 
     label = facet_labels(p, lam)
     facet_mask = p._facet_mask
@@ -97,19 +81,19 @@ def validate_lambda(p: FacePoset, lam: CharFunction) -> LambdaReport:
     for i, f in enumerate(p._order):
         if not passed & 1 << i and not independent(f):
             S = p.facets_containing(f)
-            rep.dependent.append(
+            found.append(
                 f"face {f}: facet labels {[str(lam.vec(F)) for F in S]} of {S} are dependent"
             )
-    return rep
+    return found
 
 
 def require_valid(p: FacePoset, lam: CharFunction, what: str) -> None:
     """Raise InputError, "<what> input fails validation" and the findings,
     unless p is sound and lam independent at every face, both read from
-    the results kept on p.  Its callers check nothing more on the way."""
-    witnesses = validate(p).witnesses() or validate_lambda(p, lam).witnesses()
-    if witnesses:
-        raise InputError([f"{what} input fails validation"] + witnesses)
+    the findings kept on p.  Its callers check nothing more on the way."""
+    found = validate(p) or validate_lambda(p, lam)
+    if found:
+        raise InputError([f"{what} input fails validation", *found])
 
 
 # by vertex position: (edge, other end's position, form) for each edge

@@ -23,7 +23,7 @@ from .gf2 import Vec
 from .gkm import equivariant_hilbert, face_ring_hilbert
 from .instance import MAX_DEG, Instance, load_instance, save_instance
 from .model import fixed_locus, formality_verdict
-from .poset import fh_vectors, gorenstein_quick_checks, validate
+from .poset import fh_vectors, gorenstein_quick_checks, vertex_findings
 
 Fragment = tuple[list[str], int]
 
@@ -39,15 +39,15 @@ def _need_lambda(inst: Instance) -> None:
 
 def frag_validate(inst: Instance) -> Fragment:
     p = inst.poset
-    rep = validate(p)
+    has_vertex, skeleton_connected = vertex_findings(p)
     lines = [
         f"name={inst.name} dim={p.n} faces={len(p.codims)} "
         f"facets={len(p.facets())} vertices={len(p.vertices())}",
         "poset: simplicial=ok nice=ok "
-        f"has_vertex={'ok' if not rep.has_vertex else 'fail'} "
-        f"skeleton_connected={'ok' if not rep.skeleton_connected else 'fail'}",
+        f"has_vertex={'ok' if not has_vertex else 'fail'} "
+        f"skeleton_connected={'ok' if not skeleton_connected else 'fail'}",
     ]
-    for w in rep.has_vertex + rep.skeleton_connected:
+    for w in has_vertex + skeleton_connected:
         lines.append(f"  - {w}")
     g = gorenstein_quick_checks(p)
     lines.append(
@@ -59,7 +59,7 @@ def frag_validate(inst: Instance) -> Fragment:
         lines.append(f"mode: B points={tri.n_points} simplices={len(tri.simplices)} carriers=ok")
     else:
         lines.append("mode: A (face-coset cell model)")
-    return lines, (0 if rep.ok else 1)
+    return lines, (1 if has_vertex or skeleton_connected else 0)
 
 
 def frag_hvector(inst: Instance) -> Fragment:

@@ -46,15 +46,12 @@ def facet_code(p: FacePoset) -> BinaryCode:
     vertices = p.vertices()
     if not vertices:
         raise PreconditionError("poset has no vertices, code is empty")
-    vindex = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for F in p.facets():
-        bits = 0
-        for v in vertices:
-            if p.leq(v, F):
-                bits |= 1 << vindex[v]
-        rows.append(bits)
-    return BinaryCode(len(vertices), tuple(rows), tuple(p.facets()), tuple(vertices))
+    facets = p.facets()
+    rows = dict.fromkeys(facets, 0)  # each facet's row, bit i for vertex i
+    for i, v in enumerate(vertices):
+        for F in p.facets_containing(v):
+            rows[F] |= 1 << i
+    return BinaryCode(len(vertices), tuple(rows.values()), tuple(facets), tuple(vertices))
 
 
 def is_self_dual(code: BinaryCode) -> bool:

@@ -35,6 +35,9 @@ face's Betti numbers stay.  Both cells have one isotropy group, so the
 pair lifts to one pair per coset and the model's Betti numbers stay.
 The walk's closure and carrier findings and `validate_carriers` read
 the whole chain; the poset's chain has one cell per carrier already.
+`validate_carriers` returns the witness lines it finds, [] when the
+triangulation passes; the walk's lines are kept on the triangulation
+with its chain.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain as iter_chain
 from itertools import combinations
 from typing import NamedTuple, TypeVar
@@ -94,18 +97,18 @@ class BaseChain(NamedTuple):
     cells[d] lists the d-cells in `by_dim` order, carriers[d] their
     carrier faces, and facets[d][i] the indices of the (d-1)-cells in the
     boundary of d-cell i, in boundary order, as the walk found them
-    (facets[0] is all empty).  closure and wrong_carriers are the walk's
-    findings in sorted cell order, with the wording of
-    `validate_carriers`; when there are any, the facets leave those cells'
-    missing facets out and nothing may read them.  It holds only cells,
-    face ids and ints, so keeping it on its owner makes no cycle.
+    (facets[0] is all empty).  findings are the walk's closure lines,
+    then its carrier lines, each in sorted cell order, with the wording
+    of `validate_carriers`; when there are any, the facets leave those
+    cells' missing facets out and nothing may read them.  It holds only
+    cells, face ids, ints and lines, so keeping it on its owner makes no
+    cycle.
     """
 
     cells: tuple[tuple[Hashable, ...], ...]
     carriers: tuple[tuple[str, ...], ...]
     facets: tuple[tuple[tuple[int, ...], ...], ...]
-    closure: tuple[str, ...] = ()
-    wrong_carriers: tuple[str, ...] = ()
+    findings: tuple[str, ...] = ()
 
 
 def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
@@ -155,7 +158,7 @@ def _walk(base: CarrierComplex | FacePoset) -> BaseChain:
 
     return BaseChain(
         tuple(map(tuple, levels)), tuple(map(tuple, carriers)), tuple(facets),
-        in_order(closure), in_order(wrong),
+        in_order(closure) + in_order(wrong),
     )
 
 
@@ -168,13 +171,14 @@ def _kept_chain(base: CarrierComplex | FacePoset) -> BaseChain:
 def base_chain(base: CarrierComplex | FacePoset) -> BaseChain:
     """base's chain, walked once and kept on base.  Raises InputError when
     base is not closed, a boundary leaves its cell's carrier, or, for the
-    poset, it is not sound (read from its kept findings), and TypeError
-    (from `kept`) when base is neither of the two cell complexes over Q."""
+    poset, it is not sound, with the walk's findings or those `validate`
+    keeps on the poset, and TypeError (from `kept`) when base is neither
+    of the two cell complexes over Q."""
     chain = _kept_chain(base)
-    if chain.closure or chain.wrong_carriers:
-        raise InputError([*chain.closure, *chain.wrong_carriers])
-    if base is base.poset and not validate(base).sound:
-        raise InputError(validate(base).witnesses())
+    if chain.findings:
+        raise InputError(chain.findings)
+    if base is base.poset and validate(base):
+        raise InputError(validate(base))
     return chain
 
 
@@ -595,48 +599,32 @@ def face_acyclicity(base: CarrierComplex | FacePoset) -> AcyclicityReport:
     return rep
 
 
-@dataclass
-class CarrierReport:
-    closure: list[str] = field(default_factory=list)
-    carriers: list[str] = field(default_factory=list)
-    face_strata: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (self.closure or self.carriers or self.face_strata)
-
-    def witnesses(self) -> list[str]:
-        return self.closure + self.carriers + self.face_strata
-
-
-def validate_carriers(c: CarrierComplex) -> CarrierReport:
-    """Closure, carrier monotonicity, and per-face pseudo-manifold checks.
+def validate_carriers(c: CarrierComplex) -> list[str]:
+    """Closure, carrier monotonicity, and per-face pseudo-manifold checks:
+    the closure findings, then the carrier ones, then the points in no
+    simplex, then the face-strata findings; [] when c passes.
 
     For each face f the carried subcomplex must have dimension dim(f), as
     a genuine triangulation of Q does, and be pure, with every wall
     ((d-1)-simplex) in two top simplices when carried by f itself and in
     one when carried by a proper subface.
     """
-    rep = CarrierReport()
     p = c.poset
     chain = _kept_chain(c)  # the closure and carrier findings come from its walk
-    rep.closure += chain.closure
-    rep.carriers += chain.wrong_carriers
     used = set(iter_chain.from_iterable(c.simplices))
-    for v in range(c.n_points):
-        if v not in used:
-            rep.carriers.append(f"point {v} appears in no simplex")
-    if not rep.ok:
-        return rep
+    found = list(chain.findings)
+    found += [f"point {v} appears in no simplex" for v in range(c.n_points) if v not in used]
+    if found:
+        return found
 
     facets = chain.facets  # each simplex's, as the walk listed them
     for f, sub in _carried(chain, p, [range(len(level)) for level in facets]):
         if not sub:
-            rep.face_strata.append(f"face {f} carries no simplex")
+            found.append(f"face {f} carries no simplex")
             continue
         d = len(sub) - 1
         if d != p.dim_face(f):
-            rep.face_strata.append(
+            found.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )
         # cofaces[k][i]: the (k+1)-simplices of the subcomplex on its k-simplex i
@@ -644,7 +632,7 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
             Counter(iter_chain.from_iterable(facets[k][i] for i in level))
             for k, level in enumerate(sub[1:], 1)
         ]
-        rep.face_strata += [
+        found += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
             for sx in sorted(
                 chain.cells[k][i] for k in range(d) for i in sub[k] if not cofaces[k][i]
@@ -655,8 +643,8 @@ def validate_carriers(c: CarrierComplex) -> CarrierReport:
             want = 2 if chain.carriers[d - 1][i] == f else 1
             if cofaces[d - 1][i] != want:
                 walls.append((chain.cells[d - 1][i], cofaces[d - 1][i], want))
-        rep.face_strata += [
+        found += [
             f"face {f}: wall {sx} lies in {n} top simplices, wanted {want}"
             for sx, n, want in sorted(walls)
         ]
-    return rep
+    return found

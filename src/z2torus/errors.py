@@ -8,13 +8,14 @@ m-involution, skeleton not n-valent, ...).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 
 class InputError(ValueError):
-    def __init__(self, messages: list[str] | str):
-        if isinstance(messages, str):
-            messages = [messages]
-        self.messages = messages
-        super().__init__("; ".join(messages))
+    def __init__(self, messages: Sequence[str] | str):
+        # a copy: the findings given may be the lists kept on what they describe
+        self.messages = [messages] if isinstance(messages, str) else list(messages)
+        super().__init__("; ".join(self.messages))
 
 
 class PreconditionError(ValueError):

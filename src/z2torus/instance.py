@@ -134,9 +134,9 @@ def parse_instance(data: object) -> Instance:
         poset = FacePoset(n, codims, covers)
     except ValueError as exc:
         raise InputError(str(exc))
-    rep = validate(poset)
-    if not rep.sound:
-        raise InputError(rep.witnesses())
+    found = validate(poset)
+    if found:
+        raise InputError(found)
 
     lam = None
     if "lambda" in data:
@@ -158,9 +158,9 @@ def parse_instance(data: object) -> Instance:
         if errors:
             raise InputError(errors)
         lam = CharFunction(n, values)
-        lrep = validate_lambda(poset, lam)
-        if not lrep.ok:
-            raise InputError(lrep.witnesses())
+        found = validate_lambda(poset, lam)
+        if found:
+            raise InputError(found)
 
     tri = None
     if "triangulation" in data:
@@ -216,9 +216,9 @@ def parse_instance(data: object) -> Instance:
         if errors:
             raise InputError(errors)
         tri = CarrierComplex(poset, points, simplices)
-        crep = validate_carriers(tri)
-        if not crep.ok:
-            raise InputError(crep.witnesses())
+        found = validate_carriers(tri)
+        if found:
+            raise InputError(found)
     return Instance(name, poset, lam, tri)
 
 

@@ -6,15 +6,17 @@ with codimension exactly one higher.  Everything else (containment,
 facet sets, skeleta, the order complex) is derived from that.
 
 Faces are canonically ordered by (codim, id) throughout, so every
-derived object is reproducible bit for bit.
+derived object is reproducible bit for bit.  A check (`validate`,
+`vertex_findings`) returns the witness lines it finds, [] when it
+passes, kept on the poset it checked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Mapping
-from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from dataclasses import dataclass
+from functools import wraps
 from math import comb
 from operator import is_
 from types import MappingProxyType
@@ -186,85 +188,6 @@ class FacePoset:
         return f"FacePoset(n={self.n}, faces={len(self.codims)})"
 
 
-@dataclass
-class PosetReport:
-    """Validation findings; empty lists mean the check passed.
-
-    has_vertex and skeleton_connected are read off one pass, `_components`,
-    made on first read, and are [] when structural is non-empty: `sound`
-    never needs them."""
-
-    poset: FacePoset = field(repr=False, compare=False)
-    structural: list[str] = field(default_factory=list)
-    simplicial: list[str] = field(default_factory=list)
-    nice: list[str] = field(default_factory=list)
-
-    @cached_property
-    def _components(self) -> dict[str, list[int]]:
-        """Each face's vertex components, in face order, each a mask over
-        the vertices (bit j for the j-th vertex); {} after a structural
-        finding.  A face holds no vertex iff it has no component."""
-        if self.structural:
-            return {}
-        # With no structural findings, covers step one codim, so every
-        # vertex and edge below a face of dimension >= 2 lies below one of
-        # its children: the face's 1-skeleton is the union of theirs, and
-        # its components are theirs, merged where they share a vertex.  An
-        # edge joins its two ends; a degenerate one, which is not in
-        # `edges`, keeps the vertices it covers apart.
-        p = self.poset
-        vbit = {v: 1 << j for j, v in enumerate(p.vertices())}
-        edges = one_skeleton(p).edges
-        comps: dict[str, list[int]] = {}
-        for f in reversed(p._order):  # children first
-            if f in vbit:
-                comps[f] = [vbit[f]]
-            elif f in edges:
-                a, b = edges[f]
-                comps[f] = [vbit[a] | vbit[b]]
-            else:
-                merged: list[int] = []
-                seen = 0  # the vertices of merged
-                for c in p.children(f):
-                    for comp in comps[c]:
-                        if comp & seen:
-                            for m in [m for m in merged if m & comp]:
-                                merged.remove(m)
-                                comp |= m
-                        merged.append(comp)
-                        seen |= comp
-                comps[f] = merged
-        return {f: comps[f] for f in p._order}
-
-    @cached_property
-    def has_vertex(self) -> list[str]:
-        """The faces with no vertex component: no vertex lies below them."""
-        return [f"face {f} contains no vertex" for f, c in self._components.items() if not c]
-
-    @cached_property
-    def skeleton_connected(self) -> list[str]:
-        """The faces whose vertices form more than one component."""
-        return [
-            f"1-skeleton of face {f} is disconnected"
-            for f, c in self._components.items()
-            if len(c) > 1
-        ]
-
-    @property
-    def sound(self) -> bool:
-        """Structure good enough for every downstream computation."""
-        return not self.witnesses()
-
-    def witnesses(self) -> list[str]:
-        """The findings that make the poset unsound, in the order loading
-        and cutting report them."""
-        return self.structural + self.simplicial + self.nice
-
-    @property
-    def ok(self) -> bool:
-        return self.sound and not (self.has_vertex or self.skeleton_connected)
-
-
 @dataclass(frozen=True)
 class FHVector:
     f: tuple[int, ...]
@@ -306,21 +229,15 @@ def count_components(
     return len({find(x) for x in parent})
 
 
-def validate(p: FacePoset) -> PosetReport:
-    """Check top element, grading, boolean upper intervals and niceness.
-    Presence of vertices and connectivity of every face's 1-skeleton are
-    checked when the report's has_vertex / skeleton_connected are read.
-    The findings are kept on p (`kept`); each call returns a new report
-    over them, as a report refers to p and must not be kept on it."""
-    return PosetReport(p, *_findings(p))
-
-
 @kept
-def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
-    """validate's structural, simplicial and nice findings."""
+def validate(p: FacePoset) -> list[str]:
+    """Check top element, grading, boolean upper intervals and niceness:
+    the structural findings, or else the simplicial findings followed by
+    the nice ones, in the order loading and cutting report them; [] when
+    p is sound, good enough for every downstream computation.  Kept on p
+    (`kept`); callers share the list.  Vertices and the faces' 1-skeleta
+    are checked by `vertex_findings`."""
     structural: list[str] = []
-    simplicial: list[str] = []
-    nice: list[str] = []
     tops = p.faces_of_codim(0)
     if len(tops) != 1:
         structural.append(f"expected exactly one codim-0 face, found {tops}")
@@ -335,9 +252,10 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
             if not up[f] & 1:
                 structural.append(f"face {f} is not below the top face {tops[0]}")
     if structural:
-        return structural, simplicial, nice
+        return structural
 
     # niceness: a codim-k face lies in exactly k facets
+    nice: list[str] = []
     for f in p.faces():
         k = p.codims[f]
         if facet_mask[f].bit_count() != k:
@@ -357,6 +275,7 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
     for i, f in enumerate(p._order):
         groups.setdefault(facet_mask[f], []).append(i)
     shared = sum(1 << i for group in groups.values() if len(group) > 1 for i in group)
+    simplicial: list[str] = []
     for f in p.faces():
         size, m = up[f].bit_count(), facet_mask[f].bit_count()
         dup, sets = up[f] & shared, set()
@@ -371,8 +290,49 @@ def _findings(p: FacePoset) -> tuple[list[str], list[str], list[str]]:
                 f"face {f}: {size} faces above it with {distinct} distinct "
                 f"facet sets, wanted 2^{m}={2**m}"
             )
+    return simplicial + nice
 
-    return structural, simplicial, nice
+
+@kept
+def vertex_findings(p: FacePoset) -> tuple[list[str], list[str]]:
+    """The has_vertex and skeleton_connected findings of a sound poset:
+    the faces below which no vertex lies, and those whose vertices form
+    more than one component of their 1-skeleton, each in face order;
+    ([], []) when p is not sound (`validate`).  Kept on p (`kept`).
+
+    Covers step one codim, so every vertex and edge below a face of
+    dimension >= 2 lies below one of its children: the face's 1-skeleton
+    is the union of theirs, and its components, each a mask over the
+    vertices (bit j for the j-th vertex), are theirs, merged where they
+    share a vertex.  An edge joins its two ends; a degenerate one, which
+    is not in `edges`, keeps the vertices it covers apart."""
+    if validate(p):
+        return [], []
+    vbit = {v: 1 << j for j, v in enumerate(p.vertices())}
+    edges = one_skeleton(p).edges
+    comps: dict[str, list[int]] = {}
+    for f in reversed(p._order):  # children first
+        if f in vbit:
+            comps[f] = [vbit[f]]
+        elif f in edges:
+            a, b = edges[f]
+            comps[f] = [vbit[a] | vbit[b]]
+        else:
+            merged: list[int] = []
+            seen = 0  # the vertices of merged
+            for c in p.children(f):
+                for comp in comps[c]:
+                    if comp & seen:
+                        for m in [m for m in merged if m & comp]:
+                            merged.remove(m)
+                            comp |= m
+                    merged.append(comp)
+                    seen |= comp
+            comps[f] = merged
+    return (
+        [f"face {f} contains no vertex" for f in p._order if not comps[f]],
+        [f"1-skeleton of face {f} is disconnected" for f in p._order if len(comps[f]) > 1],
+    )
 
 
 @kept

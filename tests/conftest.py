@@ -11,7 +11,14 @@ from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
 from z2torus.gf2 import Matrix, Vec, _rref_rows
 from z2torus.instance import instance_text
-from z2torus.poset import FacePoset
+from z2torus.poset import FacePoset, validate, vertex_findings
+
+
+def poset_findings(p):
+    """Every line the validate command reads off p: validate's, then the
+    has_vertex and skeleton_connected lines; [] when each check passes."""
+    has_vertex, skeleton_connected = vertex_findings(p)
+    return validate(p) + has_vertex + skeleton_connected
 
 
 def reduced(betti):

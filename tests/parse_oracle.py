@@ -83,9 +83,9 @@ def parse_instance_oracle(data: object) -> Instance:
         poset = FacePoset(n, codims, covers)
     except ValueError as exc:
         raise InputError(str(exc))
-    rep = validate(poset)
-    if not rep.sound:
-        raise InputError(rep.witnesses())
+    found = validate(poset)
+    if found:
+        raise InputError(found)
 
     lam = None
     if "lambda" in data:
@@ -104,9 +104,9 @@ def parse_instance_oracle(data: object) -> Instance:
         if errors:
             raise InputError(errors)
         lam = CharFunction(n, values)
-        lrep = validate_lambda(poset, lam)
-        if not lrep.ok:
-            raise InputError(lrep.witnesses())
+        found = validate_lambda(poset, lam)
+        if found:
+            raise InputError(found)
 
     tri = None
     if "triangulation" in data:
@@ -160,7 +160,7 @@ def parse_instance_oracle(data: object) -> Instance:
         if errors:
             raise InputError(errors)
         tri = CarrierComplex(poset, raw["points"], simplices)
-        crep = validate_carriers(tri)
-        if not crep.ok:
-            raise InputError(crep.witnesses())
+        found = validate_carriers(tri)
+        if found:
+            raise InputError(found)
     return Instance(name, poset, lam, tri)

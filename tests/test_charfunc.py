@@ -11,6 +11,7 @@ from conftest import (
     below_oracle,
     change_basis,
     from_vecs,
+    poset_findings,
     restrict_oracle,
 )
 from gkm_graphs import hand_built, mod_line
@@ -24,7 +25,6 @@ from z2torus import blowup, charfunc, cli, complexes, corpus, model
 from z2torus.blowup import cut_face
 from z2torus.charfunc import (
     CharFunction,
-    LambdaReport,
     axial_function,
     facet_labels,
     m_involution_check,
@@ -85,29 +85,36 @@ class TestValidateLambda:
     def test_corpus_ok(self):
         for name in ("triangle", "square_torus", "square_klein", "cube", "annulus"):
             inst = corpus.BUILDERS[name]()
-            assert validate_lambda(inst.poset, inst.lam).ok, name
+            assert validate_lambda(inst.poset, inst.lam) == [], name
 
     def test_dependent_at_a_vertex(self):
         p = corpus.triangle().poset
         bad = lam_of(F1="10", F2="10", F3="01")
-        rep = validate_lambda(p, bad)
-        assert not rep.ok
-        assert any("p12" in w for w in rep.dependent)
+        assert validate_lambda(p, bad) == [
+            "face p12: facet labels ['10', '10'] of ['F1', 'F2'] are dependent"
+        ]
 
     def test_missing_and_unknown(self):
+        # the missing lines come first, then the unknown ones
         p = corpus.triangle().poset
-        rep = validate_lambda(p, lam_of(F1="10", F2="01", Fx="11"))
-        assert rep.missing and rep.unknown
+        assert validate_lambda(p, lam_of(F1="10", F2="01", Fx="11")) == [
+            "facet F3 has no lambda value",
+            "lambda value for non-facet 'Fx'",
+        ]
 
     def test_width_mismatch(self):
         p = corpus.triangle().poset
-        rep = validate_lambda(p, lam_of(F1="1", F2="1", F3="1"))
-        assert not rep.ok
+        assert validate_lambda(p, lam_of(F1="1", F2="1", F3="1")) == [
+            "lambda has width 1, poset dimension is 2"
+        ]
 
     def test_zero_label_is_dependent(self):
         p = corpus.triangle().poset
-        rep = validate_lambda(p, lam_of(F1="00", F2="01", F3="11"))
-        assert any("F1" in w for w in rep.dependent)
+        assert validate_lambda(p, lam_of(F1="00", F2="01", F3="11")) == [
+            "face F1: facet labels ['00'] of ['F1'] are dependent",
+            "face p12: facet labels ['00', '01'] of ['F1', 'F2'] are dependent",
+            "face p13: facet labels ['00', '11'] of ['F1', 'F3'] are dependent",
+        ]
 
     def test_report_is_kept_per_lambda(self):
         # kept on the poset for this lambda object; an equal lambda that is
@@ -209,37 +216,34 @@ class TestFacetLabels:
 
 def lambda_oracle(p, lam):
     """validate_lambda as it was before it ranked at vertices first: one
-    rank per face that lies in a facet."""
-    rep = LambdaReport()
+    rank per face that lies in a facet.  The missing, unknown and
+    dependent lines, each list [] when its check passes."""
     if lam.n != p.n:
-        rep.dependent.append(f"lambda has width {lam.n}, poset dimension is {p.n}")
-        return rep
+        return [], [], [f"lambda has width {lam.n}, poset dimension is {p.n}"]
     facets = set(p.facets())
-    for F in sorted(facets):
-        if F not in lam.values:
-            rep.missing.append(f"facet {F} has no lambda value")
-    for F in sorted(lam.values):
-        if F not in facets:
-            rep.unknown.append(f"lambda value for non-facet {F!r}")
-    if not rep.ok:
-        return rep
+    missing = [f"facet {F} has no lambda value" for F in sorted(facets) if F not in lam.values]
+    unknown = [f"lambda value for non-facet {F!r}" for F in sorted(lam.values) if F not in facets]
+    dependent = []
+    if missing or unknown:
+        return missing, unknown, dependent
     for f in p.faces():
         S = p.facets_containing(f)
         if not S:
             continue
         vecs = [lam.vec(F) for F in S]
         if from_vecs(vecs).rank() != len(vecs):
-            rep.dependent.append(
+            dependent.append(
                 f"face {f}: facet labels {[str(v) for v in vecs]} of {S} are dependent"
             )
-    return rep
+    return missing, unknown, dependent
 
 
 def assert_lambda_matches_oracle(p, lam):
-    """The two reports agree line for line; returns the dependent faces."""
-    rep, want = validate_lambda(p, lam), lambda_oracle(p, lam)
-    assert (rep.missing, rep.unknown, rep.dependent) == (want.missing, want.unknown, want.dependent)
-    return [w.split(":")[0].removeprefix("face ") for w in rep.dependent]
+    """validate_lambda's lines are the oracle's missing, unknown and
+    dependent lines, in that order; returns the dependent faces."""
+    missing, unknown, dependent = lambda_oracle(p, lam)
+    assert validate_lambda(p, lam) == missing + unknown + dependent
+    return [w.split(":")[0].removeprefix("face ") for w in dependent]
 
 
 LAMBDA_SWEEP = dict(corpus.BUILDERS)
@@ -372,8 +376,8 @@ class TestFaceRestriction:
     def test_cube_facet_is_the_torus_square(self):
         inst = corpus.cube()
         sub, lam2 = face_restriction(inst.poset, inst.lam, "X0")
-        assert sub.n == 2 and validate(sub).ok
-        assert validate_lambda(sub, lam2).ok
+        assert sub.n == 2 and poset_findings(sub) == []
+        assert validate_lambda(sub, lam2) == []
         assert str(lam2.vec("EX0Y0")) == "10"
         assert str(lam2.vec("EX0Y1")) == "10"
         assert str(lam2.vec("EX0Z0")) == "01"
@@ -402,8 +406,8 @@ class TestFaceRestriction:
             inst = corpus.BUILDERS[name]()
             for f in inst.poset.faces():
                 sub, lam2 = face_restriction(inst.poset, inst.lam, f)
-                assert validate(sub).sound, (name, f)
-                assert validate_lambda(sub, lam2).ok, (name, f)
+                assert validate(sub) == [], (name, f)
+                assert validate_lambda(sub, lam2) == [], (name, f)
 
 
 class TestAxialFunction:

@@ -15,7 +15,6 @@ from z2torus.blowup import cut_face
 from z2torus.charfunc import CharFunction
 from z2torus.complexes import (
     CarrierComplex,
-    CarrierReport,
     QuotientComplex,
     _acyclicity,
     _carried,
@@ -188,39 +187,40 @@ def cut_chain(data):
 def carriers_oracle(c):
     """validate_carriers with each face's subcomplex found by scanning every
     simplex, and each simplex's facets listed again in every face that
-    holds it."""
-    rep = CarrierReport()
+    holds it.  The closure lines, then the carrier lines, then the face
+    strata lines."""
+    closure, carriers, strata = [], [], []
     p = c.poset
     for sx, cf in sorted(c.simplices.items()):
         if cf not in p.codims:
-            rep.carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
+            carriers.append(f"simplex {sx} carried by unknown face {cf!r}")
             continue
         for tau in facets_of(sx) if len(sx) >= 2 else ():
             if tau not in c.simplices:
-                rep.closure.append(f"simplex {sx} misses facet {tau}")
+                closure.append(f"simplex {sx} misses facet {tau}")
             elif c.simplices[tau] in p.codims and not p.leq(c.simplices[tau], cf):
-                rep.carriers.append(
+                carriers.append(
                     f"carrier of {tau} ({c.simplices[tau]}) not inside carrier of {sx} ({cf})"
                 )
     used = {v for sx in c.simplices for v in sx}
-    rep.carriers += [f"point {v} appears in no simplex" for v in range(c.n_points) if v not in used]
-    if not rep.ok:
-        return rep
+    carriers += [f"point {v} appears in no simplex" for v in range(c.n_points) if v not in used]
+    if closure or carriers:
+        return closure + carriers
     for f in p.faces():
         sub = sorted(sx for sx, cf in c.simplices.items() if p.leq(cf, f))
         if not sub:
-            rep.face_strata.append(f"face {f} carries no simplex")
+            strata.append(f"face {f} carries no simplex")
             continue
         d = max(len(sx) - 1 for sx in sub)
         if d != p.dim_face(f):
-            rep.face_strata.append(
+            strata.append(
                 f"subcomplex of face {f} has dimension {d}, face has dimension {p.dim_face(f)}"
             )
         cofaces = {sx: 0 for sx in sub}
         for sx in sub:
             for tau in facets_of(sx) if len(sx) >= 2 else ():
                 cofaces[tau] += 1
-        rep.face_strata += [
+        strata += [
             f"face {f}: simplex {sx} is maximal below dimension {d}"
             for sx in sub
             if len(sx) - 1 < d and cofaces[sx] == 0
@@ -229,10 +229,10 @@ def carriers_oracle(c):
             if len(sx) - 1 == d - 1:
                 want = 2 if c.simplices[sx] == f else 1
                 if cofaces[sx] != want:
-                    rep.face_strata.append(
+                    strata.append(
                         f"face {f}: wall {sx} lies in {cofaces[sx]} top simplices, wanted {want}"
                     )
-    return rep
+    return strata
 
 
 def carrier_edits(c):
@@ -304,7 +304,7 @@ def gathered_chains(p):
     when p has one top face."""
     chain = _walk(p)
     try:
-        if not (chain.closure or chain.wrong_carriers):
+        if not chain.findings:
             _check_squares(rows(chain))
     except ValueError:
         pass
@@ -438,7 +438,7 @@ class TestLift:
         inst = corpus.square_klein()
         chain = base_chain(inst.triangulation)
         assert base_chain(inst.triangulation) is chain
-        assert validate_carriers(inst.triangulation).ok and base_chain(inst.triangulation) is chain
+        assert validate_carriers(inst.triangulation) == [] and base_chain(inst.triangulation) is chain
         assert base_chain(inst.poset) is base_chain(inst.poset)
         assert base_chain(inst.poset) is not chain
 
@@ -724,41 +724,42 @@ class TestValidateCarriers:
     def test_mode_b_corpus_passes_strict(self):
         for name in ("square_torus", "square_klein", "annulus", "cut_triangle"):
             inst = corpus.BUILDERS[name]()
-            rep = validate_carriers(inst.triangulation)
-            assert rep.ok, (name, rep.witnesses())
+            found = validate_carriers(inst.triangulation)
+            assert found == [], (name, found)
 
     def test_surrogate_passes_weak_fails_strict(self):
         # the surrogate fails only the check that each face's subcomplex
         # has the face's dimension
-        rep = validate_carriers(order_complex(corpus.annulus().poset))
-        assert not rep.ok and rep.face_strata
-        assert all("has dimension" in w for w in rep.witnesses())
+        assert validate_carriers(order_complex(corpus.annulus().poset)) == [
+            "subcomplex of face Q has dimension 1, face has dimension 2",
+            "subcomplex of face F1 has dimension 0, face has dimension 1",
+            "subcomplex of face F2 has dimension 0, face has dimension 1",
+        ]
 
     def test_unknown_carrier(self):
-        rep = validate_carriers(CarrierComplex(POINT_POSET, 1, {(0,): "X"}))
-        assert rep.carriers
+        assert validate_carriers(CarrierComplex(POINT_POSET, 1, {(0,): "X"})) == [
+            "simplex (0,) carried by unknown face 'X'"
+        ]
 
     def test_unknown_carrier_of_a_later_facet(self):
         # (1, 2) sorts after (0, 1, 2), whose carrier is checked against it
         simplices = {sx: "Q" for sx in close_down([(0, 1, 2)])}
         simplices[(1, 2)] = "X"
-        rep = validate_carriers(CarrierComplex(POINT_POSET, 3, simplices))
-        assert rep.witnesses() == ["simplex (1, 2) carried by unknown face 'X'"]
+        found = validate_carriers(CarrierComplex(POINT_POSET, 3, simplices))
+        assert found == ["simplex (1, 2) carried by unknown face 'X'"]
 
     def test_unused_point(self):
-        rep = validate_carriers(CarrierComplex(POINT_POSET, 2, {(0,): "Q"}))
-        assert any("appears in no simplex" in w for w in rep.carriers)
+        found = validate_carriers(CarrierComplex(POINT_POSET, 2, {(0,): "Q"}))
+        assert found == ["point 1 appears in no simplex"]
 
     def test_carrier_monotonicity(self):
         p = corpus.triangle().poset
         c = CarrierComplex(p, 2, {(0,): "Q", (1,): "p12", (0, 1): "p12"})
-        rep = validate_carriers(c)
-        assert any("not inside carrier" in w for w in rep.carriers)
+        assert validate_carriers(c) == ["carrier of (0,) (Q) not inside carrier of (0, 1) (p12)"]
 
     def test_missing_facet_simplex(self):
         c = CarrierComplex(POINT_POSET, 2, {(0, 1): "Q", (0,): "Q"})
-        rep = validate_carriers(c)
-        assert rep.closure
+        assert validate_carriers(c) == ["simplex (0, 1) misses facet (1,)"]
 
     @pytest.mark.parametrize("name", ["square_torus", "square_klein", "annulus", "cut_triangle",
                                       "ncube(2)", "ncube(3)", "ncube(4)"])
@@ -773,9 +774,9 @@ class TestValidateCarriers:
         failed = 0
         for simplices in carrier_edits(c):
             edited = CarrierComplex(c.poset, c.n_points, simplices)
-            rep = validate_carriers(edited)
-            assert rep == carriers_oracle(edited), simplices
-            failed += not rep.ok
+            found = validate_carriers(edited)
+            assert found == carriers_oracle(edited), simplices
+            failed += found != []
         assert failed
 
     @settings(max_examples=25, deadline=None)
@@ -795,5 +796,5 @@ class TestValidateCarriers:
         # a square's facet triangulated with a dangling extra edge
         tri = dict(corpus.square_torus().triangulation.simplices)
         tri[(1, 3)] = "B"
-        rep = validate_carriers(CarrierComplex(corpus.square_torus().poset, 4, tri))
-        assert not rep.ok
+        found = validate_carriers(CarrierComplex(corpus.square_torus().poset, 4, tri))
+        assert found == ["carrier of (3,) (TL) not inside carrier of (1, 3) (B)"]

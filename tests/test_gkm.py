@@ -712,7 +712,7 @@ class TestAxialSharing:
         lam = CharFunction(3, values)
         with pytest.raises(InputError) as err:
             axial_function(inst.poset, lam)
-        found = validate_lambda(inst.poset, lam).witnesses()
+        found = validate_lambda(inst.poset, lam)
         assert found[0] == "face EX0Y1: facet labels ['100', '100'] of ['X0', 'Y1'] are dependent"
         assert err.value.messages == ["gkm input fails validation"] + found
         want = "^edge EX0Y1: functional not unique, nullspace has dimension 2$"

@@ -19,7 +19,7 @@ from z2torus.model import (
     fixed_locus,
     formality_verdict,
 )
-from z2torus.poset import fh_vectors, order_complex, validate
+from z2torus.poset import fh_vectors, order_complex, validate, vertex_findings
 
 
 def surrogate_model(inst):
@@ -164,7 +164,7 @@ class TestFixedSets:
         with pytest.raises(InputError) as err:
             fixed_locus(p, lam, Vec.from_string("100"))
         assert err.value.messages == ["fixed-locus input fails validation"] + (
-            validate_lambda(p, lam).witnesses()
+            validate_lambda(p, lam)
         )
 
     def test_an_element_of_another_width_is_refused(self):
@@ -198,7 +198,7 @@ class TestFormalityVerdict:
             (torus.triangulation, CharFunction(2, {F: Vec.from_string("10") for F in "LRTB"})),
         ]
         for base, lam in cases:
-            found = validate_lambda(base.poset, lam).witnesses()
+            found = validate_lambda(base.poset, lam)
             assert found
             with pytest.raises(InputError) as err:
                 formality_verdict(base, lam)
@@ -304,11 +304,9 @@ class TestKeptOnThePoset:
     def test_validate_and_fh_vectors_match_a_fresh_copy(self):
         for name in ("cube", "annulus", "cut_cube_edge"):
             p, q = corpus.BUILDERS[name]().poset, corpus.BUILDERS[name]().poset
-            rep, again = validate(p), validate(p)
-            assert again.simplicial is rep.simplicial and rep == again == validate(q)
-            assert (rep.has_vertex, rep.skeleton_connected, rep.ok) == (
-                validate(q).has_vertex, validate(q).skeleton_connected, validate(q).ok
-            )
+            assert validate(p) is validate(p) and validate(p) == validate(q)
+            assert vertex_findings(p) is vertex_findings(p)
+            assert vertex_findings(p) == vertex_findings(q)
             assert fh_vectors(p) is fh_vectors(p) and fh_vectors(p) == fh_vectors(q)
 
     @pytest.mark.parametrize("name", ["cube", "square_klein", "annulus"])
@@ -318,7 +316,8 @@ class TestKeptOnThePoset:
         # its poset
         inst = corpus.BUILDERS[name]()
         p, lam, tri, base = inst.poset, inst.lam, inst.triangulation, inst.base
-        validate(p).ok, fh_vectors(p), face_acyclicity(base), formality_verdict(base, lam)
+        validate(p), vertex_findings(p), fh_vectors(p), face_acyclicity(base)
+        formality_verdict(base, lam)
         gone = [weakref.ref(x) for x in (p, lam, tri) if x is not None]
         assert len(gone) == (2 if name == "cube" else 3)
         gc.disable()

@@ -18,6 +18,7 @@ from conftest import (
     apply_edit,
     below_oracle,
     edits,
+    poset_findings,
     restrict_oracle,
     rows,
 )
@@ -47,6 +48,7 @@ from z2torus.poset import (
     one_skeleton,
     order_complex,
     validate,
+    vertex_findings,
 )
 
 ALL_POSETS = {
@@ -90,7 +92,7 @@ class TestConstruction:
         sq = restrict(p, "X0")
         assert sq.n == 2
         assert len(sq.codims) == 9
-        assert validate(sq).ok
+        assert poset_findings(sq) == []
 
     def test_equality(self):
         assert ALL_POSETS["triangle"] == corpus.triangle().poset
@@ -100,17 +102,19 @@ class TestConstruction:
 class TestValidate:
     def test_corpus_soundness(self):
         for name, p in ALL_POSETS.items():
-            rep = validate(p)
-            assert rep.sound, (name, rep)
+            assert validate(p) == [], name
 
     def test_annulus_semantic_findings(self):
-        rep = validate(ALL_POSETS["annulus"])
-        assert rep.sound and not rep.ok
-        assert len(rep.has_vertex) == 3
+        p = ALL_POSETS["annulus"]
+        assert validate(p) == []
+        assert vertex_findings(p) == (
+            ["face Q contains no vertex", "face F1 contains no vertex", "face F2 contains no vertex"],
+            [],
+        )
 
     def test_two_tops(self):
         p = FacePoset(1, {"Q": 0, "R": 0, "v": 1}, {("v", "Q"), ("v", "R")})
-        assert validate(p).structural
+        assert validate(p) == ["expected exactly one codim-0 face, found ['Q', 'R']"]
 
     def test_missing_cover_breaks_niceness(self):
         codims = {"Q": 0, "F1": 1, "F2": 1, "F3": 1, "p12": 2, "p13": 2, "p23": 2}
@@ -120,8 +124,10 @@ class TestValidate:
             ("p13", "F1"), ("p13", "F3"),
             ("p23", "F2"), ("p23", "F3"),
         }
-        rep = validate(FacePoset(2, codims, covers))
-        assert rep.nice and not rep.sound
+        assert validate(FacePoset(2, codims, covers)) == [
+            "face p12: 3 faces above it with 2 distinct facet sets, wanted 2^1=2",
+            "face p12 has codim 2 but lies in 1 facets ['F1']",
+        ]
 
     def test_two_faces_with_equal_facet_sets_is_fine(self):
         # two distinct vertices inside the same two facets: that is the
@@ -129,8 +135,7 @@ class TestValidate:
         codims = {"Q": 0, "F1": 1, "F2": 1, "a": 2, "b": 2}
         covers = {("F1", "Q"), ("F2", "Q")}
         covers |= {(v, F) for v in ("a", "b") for F in ("F1", "F2")}
-        rep = validate(FacePoset(2, codims, covers))
-        assert rep.ok
+        assert poset_findings(FacePoset(2, codims, covers)) == []
 
     def test_interval_above_a_vertex_must_be_boolean(self):
         # a vertex in three facets but under only two edges: nice, yet
@@ -142,13 +147,14 @@ class TestValidate:
             ("e13", "F1"), ("e13", "F3"),
             ("v", "e12"), ("v", "e13"),
         }
-        rep = validate(FacePoset(3, codims, covers))
-        assert rep.simplicial and not rep.sound
+        assert validate(FacePoset(3, codims, covers)) == [
+            "face v: 7 faces above it with 7 distinct facet sets, wanted 2^3=8"
+        ]
 
     def test_disconnected_face_skeleton(self):
-        rep = validate(disconnected_square())
-        assert rep.sound
-        assert rep.skeleton_connected
+        p = disconnected_square()
+        assert validate(p) == []
+        assert vertex_findings(p) == ([], ["1-skeleton of face Q is disconnected"])
 
 
 def disconnected_square():
@@ -231,21 +237,35 @@ def shares_above(p):
     return False
 
 
+def structural_oracle(p):
+    """The structural witnesses validate prints, with the faces below the
+    top read off the recursive closure."""
+    tops = [f for f in p.faces() if p.codims[f] == 0]
+    found = [] if len(tops) == 1 else [f"expected exactly one codim-0 face, found {tops}"]
+    found += [
+        f"cover ({c}, {q}) jumps codim {p.codims[q]} -> {p.codims[c]}"
+        for c, q in p.covers
+        if p.codims[c] != p.codims[q] + 1
+    ]
+    if len(tops) == 1:
+        above = above_oracle(p)
+        found += [f"face {f} is not below the top face {tops[0]}" for f in p.faces() if tops[0] not in above[f]]
+    return found
+
+
 def assert_validate_matches_oracle(p):
-    """validate agrees with the oracle on structural, nice, sound, ok and
-    whether simplicial is empty, and with the count oracle witness for
-    witness; returns whether simpliciality alone fails."""
-    rep = validate(p)
-    if rep.structural:  # validate stops before the interval checks
-        assert not (rep.nice or rep.simplicial)
+    """validate's lines are the structural oracle's, or else the count
+    oracle's simplicial witnesses followed by the interval oracle's nice
+    ones, and the count and interval oracles agree on whether simplicial
+    is empty; returns whether simpliciality alone fails."""
+    found = validate(p)
+    structural = structural_oracle(p)
+    if structural:  # validate stops before the interval checks
+        assert found == structural
         return False
     nice, simplicial = interval_oracle(p)
-    assert rep.nice == nice
-    assert rep.simplicial == count_oracle(p)
-    assert bool(rep.simplicial) == bool(simplicial), (rep.simplicial, simplicial)
-    sound = not (nice or simplicial)
-    assert rep.sound == sound
-    assert rep.ok == (sound and not (rep.has_vertex or rep.skeleton_connected))
+    assert found == count_oracle(p) + nice
+    assert bool(count_oracle(p)) == bool(simplicial), (found, simplicial)
     return bool(simplicial) and not nice
 
 
@@ -309,7 +329,7 @@ class TestValidateAgainstOracle:
         p = FacePoset(3, codims, covers)
         assert len(above_oracle(p)["v"]) == 8
         assert assert_validate_matches_oracle(p)
-        assert validate(p).simplicial == [
+        assert validate(p) == [
             "face v: 8 faces above it with 7 distinct facet sets, wanted 2^3=8"
         ]
 
@@ -323,7 +343,7 @@ class TestValidateAgainstOracle:
         q = FacePoset(3, codims, covers)
         assert shares_above(q)
         assert assert_validate_matches_oracle(q)
-        assert validate(q).simplicial == [
+        assert validate(q) == [
             "face V000: 9 faces above it with 8 distinct facet sets, wanted 2^3=8",
             "face V001: 9 faces above it with 8 distinct facet sets, wanted 2^3=8",
         ]
@@ -337,7 +357,7 @@ class TestValidateAgainstOracle:
         for e in sample:
             q = apply_edit(p, e)
             assert_validate_matches_oracle(q)
-            shared += not validate(q).structural and shares_above(q)
+            shared += not structural_oracle(q) and shares_above(q)
         assert shared > 0
 
     def test_extra_facet_is_caught_by_the_count(self):
@@ -350,8 +370,9 @@ class TestValidateAgainstOracle:
         p = FacePoset(3, codims, covers)
         assert len(above_oracle(p)["v"]) == 8
         assert_validate_matches_oracle(p)
-        assert validate(p).simplicial == [
-            "face v: 8 faces above it with 8 distinct facet sets, wanted 2^4=16"
+        assert validate(p) == [
+            "face v: 8 faces above it with 8 distinct facet sets, wanted 2^4=16",
+            "face v has codim 3 but lies in 4 facets ['a', 'b', 'c', 'd']",
         ]
 
 
@@ -378,43 +399,68 @@ def skeleton_oracle(p):
 
 
 def assert_findings_match_oracle(p):
-    """has_vertex and skeleton_connected against the down-set oracles,
-    line for line; both are [] after a structural finding.  Returns
-    whether either found something."""
-    rep = validate(p)
-    if rep.structural:
-        assert rep.has_vertex == rep.skeleton_connected == []
+    """vertex_findings against the down-set oracles, line for line, on a
+    sound poset; ([], []) on any other.  Returns whether it found
+    something."""
+    has_vertex, skeleton_connected = vertex_findings(p)
+    if validate(p):
+        assert has_vertex == skeleton_connected == []
         return False
-    assert rep.has_vertex == has_vertex_oracle(p)
-    assert rep.skeleton_connected == skeleton_oracle(p)
-    return bool(rep.has_vertex or rep.skeleton_connected)
+    assert has_vertex == has_vertex_oracle(p)
+    assert skeleton_connected == skeleton_oracle(p)
+    return bool(has_vertex or skeleton_connected)
 
 
 def failing_findings(split_annulus_data):
-    """Posets with no structural finding whose per-face findings are not
-    empty, each with its has_vertex and skeleton_connected lines."""
-    two = {"Q": 0, "A": 1, "B": 1, "u": 2, "v": 2}
+    """Sound posets whose vertex findings are not empty, each with its
+    has_vertex and skeleton_connected lines."""
     q_apart = ["1-skeleton of face Q is disconnected"]
     return [
         (disconnected_square(), [], q_apart),
         (parse_instance(split_annulus_data).poset, [], q_apart),
-        # an edge over one vertex, beside one over another: Q's two apart
-        (FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "B")}), [], q_apart),
+        # edges over one vertex each, two at u and two at v: Q's two apart
+        (
+            FacePoset(
+                2, {"Q": 0, "A": 1, "B": 1, "C": 1, "D": 1, "u": 2, "v": 2},
+                {*[(F, "Q") for F in "ABCD"], ("u", "A"), ("u", "B"), ("v", "C"), ("v", "D")},
+            ),
+            [],
+            q_apart,
+        ),
         # an edge over three vertices keeps them apart, and w stays apart in Q
         (
             FacePoset(
-                2, {**two, "w": 2},
-                {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A"), ("w", "A"), ("u", "B"), ("v", "B")},
+                2, {"Q": 0, "A": 1, "B": 1, "C": 1, "u": 2, "v": 2, "w": 2},
+                {*[(F, "Q") for F in "ABC"], ("u", "A"), ("v", "A"), ("w", "A"),
+                 ("u", "B"), ("v", "B"), ("w", "C")},
             ),
             [],
             q_apart + ["1-skeleton of face A is disconnected"],
         ),
-        # an edge over no vertex
+        # an edge over no vertex, beside two over u and v
         (
-            FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A")}),
+            FacePoset(
+                2, {"Q": 0, "A": 1, "B": 1, "C": 1, "u": 2, "v": 2},
+                {*[(F, "Q") for F in "ABC"], ("u", "A"), ("v", "A"), ("u", "C"), ("v", "C")},
+            ),
             ["face B contains no vertex"],
             [],
         ),
+    ]
+
+
+def unsound_findings():
+    """The last three posets of `failing_findings` as they read before
+    each was made nice: every vertex lies in one facet, so they fail
+    niceness, while the down-set oracles find the same faces as there."""
+    two = {"Q": 0, "A": 1, "B": 1, "u": 2, "v": 2}
+    return [
+        FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "B")}),
+        FacePoset(
+            2, {**two, "w": 2},
+            {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A"), ("w", "A"), ("u", "B"), ("v", "B")},
+        ),
+        FacePoset(2, two, {("A", "Q"), ("B", "Q"), ("u", "A"), ("v", "A")}),
     ]
 
 
@@ -437,10 +483,19 @@ class TestFindingsAgainstOracle:
 
     def test_failing_findings(self, split_annulus_data):
         for p, has_vertex, skeleton in failing_findings(split_annulus_data):
-            rep = validate(p)
-            assert not rep.structural
-            assert (rep.has_vertex, rep.skeleton_connected) == (has_vertex, skeleton)
+            assert validate(p) == []
+            assert vertex_findings(p) == (has_vertex, skeleton)
             assert assert_findings_match_oracle(p)
+
+    def test_an_unsound_poset_has_no_vertex_findings(self):
+        # vertex_findings reads a sound poset only: with simplicial or
+        # nice findings it is ([], []) where the down-set oracles find
+        # faces; every command refuses such a poset when it loads
+        for p in unsound_findings():
+            found = validate(p)
+            assert found and all(" but lies in " in w or " faces above it " in w for w in found)
+            assert has_vertex_oracle(p) or skeleton_oracle(p)
+            assert vertex_findings(p) == ([], [])
 
     def test_every_single_edit_of_a_failing_poset(self, split_annulus_data):
         failed = 0
@@ -450,15 +505,23 @@ class TestFindingsAgainstOracle:
 
     @pytest.mark.parametrize("name", ["triangle", "square_torus", "cube", "annulus"])
     def test_every_single_edit(self, name):
+        # vertex_findings reads the sound edits only, a few per poset; of
+        # these, the annulus's alone keep faces without a vertex
         p = corpus.BUILDERS[name]().poset
-        failed = sum(assert_findings_match_oracle(apply_edit(p, e)) for e in edits(p))
-        assert failed > 0  # e.g. a deleted vertex leaves a face without one
+        edited = [apply_edit(p, e) for e in edits(p)]
+        failed = sum(assert_findings_match_oracle(q) for q in edited)
+        assert sum(not validate(q) for q in edited) > 0
+        assert (failed > 0) == (name == "annulus")
 
     def test_seeded_edits_of_a_cut_four_cube(self):
         inst = corpus.ncube(4)
         p = cut_face(inst.poset, inst.lam, "00**").poset
         sample = random.Random(18).sample(edits(p), 150)
-        assert sum(assert_findings_match_oracle(apply_edit(p, e)) for e in sample) > 0
+        edited = [apply_edit(p, e) for e in sample]
+        # one edit of the sample is sound, and has no vertex findings, as
+        # none of the cut's sound edits has; the unsound ones read ([], [])
+        assert not any(assert_findings_match_oracle(q) for q in edited)
+        assert sum(not validate(q) for q in edited) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -616,9 +679,9 @@ OFF_THE_REPORT_PATH = {
 
 
 class TestLazyFindings:
-    """Loading and cutting read only `sound`, so they never build the
-    1-skeleton or run a per-face connectivity check; the findings are
-    computed when a report's has_vertex / skeleton_connected is read.
+    """Loading and cutting read only `validate`'s lines, so they never
+    build the 1-skeleton or run a per-face connectivity check; the vertex
+    findings are computed when `vertex_findings` is called.
     Every path reads containment off the masks the poset is built with,
     so none adds a table of its own to the poset."""
 
@@ -632,11 +695,11 @@ class TestLazyFindings:
         for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
             inst = parse_instance(data)
             cut = cut_face(inst.poset, inst.lam, inst.poset.vertices()[0])
-            assert validate(cut.poset).sound
-        rep = validate(parse_instance(split_annulus_data).poset)
+            assert validate(cut.poset) == []
+        p = parse_instance(split_annulus_data).poset
+        assert validate(p) == []
         monkeypatch.undo()
-        assert rep.skeleton_connected == ["1-skeleton of face Q is disconnected"]
-        assert rep.has_vertex == [] and rep.sound and not rep.ok
+        assert vertex_findings(p) == ([], ["1-skeleton of face Q is disconnected"])
 
     def test_load_and_cut_skip_the_below_closure(self, split_annulus_data):
         for data in (serialize_instance(corpus.ncube(3)), split_annulus_data):
@@ -689,8 +752,8 @@ class TestLazyFindings:
     def test_findings_are_empty_after_a_structural_failure(self):
         # two top faces, and no face contains a vertex
         p = FacePoset(2, {"Q": 0, "R": 0, "F": 1}, {("F", "Q")})
-        rep = validate(p)
-        assert rep.structural and rep.has_vertex == [] and rep.skeleton_connected == []
+        assert validate(p) == ["expected exactly one codim-0 face, found ['Q', 'R']"]
+        assert vertex_findings(p) == ([], [])
 
 
 class TestFHVectors:
@@ -792,7 +855,7 @@ class TestKept:
         inst = corpus.square_torus()
         p, lam, tri = inst.poset, inst.lam, inst.triangulation
         want = formality_verdict(tri, lam)
-        assert validate_carriers(tri).ok
+        assert validate_carriers(tri) == []
         before = dict(p._kept)
         on_tri = {
             f.__wrapped__
@@ -804,7 +867,7 @@ class TestKept:
         try:
             for _ in range(50):
                 c = CarrierComplex(p, tri.n_points, tri.simplices)
-                assert validate_carriers(c).ok and formality_verdict(c, lam) == want
+                assert validate_carriers(c) == [] and formality_verdict(c, lam) == want
                 assert set(c._kept) == on_tri
                 gone = weakref.ref(c)
                 del c
@@ -904,8 +967,8 @@ class TestOrderComplex:
         # only the annulus, whose faces hold no vertex, fails, and then
         # only the check that each face's subcomplex has its dimension
         for name, p in ALL_POSETS.items():
-            rep = validate_carriers(order_complex(p))
-            assert all("has dimension" in w for w in rep.witnesses()), (name, rep.witnesses())
+            found = validate_carriers(order_complex(p))
+            assert all("has dimension" in w for w in found), (name, found)
 
     def test_boundary_part_of_cube_is_a_sphere(self):
         oc = order_complex(ALL_POSETS["cube"])

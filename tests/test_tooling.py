@@ -109,7 +109,7 @@ def test_a_poset_only_kept_function_refuses_a_triangulation(name):
 
 
 def test_validate_refuses_a_triangulation():
-    # validate reads its findings through the poset-only `_findings`
+    # validate is itself a poset-only kept function
     with pytest.raises(TypeError, match="^a poset is a FacePoset, not CarrierComplex$"):
         z2torus.validate(corpus.square_torus().triangulation)
 
@@ -125,7 +125,6 @@ ERROR = "error path only"
 
 NEVER_ENTERED = {
     "complexes.CarrierComplex.__repr__": DUNDER,
-    "complexes.CarrierReport.witnesses": ERROR,
     "complexes.QuotientComplex.cell_count": PERFBENCH,
     "complexes._check_squares": PERFBENCH,  # read only by betti_mod2
     "complexes.betti_mod2": PERFBENCH,
